@@ -10,16 +10,14 @@ from .continuous import (
     characteristic_roots,
     continuous_energy,
 )
-from .dynamics import EnergyTrace, fit_decay_rate, initial_state, simulate, step_midpoint
+from .dynamics import EnergyTrace, fit_decay_rate, initial_state, simulate
 from .errors import NumericalError
 from .grid import (
-    GridVector,
     Mesh,
     SchemeMatrices,
     average,
     build_scheme_matrices,
     difference,
-    make_mesh,
     shadow_element,
     triple_sum_identity_gap,
     yh_inner,

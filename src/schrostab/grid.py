@@ -3,12 +3,15 @@
 Everything downstream (generators, multiplier identities, energy norms) is
 expressed through four objects defined here: the midpoint average, the scaled
 first difference, the bidiagonal scheme matrices, and the weighted inner
-product induced by the lower-bidiagonal averaging matrix.
+product induced by the lower-bidiagonal averaging matrix.  The scheme
+matrices exist in two forms only: the O(N) appliers and solvers (apply_d,
+apply_m, apply_mt, solve_d, solve_dt) and the sparse CSR matrices of
+build_scheme_matrices; nothing here forms a dense operator.
 
 Index conventions: a *state* vector holds nodes 1..N+1, a *shadow* vector
 holds nodes 0..N, and an *extended* vector holds nodes 0..N+1.  Mixing them
-up is the classic off-by-one trap of this scheme, so vectors that cross
-module boundaries carry an explicit convention tag (see GridVector).
+up is the classic off-by-one trap of this scheme, so functions that take a
+mesh check the lengths of the vectors they are given against it.
 """
 
 from __future__ import annotations
@@ -16,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 __all__ = [
     "Mesh",
-    "GridVector",
     "SchemeMatrices",
-    "make_mesh",
     "average",
     "difference",
     "build_scheme_matrices",
@@ -33,13 +35,6 @@ __all__ = [
     "extend_shadow",
     "triple_sum_identity_gap",
 ]
-
-STATE = "state"
-SHADOW = "shadow"
-EXTENDED = "extended"
-
-_CONVENTION_LENGTHS = {STATE: 1, SHADOW: 1, EXTENDED: 2}
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -68,35 +63,6 @@ class Mesh:
         return (np.arange(self.n + 1) + 0.5) * self.h
 
 
-def make_mesh(n: int) -> Mesh:
-    return Mesh(n)
-
-
-@dataclass(frozen=True)
-class GridVector:
-    """A complex grid sequence tagged with its index convention.
-
-    convention is one of "state" (nodes 1..N+1), "shadow" (nodes 0..N) or
-    "extended" (nodes 0..N+1); the length must match the tag.
-    """
-
-    values: np.ndarray
-    convention: str
-    mesh: Mesh
-
-    def __post_init__(self):
-        if self.convention not in _CONVENTION_LENGTHS:
-            raise ValueError(f"unknown convention {self.convention!r}")
-        values = np.asarray(self.values, dtype=complex)
-        expected = self.mesh.n + _CONVENTION_LENGTHS[self.convention]
-        if values.shape[0] != expected:
-            raise ValueError(
-                f"{self.convention} vector on mesh n={self.mesh.n} needs "
-                f"length {expected}, got {values.shape[0]}"
-            )
-        object.__setattr__(self, "values", values)
-
-
 def average(u: np.ndarray) -> np.ndarray:
     """Midpoint averages (u_j + u_{j+1}) / 2 along the first axis."""
     u = np.asarray(u)
@@ -117,7 +83,7 @@ def difference(u: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchemeMatrices:
-    """Dense forms of the four scheme matrices for a given mesh.
+    """Sparse (CSR) forms of the four scheme matrices for a given mesh.
 
     D is (N+1)x(N+1) lower bidiagonal (midpoint averaging of a state vector
     with an implicit leading zero), M is (N+1)x(N+1) upper bidiagonal
@@ -127,20 +93,25 @@ class SchemeMatrices:
     h*||Sigma z||^2 = h * sum |z_{j+1/2}|^2 exactly.
     """
 
-    D: np.ndarray
-    M: np.ndarray
-    Sigma: np.ndarray
-    Delta: np.ndarray
+    D: sp.csr_array
+    M: sp.csr_array
+    Sigma: sp.csr_array
+    Delta: sp.csr_array
 
 
 def build_scheme_matrices(mesh: Mesh) -> SchemeMatrices:
-    n = mesh.n
-    h = mesh.h
-    D = 0.5 * (np.eye(n + 1) + np.diag(np.ones(n), -1))
-    M = (np.diag(np.ones(n), 1) - np.eye(n + 1)) / h
-    Sigma = 0.5 * (np.eye(n + 1, n + 2) + np.eye(n + 1, n + 2, 1))
-    Delta = (np.eye(n + 1, n + 2, 1) - np.eye(n + 1, n + 2)) / h
-    return SchemeMatrices(D=D, M=M, Sigma=Sigma, Delta=Delta)
+    n1 = mesh.state_size
+    inv_h = 1.0 / mesh.h
+
+    def bidiagonal(cols: int, offset: int, values) -> sp.csr_array:
+        return sp.diags_array(values, offsets=(0, offset), shape=(n1, cols), format="csr")
+
+    return SchemeMatrices(
+        D=bidiagonal(n1, -1, (0.5, 0.5)),
+        M=bidiagonal(n1, 1, (-inv_h, inv_h)),
+        Sigma=bidiagonal(n1 + 1, 1, (0.5, 0.5)),
+        Delta=bidiagonal(n1 + 1, 1, (-inv_h, inv_h)),
+    )
 
 
 def _as_state(Y, mesh: Mesh) -> np.ndarray:
@@ -177,7 +148,7 @@ def apply_mt(u: np.ndarray, h: float) -> np.ndarray:
 def solve_d(b: np.ndarray) -> np.ndarray:
     """Forward substitution with the lower bidiagonal D, O(N)."""
     n = b.shape[0]
-    ab = np.zeros((2, n), dtype=complex)
+    ab = np.zeros((2, n))
     ab[0] = 0.5
     ab[1, :-1] = 0.5
     return solve_banded((1, 0), ab, b)
@@ -186,7 +157,7 @@ def solve_d(b: np.ndarray) -> np.ndarray:
 def solve_dt(b: np.ndarray) -> np.ndarray:
     """Back substitution with the upper bidiagonal D.T, O(N)."""
     n = b.shape[0]
-    ab = np.zeros((2, n), dtype=complex)
+    ab = np.zeros((2, n))
     ab[0, 1:] = 0.5
     ab[1] = 0.5
     return solve_banded((0, 1), ab, b)
@@ -226,14 +197,14 @@ def shadow_element(Y, k: float, mesh: Mesh) -> np.ndarray:
     return solve_dt(rhs)
 
 
-def extend_state(Y, mesh: Mesh) -> GridVector:
+def extend_state(Y, mesh: Mesh) -> np.ndarray:
     """Pad a state vector with its Dirichlet value: (0, y_1, ..., y_{N+1})."""
     Y = _as_state(Y, mesh)
     zeros = np.zeros((1,) + Y.shape[1:], dtype=complex)
-    return GridVector(np.concatenate([zeros, Y]), EXTENDED, mesh)
+    return np.concatenate([zeros, Y])
 
 
-def extend_shadow(Z, Y, k: float, mesh: Mesh) -> GridVector:
+def extend_shadow(Z, Y, k: float, mesh: Mesh) -> np.ndarray:
     """Pad a shadow vector with its feedback value z_{N+1} = -i k y_{N+1}."""
     Z = np.asarray(Z, dtype=complex)
     Y = _as_state(Y, mesh)
@@ -243,7 +214,7 @@ def extend_shadow(Z, Y, k: float, mesh: Mesh) -> GridVector:
             f"got {Z.shape[0]}"
         )
     tail = (-1j * k * Y[-1])[None, ...]
-    return GridVector(np.concatenate([Z, tail]), EXTENDED, mesh)
+    return np.concatenate([Z, tail])
 
 
 def triple_sum_identity_gap(u, v, w) -> complex:

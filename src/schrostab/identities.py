@@ -7,7 +7,9 @@ y_{N+1} on shadow vectors).  The gaps are the property-test backbone: they
 must vanish to roundoff relative to the largest term entering the identity.
 
 All operations accept a single vector (shape (N+1,)) or a batch (shape
-(N+1, m)); gaps are then scalars or length-m arrays.
+(N+1, m)); gaps are then scalars or length-m arrays.  Each gap comes with
+the scale of the largest term entering its identity, the denominator of
+the relative defect the suite checks.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-def _boundary_gap(ext: np.ndarray, mesh: Mesh, with_scale: bool):
+def _boundary_gap(ext: np.ndarray, mesh: Mesh):
     mids = average(ext)
     difs = difference(ext, mesh.h)
     x_mid = mesh.midpoints()
@@ -53,28 +55,26 @@ def _boundary_gap(ext: np.ndarray, mesh: Mesh, with_scale: bool):
     t_mid = h * np.sum(np.abs(mids) ** 2, axis=0)
     t_dif = (h**3 / 4.0) * np.sum(np.abs(difs) ** 2, axis=0)
     gap = np.abs(lhs - (t_boundary - t_mid - t_dif))
-    if not with_scale:
-        return gap
     scale = np.max(np.stack([np.abs(lhs), t_boundary, t_mid, t_dif]), axis=0)
     return gap, scale
 
 
-def boundary_multiplier_gap_y(Y, mesh: Mesh, with_scale: bool = False):
+def boundary_multiplier_gap_y(Y, mesh: Mesh):
     """Defect of the x-weighted boundary multiplier identity for a state.
 
     With the leading zero padded on, twice the real part of the weighted
     cross sum equals the boundary magnitude minus the midpoint and scaled
-    difference energies.
+    difference energies.  Returns (gap, scale).
     """
-    ext = extend_state(np.asarray(Y, dtype=complex), mesh).values
-    return _boundary_gap(ext, mesh, with_scale)
+    ext = extend_state(np.asarray(Y, dtype=complex), mesh)
+    return _boundary_gap(ext, mesh)
 
 
-def boundary_multiplier_gap_z(Zext, mesh: Mesh, with_scale: bool = False):
+def boundary_multiplier_gap_z(Zext, mesh: Mesh):
     """Same identity for an extended vector, boundary role at the far end.
 
     No padding convention is needed: the x_0 = 0 factor removes the first
-    node from the telescoped boundary term.
+    node from the telescoped boundary term.  Returns (gap, scale).
     """
     Zext = np.asarray(Zext, dtype=complex)
     if Zext.shape[0] != mesh.n + 2:
@@ -82,21 +82,21 @@ def boundary_multiplier_gap_z(Zext, mesh: Mesh, with_scale: bool = False):
             f"extended vector on mesh n={mesh.n} needs length {mesh.n + 2}, "
             f"got {Zext.shape[0]}"
         )
-    return _boundary_gap(Zext, mesh, with_scale)
+    return _boundary_gap(Zext, mesh)
 
 
-def cross_term_gap(Y, k: float, mesh: Mesh, with_scale: bool = False):
+def cross_term_gap(Y, k: float, mesh: Mesh):
     """Defect of the state/derivative cross-term cancellation.
 
     With Z the shadow element of Y and both vectors extended by their
     conventions, the paired midpoint-difference cross sum equals minus
     twice the midpoint energy of z; the boundary pairing drops out because
-    y conj(z) at the damped end is purely imaginary.
+    y conj(z) at the damped end is purely imaginary.  Returns (gap, scale).
     """
     Y = np.asarray(Y, dtype=complex)
     Z = shadow_element(Y, k, mesh)
-    yext = extend_state(Y, mesh).values
-    zext = extend_shadow(Z, Y, k, mesh).values
+    yext = extend_state(Y, mesh)
+    zext = extend_shadow(Z, Y, k, mesh)
     h = mesh.h
     y_mid = average(yext)
     z_mid = average(zext)
@@ -104,34 +104,24 @@ def cross_term_gap(Y, k: float, mesh: Mesh, with_scale: bool = False):
     cross = h * np.sum(np.conj(y_mid) * dz + y_mid * np.conj(dz), axis=0)
     t_z = 2.0 * h * np.sum(np.abs(z_mid) ** 2, axis=0)
     gap = np.abs(cross + t_z)
-    if not with_scale:
-        return gap
     scale = np.maximum(np.abs(cross), t_z)
     return gap, scale
 
 
-def claim_functionals_gap(
-    Y,
-    k: float,
-    beta: float,
-    mesh: Mesh,
-    with_scale: bool = False,
-    matrices=None,
-):
+def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh, matrices=None):
     """Defects of the matrix-norm versus midpoint-sum functional equalities.
 
     Both functionals mix the weighted state norm with Sigma/Delta norms of
     the extended vectors; with the (N+1)x(N+2) operator orientation the
     matrix and sum forms agree exactly for any beta != 0.
-    Returns {"gap_claim2": ..., "gap_claim3": ...} (with per-identity
-    scales appended when with_scale is set).
+    Returns {"gap_claim2", "gap_claim3", "scale_claim2", "scale_claim3"}.
     """
     if beta == 0:
         raise ValueError("beta must be nonzero")
     Y = np.asarray(Y, dtype=complex)
     Z = shadow_element(Y, k, mesh)
-    yext = extend_state(Y, mesh).values
-    zext = extend_shadow(Z, Y, k, mesh).values
+    yext = extend_state(Y, mesh)
+    zext = extend_shadow(Z, Y, k, mesh)
     sm = matrices if matrices is not None else build_scheme_matrices(mesh)
     h = mesh.h
 
@@ -153,11 +143,12 @@ def claim_functionals_gap(
     s3 = [s_y, s_dz / beta**2, -2.0 * s_z / beta]
     gap3 = np.abs(sum(m3) - sum(s3))
 
-    out = {"gap_claim2": gap2, "gap_claim3": gap3}
-    if with_scale:
-        out["scale_claim2"] = np.max(np.abs(np.stack(m2 + s2)), axis=0)
-        out["scale_claim3"] = np.max(np.abs(np.stack(m3 + s3)), axis=0)
-    return out
+    return {
+        "gap_claim2": gap2,
+        "gap_claim3": gap3,
+        "scale_claim2": np.max(np.abs(np.stack(m2 + s2)), axis=0),
+        "scale_claim3": np.max(np.abs(np.stack(m3 + s3)), axis=0),
+    }
 
 
 @dataclass(frozen=True)
@@ -245,17 +236,17 @@ def run_identity_suite(
             dscale = yh_norm(Y, mesh) * yh_norm(AY, mesh) + k * np.abs(Y[-1]) ** 2
             _append_worst(reports, "dissipation", n, k, seed, dgap, dscale)
 
-            g, s = boundary_multiplier_gap_y(Y, mesh, with_scale=True)
+            g, s = boundary_multiplier_gap_y(Y, mesh)
             _append_worst(reports, "boundary_multiplier_y", n, k, seed, g, s)
 
             Zext = _random_states(rng, n + 2, samples)
-            g, s = boundary_multiplier_gap_z(Zext, mesh, with_scale=True)
+            g, s = boundary_multiplier_gap_z(Zext, mesh)
             _append_worst(reports, "boundary_multiplier_z", n, k, seed, g, s)
 
-            g, s = cross_term_gap(Y, k, mesh, with_scale=True)
+            g, s = cross_term_gap(Y, k, mesh)
             _append_worst(reports, "cross_term", n, k, seed, g, s)
 
-            cf = claim_functionals_gap(Y, k, beta, mesh, with_scale=True, matrices=sm)
+            cf = claim_functionals_gap(Y, k, beta, mesh, matrices=sm)
             _append_worst(reports, "claim2", n, k, seed, cf["gap_claim2"], cf["scale_claim2"])
             _append_worst(reports, "claim3", n, k, seed, cf["gap_claim3"], cf["scale_claim3"])
     return reports

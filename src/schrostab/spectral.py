@@ -15,7 +15,7 @@ import scipy.linalg as sla
 
 from .errors import NumericalError
 from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
-from .grid import Mesh, build_scheme_matrices
+from .grid import Mesh, apply_d, solve_d
 
 __all__ = [
     "MAX_EIG_DIM",
@@ -34,6 +34,7 @@ __all__ = [
 
 MAX_EIG_DIM = 2048
 DEFAULT_EIG_TOL = 1e-8
+_POWER_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -78,14 +79,14 @@ def _check_square(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def spectral_norm_estimate(A: np.ndarray, iterations: int = 60) -> float:
+def spectral_norm_estimate(A: np.ndarray) -> float:
     """Deterministic power-iteration estimate of the operator 2-norm."""
     A = np.asarray(A, dtype=complex)
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(A.shape[1]) + 1j * rng.standard_normal(A.shape[1])
     v /= np.linalg.norm(v)
     sigma = 0.0
-    for _ in range(iterations):
+    for _ in range(_POWER_ITERATIONS):
         w = A.conj().T @ (A @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
@@ -108,16 +109,19 @@ def eigenpairs(A: np.ndarray):
     return ev, V
 
 
-def eigenvalues(A: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
-    """All eigenvalues; raises NumericalError if residuals exceed tol*||A||."""
+def _checked_eigenpairs(A: np.ndarray, context: str):
+    """Eigenpairs and their worst residual; NumericalError above DEFAULT_EIG_TOL*||A||."""
     ev, V = eigenpairs(A)
     res = _max_residual(A, ev, V)
-    bound = tol * max(spectral_norm_estimate(A), np.finfo(float).tiny)
+    bound = DEFAULT_EIG_TOL * max(spectral_norm_estimate(A), np.finfo(float).tiny)
     if res > bound:
-        raise NumericalError(
-            f"eigen-residual {res:.3e} exceeds {bound:.3e} for dimension {A.shape[0]}"
-        )
-    return ev
+        raise NumericalError(f"eigen-residual {res:.3e} exceeds {bound:.3e} ({context})")
+    return ev, res
+
+
+def eigenvalues(A: np.ndarray) -> np.ndarray:
+    """All eigenvalues; raises NumericalError if residuals exceed DEFAULT_EIG_TOL*||A||."""
+    return _checked_eigenpairs(A, f"dimension {len(A)}")[0]
 
 
 def _max_residual(A: np.ndarray, ev: np.ndarray, V: np.ndarray) -> float:
@@ -126,17 +130,9 @@ def _max_residual(A: np.ndarray, ev: np.ndarray, V: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(R, axis=0) / col_norms))
 
 
-def spectral_abscissa(system: SemiDiscreteSystem, tol: float = DEFAULT_EIG_TOL) -> SpectrumReport:
+def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
     """Eigenvalues of the assembled generator with their maximal real part."""
-    A = system.generator
-    ev, V = eigenpairs(A)
-    res = _max_residual(A, ev, V)
-    bound = tol * spectral_norm_estimate(A)
-    if res > bound:
-        raise NumericalError(
-            f"eigen-residual {res:.3e} exceeds {bound:.3e} (scheme={system.scheme}, "
-            f"n={system.n})"
-        )
+    ev, res = _checked_eigenpairs(system.generator, f"scheme={system.scheme}, n={system.n}")
     return SpectrumReport(
         scheme=system.scheme,
         n=system.n,
@@ -148,10 +144,8 @@ def spectral_abscissa(system: SemiDiscreteSystem, tol: float = DEFAULT_EIG_TOL) 
 
 
 def _similarity(mesh: Mesh):
-    sm = build_scheme_matrices(mesh)
-    S = np.sqrt(mesh.h) * sm.D
-    Sinv = sla.solve_triangular(sm.D, np.eye(mesh.state_size), lower=True) / np.sqrt(mesh.h)
-    return S, Sinv
+    eye = np.eye(mesh.state_size)
+    return np.sqrt(mesh.h) * apply_d(eye), solve_d(eye) / np.sqrt(mesh.h)
 
 
 def resolvent_norm(system: SemiDiscreteSystem, beta: float) -> float:
@@ -185,7 +179,6 @@ def sweep_grid(
     beta_max: float,
     linear_steps: int,
     log_decades: float,
-    adapt_to_spectrum: bool = True,
 ) -> np.ndarray:
     """Evaluation points: symmetric linear grid, log tails, spectral peaks.
 
@@ -203,8 +196,7 @@ def sweep_grid(
     if log_decades > 0:
         logs = 10.0 ** np.linspace(0.0, log_decades, max(2, int(20 * log_decades)))
         pieces += [logs, -logs]
-    if adapt_to_spectrum:
-        pieces.append(spectral_abscissa(system).eigenvalues.imag)
+    pieces.append(spectral_abscissa(system).eigenvalues.imag)
     return np.unique(np.concatenate(pieces))
 
 
@@ -214,7 +206,6 @@ def resolvent_sweep(
     beta_max: float,
     linear_steps: int = 81,
     log_decades: float | None = None,
-    adapt_to_spectrum: bool = True,
 ) -> ResolventSweepReport:
     """Evaluate the weighted resolvent norm over the sweep grid.
 
@@ -222,7 +213,7 @@ def resolvent_sweep(
     """
     if log_decades is None:
         log_decades = float(np.log10(default_beta_max(system.mesh)))
-    grid = sweep_grid(system, beta_min, beta_max, linear_steps, log_decades, adapt_to_spectrum)
+    grid = sweep_grid(system, beta_min, beta_max, linear_steps, log_decades)
     norms = np.array([resolvent_norm(system, b) for b in grid])
     sup = float(np.max(norms))
     at_max = grid[norms == sup]

@@ -3,9 +3,9 @@
 The order-reduction generator advances a state through the shadow element
 (one back substitution, one bidiagonal multiply, one forward substitution,
 all O(N)); the classical generator is the plain second-difference operator
-with the same boundary feedback.  Both are exposed matrix-free and as dense
-matrices assembled from the matrix-free path, so there is a single source of
-truth for the formulas.
+with the same boundary feedback.  The O(N) appliers are the only definition
+of either generator: the dense matrix that the eigensolver and resolvent
+need is the applier evaluated on the identity.
 """
 
 from __future__ import annotations
@@ -14,18 +14,8 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .grid import (
-    Mesh,
-    apply_d,
-    apply_m,
-    apply_mt,
-    build_scheme_matrices,
-    shadow_element,
-    solve_d,
-    yh_inner,
-)
+from .grid import Mesh, apply_d, apply_m, apply_mt, shadow_element, solve_d, yh_inner
 
 __all__ = [
     "ORDER_REDUCTION",
@@ -86,24 +76,9 @@ def apply_generator(scheme: str, Y, k: float, mesh: Mesh) -> np.ndarray:
 def assemble_generator(scheme: str, k: float, mesh: Mesh) -> np.ndarray:
     """Dense generator matrix; column j is the applier at basis vector e_j.
 
-    Assembled by applying the matrix-free formulas to the identity in one
-    batched pass (triangular solves on full matrices), which is exactly the
-    column-by-column definition.
+    The appliers are evaluated on the identity in one batched pass.
     """
-    _check_gain(k)
-    sm = build_scheme_matrices(mesh)
-    n1 = mesh.state_size
-    E = np.zeros((n1, n1), dtype=complex)
-    E[-1, -1] = 1.0
-    if scheme == ORDER_REDUCTION:
-        rhs = -sm.M.T.astype(complex) + 0.5j * k * E
-        Z = solve_triangular(sm.D.T, rhs, lower=False)
-        B = -1j * (sm.M @ Z) - (k / mesh.h) * E
-        return solve_triangular(sm.D, B, lower=True)
-    if scheme == CLASSICAL:
-        T = sm.M.T.astype(complex) - 0.5j * k * E
-        return 1j * (sm.M @ T) - (k / mesh.h) * E
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return apply_generator(scheme, np.eye(mesh.state_size, dtype=complex), k, mesh)
 
 
 @dataclass(frozen=True)

@@ -129,15 +129,15 @@ def test_criterion_06_resolvent_uniformity(capsys):
 
 
 def test_criterion_07_midpoint_energy_identity(capsys):
-    # the identity is exact in exact arithmetic; in floats its defect
-    # inherits roundoff of order eps * dt * ||A||, and ||A|| grows like
-    # (N+1)^3, so the 1e-12 * E(0) bound is checked at desk scales
+    # the identity is exact in exact arithmetic; the stepper never forms
+    # the generator, whose norm grows like (N+1)^3, so the 1e-12 * E(0)
+    # bound holds at every N checked here
     worst = 0.0
     monotone = True
     rng = np.random.default_rng(107)
-    configs = [(n, k) for n in (15, 31, 63) for k in (0.1, 1.0, 10.0)]
+    configs = [(n, k) for n in (15, 31, 63, 255, 1023) for k in (0.1, 1.0, 10.0)]
     for n, k in configs:
-        dt = 5e-4 if n == 63 else 1e-3
+        dt = 1e-3 if n < 63 else 5e-4
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), k)
         W0 = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
         trace = simulate(system, W0, dt, 0.5)

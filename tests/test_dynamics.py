@@ -7,10 +7,9 @@ from schrostab.dynamics import (
     fit_decay_rate,
     initial_state,
     simulate,
-    step_midpoint,
 )
 from schrostab.grid import Mesh
-from schrostab.systems import ORDER_REDUCTION, SemiDiscreteSystem
+from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
 from conftest import random_complex
 
@@ -22,7 +21,7 @@ def make_system(n=7, k=1.0):
 class TestStepper:
     def test_zero_state_fixed_point(self):
         system = make_system()
-        W = step_midpoint(system, np.zeros(8), 1e-2)
+        W = MidpointStepper(system, 1e-2).step(np.zeros(8))
         np.testing.assert_array_equal(W, np.zeros(8))
 
     def test_rejects_bad_dt(self):
@@ -31,14 +30,15 @@ class TestStepper:
         with pytest.raises(ValueError):
             MidpointStepper(make_system(), -1e-3)
 
-    def test_matches_direct_solve(self, rng):
-        system = make_system(5)
+    @pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+    def test_matches_direct_solve(self, scheme, rng):
+        system = SemiDiscreteSystem(scheme, Mesh(5), 1.0)
         dt = 1e-2
         W = random_complex(rng, 6)
         A = system.generator
         eye = np.eye(6)
         expect = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
-        np.testing.assert_allclose(step_midpoint(system, W, dt), expect, rtol=1e-12)
+        np.testing.assert_allclose(MidpointStepper(system, dt).step(W), expect, rtol=1e-12)
 
     def test_second_order_convergence(self):
         # global error ratio under step halving approaches 4; the data must

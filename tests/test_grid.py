@@ -4,14 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schrostab.grid import (
-    GridVector,
     Mesh,
     average,
     build_scheme_matrices,
     difference,
     extend_shadow,
     extend_state,
-    make_mesh,
     shadow_element,
     triple_sum_identity_gap,
     yh_inner,
@@ -23,22 +21,22 @@ from conftest import random_complex
 
 class TestMesh:
     def test_n1(self):
-        m = make_mesh(1)
+        m = Mesh(1)
         assert m.h == 0.5
         np.testing.assert_allclose(m.nodes, [0.0, 0.5, 1.0])
 
     def test_n3(self):
-        m = make_mesh(3)
+        m = Mesh(3)
         assert m.h == 0.25
         np.testing.assert_allclose(m.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
-            make_mesh(0)
+            Mesh(0)
 
     @pytest.mark.parametrize("n", [1, 7, 100, 999])
     def test_partition_invariants(self, n):
-        m = make_mesh(n)
+        m = Mesh(n)
         assert m.h * (n + 1) == pytest.approx(1.0, abs=1e-16)
         assert m.nodes[0] == 0.0
         assert m.nodes[-1] == pytest.approx(1.0, abs=1e-15)
@@ -61,7 +59,7 @@ class TestAverageDifference:
         np.testing.assert_array_equal(difference(np.array([c, c, c]), 0.3), [0.0, 0.0])
 
     def test_difference_of_nodes_is_one(self):
-        m = make_mesh(6)
+        m = Mesh(6)
         np.testing.assert_allclose(difference(m.nodes, m.h), np.ones(m.n + 1), atol=1e-14)
 
     def test_difference_pair(self):
@@ -89,22 +87,22 @@ class TestAverageDifference:
 
 class TestSchemeMatrices:
     def test_n1_values(self):
-        sm = build_scheme_matrices(make_mesh(1))
-        np.testing.assert_array_equal(sm.D, 0.5 * np.array([[1, 0], [1, 1]]))
-        np.testing.assert_array_equal(sm.M, 2.0 * np.array([[-1, 1], [0, -1]]))
-        np.testing.assert_array_equal(sm.Sigma, 0.5 * np.array([[1, 1, 0], [0, 1, 1]]))
-        np.testing.assert_array_equal(sm.Delta, 2.0 * np.array([[-1, 1, 0], [0, -1, 1]]))
+        sm = build_scheme_matrices(Mesh(1))
+        np.testing.assert_array_equal(sm.D.toarray(), 0.5 * np.array([[1, 0], [1, 1]]))
+        np.testing.assert_array_equal(sm.M.toarray(), 2.0 * np.array([[-1, 1], [0, -1]]))
+        np.testing.assert_array_equal(sm.Sigma.toarray(), 0.5 * np.array([[1, 1, 0], [0, 1, 1]]))
+        np.testing.assert_array_equal(sm.Delta.toarray(), 2.0 * np.array([[-1, 1, 0], [0, -1, 1]]))
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_invertible(self, n):
-        sm = build_scheme_matrices(make_mesh(n))
-        assert abs(np.linalg.det(sm.D)) > 0
-        assert abs(np.linalg.det(sm.M)) > 0
+        sm = build_scheme_matrices(Mesh(n))
+        assert abs(np.linalg.det(sm.D.toarray())) > 0
+        assert abs(np.linalg.det(sm.M.toarray())) > 0
 
     @pytest.mark.parametrize("n", [1, 5, 40])
     def test_sigma_delta_match_midpoint_sums(self, n, rng):
         # shape identity: the matrices reproduce the per-cell sums exactly
-        m = make_mesh(n)
+        m = Mesh(n)
         sm = build_scheme_matrices(m)
         z = random_complex(rng, n + 2)
         np.testing.assert_allclose(sm.Sigma @ z, average(z), atol=1e-15)
@@ -116,16 +114,16 @@ class TestSchemeMatrices:
 
 class TestYhInner:
     def test_zero(self):
-        m = make_mesh(3)
+        m = Mesh(3)
         assert yh_inner(np.zeros(4), np.zeros(4), m) == 0
 
     def test_hand_value(self):
-        m = make_mesh(1)
+        m = Mesh(1)
         Y = np.array([0.0, 1.0])
         assert yh_inner(Y, Y, m) == pytest.approx(0.125)
 
     def test_hermitian_positive(self, rng):
-        m = make_mesh(12)
+        m = Mesh(12)
         Y = random_complex(rng, 13)
         Yt = random_complex(rng, 13)
         assert np.conj(yh_inner(Y, Yt, m)) == pytest.approx(yh_inner(Yt, Y, m))
@@ -134,7 +132,7 @@ class TestYhInner:
         assert q.real > 0
 
     def test_matches_dense_definition(self, rng):
-        m = make_mesh(20)
+        m = Mesh(20)
         sm = build_scheme_matrices(m)
         Y = random_complex(rng, 21)
         Yt = random_complex(rng, 21)
@@ -143,37 +141,37 @@ class TestYhInner:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            yh_inner(np.zeros(3), np.zeros(3), make_mesh(3))
+            yh_inner(np.zeros(3), np.zeros(3), Mesh(3))
 
 
 class TestShadowElement:
     def test_zero(self):
-        m = make_mesh(4)
+        m = Mesh(4)
         np.testing.assert_array_equal(shadow_element(np.zeros(5), 1.0, m), np.zeros(5))
 
     def test_hand_value(self):
         # back substitution of the 2x2 bidiagonal system by hand
-        m = make_mesh(1)
+        m = Mesh(1)
         Z = shadow_element(np.array([0.0, 1.0]), 1.0, m)
         np.testing.assert_allclose(Z, [-4.0 - 1.0j, 4.0 + 1.0j], atol=1e-14)
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError):
-            shadow_element(np.zeros(3), 0.0, make_mesh(2))
+            shadow_element(np.zeros(3), 0.0, Mesh(2))
 
     @pytest.mark.parametrize("n,k", [(1, 1.0), (7, 0.5), (64, 10.0), (255, 0.1)])
     def test_averaged_difference_relation(self, n, k, rng):
         # midpoint averages of extended z equal scaled differences of extended y
-        m = make_mesh(n)
+        m = Mesh(n)
         Y = random_complex(rng, n + 1)
         Z = shadow_element(Y, k, m)
-        zext = extend_shadow(Z, Y, k, m).values
-        yext = extend_state(Y, m).values
+        zext = extend_shadow(Z, Y, k, m)
+        yext = extend_state(Y, m)
         scale = max(np.max(np.abs(zext)), np.max(np.abs(difference(yext, m.h))))
         assert np.max(np.abs(average(zext) - difference(yext, m.h))) <= 1e-12 * scale
 
     def test_solves_defining_system(self, rng):
-        m = make_mesh(30)
+        m = Mesh(30)
         sm = build_scheme_matrices(m)
         k = 2.5
         Y = random_complex(rng, 31)
@@ -183,32 +181,13 @@ class TestShadowElement:
         np.testing.assert_allclose(sm.D.T @ Z, rhs, atol=1e-11)
 
     def test_linear_in_state(self, rng):
-        m = make_mesh(16)
+        m = Mesh(16)
         Y1 = random_complex(rng, 17)
         Y2 = random_complex(rng, 17)
         alpha = 1.3 + 0.4j
         lhs = shadow_element(alpha * Y1 + Y2, 3.0, m)
         rhs = alpha * shadow_element(Y1, 3.0, m) + shadow_element(Y2, 3.0, m)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-class TestGridVector:
-    def test_conventions(self):
-        m = make_mesh(3)
-        GridVector(np.zeros(4), "state", m)
-        GridVector(np.zeros(4), "shadow", m)
-        GridVector(np.zeros(5), "extended", m)
-
-    def test_length_enforced(self):
-        m = make_mesh(3)
-        with pytest.raises(ValueError):
-            GridVector(np.zeros(5), "state", m)
-        with pytest.raises(ValueError):
-            GridVector(np.zeros(4), "extended", m)
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            GridVector(np.zeros(4), "bulk", make_mesh(3))
 
 
 class TestTripleSumIdentity:
@@ -250,6 +229,6 @@ class TestTripleSumIdentity:
 
 
 def test_yh_norm_matches_inner(rng):
-    m = make_mesh(9)
+    m = Mesh(9)
     Y = random_complex(rng, 10)
     assert yh_norm(Y, m) ** 2 == pytest.approx(yh_inner(Y, Y, m).real, rel=1e-13)

@@ -93,7 +93,7 @@ class TestResolventNorm:
     def test_n1_beta0_against_2x2_svd_oracle(self):
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(1), 1.0)
         sm = build_scheme_matrices(system.mesh)
-        S = np.sqrt(system.mesh.h) * sm.D
+        S = np.sqrt(system.mesh.h) * sm.D.toarray()
         T = S @ (-system.generator) @ np.linalg.inv(S)
         expect = 1.0 / singular_values_2x2(T)[-1]
         assert resolvent_norm(system, 0.0) == pytest.approx(expect, rel=1e-10)
