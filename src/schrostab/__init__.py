@@ -34,12 +34,9 @@ from .identities import (
 from .spectral import (
     ResolventSweepReport,
     SpectrumReport,
-    UniformityRow,
-    eigenvalues,
     resolvent_norm,
     resolvent_sweep,
     spectral_abscissa,
-    uniformity_report,
 )
 from .systems import (
     CLASSICAL,

@@ -20,7 +20,7 @@ from .dynamics import fit_decay_rate, initial_state, simulate
 from .errors import NumericalError
 from .grid import Mesh
 from .identities import run_identity_suite
-from .spectral import resolvent_sweep, spectral_abscissa
+from .spectral import MAX_EIG_DIM, resolvent_sweep, spectral_abscissa
 from .svgplot import line_chart
 from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
@@ -39,12 +39,18 @@ def _out_path(out: str) -> str:
 
 
 def _parse_n_list(text: str) -> list[int]:
+    """Grid sizes for the dense commands, refused before anything is assembled
+    if a generator would exceed the dense eigensolver cap."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad N list {text!r}: {exc}")
     if not values or any(v < 1 for v in values):
         raise click.UsageError(f"N list must contain positive integers, got {text!r}")
+    if max(values) + 1 > MAX_EIG_DIM:
+        raise click.UsageError(
+            f"grid sizes above {MAX_EIG_DIM - 1} exceed the dense eigensolver cap"
+        )
     return values
 
 
@@ -54,11 +60,15 @@ def _write_meta(out: str, config: dict):
         fh.write("\n")
 
 
-def _numerical_guard(func):
+def _exit_code_guard(func):
+    """Precondition errors (ValueError) exit 2 as usage errors; NumericalError exits 3."""
+
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
             sys.exit(3)
@@ -79,12 +89,10 @@ def main():
 @click.option("--out", required=True, help="output file path")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--svg", default=None, help="also write an abscissa-vs-N chart here")
-@_numerical_guard
+@_exit_code_guard
 def spectrum(scheme, n_list, k, out, fmt, svg):
     """Spectral abscissae of the generators over a list of grid sizes."""
     ns = _parse_n_list(n_list)
-    if any(n > 2047 for n in ns):
-        raise click.UsageError("grid sizes above 2047 exceed the dense eigensolver cap")
     config = {"command": "spectrum", "scheme": scheme, "n_list": ns, "k": k,
               "out": out, "format": fmt, "svg": svg}
     rows = []
@@ -135,7 +143,7 @@ def spectrum(scheme, n_list, k, out, fmt, svg):
               help="log tail reach; default covers the discrete spectrum")
 @click.option("--out", required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@_numerical_guard
+@_exit_code_guard
 def resolvent(scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades, out, fmt):
     """Weighted resolvent-norm sweeps along the imaginary axis."""
     ns = _parse_n_list(n_list)
@@ -183,7 +191,7 @@ def resolvent(scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades, 
 @click.option("--preset", type=click.Choice(["random", "smooth", "sine"]), default="smooth")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True)
-@_numerical_guard
+@_exit_code_guard
 def simulate_cmd(scheme, n, k, dt, t_final, preset, seed, out):
     """Energy-decay simulation with per-step dissipation accounting."""
     config = {"command": "simulate", "scheme": scheme, "n": n, "k": k, "dt": dt,
@@ -225,7 +233,7 @@ def simulate_cmd(scheme, n, k, dt, t_final, preset, seed, out):
 @click.option("--perturb", type=float, default=0.0,
               help="inject a fault of this size into one matrix entry")
 @click.option("--json", "as_json", is_flag=True, default=False)
-@_numerical_guard
+@_exit_code_guard
 def verify(samples, seed, beta, perturb, as_json):
     """Run the exact-identity suite; exit 0 iff every gap passes."""
     reports = run_identity_suite(samples=samples, seed=seed, beta=beta, perturb=perturb)

@@ -28,9 +28,8 @@ from .grid import (
     shadow_element,
     triple_sum_identity_gap,
     yh_inner,
-    yh_norm,
 )
-from .systems import ORDER_REDUCTION, apply_generator
+from .systems import dissipation_gap
 
 __all__ = [
     "MultiplierReport",
@@ -230,11 +229,8 @@ def run_identity_suite(
 
         for k in k_values:
             Y = _random_states(rng, n + 1, samples)
-            AY = apply_generator(ORDER_REDUCTION, Y, k, mesh)
-            quad = np.real(yh_inner(AY, Y, mesh))
-            dgap = np.abs(quad + k * np.abs(Y[-1]) ** 2)
-            dscale = yh_norm(Y, mesh) * yh_norm(AY, mesh) + k * np.abs(Y[-1]) ** 2
-            _append_worst(reports, "dissipation", n, k, seed, dgap, dscale)
+            g, s = dissipation_gap(Y, k, mesh)
+            _append_worst(reports, "dissipation", n, k, seed, g, s)
 
             g, s = boundary_multiplier_gap_y(Y, mesh)
             _append_worst(reports, "boundary_multiplier_y", n, k, seed, g, s)

@@ -1,9 +1,10 @@
 """Spectra, spectral abscissae and weighted resolvent norms.
 
-The resolvent is measured in the mesh-weighted norm by the explicit
-similarity S = sqrt(h) D, which carries that norm to the Euclidean one, so
-the weighted operator norm of the resolvent is the reciprocal smallest
-singular value of S (i beta I - A) S^{-1}.
+The similarity S = sqrt(h) D carries the mesh-weighted norm to the Euclidean
+one, so the weighted operator norm of (i beta I - A)^{-1} is the reciprocal
+smallest singular value of i beta I - B with B = S A S^{-1} = D A D^{-1}.
+Each system forms B once (`SemiDiscreteSystem.weighted_generator`); every
+beta then costs one shifted SVD.  Eigenvalues are computed on A itself.
 """
 
 from __future__ import annotations
@@ -14,22 +15,19 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericalError
-from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
-from .grid import Mesh, apply_d, solve_d
+from .grid import Mesh
+from .systems import SemiDiscreteSystem
 
 __all__ = [
     "MAX_EIG_DIM",
     "SpectrumReport",
     "ResolventSweepReport",
-    "UniformityRow",
-    "eigenvalues",
     "eigenpairs",
     "spectral_norm_estimate",
     "spectral_abscissa",
     "resolvent_norm",
     "default_beta_max",
     "resolvent_sweep",
-    "uniformity_report",
 ]
 
 MAX_EIG_DIM = 2048
@@ -56,16 +54,6 @@ class ResolventSweepReport:
     norms: np.ndarray
     sup_norm: float
     argmax_beta: float
-
-
-@dataclass(frozen=True)
-class UniformityRow:
-    n: int
-    h: float
-    abscissa_or: float
-    abscissa_cl: float
-    sup_resolvent_or: float
-    sup_resolvent_cl: float
 
 
 def _check_square(A: np.ndarray) -> np.ndarray:
@@ -119,11 +107,6 @@ def _checked_eigenpairs(A: np.ndarray, context: str):
     return ev, res
 
 
-def eigenvalues(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues; raises NumericalError if residuals exceed DEFAULT_EIG_TOL*||A||."""
-    return _checked_eigenpairs(A, f"dimension {len(A)}")[0]
-
-
 def _max_residual(A: np.ndarray, ev: np.ndarray, V: np.ndarray) -> float:
     R = A @ V - V * ev[None, :]
     col_norms = np.linalg.norm(V, axis=0)
@@ -143,22 +126,15 @@ def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
     )
 
 
-def _similarity(mesh: Mesh):
-    eye = np.eye(mesh.state_size)
-    return np.sqrt(mesh.h) * apply_d(eye), solve_d(eye) / np.sqrt(mesh.h)
-
-
 def resolvent_norm(system: SemiDiscreteSystem, beta: float) -> float:
     """Weighted operator norm of (i beta I - A)^{-1}.
 
-    Computed as 1 / sigma_min of the similarity-transformed shifted
+    Computed as 1 / sigma_min(i beta I - B) with B the system's weighted
     generator; raises NumericalError when i*beta is numerically an
     eigenvalue.
     """
-    A = system.generator
-    S, Sinv = _similarity(system.mesh)
-    T = S @ (1j * beta * np.eye(A.shape[0]) - A) @ Sinv
-    sv = sla.svdvals(T)
+    B = system.weighted_generator
+    sv = sla.svdvals(1j * beta * np.eye(B.shape[0]) - B)
     smin, smax = sv[-1], sv[0]
     if smin <= 1e-14 * smax:
         raise NumericalError(
@@ -227,37 +203,3 @@ def resolvent_sweep(
         sup_norm=sup,
         argmax_beta=argmax,
     )
-
-
-def uniformity_report(
-    n_list,
-    k: float = 1.0,
-    beta_min: float = -20.0,
-    beta_max: float = 20.0,
-    linear_steps: int = 81,
-    log_decades: float | None = None,
-) -> list[UniformityRow]:
-    """Side-by-side abscissae and sup resolvent norms for both schemes."""
-    n_list = list(n_list)
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    rows = []
-    for n in n_list:
-        mesh = Mesh(n)
-        sys_or = SemiDiscreteSystem(ORDER_REDUCTION, mesh, k)
-        sys_cl = SemiDiscreteSystem(CLASSICAL, mesh, k)
-        rows.append(
-            UniformityRow(
-                n=n,
-                h=mesh.h,
-                abscissa_or=spectral_abscissa(sys_or).abscissa,
-                abscissa_cl=spectral_abscissa(sys_cl).abscissa,
-                sup_resolvent_or=resolvent_sweep(
-                    sys_or, beta_min, beta_max, linear_steps, log_decades
-                ).sup_norm,
-                sup_resolvent_cl=resolvent_sweep(
-                    sys_cl, beta_min, beta_max, linear_steps, log_decades
-                ).sup_norm,
-            )
-        )
-    return rows

@@ -31,12 +31,10 @@ def _ticks(lo: float, hi: float, count: int = 6):
     return ticks
 
 
-def line_chart(path, series, title: str, xlabel: str, ylabel: str, ylog: bool = False, banner: str = ""):
+def line_chart(path, series, title: str, xlabel: str, ylabel: str, banner: str = ""):
     """Write a polyline chart; series is a list of (label, xs, ys)."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
-    if ylog:
-        ys_all = [math.log10(y) for y in ys_all if y > 0]
     if not xs_all or not ys_all:
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -52,8 +50,6 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str, ylog: bool = 
         return MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
 
     def sy(y):
-        if ylog:
-            y = math.log10(y)
         return MARGIN_T + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
@@ -75,14 +71,13 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str, ylog: bool = 
             f'font-size="11">{t:g}</text>'
         )
     for t in _ticks(y_lo, y_hi):
-        y = MARGIN_T + plot_h * (1.0 - (t - y_lo) / (y_hi - y_lo))
-        label = f"1e{t:g}" if ylog else f"{t:g}"
+        y = sy(t)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.1f}" x2="{MARGIN_L}" y2="{y:.1f}" stroke="#333"/>'
         )
         parts.append(
             f'<text x="{MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-size="11">{label}</text>'
+            f'font-size="11">{t:g}</text>'
         )
     parts.append(
         f'<text x="{WIDTH / 2:.1f}" y="{HEIGHT - 10}" text-anchor="middle" '
@@ -94,9 +89,7 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str, ylog: bool = 
     )
     for i, (label, xs, ys) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        pts = " ".join(
-            f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if not ylog or y > 0
-        )
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
         parts.append(
             f'<text x="{MARGIN_L + 10}" y="{MARGIN_T + 18 + 16 * i}" font-size="12" '

@@ -4,8 +4,9 @@ The order-reduction generator advances a state through the shadow element
 (one back substitution, one bidiagonal multiply, one forward substitution,
 all O(N)); the classical generator is the plain second-difference operator
 with the same boundary feedback.  The O(N) appliers are the only definition
-of either generator: the dense matrix that the eigensolver and resolvent
-need is the applier evaluated on the identity.
+of either generator: the dense generator that the eigensolver needs, and the
+dense weighted generator D A D^{-1} that the resolvent needs, are the
+appliers evaluated on the identity.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Mesh, apply_d, apply_m, apply_mt, shadow_element, solve_d, yh_inner
+from .grid import Mesh, apply_d, apply_m, apply_mt, shadow_element, solve_d, yh_inner, yh_norm
 
 __all__ = [
     "ORDER_REDUCTION",
@@ -85,8 +86,8 @@ def assemble_generator(scheme: str, k: float, mesh: Mesh) -> np.ndarray:
 class SemiDiscreteSystem:
     """One member of the semi-discrete family: scheme kind, mesh and gain.
 
-    The dense generator is assembled lazily, at most once (thread-safe);
-    `apply` stays matrix-free and O(N) for the order-reduction scheme.
+    The dense generator and weighted generator are assembled lazily, each at
+    most once (thread-safe); `apply` stays matrix-free and O(N).
     """
 
     scheme: str
@@ -107,12 +108,29 @@ class SemiDiscreteSystem:
     def apply(self, Y) -> np.ndarray:
         return apply_generator(self.scheme, Y, self.k, self.mesh)
 
+    def _cached(self, key: str, build) -> np.ndarray:
+        with self._lock:
+            if key not in self._cache:
+                self._cache[key] = build()
+            return self._cache[key]
+
     @property
     def generator(self) -> np.ndarray:
-        with self._lock:
-            if "generator" not in self._cache:
-                self._cache["generator"] = assemble_generator(self.scheme, self.k, self.mesh)
-            return self._cache["generator"]
+        return self._cached(
+            "generator", lambda: assemble_generator(self.scheme, self.k, self.mesh)
+        )
+
+    @property
+    def weighted_generator(self) -> np.ndarray:
+        """B = D A D^{-1}, the generator in coordinates where the weighted norm is Euclidean.
+
+        With S = sqrt(h) D, yh_norm(Y) = ||S Y||_2 and B = S A S^{-1}.  Each
+        column is D A applied to a column of D^{-1}, O(N) per column.
+        """
+        return self._cached(
+            "weighted_generator",
+            lambda: apply_d(self.apply(solve_d(np.eye(self.mesh.state_size)))),
+        )
 
 
 def discrete_energy(W, mesh: Mesh) -> float:
@@ -126,19 +144,16 @@ def discrete_energy(W, mesh: Mesh) -> float:
     return 0.5 * mesh.h * np.sum(np.abs(mid) ** 2, axis=0)
 
 
-def dissipation_gap(Y, k: float, mesh: Mesh, scheme: str = ORDER_REDUCTION) -> float:
-    """Defect of the boundary dissipation identity for one state vector.
+def dissipation_gap(Y, k: float, mesh: Mesh):
+    """Defect of the order-reduction boundary dissipation identity.
 
-    For the order-reduction scheme, Re<A Y, Y> in the weighted inner product
-    equals -k |y_{N+1}|^2 exactly, so the returned value vanishes to
-    roundoff.  For the classical scheme the analogous quantity (standard
-    inner product scaled by h) is returned as a diagnostic only.
+    Re<A Y, Y> in the weighted inner product equals -k |y_{N+1}|^2 exactly,
+    so the gap vanishes to roundoff.  Returns (gap, scale) with scale
+    ||Y|| ||A Y|| + k |y_{N+1}|^2 in the weighted norm.
     """
-    _check_gain(k)
     Y = np.asarray(Y, dtype=complex)
-    AY = apply_generator(scheme, Y, k, mesh)
-    if scheme == ORDER_REDUCTION:
-        quad = np.real(yh_inner(AY, Y, mesh))
-    else:
-        quad = np.real(mesh.h * np.sum(AY * np.conj(Y), axis=0))
-    return quad + k * np.abs(Y[-1]) ** 2
+    AY = apply_generator(ORDER_REDUCTION, Y, k, mesh)
+    boundary = k * np.abs(Y[-1]) ** 2
+    gap = np.abs(np.real(yh_inner(AY, Y, mesh)) + boundary)
+    scale = yh_norm(Y, mesh) * yh_norm(AY, mesh) + boundary
+    return gap, scale

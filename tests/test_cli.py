@@ -185,6 +185,22 @@ class TestVerify:
         assert "dissipation" in identities
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolvent", "--n-list", "7", "--beta-min", "5", "--beta-max", "-5"],
+        ["resolvent", "--n-list", "7", "--k", "-1"],
+        ["simulate", "--n", "7", "--dt", "-1"],
+        ["simulate", "--n", "7", "--t-final", "0.5", "--dt", "1"],
+        ["resolvent", "--n-list", "2048"],
+    ],
+    ids=["beta-range", "negative-gain", "negative-dt", "t-final-below-dt", "resolvent-cap"],
+)
+def test_precondition_violation_is_usage_error(runner, tmp_path, argv):
+    result = runner.invoke(main, argv + ["--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+
+
 def test_missing_required_option_is_usage_error(runner):
     result = runner.invoke(main, ["spectrum"])
     assert result.exit_code == 2

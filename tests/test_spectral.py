@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from schrostab.grid import Mesh, build_scheme_matrices
+from schrostab.grid import Mesh
 from schrostab.spectral import (
     MAX_EIG_DIM,
-    eigenvalues,
+    eigenpairs,
     resolvent_norm,
     resolvent_sweep,
     spectral_abscissa,
     spectral_norm_estimate,
-    uniformity_report,
 )
-from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
+from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SCHEMES, SemiDiscreteSystem
+
+from conftest import weighted_oracle
 
 
 def quadratic_roots(A2):
@@ -31,30 +33,30 @@ def singular_values_2x2(T):
 
 class TestEigenvalues:
     def test_identity(self):
-        ev = eigenvalues(np.eye(5))
+        ev = eigenpairs(np.eye(5))[0]
         np.testing.assert_allclose(np.sort(ev.real), np.ones(5))
         np.testing.assert_allclose(ev.imag, np.zeros(5), atol=1e-14)
 
     def test_diagonal(self):
         A = np.diag([2.0, 3.0j, -1.0])
-        ev = eigenvalues(A)
+        ev = eigenpairs(A)[0]
         assert sorted(ev, key=lambda z: (z.real, z.imag)) == pytest.approx(
             sorted([2.0, 3.0j, -1.0], key=lambda z: (z.real, z.imag))
         )
 
     def test_order_reduction_2x2_against_quadratic_oracle(self):
         A = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(1), 1.0).generator
-        ev = np.sort_complex(eigenvalues(A))
+        ev = np.sort_complex(eigenpairs(A)[0])
         expect = np.sort_complex(quadratic_roots(A))
         np.testing.assert_allclose(ev, expect, atol=1e-10 * np.abs(expect).max())
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
-            eigenvalues(np.eye(MAX_EIG_DIM + 1))
+            eigenpairs(np.eye(MAX_EIG_DIM + 1))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            eigenvalues(np.ones((2, 3)))
+            eigenpairs(np.ones((2, 3)))
 
 
 def test_spectral_norm_estimate_matches_svd(rng):
@@ -92,9 +94,7 @@ class TestSpectralAbscissa:
 class TestResolventNorm:
     def test_n1_beta0_against_2x2_svd_oracle(self):
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(1), 1.0)
-        sm = build_scheme_matrices(system.mesh)
-        S = np.sqrt(system.mesh.h) * sm.D.toarray()
-        T = S @ (-system.generator) @ np.linalg.inv(S)
+        T = -weighted_oracle(system)
         expect = 1.0 / singular_values_2x2(T)[-1]
         assert resolvent_norm(system, 0.0) == pytest.approx(expect, rel=1e-10)
 
@@ -104,6 +104,15 @@ class TestResolventNorm:
         ev = spectral_abscissa(system).eigenvalues
         lower = 1.0 / np.min(np.abs(1j * beta - ev))
         assert resolvent_norm(system, beta) >= lower * (1 - 1e-10)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [15, 63])
+    def test_matches_dense_similarity_oracle(self, scheme, n):
+        system = SemiDiscreteSystem(scheme, Mesh(n), 1.0)
+        B = weighted_oracle(system)
+        for beta in (0.0, 2.868, -17.5, 1e4):
+            expect = 1.0 / sla.svdvals(1j * beta * np.eye(n + 1) - B)[-1]
+            assert resolvent_norm(system, beta) == pytest.approx(expect, rel=1e-8)
 
     def test_deterministic(self):
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(10), 1.0)
@@ -148,24 +157,3 @@ class TestResolventSweep:
             resolvent_sweep(system, 5.0, -5.0, 10)
         with pytest.raises(ValueError):
             resolvent_sweep(system, -5.0, 5.0, 1)
-
-
-class TestUniformityReport:
-    def test_single_row(self):
-        rows = uniformity_report([9])
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.n == 9
-        assert row.h == pytest.approx(0.1)
-        assert row.abscissa_or < 0
-        assert row.sup_resolvent_or > 0
-        assert row.sup_resolvent_cl > 0
-
-    def test_gain_sensitivity(self):
-        base = uniformity_report([9], k=1.0)[0]
-        doubled = uniformity_report([9], k=2.0)[0]
-        assert base.abscissa_or != doubled.abscissa_or
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            uniformity_report([])
