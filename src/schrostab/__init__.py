@@ -42,8 +42,6 @@ from .systems import (
     CLASSICAL,
     ORDER_REDUCTION,
     SemiDiscreteSystem,
-    apply_classical,
-    apply_order_reduction,
     assemble_generator,
     discrete_energy,
     dissipation_gap,

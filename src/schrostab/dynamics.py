@@ -21,7 +21,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
-from .grid import build_scheme_matrices
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 __all__ = [
@@ -68,7 +67,7 @@ class MidpointStepper:
         self.dt = dt
         mesh, k = system.mesh, system.k
         n1 = mesh.state_size
-        sm = build_scheme_matrices(mesh)
+        sm = mesh.matrices
         self._P = sm.D if system.scheme == ORDER_REDUCTION else sp.eye_array(n1, format="csr")
         E = sp.csr_array(([1.0], ([n1 - 1], [n1 - 1])), shape=(n1, n1))
         K = sp.block_array([

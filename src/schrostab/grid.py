@@ -4,9 +4,10 @@ Everything downstream (generators, multiplier identities, energy norms) is
 expressed through four objects defined here: the midpoint average, the scaled
 first difference, the bidiagonal scheme matrices, and the weighted inner
 product induced by the lower-bidiagonal averaging matrix.  The scheme
-matrices exist in two forms only: the O(N) appliers and solvers (apply_d,
-apply_m, apply_mt, solve_d, solve_dt) and the sparse CSR matrices of
-build_scheme_matrices; nothing here forms a dense operator.
+matrices have one form, the sparse CSR matrices that each mesh builds once
+(`Mesh.matrices`); products are `D @`, `M @` and `M.T @`, and the O(N)
+banded solvers solve_d and solve_dt invert D and D.T.  Nothing here forms a
+dense operator.
 
 Index conventions: a *state* vector holds nodes 1..N+1, a *shadow* vector
 holds nodes 0..N, and an *extended* vector holds nodes 0..N+1.  Mixing them
@@ -17,6 +18,7 @@ mesh check the lengths of the vectors they are given against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,12 +42,13 @@ __all__ = [
 class Mesh:
     """Equidistant partition of [0, 1] with N interior steps parameter.
 
-    h = 1/(N+1); nodes are x_j = j*h for j = 0..N+1.
+    h = 1/(N+1); nodes are x_j = j*h for j = 0..N+1.  Both are derived from
+    N, so meshes compare and hash by N alone.
     """
 
     n: int
-    h: float = field(init=False)
-    nodes: np.ndarray = field(init=False)
+    h: float = field(init=False, compare=False)
+    nodes: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -61,6 +64,11 @@ class Mesh:
     def midpoints(self) -> np.ndarray:
         """The N+1 cell midpoints x_{j+1/2} = (j + 1/2) h, j = 0..N."""
         return (np.arange(self.n + 1) + 0.5) * self.h
+
+    @cached_property
+    def matrices(self) -> SchemeMatrices:
+        """The scheme matrices of this mesh, built on first use."""
+        return build_scheme_matrices(self)
 
 
 def average(u: np.ndarray) -> np.ndarray:
@@ -124,27 +132,6 @@ def _as_state(Y, mesh: Mesh) -> np.ndarray:
     return Y
 
 
-def apply_d(Y: np.ndarray) -> np.ndarray:
-    """D @ Y without forming D: midpoint averages of (0, Y)."""
-    out = 0.5 * Y.copy()
-    out[1:] += 0.5 * Y[:-1]
-    return out
-
-
-def apply_m(u: np.ndarray, h: float) -> np.ndarray:
-    """M @ u without forming M: scaled differences of (u, 0)."""
-    out = -u / h
-    out[:-1] += u[1:] / h
-    return out
-
-
-def apply_mt(u: np.ndarray, h: float) -> np.ndarray:
-    """M.T @ u: (u_{j-1} - u_j) / h with an implicit leading zero."""
-    out = -u / h
-    out[1:] += u[:-1] / h
-    return out
-
-
 def solve_d(b: np.ndarray) -> np.ndarray:
     """Forward substitution with the lower bidiagonal D, O(N)."""
     n = b.shape[0]
@@ -168,16 +155,14 @@ def yh_inner(Y, Ytilde, mesh: Mesh) -> complex:
 
     Hermitian and positive definite since D is invertible.
     """
-    Y = _as_state(Y, mesh)
-    Ytilde = _as_state(Ytilde, mesh)
-    a = apply_d(Y)
-    b = apply_d(Ytilde)
+    D = mesh.matrices.D
+    a = D @ _as_state(Y, mesh)
+    b = D @ _as_state(Ytilde, mesh)
     return mesh.h * np.sum(a * np.conj(b), axis=0)
 
 
 def yh_norm(Y, mesh: Mesh) -> float:
-    Y = _as_state(Y, mesh)
-    a = apply_d(Y)
+    a = mesh.matrices.D @ _as_state(Y, mesh)
     return np.sqrt(mesh.h * np.sum(np.abs(a) ** 2, axis=0))
 
 
@@ -192,7 +177,7 @@ def shadow_element(Y, k: float, mesh: Mesh) -> np.ndarray:
     if k <= 0:
         raise ValueError(f"feedback gain must be positive, got k={k}")
     Y = _as_state(Y, mesh)
-    rhs = -apply_mt(Y, mesh.h)
+    rhs = -(mesh.matrices.M.T @ Y)
     rhs[-1] += 0.5j * k * Y[-1]
     return solve_dt(rhs)
 

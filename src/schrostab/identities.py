@@ -14,14 +14,13 @@ the relative defect the suite checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .grid import (
     Mesh,
     average,
-    build_scheme_matrices,
     difference,
     extend_shadow,
     extend_state,
@@ -121,7 +120,7 @@ def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh, matrices=None):
     Z = shadow_element(Y, k, mesh)
     yext = extend_state(Y, mesh)
     zext = extend_shadow(Z, Y, k, mesh)
-    sm = matrices if matrices is not None else build_scheme_matrices(mesh)
+    sm = matrices if matrices is not None else mesh.matrices
     h = mesh.h
 
     y_norm2 = np.real(yh_inner(Y, Y, mesh))
@@ -203,15 +202,17 @@ def run_identity_suite(
     functional equalities, as a sensitivity check that the suite actually
     detects broken algebra.
     """
+    if samples <= 0:
+        raise ValueError(f"samples must be positive, got samples={samples}")
     rng = np.random.default_rng(seed)
     reports = []
     for n in n_values:
         mesh = Mesh(n)
-        sm = build_scheme_matrices(mesh)
+        sm = mesh.matrices
         if perturb != 0.0:
             Sigma = sm.Sigma.copy()
             Sigma[0, 0] += perturb
-            sm = type(sm)(D=sm.D, M=sm.M, Sigma=Sigma, Delta=sm.Delta)
+            sm = replace(sm, Sigma=Sigma)
 
         u, v, w = (_random_states(rng, n + 2, samples) for _ in range(3))
         gap = np.abs(triple_sum_identity_gap(u, v, w))

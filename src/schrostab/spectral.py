@@ -97,25 +97,22 @@ def eigenpairs(A: np.ndarray):
     return ev, V
 
 
-def _checked_eigenpairs(A: np.ndarray, context: str):
-    """Eigenpairs and their worst residual; NumericalError above DEFAULT_EIG_TOL*||A||."""
+def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
+    """Eigenvalues of the assembled generator with their maximal real part.
+
+    Raises NumericalError when the worst eigenpair residual exceeds
+    DEFAULT_EIG_TOL * ||A||.
+    """
+    A = system.generator
     ev, V = eigenpairs(A)
-    res = _max_residual(A, ev, V)
+    R = A @ V - V * ev[None, :]
+    res = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)))
     bound = DEFAULT_EIG_TOL * max(spectral_norm_estimate(A), np.finfo(float).tiny)
     if res > bound:
-        raise NumericalError(f"eigen-residual {res:.3e} exceeds {bound:.3e} ({context})")
-    return ev, res
-
-
-def _max_residual(A: np.ndarray, ev: np.ndarray, V: np.ndarray) -> float:
-    R = A @ V - V * ev[None, :]
-    col_norms = np.linalg.norm(V, axis=0)
-    return float(np.max(np.linalg.norm(R, axis=0) / col_norms))
-
-
-def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
-    """Eigenvalues of the assembled generator with their maximal real part."""
-    ev, res = _checked_eigenpairs(system.generator, f"scheme={system.scheme}, n={system.n}")
+        raise NumericalError(
+            f"eigen-residual {res:.3e} exceeds {bound:.3e} "
+            f"(scheme={system.scheme}, n={system.n})"
+        )
     return SpectrumReport(
         scheme=system.scheme,
         n=system.n,

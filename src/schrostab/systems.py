@@ -1,12 +1,12 @@
 """Generators of the two semi-discrete schemes and their energy bookkeeping.
 
-The order-reduction generator advances a state through the shadow element
-(one back substitution, one bidiagonal multiply, one forward substitution,
-all O(N)); the classical generator is the plain second-difference operator
-with the same boundary feedback.  The O(N) appliers are the only definition
-of either generator: the dense generator that the eigensolver needs, and the
-dense weighted generator D A D^{-1} that the resolvent needs, are the
-appliers evaluated on the identity.
+Both generators are one O(N) applier over the mesh's sparse scheme matrices,
+`apply_generator`: the order-reduction scheme advances a state through the
+shadow element (P = D), the classical scheme is the plain second-difference
+operator with the same boundary feedback (P = I).  That applier is the only
+definition of either generator: the dense generator that the eigensolver
+needs, and the dense weighted generator D A D^{-1} that the resolvent needs,
+are the applier evaluated on the identity.
 """
 
 from __future__ import annotations
@@ -16,15 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Mesh, apply_d, apply_m, apply_mt, shadow_element, solve_d, yh_inner, yh_norm
+from .grid import Mesh, shadow_element, solve_d, yh_inner, yh_norm
 
 __all__ = [
     "ORDER_REDUCTION",
     "CLASSICAL",
     "SCHEMES",
     "SemiDiscreteSystem",
-    "apply_order_reduction",
-    "apply_classical",
     "apply_generator",
     "assemble_generator",
     "dissipation_gap",
@@ -41,43 +39,32 @@ def _check_gain(k: float):
         raise ValueError(f"feedback gain must be positive, got k={k}")
 
 
-def apply_order_reduction(Y, k: float, mesh: Mesh) -> np.ndarray:
-    """Apply the order-reduction generator to a state vector, O(N).
-
-    Computes D^{-1} [ -i M Z - (0, ..., 0, k h^{-1} y_{N+1}) ] where Z is
-    the shadow element of Y.
-    """
-    _check_gain(k)
-    Y = np.asarray(Y, dtype=complex)
-    Z = shadow_element(Y, k, mesh)
-    b = -1j * apply_m(Z, mesh.h)
-    b[-1] -= (k / mesh.h) * Y[-1]
-    return solve_d(b)
-
-
-def apply_classical(Y, k: float, mesh: Mesh) -> np.ndarray:
-    """Apply the classical generator: i M (M.T Y - boundary) - boundary."""
-    _check_gain(k)
-    Y = np.asarray(Y, dtype=complex)
-    t = apply_mt(Y, mesh.h)
-    t[-1] -= 0.5j * k * Y[-1]
-    out = 1j * apply_m(t, mesh.h)
-    out[-1] -= (k / mesh.h) * Y[-1]
-    return out
-
-
 def apply_generator(scheme: str, Y, k: float, mesh: Mesh) -> np.ndarray:
+    """Apply the generator of `scheme` to a state vector (or batch), O(N).
+
+    Computes P^{-1} [ -i M Z - (0, ..., 0, k h^{-1} y_{N+1}) ] where
+    P.T Z = -M.T Y + (0, ..., 0, i k y_{N+1} / 2): P = D and Z the shadow
+    element for the order-reduction scheme, P = I for the classical one.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    _check_gain(k)
+    Y = np.asarray(Y, dtype=complex)
+    M = mesh.matrices.M
     if scheme == ORDER_REDUCTION:
-        return apply_order_reduction(Y, k, mesh)
-    if scheme == CLASSICAL:
-        return apply_classical(Y, k, mesh)
-    raise ValueError(f"unknown scheme {scheme!r}")
+        Z = shadow_element(Y, k, mesh)
+    else:
+        Z = -(M.T @ Y)
+        Z[-1] += 0.5j * k * Y[-1]
+    b = -1j * (M @ Z)
+    b[-1] -= (k / mesh.h) * Y[-1]
+    return solve_d(b) if scheme == ORDER_REDUCTION else b
 
 
 def assemble_generator(scheme: str, k: float, mesh: Mesh) -> np.ndarray:
     """Dense generator matrix; column j is the applier at basis vector e_j.
 
-    The appliers are evaluated on the identity in one batched pass.
+    The applier is evaluated on the identity in one batched pass.
     """
     return apply_generator(scheme, np.eye(mesh.state_size, dtype=complex), k, mesh)
 
@@ -129,7 +116,7 @@ class SemiDiscreteSystem:
         """
         return self._cached(
             "weighted_generator",
-            lambda: apply_d(self.apply(solve_d(np.eye(self.mesh.state_size)))),
+            lambda: self.mesh.matrices.D @ self.apply(solve_d(np.eye(self.mesh.state_size))),
         )
 
 
@@ -139,8 +126,7 @@ def discrete_energy(W, mesh: Mesh) -> float:
     Coincides exactly with half the weighted norm squared, since D applied
     to a state vector produces those midpoints.
     """
-    W = np.asarray(W, dtype=complex)
-    mid = apply_d(W)
+    mid = mesh.matrices.D @ np.asarray(W, dtype=complex)
     return 0.5 * mesh.h * np.sum(np.abs(mid) ** 2, axis=0)
 
 

@@ -155,6 +155,20 @@ class TestSimulate:
             outs.append(out.read_text())
         assert outs[0] != outs[1]
 
+    def test_never_assembles_the_generator(self, runner, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate assembled a dense generator")
+
+        monkeypatch.setattr("schrostab.systems.assemble_generator", refuse)
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "--n", "4095", "--dt", "0.01", "--t-final", "0.1",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(read_lines(out)) == 11
+
     def test_rejects_both_scheme(self, runner, tmp_path):
         result = runner.invoke(
             main, ["simulate", "--scheme", "both", "--n", "7",
@@ -174,6 +188,12 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--samples", "5", "--perturb", "1e-6"])
         assert result.exit_code == 1
         assert "FAIL" in result.output
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_is_usage_error(self, runner, samples):
+        result = runner.invoke(main, ["verify", "--samples", samples])
+        assert result.exit_code == 2
+        assert "samples must be positive" in result.output
 
     def test_json_report(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "5", "--json"])

@@ -34,6 +34,12 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(0)
 
+    def test_value_semantics(self):
+        assert Mesh(3) == Mesh(3)
+        assert Mesh(3) != Mesh(4)
+        assert hash(Mesh(3)) == hash(Mesh(3))
+        assert len({Mesh(3), Mesh(3), Mesh(4)}) == 2
+
     @pytest.mark.parametrize("n", [1, 7, 100, 999])
     def test_partition_invariants(self, n):
         m = Mesh(n)
@@ -92,6 +98,15 @@ class TestSchemeMatrices:
         np.testing.assert_array_equal(sm.M.toarray(), 2.0 * np.array([[-1, 1], [0, -1]]))
         np.testing.assert_array_equal(sm.Sigma.toarray(), 0.5 * np.array([[1, 1, 0], [0, 1, 1]]))
         np.testing.assert_array_equal(sm.Delta.toarray(), 2.0 * np.array([[-1, 1, 0], [0, -1, 1]]))
+
+    def test_mesh_builds_them_once(self):
+        m = Mesh(9)
+        assert m.matrices is m.matrices
+        fresh = build_scheme_matrices(m)
+        for name in ("D", "M", "Sigma", "Delta"):
+            np.testing.assert_array_equal(
+                getattr(m.matrices, name).toarray(), getattr(fresh, name).toarray()
+            )
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_invertible(self, n):

@@ -7,9 +7,7 @@ from schrostab.systems import (
     ORDER_REDUCTION,
     SCHEMES,
     SemiDiscreteSystem,
-    apply_classical,
     apply_generator,
-    apply_order_reduction,
     assemble_generator,
     discrete_energy,
     dissipation_gap,
@@ -21,31 +19,35 @@ from conftest import random_complex, weighted_oracle
 class TestApplyOrderReduction:
     def test_zero(self):
         m = Mesh(5)
-        np.testing.assert_array_equal(apply_order_reduction(np.zeros(6), 1.0, m), np.zeros(6))
+        out = apply_generator(ORDER_REDUCTION, np.zeros(6), 1.0, m)
+        np.testing.assert_array_equal(out, np.zeros(6))
 
     def test_hand_value(self):
         # 2x2 chain evaluated by hand: D^{-1}(-i M Z - boundary)
         m = Mesh(1)
-        out = apply_order_reduction(np.array([0.0, 1.0]), 1.0, m)
+        out = apply_generator(ORDER_REDUCTION, np.array([0.0, 1.0]), 1.0, m)
         np.testing.assert_allclose(out, [8.0 - 32.0j, -16.0 + 48.0j], atol=1e-12)
 
     def test_rejects_bad_gain(self):
         with pytest.raises(ValueError):
-            apply_order_reduction(np.zeros(3), -1.0, Mesh(2))
+            apply_generator(ORDER_REDUCTION, np.zeros(3), -1.0, Mesh(2))
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n,k", [(1, 1.0), (9, 0.3), (64, 10.0)])
-    def test_matches_assembled_generator(self, n, k, rng):
-        # dense oracle D^{-1} (-i M Z - (k/h) E) with D.T Z = -M.T + (i k/2) E
+    def test_matches_assembled_generator(self, n, k, scheme, rng):
+        # dense oracle P^{-1} (-i M Z - (k/h) E) with P.T Z = -M.T + (i k/2) E,
+        # P = D for order reduction and P = I for the classical scheme
         m = Mesh(n)
         sm = build_scheme_matrices(m)
         D, M = sm.D.toarray(), sm.M.toarray()
+        P = D if scheme == ORDER_REDUCTION else np.eye(n + 1)
         E = np.zeros((n + 1, n + 1))
         E[-1, -1] = 1.0
-        Z = np.linalg.solve(D.T, -M.T + 0.5j * k * E)
-        A = np.linalg.solve(D, -1j * (M @ Z) - (k / m.h) * E)
+        Z = np.linalg.solve(P.T, -M.T + 0.5j * k * E)
+        A = np.linalg.solve(P, -1j * (M @ Z) - (k / m.h) * E)
         for _ in range(5):
             Y = random_complex(rng, n + 1)
-            lhs = apply_order_reduction(Y, k, m)
+            lhs = apply_generator(scheme, Y, k, m)
             rhs = A @ Y
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
@@ -53,8 +55,11 @@ class TestApplyOrderReduction:
         m = Mesh(12)
         Y1, Y2 = random_complex(rng, 13), random_complex(rng, 13)
         alpha = 0.3 - 1.9j
-        lhs = apply_order_reduction(alpha * Y1 + Y2, 2.0, m)
-        rhs = alpha * apply_order_reduction(Y1, 2.0, m) + apply_order_reduction(Y2, 2.0, m)
+        def apply(Y):
+            return apply_generator(ORDER_REDUCTION, Y, 2.0, m)
+
+        lhs = apply(alpha * Y1 + Y2)
+        rhs = alpha * apply(Y1) + apply(Y2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-9 * np.linalg.norm(rhs))
 
 
@@ -80,7 +85,7 @@ class TestAssembleGenerator:
         for j in range(m.n):  # all but the boundary column
             e = np.zeros(m.n + 1, dtype=complex)
             e[j] = 1.0
-            np.testing.assert_array_equal(apply_classical(e, 1.0, m), base[:, j])
+            np.testing.assert_array_equal(apply_generator(CLASSICAL, e, 1.0, m), base[:, j])
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
@@ -110,6 +115,17 @@ class TestSemiDiscreteSystem:
         rhs = system.generator @ Y
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
+    def test_value_semantics(self):
+        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(3), 1.0)
+        system.generator  # a filled cache takes no part in equality
+        same = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(3), 1.0)
+        assert system == same
+        assert hash(system) == hash(same)
+        assert len({system, same}) == 1
+        assert system != SemiDiscreteSystem(CLASSICAL, Mesh(3), 1.0)
+        assert system != SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4), 1.0)
+        assert system != SemiDiscreteSystem(ORDER_REDUCTION, Mesh(3), 2.0)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             SemiDiscreteSystem("other", Mesh(2), 1.0)
@@ -122,7 +138,7 @@ class TestDissipation:
         # quadratic form equals -k |y_{N+1}|^2 = -1 here
         m = Mesh(1)
         Y = np.array([0.0, 1.0])
-        AY = apply_order_reduction(Y, 1.0, m)
+        AY = apply_generator(ORDER_REDUCTION, Y, 1.0, m)
         assert np.real(yh_inner(AY, Y, m)) == pytest.approx(-1.0, abs=1e-13)
         assert dissipation_gap(Y, 1.0, m)[0] <= 1e-14
 
@@ -130,7 +146,7 @@ class TestDissipation:
         m = Mesh(30)
         Y = random_complex(rng, 31)
         Y[-1] = 0.0
-        AY = apply_order_reduction(Y, 1.0, m)
+        AY = apply_generator(ORDER_REDUCTION, Y, 1.0, m)
         scale = yh_norm(Y, m) * yh_norm(AY, m)
         assert abs(np.real(yh_inner(AY, Y, m))) <= 1e-12 * scale
 
@@ -138,7 +154,7 @@ class TestDissipation:
     def test_random_states(self, n, k, rng):
         m = Mesh(n)
         Y = random_complex(rng, n + 1)
-        AY = apply_order_reduction(Y, k, m)
+        AY = apply_generator(ORDER_REDUCTION, Y, k, m)
         scale = yh_norm(Y, m) * yh_norm(AY, m) + k * abs(Y[-1]) ** 2
         assert dissipation_gap(Y, k, m)[0] <= 1e-10 * scale
 
@@ -160,15 +176,3 @@ class TestDiscreteEnergy:
         assert abs(sum_form - inner_form) <= 1e-13 * sum_form
         assert discrete_energy(W, m) == pytest.approx(sum_form, rel=1e-13)
 
-
-def test_apply_generator_dispatch(rng):
-    m = Mesh(10)
-    Y = random_complex(rng, 11)
-    np.testing.assert_array_equal(
-        apply_generator(ORDER_REDUCTION, Y, 1.0, m), apply_order_reduction(Y, 1.0, m)
-    )
-    np.testing.assert_array_equal(
-        apply_generator(CLASSICAL, Y, 1.0, m), apply_classical(Y, 1.0, m)
-    )
-    with pytest.raises(ValueError):
-        apply_generator("none", Y, 1.0, m)
