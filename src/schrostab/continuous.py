@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import NumericalError
+from .grid import average
 
 __all__ = [
     "SampledFunction",
@@ -66,8 +66,8 @@ def apply_continuous_inverse(f: SampledFunction, k: float) -> SampledFunction:
     if x.size < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples, got {x.size}")
     fv = f.values
-    cum_f = cumulative_trapezoid(fv, x, initial=0.0)
-    cum_tf = cumulative_trapezoid(x * fv, x, initial=0.0)
+    cum_f = np.concatenate(([0.0], np.cumsum(np.diff(x) * average(fv))))
+    cum_tf = np.concatenate(([0.0], np.cumsum(np.diff(x) * average(x * fv))))
     int_f = cum_f[-1]
     int_1mt_f = int_f - cum_tf[-1]
     a = (-1j * int_f + k * int_1mt_f) / (1.0 + 1j * k)
@@ -85,9 +85,9 @@ def characteristic_residual(mu: complex, k: float) -> complex:
     return mu * np.cosh(mu) + 1j * k * np.sinh(mu)
 
 
-def _newton_root(mu0: complex, k: float, max_iter: int = 100) -> complex:
+def _newton_root(mu0: complex, k: float) -> complex:
     mu = mu0
-    for _ in range(max_iter):
+    for _ in range(100):
         f = characteristic_residual(mu, k)
         df = np.cosh(mu) + mu * np.sinh(mu) + 1j * k * np.cosh(mu)
         step = f / df

@@ -91,13 +91,11 @@ class MidpointStepper:
 
 def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> EnergyTrace:
     """March W' = A W by implicit midpoint, recording the energy balance."""
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got dt={dt}")
+    stepper = MidpointStepper(system, dt)  # rejects dt <= 0
     if t_final < dt:
         raise ValueError("t_final must be at least one step")
     W = np.asarray(W0, dtype=complex).copy()
     mesh = system.mesh
-    stepper = MidpointStepper(system, dt)
     num_steps = int(round(t_final / dt))
     times = np.empty(num_steps + 1)
     energies = np.empty(num_steps + 1)

@@ -190,7 +190,6 @@ def _random_states(rng, size: int, batch: int) -> np.ndarray:
 
 def run_identity_suite(
     n_values=DEFAULT_SUITE_N,
-    k_values=DEFAULT_SUITE_K,
     samples: int = 100,
     seed: int = 0,
     beta: float = 3.7,
@@ -220,15 +219,9 @@ def run_identity_suite(
             np.max(np.abs(u), axis=0) * np.max(np.abs(v), axis=0) * np.max(np.abs(w), axis=0)
         ) * (n + 2)
         # triple_sum is gain-independent; report it under k = 0
-        reports.append(
-            MultiplierReport(
-                "triple_sum", n, 0.0, seed,
-                float(np.max(gap)), float(np.max(scale)),
-                SUITE_TOLERANCES["triple_sum"],
-            )
-        )
+        _append_worst(reports, "triple_sum", n, 0.0, seed, gap, scale)
 
-        for k in k_values:
+        for k in DEFAULT_SUITE_K:
             Y = _random_states(rng, n + 1, samples)
             g, s = dissipation_gap(Y, k, mesh)
             _append_worst(reports, "dissipation", n, k, seed, g, s)

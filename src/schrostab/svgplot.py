@@ -11,15 +11,16 @@ import math
 WIDTH, HEIGHT = 720, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 50
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+TICK_COUNT = 6
 
 
-def _ticks(lo: float, hi: float, count: int = 6):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / count))
+    step = 10 ** math.floor(math.log10(span / TICK_COUNT))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= TICK_COUNT:
             step *= mult
             break
     start = math.ceil(lo / step) * step
@@ -31,7 +32,7 @@ def _ticks(lo: float, hi: float, count: int = 6):
     return ticks
 
 
-def line_chart(path, series, title: str, xlabel: str, ylabel: str, banner: str = ""):
+def line_chart(path, series, title: str, xlabel: str, ylabel: str, banner: str):
     """Write a polyline chart; series is a list of (label, xs, ys)."""
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
@@ -54,7 +55,7 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str, banner: str =
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}">',
-        f"<!-- {banner} -->" if banner else "",
+        f"<!-- {banner} -->",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{title}</text>',
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
@@ -97,4 +98,4 @@ def line_chart(path, series, title: str, xlabel: str, ylabel: str, banner: str =
         )
     parts.append("</svg>")
     with open(path, "w") as fh:
-        fh.write("\n".join(p for p in parts if p) + "\n")
+        fh.write("\n".join(parts) + "\n")

@@ -6,13 +6,15 @@ shadow element (P = D), the classical scheme is the plain second-difference
 operator with the same boundary feedback (P = I).  That applier is the only
 definition of either generator: the dense generator that the eigensolver
 needs, and the dense weighted generator D A D^{-1} that the resolvent needs,
-are the applier evaluated on the identity.
+are the applier evaluated on the identity.  A `SemiDiscreteSystem` forms each
+of them on first use and keeps it, as a cached property, the way a `Mesh`
+keeps its scheme matrices.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,14 +76,12 @@ class SemiDiscreteSystem:
     """One member of the semi-discrete family: scheme kind, mesh and gain.
 
     The dense generator and weighted generator are assembled lazily, each at
-    most once (thread-safe); `apply` stays matrix-free and O(N).
+    most once per system; `apply` stays matrix-free and O(N).
     """
 
     scheme: str
     mesh: Mesh
     k: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -95,29 +95,18 @@ class SemiDiscreteSystem:
     def apply(self, Y) -> np.ndarray:
         return apply_generator(self.scheme, Y, self.k, self.mesh)
 
-    def _cached(self, key: str, build) -> np.ndarray:
-        with self._lock:
-            if key not in self._cache:
-                self._cache[key] = build()
-            return self._cache[key]
-
-    @property
+    @cached_property
     def generator(self) -> np.ndarray:
-        return self._cached(
-            "generator", lambda: assemble_generator(self.scheme, self.k, self.mesh)
-        )
+        return assemble_generator(self.scheme, self.k, self.mesh)
 
-    @property
+    @cached_property
     def weighted_generator(self) -> np.ndarray:
         """B = D A D^{-1}, the generator in coordinates where the weighted norm is Euclidean.
 
         With S = sqrt(h) D, yh_norm(Y) = ||S Y||_2 and B = S A S^{-1}.  Each
         column is D A applied to a column of D^{-1}, O(N) per column.
         """
-        return self._cached(
-            "weighted_generator",
-            lambda: self.mesh.matrices.D @ self.apply(solve_d(np.eye(self.mesh.state_size))),
-        )
+        return self.mesh.matrices.D @ self.apply(solve_d(np.eye(self.mesh.state_size)))
 
 
 def discrete_energy(W, mesh: Mesh) -> float:

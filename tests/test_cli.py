@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -229,3 +231,14 @@ def test_missing_required_option_is_usage_error(runner):
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
+
+
+def test_import_loads_submodules_but_not_scipy_integrate():
+    # a fresh interpreter sees exactly what the entry point imports
+    code = "import sys, schrostab.cli; print(*sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "scipy.integrate" not in loaded
+    for name in ("continuous", "dynamics", "grid", "identities", "spectral", "systems"):
+        assert f"schrostab.{name}" in loaded

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from schrostab.continuous import (
     SampledFunction,
@@ -92,6 +93,20 @@ class TestContinuousInverse:
         gpp = (g.values[2:] - 2 * g.values[1:-1] + g.values[:-2]) / dx**2
         scale = np.max(np.abs(f_vals)) / dx**2
         np.testing.assert_allclose(-1j * gpp, f.values[1:-1], atol=1e-14 * scale)
+
+    @pytest.mark.parametrize("num", [257, 513])
+    def test_matches_scipy_cumulative_trapezoid(self, num, rng):
+        # the package integrates without scipy.integrate; scipy stays the
+        # reference for the same closed form, to the last bit
+        x = np.linspace(0.0, 1.0, num)
+        f_vals = rng.standard_normal(num) + 1j * rng.standard_normal(num)
+        k = 1.5
+        cum_f = cumulative_trapezoid(f_vals, x, initial=0.0)
+        cum_tf = cumulative_trapezoid(x * f_vals, x, initial=0.0)
+        a = (-1j * cum_f[-1] + k * (cum_f[-1] - cum_tf[-1])) / (1.0 + 1j * k)
+        expect = a * x + 1j * (x * cum_f - cum_tf)
+        g = apply_continuous_inverse(SampledFunction(x, f_vals), k)
+        np.testing.assert_array_equal(g.values, expect)
 
 
 class TestCharacteristicRoots:

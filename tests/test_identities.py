@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schrostab.grid import Mesh, extend_shadow, shadow_element
+from schrostab.grid import Mesh, extend_shadow, shadow_element, triple_sum_identity_gap
 from schrostab.identities import (
     SUITE_TOLERANCES,
     boundary_multiplier_gap_y,
@@ -156,3 +156,16 @@ class TestSuite:
         assert [(r.identity, r.n, r.k, r.gap, r.scale) for r in a] == [
             (r.identity, r.n, r.k, r.gap, r.scale) for r in b
         ]
+
+    def test_triple_sum_reports_worst_sample(self):
+        # gap and scale must come from the same sample: the one with the
+        # largest relative gap; the suite draws u, v, w first for each n
+        n, samples, seed = 7, 100, 3
+        rng = np.random.default_rng(seed)
+        u, v, w = (random_complex(rng, n + 2, samples) for _ in range(3))
+        gap = np.abs(triple_sum_identity_gap(u, v, w))
+        scale = (n + 2) * np.prod([np.max(np.abs(a), axis=0) for a in (u, v, w)], axis=0)
+        worst = int(np.argmax(gap / scale))
+        report = run_identity_suite(n_values=(n,), samples=samples, seed=seed)[0]
+        assert (report.identity, report.k) == ("triple_sum", 0.0)
+        assert (report.gap, report.scale) == (gap[worst], scale[worst])
