@@ -1,8 +1,10 @@
 """Command-line front end: experiments, CSV/JSON reports and SVG charts.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure.  Outputs are deterministic for identical configurations and seeds;
-every report carries the full run configuration and the tool version.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also for an
+output path that cannot be written), 3 numerical failure.  Outputs are
+deterministic for identical configurations and seeds.  Every JSON report, CSV
+`.meta.json` sidecar and `simulate` summary carries the tool version and the
+run configuration: the command name plus its parsed options.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _out_path(out: str) -> str:
     return os.path.join(os.environ.get("SCHROSTAB_OUTDIR", "."), out)
 
 
-def _parse_n_list(text: str) -> list[int]:
+def _parse_n_list(ctx, param, text: str) -> list[int]:
     """Grid sizes for the dense commands, refused before anything is assembled
     if a generator would exceed the dense eigensolver cap."""
     try:
@@ -54,20 +56,43 @@ def _parse_n_list(text: str) -> list[int]:
     return values
 
 
-def _write_meta(out: str, config: dict):
-    with open(out + ".meta.json", "w") as fh:
-        json.dump({"version": __version__, "config": config}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _envelope(config: dict, **fields) -> str:
+    """A JSON artifact as text: the tool version, the run configuration, the fields."""
+    return json.dumps({"version": __version__, "config": config, **fields},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path: str, config: dict, **fields):
+    with open(path, "w") as fh:
+        fh.write(_envelope(config, **fields))
+
+
+def _write_csv(path: str, config: dict, *sections):
+    """Stream each (header, lines) section, then write the `.meta.json` sidecar."""
+    with open(path, "w") as fh:
+        for header, lines in sections:
+            fh.write(header + "\n")
+            for line in lines:
+                fh.write(line + "\n")
+    _write_json(path + ".meta.json", config)
 
 
 def _exit_code_guard(func):
-    """Precondition errors (ValueError) exit 2 as usage errors; NumericalError exits 3."""
+    """Call the command with its run configuration first; map failures to exit codes.
+
+    The configuration is the command name plus the parsed options, except
+    `verify --json`, which only chooses how the report is printed.
+    Precondition errors (ValueError) and unwritable output paths (OSError)
+    exit 2 as usage errors; NumericalError exits 3.
+    """
 
     @functools.wraps(func)
-    def wrapper(*args, **kwargs):
+    def wrapper(**params):
+        config = {"command": click.get_current_context().command.name, **params}
+        config.pop("as_json", None)
         try:
-            return func(*args, **kwargs)
-        except ValueError as exc:
+            return func(config, **params)
+        except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc)) from exc
         except NumericalError as exc:
             click.echo(f"numerical failure: {exc}", err=True)
@@ -84,47 +109,36 @@ def main():
 
 @main.command()
 @click.option("--scheme", type=click.Choice(sorted(SCHEME_CHOICES)), default="both")
-@click.option("--n-list", required=True, help="comma-separated grid sizes, e.g. 9,99,999")
+@click.option("--n-list", required=True, callback=_parse_n_list,
+              help="comma-separated grid sizes, e.g. 9,99,999")
 @click.option("--k", type=float, default=1.0, show_default=True)
 @click.option("--out", required=True, help="output file path")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--svg", default=None, help="also write an abscissa-vs-N chart here")
 @_exit_code_guard
-def spectrum(scheme, n_list, k, out, fmt, svg):
+def spectrum(config, scheme, n_list, k, out, format, svg):
     """Spectral abscissae of the generators over a list of grid sizes."""
-    ns = _parse_n_list(n_list)
-    config = {"command": "spectrum", "scheme": scheme, "n_list": ns, "k": k,
-              "out": out, "format": fmt, "svg": svg}
+    meshes = [Mesh(n) for n in n_list]
     rows = []
     for sch in SCHEME_CHOICES[scheme]:
-        for n in ns:
-            rep = spectral_abscissa(SemiDiscreteSystem(sch, Mesh(n), k))
+        for mesh in meshes:
+            rep = spectral_abscissa(SemiDiscreteSystem(sch, mesh, k))
             rows.append({
-                "scheme": sch, "n": n, "h": Mesh(n).h, "k": k,
+                "scheme": sch, "n": mesh.n, "h": mesh.h, "k": k,
                 "abscissa": rep.abscissa, "max_eigen_residual": rep.max_eigen_residual,
             })
     out = _out_path(out)
-    if fmt == "csv":
-        with open(out, "w") as fh:
-            fh.write("scheme,N,h,k,abscissa,max_eigen_residual\n")
-            for r in rows:
-                fh.write(
-                    f"{r['scheme']},{r['n']},{r['h']:.17g},{r['k']:.17g},"
-                    f"{r['abscissa']:.17g},{r['max_eigen_residual']:.6g}\n"
-                )
-        _write_meta(out, config)
+    if format == "csv":
+        _write_csv(out, config, ("scheme,N,h,k,abscissa,max_eigen_residual", (
+            f"{r['scheme']},{r['n']},{r['h']:.17g},{r['k']:.17g},"
+            f"{r['abscissa']:.17g},{r['max_eigen_residual']:.6g}" for r in rows)))
     else:
-        with open(out, "w") as fh:
-            json.dump({"version": __version__, "config": config, "rows": rows},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(out, config, rows=rows)
     if svg:
-        series = []
-        for sch in SCHEME_CHOICES[scheme]:
-            pts = [(r["n"], r["abscissa"]) for r in rows if r["scheme"] == sch]
-            series.append((sch, [p[0] for p in pts], [p[1] for p in pts]))
         line_chart(
-            _out_path(svg), series,
+            _out_path(svg),
+            [(sch, n_list, [r["abscissa"] for r in rows if r["scheme"] == sch])
+             for sch in SCHEME_CHOICES[scheme]],
             title=f"Maximal eigenvalue real parts (k={k:g})",
             xlabel="N", ylabel="spectral abscissa",
             banner=f"schrostab {__version__}",
@@ -134,7 +148,7 @@ def spectrum(scheme, n_list, k, out, fmt, svg):
 
 @main.command()
 @click.option("--scheme", type=click.Choice(sorted(SCHEME_CHOICES)), default="both")
-@click.option("--n-list", required=True)
+@click.option("--n-list", required=True, callback=_parse_n_list)
 @click.option("--k", type=float, default=1.0, show_default=True)
 @click.option("--beta-min", type=float, default=-20.0, show_default=True)
 @click.option("--beta-max", type=float, default=20.0, show_default=True)
@@ -142,41 +156,33 @@ def spectrum(scheme, n_list, k, out, fmt, svg):
 @click.option("--log-decades", type=float, default=None,
               help="log tail reach; default covers the discrete spectrum")
 @click.option("--out", required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@click.option("--format", type=click.Choice(["csv", "json"]), default="csv")
 @_exit_code_guard
-def resolvent(scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades, out, fmt):
+def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades,
+              out, format):
     """Weighted resolvent-norm sweeps along the imaginary axis."""
-    ns = _parse_n_list(n_list)
-    config = {"command": "resolvent", "scheme": scheme, "n_list": ns, "k": k,
-              "beta_min": beta_min, "beta_max": beta_max,
-              "linear_steps": linear_steps, "log_decades": log_decades,
-              "out": out, "format": fmt}
-    sweeps = []
-    for sch in SCHEME_CHOICES[scheme]:
-        for n in ns:
-            system = SemiDiscreteSystem(sch, Mesh(n), k)
-            sweeps.append(resolvent_sweep(system, beta_min, beta_max, linear_steps, log_decades))
+    meshes = [Mesh(n) for n in n_list]
+    sweeps = [
+        resolvent_sweep(SemiDiscreteSystem(sch, mesh, k), beta_min, beta_max,
+                        linear_steps, log_decades)
+        for sch in SCHEME_CHOICES[scheme] for mesh in meshes
+    ]
     out = _out_path(out)
-    if fmt == "csv":
-        with open(out, "w") as fh:
-            fh.write("scheme,N,k,beta,norm\n")
-            for sw in sweeps:
-                for beta, norm in zip(sw.beta_grid, sw.norms):
-                    fh.write(f"{sw.scheme},{sw.n},{sw.k:.17g},{beta:.17g},{norm:.17g}\n")
-            fh.write("sup_norm,argmax_beta\n")
-            for sw in sweeps:
-                fh.write(f"{sw.sup_norm:.17g},{sw.argmax_beta:.17g}\n")
-        _write_meta(out, config)
+    if format == "csv":
+        _write_csv(
+            out, config,
+            ("scheme,N,k,beta,norm", (
+                f"{sw.scheme},{sw.n},{sw.k:.17g},{beta:.17g},{norm:.17g}"
+                for sw in sweeps for beta, norm in zip(sw.beta_grid, sw.norms))),
+            ("sup_norm,argmax_beta", (
+                f"{sw.sup_norm:.17g},{sw.argmax_beta:.17g}" for sw in sweeps)),
+        )
     else:
-        payload = [{
+        _write_json(out, config, sweeps=[{
             "scheme": sw.scheme, "n": sw.n, "k": sw.k,
             "beta": list(sw.beta_grid), "norm": list(sw.norms),
             "sup_norm": sw.sup_norm, "argmax_beta": sw.argmax_beta,
-        } for sw in sweeps]
-        with open(out, "w") as fh:
-            json.dump({"version": __version__, "config": config, "sweeps": payload},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        } for sw in sweeps])
     click.echo(f"wrote {len(sweeps)} sweeps to {out}")
 
 
@@ -192,38 +198,31 @@ def resolvent(scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades, 
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True)
 @_exit_code_guard
-def simulate_cmd(scheme, n, k, dt, t_final, preset, seed, out):
+def simulate_cmd(config, scheme, n, k, dt, t_final, preset, seed, out):
     """Energy-decay simulation with per-step dissipation accounting."""
-    config = {"command": "simulate", "scheme": scheme, "n": n, "k": k, "dt": dt,
-              "t_final": t_final, "preset": preset, "seed": seed, "out": out}
     system = SemiDiscreteSystem(SCHEME_CHOICES[scheme][0], Mesh(n), k)
     W0 = initial_state(preset, system, seed=seed)
-    trace = simulate(system, W0, dt, t_final)
+    trace = simulate(system, W0, dt, t_final)  # refuses t_final < dt: at least one step
+    steps = trace.step_gaps.size
     out = _out_path(out)
-    with open(out, "w") as fh:
-        fh.write("t,energy,boundary_abs,step_gap\n")
-        for i in range(trace.step_gaps.size):
-            fh.write(
-                f"{trace.times[i + 1]:.17g},{trace.energies[i + 1]:.17g},"
-                f"{abs(trace.boundary_values[i]):.17g},{trace.step_gaps[i]:.6g}\n"
-            )
-    _write_meta(out, config)
-    summary = {
-        "version": __version__, "config": config,
-        "scheme": system.scheme, "n": n, "h": system.mesh.h, "k": k,
-        "initial_energy": float(trace.energies[0]),
-        "final_energy": float(trace.energies[-1]),
-        "max_step_gap": float(np.max(np.abs(trace.step_gaps))) if trace.step_gaps.size else 0.0,
-    }
+    _write_csv(out, config, ("t,energy,boundary_abs,step_gap", (
+        f"{trace.times[i + 1]:.17g},{trace.energies[i + 1]:.17g},"
+        f"{abs(trace.boundary_values[i]):.17g},{trace.step_gaps[i]:.6g}"
+        for i in range(steps))))
     try:
-        summary["omega_fit"] = fit_decay_rate(trace, t_final / 2, t_final)
+        omega_fit = fit_decay_rate(trace, t_final / 2, t_final)
     except ValueError:
         # short runs or runs that hit exact zero energy have no usable fit
-        summary["omega_fit"] = None
-    with open(out + ".summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    click.echo(f"wrote {trace.step_gaps.size} steps to {out}")
+        omega_fit = None
+    _write_json(
+        out + ".summary.json", config,
+        scheme=system.scheme, n=n, h=system.mesh.h, k=k,
+        initial_energy=float(trace.energies[0]),
+        final_energy=float(trace.energies[-1]),
+        max_step_gap=float(np.max(np.abs(trace.step_gaps))),
+        omega_fit=omega_fit,
+    )
+    click.echo(f"wrote {steps} steps to {out}")
 
 
 @main.command()
@@ -234,19 +233,15 @@ def simulate_cmd(scheme, n, k, dt, t_final, preset, seed, out):
               help="inject a fault of this size into one matrix entry")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_exit_code_guard
-def verify(samples, seed, beta, perturb, as_json):
+def verify(config, samples, seed, beta, perturb, as_json):
     """Run the exact-identity suite; exit 0 iff every gap passes."""
     reports = run_identity_suite(samples=samples, seed=seed, beta=beta, perturb=perturb)
     if as_json:
-        payload = [{
+        click.echo(_envelope(config, reports=[{
             "identity": r.identity, "n": r.n, "k": r.k, "seed": r.seed,
             "gap": r.gap, "scale": r.scale, "relative_gap": r.relative_gap,
             "tolerance": r.tolerance, "passed": r.passed,
-        } for r in reports]
-        click.echo(json.dumps({"version": __version__,
-                               "config": {"command": "verify", "samples": samples,
-                                          "seed": seed, "beta": beta, "perturb": perturb},
-                               "reports": payload}, indent=2, sort_keys=True))
+        } for r in reports]), nl=False)
     else:
         click.echo(f"{'identity':<24}{'N':>6}{'k':>8}{'rel gap':>12}{'tol':>10}  status")
         for r in reports:

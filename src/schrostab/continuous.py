@@ -1,8 +1,8 @@
 """Desk-scale oracles for the continuous boundary-damped system.
 
-Provides the closed-form bounded inverse of the closed-loop operator, the
-continuous energy, and high-precision eigenvalues from the transcendental
-characteristic equation, for cross-checking the discrete spectra.
+Provides the closed-form bounded inverse of the closed-loop operator and
+high-precision eigenvalues from the transcendental characteristic equation,
+for cross-checking the discrete spectra.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "apply_continuous_inverse",
     "characteristic_roots",
     "characteristic_residual",
-    "continuous_energy",
 ]
 
 MIN_SAMPLES = 33
@@ -73,11 +72,6 @@ def apply_continuous_inverse(f: SampledFunction, k: float) -> SampledFunction:
     a = (-1j * int_f + k * int_1mt_f) / (1.0 + 1j * k)
     g = a * x + 1j * (x * cum_f - cum_tf)
     return SampledFunction(x, g)
-
-
-def continuous_energy(w: SampledFunction) -> float:
-    """Half the squared L2 norm of the samples, by trapezoid quadrature."""
-    return 0.5 * float(np.trapezoid(np.abs(w.values) ** 2, w.grid))
 
 
 def characteristic_residual(mu: complex, k: float) -> complex:

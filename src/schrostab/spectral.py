@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 MAX_EIG_DIM = 2048
-DEFAULT_EIG_TOL = 1e-8
+DEFAULT_EIG_TOL = 1e-12
 _POWER_ITERATIONS = 60
 
 

@@ -77,7 +77,7 @@ def test_criterion_04_spectrum_location(capsys):
             worst_abs = max(worst_abs, rep.abscissa)
             norm = spectral_norm_estimate(system.generator)
             worst_res = max(worst_res, rep.max_eigen_residual / norm)
-    passed = worst_abs < 0 and worst_res <= 1e-8
+    passed = worst_abs < 0 and worst_res <= 1e-12
     _report(
         capsys, 4, passed,
         f"max abscissa {worst_abs:.4f}, max relative eigen-residual {worst_res:.3e}",

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from schrostab.cli import main
+from schrostab.errors import NumericalError
 
 
 @pytest.fixture
@@ -221,6 +222,39 @@ class TestVerify:
 def test_precondition_violation_is_usage_error(runner, tmp_path, argv):
     result = runner.invoke(main, argv + ["--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["spectrum", "--n-list", "5", "--out", "{bad}"], "x.csv"),
+        (["resolvent", "--n-list", "3", "--out", "{bad}"], "x.csv"),
+        (["simulate", "--n", "7", "--t-final", "0.01", "--out", "{bad}"], "x.csv"),
+        (["spectrum", "--n-list", "5", "--out", "ok.csv", "--svg", "{bad}"], "x.svg"),
+    ],
+    ids=["spectrum-out", "resolvent-out", "simulate-out", "spectrum-svg"],
+)
+def test_unwritable_output_is_usage_error(runner, tmp_path, monkeypatch, argv, bad):
+    monkeypatch.setenv("SCHROSTAB_OUTDIR", str(tmp_path))
+    path = str(tmp_path / "missing" / bad)
+    result = runner.invoke(main, [arg.format(bad=path) for arg in argv])
+    assert result.exit_code == 2, result.output
+    assert path in result.output
+
+
+@pytest.mark.parametrize(
+    "command, solver",
+    [("spectrum", "spectral_abscissa"), ("resolvent", "resolvent_sweep")],
+    ids=["spectrum", "resolvent"],
+)
+def test_numerical_failure_exits_3(runner, tmp_path, monkeypatch, command, solver):
+    def fail(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(f"schrostab.cli.{solver}", fail)
+    result = runner.invoke(main, [command, "--n-list", "5", "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure:" in result.output
 
 
 def test_missing_required_option_is_usage_error(runner):

@@ -7,7 +7,6 @@ from schrostab.continuous import (
     apply_continuous_inverse,
     characteristic_residual,
     characteristic_roots,
-    continuous_energy,
 )
 
 
@@ -136,17 +135,3 @@ class TestCharacteristicRoots:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             characteristic_roots(1.0, 0)
-
-
-class TestContinuousEnergy:
-    def test_zero(self):
-        w = SampledFunction.from_callable(lambda x: 0.0 * x, 65)
-        assert continuous_energy(w) == 0
-
-    def test_constant(self):
-        w = SampledFunction.from_callable(lambda x: np.ones_like(x), 65)
-        assert continuous_energy(w) == pytest.approx(0.5, rel=1e-14)
-
-    def test_sine(self):
-        w = SampledFunction.from_callable(lambda x: np.sin(np.pi * x), 1025)
-        assert continuous_energy(w) == pytest.approx(0.25, abs=1e-6)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
 from schrostab.spectral import (
     MAX_EIG_DIM,
@@ -75,7 +76,20 @@ class TestSpectralAbscissa:
         norm = spectral_norm_estimate(
             SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), 1.0).generator
         )
-        assert rep.max_eigen_residual <= 1e-8 * norm
+        assert rep.max_eigen_residual <= 1e-12 * norm
+
+    def test_residual_check_binds(self, monkeypatch):
+        # eigenvalues off by 1e-10 ||A|| leave a residual of that size
+        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
+        shift = 1e-10 * spectral_norm_estimate(system.generator)
+
+        def shifted(A):
+            ev, V = eigenpairs(A)
+            return ev + shift, V
+
+        monkeypatch.setattr("schrostab.spectral.eigenpairs", shifted)
+        with pytest.raises(NumericalError, match="eigen-residual"):
+            spectral_abscissa(system)
 
     def test_classical_abscissa_shrinks(self):
         a9 = spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(9), 1.0)).abscissa
