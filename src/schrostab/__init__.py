@@ -12,4 +12,4 @@ __version__ = "0.1.0"
 # Importing the package loads every submodule, so code that looks them up in
 # sys.modules (perfbench's tracer wraps functions in each of them) finds them
 # whichever submodule an entry point imports first.
-from . import continuous, dynamics, errors, grid, identities, spectral, systems
+from . import continuous, dynamics, errors, grid, identities, secular, spectral, systems

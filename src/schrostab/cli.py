@@ -41,19 +41,27 @@ def _out_path(out: str) -> str:
 
 
 def _parse_n_list(ctx, param, text: str) -> list[int]:
-    """Grid sizes for the dense commands, refused before anything is assembled
-    if a generator would exceed the dense eigensolver cap."""
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise click.UsageError(f"bad N list {text!r}: {exc}")
     if not values or any(v < 1 for v in values):
         raise click.UsageError(f"N list must contain positive integers, got {text!r}")
-    if max(values) + 1 > MAX_EIG_DIM:
-        raise click.UsageError(
-            f"grid sizes above {MAX_EIG_DIM - 1} exceed the dense eigensolver cap"
-        )
     return values
+
+
+def _check_dense_cap(n_list: list[int], user: str):
+    """Refuse, before anything is assembled, grid sizes whose dense matrices exceed the cap."""
+    if max(n_list) + 1 > MAX_EIG_DIM:
+        raise click.UsageError(
+            f"grid sizes above {MAX_EIG_DIM - 1} exceed the dense cap of {user}"
+        )
+
+
+def _check_output_dir(path: str):
+    directory = os.path.dirname(path) or "."
+    if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+        raise click.UsageError(f"cannot write {path}: {directory} is not a writable directory")
 
 
 def _envelope(config: dict, **fields) -> str:
@@ -82,14 +90,18 @@ def _exit_code_guard(func):
 
     The configuration is the command name plus the parsed options, except
     `verify --json`, which only chooses how the report is printed.
-    Precondition errors (ValueError) and unwritable output paths (OSError)
-    exit 2 as usage errors; NumericalError exits 3.
+    The directory of every output path must exist and be writable before
+    the command starts.  Precondition errors (ValueError) and unwritable
+    output paths (OSError) exit 2 as usage errors; NumericalError exits 3.
     """
 
     @functools.wraps(func)
     def wrapper(**params):
         config = {"command": click.get_current_context().command.name, **params}
         config.pop("as_json", None)
+        for name in ("out", "svg"):
+            if params.get(name):
+                _check_output_dir(_out_path(params[name]))
         try:
             return func(config, **params)
         except (ValueError, OSError) as exc:
@@ -118,6 +130,8 @@ def main():
 @_exit_code_guard
 def spectrum(config, scheme, n_list, k, out, format, svg):
     """Spectral abscissae of the generators over a list of grid sizes."""
+    if CLASSICAL in SCHEME_CHOICES[scheme]:
+        _check_dense_cap(n_list, "the classical scheme")
     meshes = [Mesh(n) for n in n_list]
     rows = []
     for sch in SCHEME_CHOICES[scheme]:
@@ -161,6 +175,7 @@ def spectrum(config, scheme, n_list, k, out, format, svg):
 def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades,
               out, format):
     """Weighted resolvent-norm sweeps along the imaginary axis."""
+    _check_dense_cap(n_list, "the resolvent command")
     meshes = [Mesh(n) for n in n_list]
     sweeps = [
         resolvent_sweep(SemiDiscreteSystem(sch, mesh, k), beta_min, beta_max,

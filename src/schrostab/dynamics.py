@@ -72,7 +72,7 @@ class MidpointStepper:
         E = sp.csr_array(([1.0], ([n1 - 1], [n1 - 1])), shape=(n1, n1))
         K = sp.block_array([
             [self._P + (dt * k / (2 * mesh.h)) * E, (0.5j * dt) * sm.M],
-            [sm.M.T - (0.5j * k) * E, self._P.T],
+            [sm.MT - (0.5j * k) * E, self._P.T],
         ], format="csc")
         try:
             self._lu = splu(K)

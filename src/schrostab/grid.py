@@ -5,9 +5,9 @@ expressed through four objects defined here: the midpoint average, the scaled
 first difference, the bidiagonal scheme matrices, and the weighted inner
 product induced by the lower-bidiagonal averaging matrix.  The scheme
 matrices have one form, the sparse CSR matrices that each mesh builds once
-(`Mesh.matrices`); products are `D @`, `M @` and `M.T @`, and the O(N)
-banded solvers solve_d and solve_dt invert D and D.T.  Nothing here forms a
-dense operator.
+(`Mesh.matrices`, which keeps M.T as a CSR matrix `MT` of its own); products
+are `D @`, `M @` and `MT @`, and the O(N) banded solvers solve_d and
+solve_dt invert D and D.T.  Nothing here forms a dense operator.
 
 Index conventions: a *state* vector holds nodes 1..N+1, a *shadow* vector
 holds nodes 0..N, and an *extended* vector holds nodes 0..N+1.  Mixing them
@@ -95,7 +95,8 @@ class SchemeMatrices:
 
     D is (N+1)x(N+1) lower bidiagonal (midpoint averaging of a state vector
     with an implicit leading zero), M is (N+1)x(N+1) upper bidiagonal
-    (scaled differencing with an implicit trailing zero).  Sigma and Delta
+    (scaled differencing with an implicit trailing zero), and MT is M.T,
+    stored so that no product builds a transposed view.  Sigma and Delta
     act on extended vectors and are therefore (N+1)x(N+2): Sigma produces
     the N+1 midpoint averages, Delta the N+1 scaled differences, so that
     h*||Sigma z||^2 = h * sum |z_{j+1/2}|^2 exactly.
@@ -103,6 +104,7 @@ class SchemeMatrices:
 
     D: sp.csr_array
     M: sp.csr_array
+    MT: sp.csr_array
     Sigma: sp.csr_array
     Delta: sp.csr_array
 
@@ -114,9 +116,11 @@ def build_scheme_matrices(mesh: Mesh) -> SchemeMatrices:
     def bidiagonal(cols: int, offset: int, values) -> sp.csr_array:
         return sp.diags_array(values, offsets=(0, offset), shape=(n1, cols), format="csr")
 
+    M = bidiagonal(n1, 1, (-inv_h, inv_h))
     return SchemeMatrices(
         D=bidiagonal(n1, -1, (0.5, 0.5)),
-        M=bidiagonal(n1, 1, (-inv_h, inv_h)),
+        M=M,
+        MT=M.T.tocsr(),
         Sigma=bidiagonal(n1 + 1, 1, (0.5, 0.5)),
         Delta=bidiagonal(n1 + 1, 1, (-inv_h, inv_h)),
     )
@@ -177,7 +181,7 @@ def shadow_element(Y, k: float, mesh: Mesh) -> np.ndarray:
     if k <= 0:
         raise ValueError(f"feedback gain must be positive, got k={k}")
     Y = _as_state(Y, mesh)
-    rhs = -(mesh.matrices.M.T @ Y)
+    rhs = -(mesh.matrices.MT @ Y)
     rhs[-1] += 0.5j * k * Y[-1]
     return solve_dt(rhs)
 

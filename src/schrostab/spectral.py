@@ -4,7 +4,10 @@ The similarity S = sqrt(h) D carries the mesh-weighted norm to the Euclidean
 one, so the weighted operator norm of (i beta I - A)^{-1} is the reciprocal
 smallest singular value of i beta I - B with B = S A S^{-1} = D A D^{-1}.
 Each system forms B once (`SemiDiscreteSystem.weighted_generator`); every
-beta then costs one shifted SVD.  Eigenvalues are computed on A itself.
+beta then costs one shifted SVD.  Order-reduction eigenvalues are the
+certified roots of the closed-form secular equation of B
+(`schrostab.secular`), found with no matrix; classical eigenvalues come from
+a dense eigensolve of A itself.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import scipy.linalg as sla
 
 from .errors import NumericalError
 from .grid import Mesh
-from .systems import SemiDiscreteSystem
+from .secular import or_spectrum
+from .systems import ORDER_REDUCTION, SemiDiscreteSystem
 
 __all__ = [
     "MAX_EIG_DIM",
@@ -98,21 +102,28 @@ def eigenpairs(A: np.ndarray):
 
 
 def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
-    """Eigenvalues of the assembled generator with their maximal real part.
+    """Eigenvalues of the generator with their maximal real part.
 
-    Raises NumericalError when the worst eigenpair residual exceeds
+    Order-reduction spectra are the certified secular roots
+    (`secular.or_spectrum`, which raises NumericalError itself), and
+    max_eigen_residual is their worst backward residual.  Classical spectra
+    come from a dense eigensolve of the assembled generator; raises
+    NumericalError when the worst eigenpair residual exceeds
     DEFAULT_EIG_TOL * ||A||.
     """
-    A = system.generator
-    ev, V = eigenpairs(A)
-    R = A @ V - V * ev[None, :]
-    res = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)))
-    bound = DEFAULT_EIG_TOL * max(spectral_norm_estimate(A), np.finfo(float).tiny)
-    if res > bound:
-        raise NumericalError(
-            f"eigen-residual {res:.3e} exceeds {bound:.3e} "
-            f"(scheme={system.scheme}, n={system.n})"
-        )
+    if system.scheme == ORDER_REDUCTION:
+        ev, res = or_spectrum(system.mesh, system.k)
+    else:
+        A = system.generator
+        ev, V = eigenpairs(A)
+        R = A @ V - V * ev[None, :]
+        res = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)))
+        bound = DEFAULT_EIG_TOL * max(spectral_norm_estimate(A), np.finfo(float).tiny)
+        if res > bound:
+            raise NumericalError(
+                f"eigen-residual {res:.3e} exceeds {bound:.3e} "
+                f"(scheme={system.scheme}, n={system.n})"
+            )
     return SpectrumReport(
         scheme=system.scheme,
         n=system.n,
@@ -158,7 +169,8 @@ def sweep_grid(
     Resolvent peaks sit within O(|Re lambda|) of eigenvalue imaginary
     parts; for the classical scheme those windows shrink like h^2, so no
     fixed grid can witness the blowup.  The sweep therefore also evaluates
-    at the imaginary parts of the generator's eigenvalues.
+    at the imaginary parts of the generator's eigenvalues (the secular
+    roots for the order-reduction scheme).
     """
     if beta_min >= beta_max:
         raise ValueError("beta_min must be below beta_max")

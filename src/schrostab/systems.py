@@ -4,11 +4,12 @@ Both generators are one O(N) applier over the mesh's sparse scheme matrices,
 `apply_generator`: the order-reduction scheme advances a state through the
 shadow element (P = D), the classical scheme is the plain second-difference
 operator with the same boundary feedback (P = I).  That applier is the only
-definition of either generator: the dense generator that the eigensolver
-needs, and the dense weighted generator D A D^{-1} that the resolvent needs,
-are the applier evaluated on the identity.  A `SemiDiscreteSystem` forms each
-of them on first use and keeps it, as a cached property, the way a `Mesh`
-keeps its scheme matrices.
+definition of either generator: the dense generator that the classical
+eigensolve needs, and the dense weighted generator D A D^{-1} that the
+resolvent needs, are the applier evaluated on the identity.  The
+order-reduction spectrum needs neither (see `schrostab.secular`).  A
+`SemiDiscreteSystem` forms each of them on first use and keeps it, as a
+cached property, the way a `Mesh` keeps its scheme matrices.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ def apply_generator(scheme: str, Y, k: float, mesh: Mesh) -> np.ndarray:
         raise ValueError(f"unknown scheme {scheme!r}")
     _check_gain(k)
     Y = np.asarray(Y, dtype=complex)
-    M = mesh.matrices.M
+    sm = mesh.matrices
     if scheme == ORDER_REDUCTION:
         Z = shadow_element(Y, k, mesh)
     else:
-        Z = -(M.T @ Y)
+        Z = -(sm.MT @ Y)
         Z[-1] += 0.5j * k * Y[-1]
-    b = -1j * (M @ Z)
+    b = -1j * (sm.M @ Z)
     b[-1] -= (k / mesh.h) * Y[-1]
     return solve_d(b) if scheme == ORDER_REDUCTION else b
 

@@ -213,3 +213,15 @@ def test_criterion_10_eigensolver_oracle(capsys):
         capsys, 10, passed,
         f"quadratic-oracle error {err:.2e}, identity/diagonal exact={ident == 0 and diag_err == 0}",
     )
+
+
+def test_criterion_11_order_reduction_abscissa_beyond_dense_cap(capsys):
+    continuous = float(np.max(characteristic_roots(1.0, 50).real))
+    rep = spectral_abscissa(SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0))
+    agree = abs(rep.abscissa - continuous) / abs(continuous)
+    passed = rep.eigenvalues.size == 4096 and agree <= 1e-6
+    _report(
+        capsys, 11, passed,
+        f"order-reduction abscissa at N=4095 {rep.abscissa:.10f}, "
+        f"continuous agreement {agree:.1e}",
+    )

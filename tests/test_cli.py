@@ -88,6 +88,15 @@ class TestSpectrum:
         )
         assert result.exit_code == 2
 
+    def test_order_reduction_beyond_dense_cap(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["spectrum", "--scheme", "order-reduction", "--n-list", "4095",
+                   "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert read_lines(out)[1].startswith("order_reduction,4095,")
+
 
 class TestResolvent:
     def test_csv_with_summary_block(self, runner, tmp_path):
@@ -225,21 +234,49 @@ def test_precondition_violation_is_usage_error(runner, tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, user",
+    [
+        (["spectrum", "--scheme", "both"], "the classical scheme"),
+        (["spectrum", "--scheme", "classical"], "the classical scheme"),
+        (["resolvent", "--scheme", "order-reduction"], "the resolvent command"),
+    ],
+    ids=["spectrum-both", "spectrum-classical", "resolvent"],
+)
+def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the cap check")
+
+    for solver in ("spectral_abscissa", "resolvent_sweep"):
+        monkeypatch.setattr(f"schrostab.cli.{solver}", refuse)
+    result = runner.invoke(main, argv + ["--n-list", "5,2048", "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert f"exceed the dense cap of {user}" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
     "argv, bad",
     [
         (["spectrum", "--n-list", "5", "--out", "{bad}"], "x.csv"),
         (["resolvent", "--n-list", "3", "--out", "{bad}"], "x.csv"),
         (["simulate", "--n", "7", "--t-final", "0.01", "--out", "{bad}"], "x.csv"),
         (["spectrum", "--n-list", "5", "--out", "ok.csv", "--svg", "{bad}"], "x.svg"),
+        (["spectrum", "--n-list", "2047", "--out", "{bad}"], "x.csv"),
     ],
-    ids=["spectrum-out", "resolvent-out", "simulate-out", "spectrum-svg"],
+    ids=["spectrum-out", "resolvent-out", "simulate-out", "spectrum-svg", "spectrum-out-large"],
 )
 def test_unwritable_output_is_usage_error(runner, tmp_path, monkeypatch, argv, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before checking the output paths")
+
+    for solver in ("spectral_abscissa", "resolvent_sweep", "simulate"):
+        monkeypatch.setattr(f"schrostab.cli.{solver}", refuse)
     monkeypatch.setenv("SCHROSTAB_OUTDIR", str(tmp_path))
     path = str(tmp_path / "missing" / bad)
     result = runner.invoke(main, [arg.format(bad=path) for arg in argv])
     assert result.exit_code == 2, result.output
     assert path in result.output
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

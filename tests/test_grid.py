@@ -108,6 +108,13 @@ class TestSchemeMatrices:
                 getattr(m.matrices, name).toarray(), getattr(fresh, name).toarray()
             )
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 1023])
+    def test_stored_transpose_gives_the_same_products(self, n, rng):
+        sm = build_scheme_matrices(Mesh(n))
+        assert sm.MT.format == "csr"
+        for Y in (random_complex(rng, n + 1), random_complex(rng, n + 1, 7)):
+            np.testing.assert_array_equal(sm.MT @ Y, sm.M.T @ Y)
+
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_invertible(self, n):
         sm = build_scheme_matrices(Mesh(n))

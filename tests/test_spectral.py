@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from schrostab import secular
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
 from schrostab.spectral import (
@@ -80,7 +81,7 @@ class TestSpectralAbscissa:
 
     def test_residual_check_binds(self, monkeypatch):
         # eigenvalues off by 1e-10 ||A|| leave a residual of that size
-        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
+        system = SemiDiscreteSystem(CLASSICAL, Mesh(15), 1.0)
         shift = 1e-10 * spectral_norm_estimate(system.generator)
 
         def shifted(A):
@@ -90,6 +91,33 @@ class TestSpectralAbscissa:
         monkeypatch.setattr("schrostab.spectral.eigenpairs", shifted)
         with pytest.raises(NumericalError, match="eigen-residual"):
             spectral_abscissa(system)
+
+    @pytest.mark.parametrize("root", [0, 7, 15])
+    def test_secular_residual_check_binds(self, monkeypatch, root):
+        # one secular root off by 1e-10 ||B|| leaves a backward residual of about that size
+        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
+        shift = 1e-10 * spectral_norm_estimate(system.weighted_generator)
+        solve = secular.secular_roots
+
+        def shifted(theta, c, rho):
+            lam = solve(theta, c, rho)
+            lam[root] += shift
+            return lam
+
+        monkeypatch.setattr("schrostab.secular.secular_roots", shifted)
+        with pytest.raises(NumericalError, match="secular residual"):
+            spectral_abscissa(system)
+
+    def test_order_reduction_never_forms_a_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order-reduction spectrum formed a dense matrix")
+
+        for name in ("generator", "weighted_generator"):
+            monkeypatch.setattr(SemiDiscreteSystem, name, property(refuse))
+        monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
+        rep = spectral_abscissa(SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0))
+        assert rep.eigenvalues.size == 4096
+        assert rep.abscissa < 0
 
     def test_classical_abscissa_shrinks(self):
         a9 = spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(9), 1.0)).abscissa
