@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 
@@ -32,6 +33,19 @@ SCHEME_CHOICES = {
     "classical": [CLASSICAL],
     "both": [ORDER_REDUCTION, CLASSICAL],
 }
+
+
+class _FiniteFloat(click.types.FloatParamType):
+    """A float option that refuses nan and +-inf at parse time."""
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
+        return value
+
+
+FINITE_FLOAT = _FiniteFloat()
 
 
 def _out_path(out: str) -> str:
@@ -123,7 +137,7 @@ def main():
 @click.option("--scheme", type=click.Choice(sorted(SCHEME_CHOICES)), default="both")
 @click.option("--n-list", required=True, callback=_parse_n_list,
               help="comma-separated grid sizes, e.g. 9,99,999")
-@click.option("--k", type=float, default=1.0, show_default=True)
+@click.option("--k", type=FINITE_FLOAT, default=1.0, show_default=True)
 @click.option("--out", required=True, help="output file path")
 @click.option("--format", type=click.Choice(["csv", "json"]), default="csv")
 @click.option("--svg", default=None, help="also write an abscissa-vs-N chart here")
@@ -163,11 +177,11 @@ def spectrum(config, scheme, n_list, k, out, format, svg):
 @main.command()
 @click.option("--scheme", type=click.Choice(sorted(SCHEME_CHOICES)), default="both")
 @click.option("--n-list", required=True, callback=_parse_n_list)
-@click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--beta-min", type=float, default=-20.0, show_default=True)
-@click.option("--beta-max", type=float, default=20.0, show_default=True)
+@click.option("--k", type=FINITE_FLOAT, default=1.0, show_default=True)
+@click.option("--beta-min", type=FINITE_FLOAT, default=-20.0, show_default=True)
+@click.option("--beta-max", type=FINITE_FLOAT, default=20.0, show_default=True)
 @click.option("--linear-steps", type=int, default=81, show_default=True)
-@click.option("--log-decades", type=float, default=None,
+@click.option("--log-decades", type=FINITE_FLOAT, default=None,
               help="log tail reach; default covers the discrete spectrum")
 @click.option("--out", required=True)
 @click.option("--format", type=click.Choice(["csv", "json"]), default="csv")
@@ -206,9 +220,9 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
               type=click.Choice([c for c in sorted(SCHEME_CHOICES) if c != "both"]),
               default="order-reduction")
 @click.option("--n", type=int, required=True)
-@click.option("--k", type=float, default=1.0, show_default=True)
-@click.option("--dt", type=float, default=1e-3, show_default=True)
-@click.option("--t-final", type=float, default=3.0, show_default=True)
+@click.option("--k", type=FINITE_FLOAT, default=1.0, show_default=True)
+@click.option("--dt", type=FINITE_FLOAT, default=1e-3, show_default=True)
+@click.option("--t-final", type=FINITE_FLOAT, default=3.0, show_default=True)
 @click.option("--preset", type=click.Choice(["random", "smooth", "sine"]), default="smooth")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True)
@@ -243,8 +257,8 @@ def simulate_cmd(config, scheme, n, k, dt, t_final, preset, seed, out):
 @main.command()
 @click.option("--samples", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--beta", type=float, default=3.7, show_default=True)
-@click.option("--perturb", type=float, default=0.0,
+@click.option("--beta", type=FINITE_FLOAT, default=3.7, show_default=True)
+@click.option("--perturb", type=FINITE_FLOAT, default=0.0,
               help="inject a fault of this size into one matrix entry")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @_exit_code_guard

@@ -5,9 +5,10 @@ expressed through four objects defined here: the midpoint average, the scaled
 first difference, the bidiagonal scheme matrices, and the weighted inner
 product induced by the lower-bidiagonal averaging matrix.  The scheme
 matrices have one form, the sparse CSR matrices that each mesh builds once
-(`Mesh.matrices`, which keeps M.T as a CSR matrix `MT` of its own); products
-are `D @`, `M @` and `MT @`, and the O(N) banded solvers solve_d and
-solve_dt invert D and D.T.  Nothing here forms a dense operator.
+from the two stencils Sigma and Delta (`Mesh.matrices`, which keeps M.T as a
+CSR matrix `MT` of its own); products are `D @`, `M @` and `MT @`, and
+solve_d and solve_dt apply the closed-form inverses of D and D.T, an
+alternating cumulative sum in O(N).  Nothing here forms a dense operator.
 
 Index conventions: a *state* vector holds nodes 1..N+1, a *shadow* vector
 holds nodes 0..N, and an *extended* vector holds nodes 0..N+1.  Mixing them
@@ -22,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
 
 __all__ = [
     "Mesh",
@@ -110,20 +110,16 @@ class SchemeMatrices:
 
 
 def build_scheme_matrices(mesh: Mesh) -> SchemeMatrices:
+    """Sigma and Delta from their stencils, then D = Sigma[:, 1:] and M = Delta[:, :-1]."""
     n1 = mesh.state_size
-    inv_h = 1.0 / mesh.h
 
-    def bidiagonal(cols: int, offset: int, values) -> sp.csr_array:
-        return sp.diags_array(values, offsets=(0, offset), shape=(n1, cols), format="csr")
+    def stencil(values) -> sp.csr_array:
+        return sp.diags_array(values, offsets=(0, 1), shape=(n1, n1 + 1), format="csr")
 
-    M = bidiagonal(n1, 1, (-inv_h, inv_h))
-    return SchemeMatrices(
-        D=bidiagonal(n1, -1, (0.5, 0.5)),
-        M=M,
-        MT=M.T.tocsr(),
-        Sigma=bidiagonal(n1 + 1, 1, (0.5, 0.5)),
-        Delta=bidiagonal(n1 + 1, 1, (-inv_h, inv_h)),
-    )
+    Sigma = stencil((0.5, 0.5))
+    Delta = stencil((-1.0 / mesh.h, 1.0 / mesh.h))
+    M = Delta[:, :-1]
+    return SchemeMatrices(D=Sigma[:, 1:], M=M, MT=M.T.tocsr(), Sigma=Sigma, Delta=Delta)
 
 
 def _as_state(Y, mesh: Mesh) -> np.ndarray:
@@ -136,22 +132,25 @@ def _as_state(Y, mesh: Mesh) -> np.ndarray:
     return Y
 
 
+def _signs(b: np.ndarray) -> np.ndarray:
+    """The column (+1, -1, +1, ...) down b's first axis, shaped to broadcast against b."""
+    return np.resize([1.0, -1.0], b.shape[0]).reshape((-1,) + (1,) * (b.ndim - 1))
+
+
 def solve_d(b: np.ndarray) -> np.ndarray:
-    """Forward substitution with the lower bidiagonal D, O(N)."""
-    n = b.shape[0]
-    ab = np.zeros((2, n))
-    ab[0] = 0.5
-    ab[1, :-1] = 0.5
-    return solve_banded((1, 0), ab, b)
+    """Solve D x = b along the first axis by D's closed-form inverse, O(N).
+
+    D = (I + S)/2 with S the down-shift, so x_j = 2 s_j sum_{i<=j} s_i b_i
+    with s = (+1, -1, +1, ...): forward substitution, exactly.
+    """
+    s = _signs(b)
+    return 2 * s * np.cumsum(s * b, axis=0)
 
 
 def solve_dt(b: np.ndarray) -> np.ndarray:
-    """Back substitution with the upper bidiagonal D.T, O(N)."""
-    n = b.shape[0]
-    ab = np.zeros((2, n))
-    ab[0, 1:] = 0.5
-    ab[1] = 0.5
-    return solve_banded((0, 1), ab, b)
+    """Solve D.T x = b along the first axis: the same sum taken from the end, O(N)."""
+    s = _signs(b)
+    return 2 * s * np.cumsum((s * b)[::-1], axis=0)[::-1]
 
 
 def yh_inner(Y, Ytilde, mesh: Mesh) -> complex:
@@ -170,6 +169,16 @@ def yh_norm(Y, mesh: Mesh) -> float:
     return np.sqrt(mesh.h * np.sum(np.abs(a) ** 2, axis=0))
 
 
+def _shadow_rhs(Y, k: float, mesh: Mesh) -> np.ndarray:
+    """D.T Z for the shadow element Z of Y: -M.T Y + (0, ..., 0, i k y_{N+1} / 2)."""
+    if k <= 0:
+        raise ValueError(f"feedback gain must be positive, got k={k}")
+    Y = _as_state(Y, mesh)
+    rhs = -(mesh.matrices.MT @ Y)
+    rhs[-1] += 0.5j * k * Y[-1]
+    return rhs
+
+
 def shadow_element(Y, k: float, mesh: Mesh) -> np.ndarray:
     """The auxiliary derivative vector Z (nodes 0..N) attached to a state Y.
 
@@ -178,12 +187,7 @@ def shadow_element(Y, k: float, mesh: Mesh) -> np.ndarray:
     z_{N+1} = -i k y_{N+1}, the midpoint averages of z equal the scaled
     differences of y on every cell.
     """
-    if k <= 0:
-        raise ValueError(f"feedback gain must be positive, got k={k}")
-    Y = _as_state(Y, mesh)
-    rhs = -(mesh.matrices.MT @ Y)
-    rhs[-1] += 0.5j * k * Y[-1]
-    return solve_dt(rhs)
+    return solve_dt(_shadow_rhs(Y, k, mesh))
 
 
 def extend_state(Y, mesh: Mesh) -> np.ndarray:

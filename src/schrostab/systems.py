@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Mesh, shadow_element, solve_d, yh_inner, yh_norm
+from .grid import Mesh, _shadow_rhs, shadow_element, solve_d, yh_inner, yh_norm
 
 __all__ = [
     "ORDER_REDUCTION",
@@ -51,15 +51,9 @@ def apply_generator(scheme: str, Y, k: float, mesh: Mesh) -> np.ndarray:
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    _check_gain(k)
     Y = np.asarray(Y, dtype=complex)
-    sm = mesh.matrices
-    if scheme == ORDER_REDUCTION:
-        Z = shadow_element(Y, k, mesh)
-    else:
-        Z = -(sm.MT @ Y)
-        Z[-1] += 0.5j * k * Y[-1]
-    b = -1j * (sm.M @ Z)
+    Z = (shadow_element if scheme == ORDER_REDUCTION else _shadow_rhs)(Y, k, mesh)
+    b = -1j * (mesh.matrices.M @ Z)
     b[-1] -= (k / mesh.h) * Y[-1]
     return solve_d(b) if scheme == ORDER_REDUCTION else b
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -31,7 +32,7 @@ class TestSpectrum:
         assert lines[0] == "scheme,N,h,k,abscissa,max_eigen_residual"
         assert len(lines) == 5  # header + 2 schemes x 2 sizes
         assert os.path.exists(str(out) + ".meta.json")
-        meta = json.load(open(str(out) + ".meta.json"))
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["config"]["n_list"] == [5, 9]
 
     def test_json_format(self, runner, tmp_path):
@@ -42,7 +43,7 @@ class TestSpectrum:
              "--out", str(out), "--format", "json"],
         )
         assert result.exit_code == 0, result.output
-        payload = json.load(open(out))
+        payload = json.loads(out.read_text())
         assert len(payload["rows"]) == 1
         row = payload["rows"][0]
         assert row["scheme"] == "order_reduction"
@@ -128,7 +129,7 @@ class TestResolvent:
              "--out", str(out), "--format", "json"],
         )
         assert result.exit_code == 0, result.output
-        payload = json.load(open(out))
+        payload = json.loads(out.read_text())
         assert len(payload["sweeps"]) == 2  # both schemes
         for sw in payload["sweeps"]:
             assert sw["sup_norm"] >= max(sw["norm"]) - 1e-12
@@ -149,7 +150,7 @@ class TestSimulate:
         assert len(lines) == 101
         energies = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
-        summary = json.load(open(str(out) + ".summary.json"))
+        summary = json.loads(Path(str(out) + ".summary.json").read_text())
         assert summary["n"] == 15
         assert summary["omega_fit"] is not None
         assert summary["max_step_gap"] <= 1e-12 * summary["initial_energy"]
@@ -231,6 +232,31 @@ class TestVerify:
 def test_precondition_violation_is_usage_error(runner, tmp_path, argv):
     result = runner.invoke(main, argv + ["--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["spectrum", "--n-list", "5"], "--k"),
+        (["resolvent", "--n-list", "5"], "--k"),
+        (["resolvent", "--n-list", "5"], "--beta-min"),
+        (["resolvent", "--n-list", "5"], "--beta-max"),
+        (["resolvent", "--n-list", "5"], "--log-decades"),
+        (["simulate", "--n", "7"], "--k"),
+        (["simulate", "--n", "7"], "--dt"),
+        (["simulate", "--n", "7"], "--t-final"),
+        (["verify"], "--beta"),
+        (["verify"], "--perturb"),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else v.lstrip("-"),
+)
+def test_non_finite_float_is_usage_error(runner, tmp_path, argv, option, value):
+    out = [] if argv[0] == "verify" else ["--out", str(tmp_path / "x.csv")]
+    result = runner.invoke(main, argv + out + [f"{option}={value}"])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}': {value} is not a finite number" in result.output
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

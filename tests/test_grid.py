@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from schrostab.grid import (
     Mesh,
@@ -11,6 +12,8 @@ from schrostab.grid import (
     extend_shadow,
     extend_state,
     shadow_element,
+    solve_d,
+    solve_dt,
     triple_sum_identity_gap,
     yh_inner,
     yh_norm,
@@ -132,6 +135,53 @@ class TestSchemeMatrices:
         lhs = m.h * np.linalg.norm(sm.Sigma @ z) ** 2
         rhs = m.h * np.sum(np.abs(average(z)) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-14)
+
+
+def band_lu_solve(b, transpose):
+    """D x = b, or D.T x = b, by the pivoting band LU of scipy.linalg.solve_banded."""
+    ab = np.zeros((2, b.shape[0]))
+    if transpose:
+        ab[0, 1:] = 0.5
+        ab[1] = 0.5
+        return solve_banded((0, 1), ab, b)
+    ab[0] = 0.5
+    ab[1, :-1] = 0.5
+    return solve_banded((1, 0), ab, b)
+
+
+def assert_same_bits(x, y):
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+class TestClosedFormSolves:
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 1023])
+    def test_bit_equal_to_band_lu(self, n, rng):
+        for b in (rng.standard_normal(n + 1), random_complex(rng, n + 1),
+                  random_complex(rng, n + 1, 2000)):
+            assert_same_bits(solve_d(b), band_lu_solve(b, transpose=False))
+            assert_same_bits(solve_dt(b), band_lu_solve(b, transpose=True))
+
+    def test_bit_equal_to_band_lu_on_a_long_vector(self, rng):
+        b = random_complex(rng, 65536)
+        assert_same_bits(solve_d(b), band_lu_solve(b, transpose=False))
+        assert_same_bits(solve_dt(b), band_lu_solve(b, transpose=True))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 1023])
+    def test_round_trips(self, n, rng):
+        D = build_scheme_matrices(Mesh(n)).D
+        b = random_complex(rng, n + 1, 3)
+        for P, x in ((D, solve_d(b)), (D.T, solve_dt(b))):
+            # each product cancels one partial sum, so the error is relative to max |x|
+            atol = 4 * np.finfo(float).eps * np.abs(x).max()
+            np.testing.assert_allclose(P @ x, b, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("solve", [solve_d, solve_dt])
+    def test_batch_equals_its_columns(self, solve, rng):
+        B = random_complex(rng, 64, 5)
+        X = solve(B)
+        for j in range(B.shape[1]):
+            assert_same_bits(X[:, j], solve(B[:, j]))
 
 
 class TestYhInner:

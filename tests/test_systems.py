@@ -29,8 +29,9 @@ class TestApplyOrderReduction:
         np.testing.assert_allclose(out, [8.0 - 32.0j, -16.0 + 48.0j], atol=1e-12)
 
     def test_rejects_bad_gain(self):
-        with pytest.raises(ValueError):
-            apply_generator(ORDER_REDUCTION, np.zeros(3), -1.0, Mesh(2))
+        for scheme in SCHEMES:
+            with pytest.raises(ValueError, match="feedback gain must be positive"):
+                apply_generator(scheme, np.zeros(3), -1.0, Mesh(2))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n,k", [(1, 1.0), (9, 0.3), (64, 10.0)])
