@@ -19,11 +19,11 @@ import click
 import numpy as np
 
 from . import __version__
-from .dynamics import fit_decay_rate, initial_state, simulate
+from .dynamics import MAX_STEPS, fit_decay_rate, initial_state, simulate
 from .errors import NumericalError
 from .grid import Mesh
 from .identities import run_identity_suite
-from .spectral import MAX_EIG_DIM, resolvent_sweep, spectral_abscissa
+from .spectral import MAX_EIG_DIM, MAX_LOG_DECADES, resolvent_sweep, spectral_abscissa
 from .svgplot import line_chart
 from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
@@ -36,12 +36,17 @@ SCHEME_CHOICES = {
 
 
 class _FiniteFloat(click.types.FloatParamType):
-    """A float option that refuses nan and +-inf at parse time."""
+    """A float option that refuses nan, +-inf and values above `cap` at parse time."""
+
+    def __init__(self, cap: float = math.inf):
+        self.cap = cap
 
     def convert(self, value, param, ctx):
         value = super().convert(value, param, ctx)
         if not math.isfinite(value):
             self.fail(f"{value!r} is not a finite number", param, ctx)
+        if value > self.cap:
+            self.fail(f"{value!r} exceeds the cap of {self.cap:g}", param, ctx)
         return value
 
 
@@ -181,15 +186,17 @@ def spectrum(config, scheme, n_list, k, out, format, svg):
 @click.option("--beta-min", type=FINITE_FLOAT, default=-20.0, show_default=True)
 @click.option("--beta-max", type=FINITE_FLOAT, default=20.0, show_default=True)
 @click.option("--linear-steps", type=int, default=81, show_default=True)
-@click.option("--log-decades", type=FINITE_FLOAT, default=None,
-              help="log tail reach; default covers the discrete spectrum")
+@click.option("--log-decades", type=_FiniteFloat(MAX_LOG_DECADES), default=None,
+              help=f"log tail reach, at most {MAX_LOG_DECADES:g}; "
+                   "default covers the discrete spectrum")
 @click.option("--out", required=True)
 @click.option("--format", type=click.Choice(["csv", "json"]), default="csv")
 @_exit_code_guard
 def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades,
               out, format):
     """Weighted resolvent-norm sweeps along the imaginary axis."""
-    _check_dense_cap(n_list, "the resolvent command")
+    if CLASSICAL in SCHEME_CHOICES[scheme]:
+        _check_dense_cap(n_list, "the classical scheme")
     meshes = [Mesh(n) for n in n_list]
     sweeps = [
         resolvent_sweep(SemiDiscreteSystem(sch, mesh, k), beta_min, beta_max,
@@ -229,6 +236,10 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
 @_exit_code_guard
 def simulate_cmd(config, scheme, n, k, dt, t_final, preset, seed, out):
     """Energy-decay simulation with per-step dissipation accounting."""
+    if dt > 0 and not t_final / dt < MAX_STEPS + 0.5:
+        raise click.UsageError(
+            f"--t-final/--dt ask for {t_final / dt:.3g} steps, above the cap of {MAX_STEPS}"
+        )
     system = SemiDiscreteSystem(SCHEME_CHOICES[scheme][0], Mesh(n), k)
     W0 = initial_state(preset, system, seed=seed)
     trace = simulate(system, W0, dt, t_final)  # refuses t_final < dt: at least one step

@@ -24,12 +24,17 @@ from .errors import NumericalError
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 __all__ = [
+    "MAX_STEPS",
     "EnergyTrace",
     "MidpointStepper",
     "simulate",
     "fit_decay_rate",
     "initial_state",
 ]
+
+
+# A trace keeps 40 bytes per step, so the cap holds its arrays to 40 MB.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,12 @@ class MidpointStepper:
 
 
 def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> EnergyTrace:
-    """March W' = A W by implicit midpoint, recording the energy balance."""
+    """March W' = A W by implicit midpoint, recording the energy balance.
+
+    Refuses, before anything is built, a window of more than MAX_STEPS steps.
+    """
+    if dt > 0 and not t_final / dt < MAX_STEPS + 0.5:
+        raise ValueError(f"t_final/dt = {t_final / dt:.3g} steps exceeds the cap of {MAX_STEPS}")
     stepper = MidpointStepper(system, dt)  # rejects dt <= 0
     if t_final < dt:
         raise ValueError("t_final must be at least one step")

@@ -3,11 +3,13 @@
 The similarity S = sqrt(h) D carries the mesh-weighted norm to the Euclidean
 one, so the weighted operator norm of (i beta I - A)^{-1} is the reciprocal
 smallest singular value of i beta I - B with B = S A S^{-1} = D A D^{-1}.
-Each system forms B once (`SemiDiscreteSystem.weighted_generator`); every
-beta then costs one shifted SVD.  Order-reduction eigenvalues are the
-certified roots of the closed-form secular equation of B
-(`schrostab.secular`), found with no matrix; classical eigenvalues come from
-a dense eigensolve of A itself.
+The order-reduction B is diagonal plus rank one in closed form
+(`schrostab.secular`): its eigenvalues are the certified roots of a secular
+equation, and each sigma_min(i beta I - B) is bracketed by an exact O(N)
+eigenvalue count, with no matrix.  The classical scheme stays dense: its
+eigenvalues come from a dense eigensolve of A, and each beta costs one SVD
+of i beta I - B, with B formed once per system
+(`SemiDiscreteSystem.weighted_generator`).
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import scipy.linalg as sla
 
 from .errors import NumericalError
 from .grid import Mesh
-from .secular import or_spectrum
+from .secular import or_resolvent_smin, or_spectrum
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem
 
 __all__ = [
     "MAX_EIG_DIM",
+    "MAX_LOG_DECADES",
     "SpectrumReport",
     "ResolventSweepReport",
     "eigenpairs",
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 MAX_EIG_DIM = 2048
+# Log tails reach at most 10**30, with 20 points per decade on each side.
+MAX_LOG_DECADES = 30.0
 DEFAULT_EIG_TOL = 1e-12
 _POWER_ITERATIONS = 60
 
@@ -138,9 +143,12 @@ def resolvent_norm(system: SemiDiscreteSystem, beta: float) -> float:
     """Weighted operator norm of (i beta I - A)^{-1}.
 
     Computed as 1 / sigma_min(i beta I - B) with B the system's weighted
-    generator; raises NumericalError when i*beta is numerically an
-    eigenvalue.
+    generator: from the secular bracket for the order-reduction scheme
+    (`secular.or_resolvent_smin`), from a dense SVD for the classical one.
+    Raises NumericalError when i*beta is numerically an eigenvalue.
     """
+    if system.scheme == ORDER_REDUCTION:
+        return float(1.0 / or_resolvent_smin(system.mesh, system.k, beta)[0])
     B = system.weighted_generator
     sv = sla.svdvals(1j * beta * np.eye(B.shape[0]) - B)
     smin, smax = sv[-1], sv[0]
@@ -176,6 +184,8 @@ def sweep_grid(
         raise ValueError("beta_min must be below beta_max")
     if linear_steps < 2:
         raise ValueError("linear grid needs at least 2 steps")
+    if log_decades > MAX_LOG_DECADES:
+        raise ValueError(f"log_decades {log_decades:g} exceeds the cap of {MAX_LOG_DECADES:g}")
     lin = np.linspace(beta_min, beta_max, linear_steps)
     pieces = [lin, -lin]
     if log_decades > 0:
@@ -194,12 +204,16 @@ def resolvent_sweep(
 ) -> ResolventSweepReport:
     """Evaluate the weighted resolvent norm over the sweep grid.
 
-    Ties in the argmax are broken toward the smallest |beta|.
+    Order-reduction norms come from one vectorised secular call over the
+    grid.  Ties in the argmax are broken toward the smallest |beta|.
     """
     if log_decades is None:
         log_decades = float(np.log10(default_beta_max(system.mesh)))
     grid = sweep_grid(system, beta_min, beta_max, linear_steps, log_decades)
-    norms = np.array([resolvent_norm(system, b) for b in grid])
+    if system.scheme == ORDER_REDUCTION:
+        norms = 1.0 / or_resolvent_smin(system.mesh, system.k, grid)
+    else:
+        norms = np.array([resolvent_norm(system, b) for b in grid])
     sup = float(np.max(norms))
     at_max = grid[norms == sup]
     argmax = float(at_max[np.argmin(np.abs(at_max))])

@@ -6,8 +6,9 @@ shadow element (P = D), the classical scheme is the plain second-difference
 operator with the same boundary feedback (P = I).  That applier is the only
 definition of either generator: the dense generator that the classical
 eigensolve needs, and the dense weighted generator D A D^{-1} that the
-resolvent needs, are the applier evaluated on the identity.  The
-order-reduction spectrum needs neither (see `schrostab.secular`).  A
+classical resolvent needs, are the applier evaluated on the identity.  The
+order-reduction spectrum and resolvent need neither (see
+`schrostab.secular`).  A
 `SemiDiscreteSystem` forms each of them on first use and keeps it, as a
 cached property, the way a `Mesh` keeps its scheme matrices.
 """

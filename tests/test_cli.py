@@ -135,6 +135,26 @@ class TestResolvent:
             assert sw["sup_norm"] >= max(sw["norm"]) - 1e-12
             assert len(sw["beta"]) == len(sw["norm"])
 
+    def test_order_reduction_beyond_dense_cap(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["resolvent", "--scheme", "order-reduction", "--n-list", "4095",
+                   "--linear-steps", "11", "--log-decades", "1", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        lines = read_lines(out)
+        assert lines[1].startswith("order_reduction,4095,")
+        assert 0.52 < float(lines[-1].split(",")[0]) < 0.53  # the sup norm
+
+    def test_log_decades_cap_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["resolvent", "--n-list", "3", "--log-decades", "400",
+                   "--out", str(tmp_path / "x.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--log-decades': 400.0 exceeds the cap of 30" in result.output
+        assert not any(tmp_path.iterdir())
+
 
 class TestSimulate:
     def test_csv_and_summary(self, runner, tmp_path):
@@ -188,6 +208,21 @@ class TestSimulate:
                    "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("window", [["--t-final", "1e15"], ["--t-final", "1001", "--dt", "1e-3"],
+                                        ["--dt", "1e-320"]])
+    def test_step_cap_is_usage_error(self, runner, tmp_path, monkeypatch, window):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated past the step cap")
+
+        monkeypatch.setattr("schrostab.cli.simulate", refuse)
+        result = runner.invoke(
+            main, ["simulate", "--n", "7", "--out", str(tmp_path / "x.csv")] + window
+        )
+        assert result.exit_code == 2, result.output
+        assert "--t-final/--dt ask for" in result.output
+        assert "above the cap of 1000000" in result.output
+        assert not any(tmp_path.iterdir())
 
 
 class TestVerify:
@@ -264,9 +299,10 @@ def test_non_finite_float_is_usage_error(runner, tmp_path, argv, option, value):
     [
         (["spectrum", "--scheme", "both"], "the classical scheme"),
         (["spectrum", "--scheme", "classical"], "the classical scheme"),
-        (["resolvent", "--scheme", "order-reduction"], "the resolvent command"),
+        (["resolvent", "--scheme", "both"], "the classical scheme"),
+        (["resolvent", "--scheme", "classical"], "the classical scheme"),
     ],
-    ids=["spectrum-both", "spectrum-classical", "resolvent"],
+    ids=["spectrum-both", "spectrum-classical", "resolvent", "resolvent-classical"],
 )
 def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
     def refuse(*args, **kwargs):

@@ -91,6 +91,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(system, np.zeros(8), 1e-2, 1e-3)
 
+    def test_step_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a stepper past the step cap")
+
+        monkeypatch.setattr("schrostab.dynamics.MidpointStepper", refuse)
+        system = make_system()
+        with pytest.raises(ValueError, match="1e\\+06 steps exceeds the cap of 1000000"):
+            simulate(system, np.zeros(8), 1e-3, 1000.001)
+
     @pytest.mark.parametrize("n,k,dt", [(7, 1.0, 1e-2), (31, 0.5, 1e-3), (63, 10.0, 1e-3)])
     def test_per_step_energy_identity(self, n, k, dt, rng):
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), k)

@@ -1,12 +1,15 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schrostab import secular
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
-from schrostab.secular import or_poles_weights, or_spectrum, secular_roots
+from schrostab.secular import or_poles_weights, or_resolvent_smin, or_spectrum, secular_roots
+from schrostab.spectral import default_beta_max, sweep_grid
 from schrostab.systems import ORDER_REDUCTION, SemiDiscreteSystem
 
 from conftest import weighted_oracle
@@ -106,3 +109,97 @@ def test_nonfinite_root_is_refused(monkeypatch):
     monkeypatch.setattr("schrostab.secular.secular_roots", lost)
     with pytest.raises(NumericalError, match="15 finite roots of 16"):
         or_spectrum(Mesh(15), 1.0)
+
+
+EPS = np.finfo(float).eps
+
+
+def _resolvent_betas(system):
+    """The full sweep grid, +-3000, and three betas exactly at a pole theta_m."""
+    theta = or_poles_weights(system.mesh)[0]
+    grid = sweep_grid(system, -20.0, 20.0, 81, float(np.log10(default_beta_max(system.mesh))))
+    return np.concatenate([grid, [3000.0, -3000.0, theta[0], theta[system.n // 2], theta[-1]]])
+
+
+@pytest.mark.parametrize("n", [1, 15, 63, 127])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+def test_resolvent_smin_matches_dense_oracle(n, k):
+    # 1e-9 relative, plus the dense SVD's own rounding, 2 eps ||i beta - B||_2
+    # (measured: at most 0.5 of it for N >= 15).  At N=127, k=0.1 the two
+    # differ by up to 1.2e-8 relative; at two of those betas a 30-digit
+    # mpmath SVD agrees with the secular value to 4e-16 and with the dense
+    # one to 8.4e-9 and 6.6e-9.
+    system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), k)
+    betas = _resolvent_betas(system)
+    B = weighted_oracle(system)
+    eye = np.eye(n + 1)
+    smax, smin = np.array([sla.svdvals(1j * b * eye - B)[[0, -1]] for b in betas]).T
+    got = or_resolvent_smin(system.mesh, k, betas)
+    assert np.all(np.abs(got - smin) <= 1e-9 * smin + 2 * EPS * smax)
+
+
+def _mpmath_smin(theta, c, rho, beta):
+    """sigma_min(i (beta - Theta) + rho c c^T) by a 40-digit SVD."""
+    with mpmath.workdps(40):
+        n1 = theta.size
+        X = mpmath.matrix(n1, n1)
+        for i in range(n1):
+            for j in range(n1):
+                X[i, j] = mpmath.mpf(rho) * mpmath.mpf(c[i]) * mpmath.mpf(c[j])
+            X[i, i] += mpmath.mpc(0, mpmath.mpf(beta) - mpmath.mpf(theta[i]))
+        return float(min(mpmath.svd_c(X, compute_uv=False)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 15])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+def test_resolvent_smin_matches_mpmath_oracle(n, k):
+    mesh = Mesh(n)
+    theta, c = or_poles_weights(mesh)
+    rho = k / mesh.h
+    lam = or_spectrum(mesh, k)[0]
+    peak = lam[np.argmax(lam.real)].imag
+    betas = np.array([0.0, peak, -17.5, 3000.0, theta[1]])
+    got = or_resolvent_smin(mesh, k, betas)
+    expect = np.array([_mpmath_smin(theta, c, rho, b) for b in betas])
+    assert np.all(np.abs(got - expect) <= 1e-13 * expect)
+
+
+@pytest.mark.parametrize("scale", [1 + 1e-10, 1 - 1e-10], ids=["lo-above", "hi-below"])
+def test_resolvent_bracket_count_binds(monkeypatch, scale):
+    # a bracket moved by 1e-10 relative leaves sigma_min outside it
+    solve = secular._smin_brackets
+
+    def moved(theta, c, rho, betas):
+        lo, hi = solve(theta, c, rho, betas)
+        return lo * scale, hi * scale
+
+    monkeypatch.setattr("schrostab.secular._smin_brackets", moved)
+    with pytest.raises(NumericalError, match="fails its eigenvalue count"):
+        or_resolvent_smin(Mesh(15), 1.0, [0.0, 2.868, 3000.0])
+
+
+def test_resolvent_bracket_width_binds(monkeypatch):
+    solve = secular._smin_brackets
+
+    def widened(theta, c, rho, betas):
+        lo, hi = solve(theta, c, rho, betas)
+        return lo * (1 - 1e-12), hi
+
+    monkeypatch.setattr("schrostab.secular._smin_brackets", widened)
+    with pytest.raises(NumericalError, match="did not converge"):
+        or_resolvent_smin(Mesh(15), 1.0, [0.0])
+
+
+def test_beta_in_the_spectrum_is_refused(monkeypatch):
+    # with c_3 = 0, i theta_3 is an eigenvalue of i Theta - rho c c^T
+    poles_weights = or_poles_weights
+
+    def decoupled(mesh):
+        theta, c = poles_weights(mesh)
+        c[3] = 0.0
+        return theta, c
+
+    monkeypatch.setattr("schrostab.secular.or_poles_weights", decoupled)
+    theta = poles_weights(Mesh(15))[0]
+    with pytest.raises(NumericalError, match="numerically in the spectrum at beta="):
+        or_resolvent_smin(Mesh(15), 1.0, [0.0, theta[3]])

@@ -199,3 +199,19 @@ class TestResolventSweep:
             resolvent_sweep(system, 5.0, -5.0, 10)
         with pytest.raises(ValueError):
             resolvent_sweep(system, -5.0, 5.0, 1)
+        with pytest.raises(ValueError, match="log_decades 400 exceeds the cap of 30"):
+            resolvent_sweep(system, -5.0, 5.0, 10, log_decades=400.0)
+
+    def test_order_reduction_resolvent_never_forms_a_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the order-reduction resolvent formed a dense matrix")
+
+        for name in ("generator", "weighted_generator"):
+            monkeypatch.setattr(SemiDiscreteSystem, name, property(refuse))
+        monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
+        monkeypatch.setattr("schrostab.spectral.sla.svdvals", refuse)
+        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0)
+        sweep = resolvent_sweep(system, -20.0, 20.0, 11, log_decades=1.0)
+        assert sweep.beta_grid.size > 4096  # the 4096 eigenvalue peaks and the grid
+        assert 0.52 < sweep.sup_norm < 0.53
+        assert resolvent_norm(system, 2.868) <= sweep.sup_norm
