@@ -19,11 +19,17 @@ import click
 import numpy as np
 
 from . import __version__
-from .dynamics import MAX_STEPS, fit_decay_rate, initial_state, simulate
+from .dynamics import MAX_N, MAX_STEPS, fit_decay_rate, initial_state, simulate
 from .errors import NumericalError
 from .grid import Mesh
-from .identities import run_identity_suite
-from .spectral import MAX_EIG_DIM, MAX_LOG_DECADES, resolvent_sweep, spectral_abscissa
+from .identities import MAX_SAMPLES, run_identity_suite
+from .spectral import (
+    MAX_EIG_DIM,
+    MAX_LINEAR_STEPS,
+    MAX_LOG_DECADES,
+    resolvent_sweep,
+    spectral_abscissa,
+)
 from .svgplot import line_chart
 from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
@@ -185,7 +191,8 @@ def spectrum(config, scheme, n_list, k, out, format, svg):
 @click.option("--k", type=FINITE_FLOAT, default=1.0, show_default=True)
 @click.option("--beta-min", type=FINITE_FLOAT, default=-20.0, show_default=True)
 @click.option("--beta-max", type=FINITE_FLOAT, default=20.0, show_default=True)
-@click.option("--linear-steps", type=int, default=81, show_default=True)
+@click.option("--linear-steps", type=click.IntRange(max=MAX_LINEAR_STEPS), default=81,
+              show_default=True)
 @click.option("--log-decades", type=_FiniteFloat(MAX_LOG_DECADES), default=None,
               help=f"log tail reach, at most {MAX_LOG_DECADES:g}; "
                    "default covers the discrete spectrum")
@@ -226,7 +233,7 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
 @click.option("--scheme",
               type=click.Choice([c for c in sorted(SCHEME_CHOICES) if c != "both"]),
               default="order-reduction")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(max=MAX_N), required=True)
 @click.option("--k", type=FINITE_FLOAT, default=1.0, show_default=True)
 @click.option("--dt", type=FINITE_FLOAT, default=1e-3, show_default=True)
 @click.option("--t-final", type=FINITE_FLOAT, default=3.0, show_default=True)
@@ -266,7 +273,8 @@ def simulate_cmd(config, scheme, n, k, dt, t_final, preset, seed, out):
 
 
 @main.command()
-@click.option("--samples", type=int, default=100, show_default=True)
+@click.option("--samples", type=click.IntRange(max=MAX_SAMPLES), default=100,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--beta", type=FINITE_FLOAT, default=3.7, show_default=True)
 @click.option("--perturb", type=FINITE_FLOAT, default=0.0,

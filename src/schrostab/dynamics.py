@@ -6,10 +6,14 @@ k * dt * |m_{N+1}|^2 at the midpoint state m, to roundoff, for every step
 size.  That turns the continuous energy balance into a machine-checkable
 assertion on each step of a simulation.
 
-Each step solves for the midpoint state V together with its shadow vector Z
-in one sparse banded system of size 2(N+1), so the generator is never
-formed: a step costs O(N) and the energy defect stays at roundoff of E(0)
-at every N.
+Neither scheme forms its generator.  The order-reduction scheme steps in
+its closed-form modal basis (`schrostab.secular`), where the weighted
+generator is i Theta - (k/h) c c^T: one Cayley step is a diagonal scaling
+and a Sherman-Morrison correction, O(N) with no matrix, and the energy is
+half the squared Euclidean norm of the modal coordinates.  The classical
+scheme solves for the midpoint state and its shadow vector in one sparse
+banded system of size 2(N+1), factored once.  Either way the energy defect
+stays at roundoff of E(0) at every N.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError
+from .secular import or_modal_coordinates, or_poles_weights
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 __all__ = [
+    "MAX_N",
     "MAX_STEPS",
     "EnergyTrace",
     "MidpointStepper",
@@ -33,8 +39,14 @@ __all__ = [
 ]
 
 
+# The order-reduction stepper keeps a few complex arrays of N+1 entries
+# (16 MiB each at the cap) and the entry transform two FFTs of twice that.
+MAX_N = 2**20
 # A trace keeps 40 bytes per step, so the cap holds its arrays to 40 MB.
 MAX_STEPS = 10**6
+# Largest |(1/2)||a||^2 - E(W)| / E(W) the modal entry transform may leave;
+# the measured worst is 2.6e-14 up to N=65535.
+_ENTRY_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,16 +65,25 @@ class EnergyTrace:
 
 
 class MidpointStepper:
-    """Implicit midpoint stepper with one sparse LU factorization per dt.
+    """Implicit midpoint stepper W+ = 2V - W with (I - dt/2 A) V = W, set up once per dt.
 
-    The midpoint state V = (W + W+)/2 solves (I - dt/2 A) V = W.  Writing
-    A V = P^{-1} (-i M Z - (k/h) E V) with the shadow relation
-    P.T Z = -M.T V + (i k/2) E V, where E = e_{N+1} e_{N+1}.T, P = D for
-    the order-reduction scheme and P = I for the classical one, gives
+    It steps its own coordinates: `enter` maps a state into them, `step`
+    advances them, `energy` and `boundary` read the discrete energy and the
+    midpoint boundary value V_{N+1} off them.
 
-        [[P + (dt k/2h) E, (i dt/2) M], [M.T - (i k/2) E, P.T]] [V; Z] = [P W; 0],
+    Order reduction: the modal coordinates a = Q^T sqrt(h) D W, in which A
+    acts as i Theta - rho c c^T with rho = k/h.  With tau = dt/2 and
+    g = 1/(1 - i tau theta), the midpoint is
+    v = g a - (tau rho c^T(g a) / (1 + tau rho c^T(g c))) g c, the energy
+    is ||a||^2 / 2 and V_{N+1} = c^T v / sqrt(h).  Re g > 0, so the
+    denominator is at least 1 in modulus.
 
-    after which W+ = 2 V - W.
+    Classical: the state itself.  Writing A V = -i M Z - (k/h) E V with the
+    shadow relation Z = -M.T V + (i k/2) E V, E = e_{N+1} e_{N+1}.T, gives
+
+        [[I + (dt k/2h) E, (i dt/2) M], [M.T - (i k/2) E, I]] [V; Z] = [W; 0],
+
+    factored once with `splu`.
     """
 
     def __init__(self, system: SemiDiscreteSystem, dt: float):
@@ -71,13 +92,26 @@ class MidpointStepper:
         self.system = system
         self.dt = dt
         mesh, k = system.mesh, system.k
+        self._modal = system.scheme == ORDER_REDUCTION
+        if self._modal:
+            theta, c = or_poles_weights(mesh)
+            tau, rho = 0.5 * dt, k / mesh.h
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = 1.0 / (1.0 - 1j * tau * theta)
+                gc = g * c
+                w = (tau * rho / (1.0 + tau * rho * (c @ gc))) * gc
+            # w is nan if rho or tau theta overflows
+            if not np.all(np.isfinite(w)):
+                raise NumericalError(f"modal midpoint step not finite at dt={dt}, k={k}")
+            self._g, self._c, self._w = g, c.astype(complex), w  # c complex: no cast per dot
+            return
         n1 = mesh.state_size
         sm = mesh.matrices
-        self._P = sm.D if system.scheme == ORDER_REDUCTION else sp.eye_array(n1, format="csr")
+        eye = sp.eye_array(n1, format="csr")
         E = sp.csr_array(([1.0], ([n1 - 1], [n1 - 1])), shape=(n1, n1))
         K = sp.block_array([
-            [self._P + (dt * k / (2 * mesh.h)) * E, (0.5j * dt) * sm.M],
-            [sm.MT - (0.5j * k) * E, self._P.T],
+            [eye + (dt * k / (2 * mesh.h)) * E, (0.5j * dt) * sm.M],
+            [sm.MT - (0.5j * k) * E, eye],
         ], format="csc")
         try:
             self._lu = splu(K)
@@ -87,11 +121,42 @@ class MidpointStepper:
         if np.min(diag) <= 1e-14 * np.max(diag):
             raise NumericalError(f"midpoint solve near-singular at dt={dt}")
 
-    def step(self, W: np.ndarray) -> np.ndarray:
-        n1 = W.shape[0]
-        rhs = np.zeros((2 * n1,) + W.shape[1:], dtype=complex)
-        rhs[:n1] = self._P @ W
-        return 2.0 * self._lu.solve(rhs)[:n1] - W
+    def enter(self, W) -> np.ndarray:
+        """The stepper's coordinates of the state W.
+
+        Raises NumericalError if the modal coordinates miss the discrete
+        energy of W by more than 1e-12 of it.
+        """
+        W = np.asarray(W, dtype=complex)
+        if not self._modal:
+            return W
+        a = or_modal_coordinates(self.system.mesh, W)
+        got, expect = self.energy(a), discrete_energy(W, self.system.mesh)
+        if not abs(got - expect) <= _ENTRY_RTOL * expect:
+            raise NumericalError(
+                f"modal coordinates carry energy {got!r} against {expect!r} (n={self.system.n})"
+            )
+        return a
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        if self._modal:
+            gu = self._g * u
+            return 2.0 * (gu - (self._c @ gu) * self._w) - u
+        n1 = u.shape[0]
+        rhs = np.zeros(2 * n1, dtype=complex)
+        rhs[:n1] = u
+        return 2.0 * self._lu.solve(rhs)[:n1] - u
+
+    def energy(self, u: np.ndarray) -> float:
+        if self._modal:
+            return 0.5 * float(np.vdot(u, u).real)
+        return discrete_energy(u, self.system.mesh)
+
+    def boundary(self, u: np.ndarray, u_next: np.ndarray) -> complex:
+        """V_{N+1} for the midpoint V of the step from u to u_next."""
+        if self._modal:
+            return (self._c @ (u + u_next)) * (0.5 / np.sqrt(self.system.mesh.h))
+        return 0.5 * (u[-1] + u_next[-1])
 
 
 def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> EnergyTrace:
@@ -104,24 +169,23 @@ def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> Energ
     stepper = MidpointStepper(system, dt)  # rejects dt <= 0
     if t_final < dt:
         raise ValueError("t_final must be at least one step")
-    W = np.asarray(W0, dtype=complex).copy()
-    mesh = system.mesh
+    u = stepper.enter(W0)
     num_steps = int(round(t_final / dt))
     times = np.empty(num_steps + 1)
     energies = np.empty(num_steps + 1)
     boundary = np.empty(num_steps, dtype=complex)
     gaps = np.empty(num_steps)
     times[0] = 0.0
-    energies[0] = discrete_energy(W, mesh)
+    energies[0] = stepper.energy(u)
     for s in range(num_steps):
-        W_next = stepper.step(W)
-        mid_boundary = 0.5 * (W[-1] + W_next[-1])
-        e_next = discrete_energy(W_next, mesh)
+        u_next = stepper.step(u)
+        mid_boundary = stepper.boundary(u, u_next)
+        e_next = stepper.energy(u_next)
         gaps[s] = e_next - energies[s] + system.k * dt * abs(mid_boundary) ** 2
         times[s + 1] = (s + 1) * dt
         energies[s + 1] = e_next
         boundary[s] = mid_boundary
-        W = W_next
+        u = u_next
     return EnergyTrace(times=times, energies=energies, boundary_values=boundary, step_gaps=gaps)
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "claim_functionals_gap",
     "run_identity_suite",
     "SUITE_TOLERANCES",
+    "MAX_SAMPLES",
 ]
 
 
@@ -182,6 +183,8 @@ SUITE_TOLERANCES = {
 
 DEFAULT_SUITE_N = (1, 2, 7, 64, 255)
 DEFAULT_SUITE_K = (0.1, 1.0, 10.0)
+# The default suite peaks at about 53 KiB per sample (594 MiB at the cap, 6 s).
+MAX_SAMPLES = 10**4
 
 
 def _random_states(rng, size: int, batch: int) -> np.ndarray:
@@ -203,6 +206,8 @@ def run_identity_suite(
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got samples={samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
     reports = []
     for n in n_values:

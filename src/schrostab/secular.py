@@ -21,6 +21,12 @@ similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
 sigma_min(i beta - B) = sigma_min(X), and `or_resolvent_smin` brackets it
 for every beta by an exact O(N) eigenvalue count of X^H X (Bunch, Nielsen &
 Sorensen, Numer. Math. 31, 1978), again with no matrix.
+
+The coordinates a = Q^T sqrt(h) D W of a state W are its modal
+coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
+last state component is c^T a / sqrt(h).  `or_modal_coordinates` computes
+them by one DST-III in O(N log N), so `schrostab.dynamics` steps the
+order-reduction scheme in this basis.
 """
 
 from __future__ import annotations
@@ -30,7 +36,13 @@ import numpy as np
 from .errors import NumericalError
 from .grid import Mesh
 
-__all__ = ["or_poles_weights", "secular_roots", "or_spectrum", "or_resolvent_smin"]
+__all__ = [
+    "or_poles_weights",
+    "or_modal_coordinates",
+    "secular_roots",
+    "or_spectrum",
+    "or_resolvent_smin",
+]
 
 _EPS = np.finfo(float).eps
 # Entries per (rows x N+1) block of pairwise terms: 4 MiB of complex128.
@@ -54,13 +66,38 @@ _SMIN_BLOCK_ELEMENTS = 1 << 14
 _SPECTRUM_RTOL = 1e-14
 
 
+def _phases(mesh: Mesh) -> np.ndarray:
+    """phi_m = (m + 1/2) pi h / 2 for m = 0..N."""
+    return (np.arange(mesh.state_size) + 0.5) * np.pi * mesh.h / 2
+
+
 def or_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """The poles theta_m and weights c_m of the order-reduction secular equation, O(N)."""
     m = np.arange(mesh.state_size)
-    phi = (m + 0.5) * np.pi * mesh.h / 2
+    phi = _phases(mesh)
     theta = (2.0 / mesh.h) ** 2 * np.tan(phi) ** 2
     c = np.where(m % 2 == 0, 1.0, -1.0) * np.sqrt(2.0 * mesh.h) / np.cos(phi)
     return theta, c
+
+
+def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
+    """The modal coordinates a = Q^T sqrt(h) D W of a state W, O(N log N).
+
+    a_m = s_m^T (sqrt(h) D^T D W) / ||D s_m||, with ||D s_m|| = cos phi_m
+    sqrt((N+1)/2).  The sums S_m = sum_j y_j sin((2m+1) pi j / (2(N+1)))
+    are a DST-III: with t_j = exp(i pi j / (2(N+1))), S_m = (F+_m - F-_m) / 2i,
+    where F+ and F- are the length-2(N+1) Fourier sums of y t and y conj(t),
+    one inverse and one forward numpy FFT (scipy.fft would be one more
+    package to import).
+    """
+    n1 = mesh.state_size
+    D = mesh.matrices.D
+    y = np.zeros(n1 + 1, dtype=complex)
+    y[1:] = np.sqrt(mesh.h) * (D.T @ (D @ np.asarray(W, dtype=complex)))
+    twist = np.exp(0.5j * np.pi * np.arange(n1 + 1) / n1)
+    up = np.fft.ifft(y * twist, 2 * n1)[:n1] * (2 * n1)
+    down = np.fft.fft(y * twist.conj(), 2 * n1)[:n1]
+    return (up - down) / (2j * np.cos(_phases(mesh)) * np.sqrt(n1 / 2))
 
 
 def _row_blocks(rows: np.ndarray, n1: int, elements: int = _BLOCK_ELEMENTS):

@@ -27,6 +27,7 @@ from .systems import ORDER_REDUCTION, SemiDiscreteSystem
 __all__ = [
     "MAX_EIG_DIM",
     "MAX_LOG_DECADES",
+    "MAX_LINEAR_STEPS",
     "SpectrumReport",
     "ResolventSweepReport",
     "eigenpairs",
@@ -40,6 +41,8 @@ __all__ = [
 MAX_EIG_DIM = 2048
 # Log tails reach at most 10**30, with 20 points per decade on each side.
 MAX_LOG_DECADES = 30.0
+# The linear grid is evaluated twice (at beta and -beta): 2e5 points at the cap.
+MAX_LINEAR_STEPS = 10**5
 DEFAULT_EIG_TOL = 1e-12
 _POWER_ITERATIONS = 60
 
@@ -184,6 +187,8 @@ def sweep_grid(
         raise ValueError("beta_min must be below beta_max")
     if linear_steps < 2:
         raise ValueError("linear grid needs at least 2 steps")
+    if linear_steps > MAX_LINEAR_STEPS:
+        raise ValueError(f"linear_steps {linear_steps} exceeds the cap of {MAX_LINEAR_STEPS}")
     if log_decades > MAX_LOG_DECADES:
         raise ValueError(f"log_decades {log_decades:g} exceeds the cap of {MAX_LOG_DECADES:g}")
     lin = np.linspace(beta_min, beta_max, linear_steps)

@@ -17,3 +17,13 @@ def weighted_oracle(system):
 
     S = np.sqrt(system.mesh.h) * build_scheme_matrices(system.mesh).D.toarray()
     return S @ system.generator @ np.linalg.inv(S)
+
+
+def modal_oracle(mesh):
+    """Dense Q with columns q_m = D s_m / ||D s_m||, s_m = sin((m + 1/2) pi x_j)."""
+    from schrostab.grid import build_scheme_matrices
+
+    x = mesh.nodes[1:]
+    S = np.sin(np.outer(x, np.arange(mesh.state_size) + 0.5) * np.pi)
+    Q = build_scheme_matrices(mesh).D.toarray() @ S
+    return Q / np.linalg.norm(Q, axis=0)

@@ -130,8 +130,9 @@ def test_criterion_06_resolvent_uniformity(capsys):
 
 def test_criterion_07_midpoint_energy_identity(capsys):
     # the identity is exact in exact arithmetic; the stepper never forms
-    # the generator, whose norm grows like (N+1)^4, so the 1e-12 * E(0)
-    # bound holds at every N checked here
+    # the generator, whose norm grows like (N+1)^4, and steps in the modal
+    # basis, so the 1e-13 * E(0) bound holds at every N checked here (the
+    # measured worst is 5.8e-16)
     worst = 0.0
     monotone = True
     rng = np.random.default_rng(107)
@@ -143,7 +144,7 @@ def test_criterion_07_midpoint_energy_identity(capsys):
         trace = simulate(system, W0, dt, 0.5)
         worst = max(worst, float(np.max(np.abs(trace.step_gaps)) / trace.energies[0]))
         monotone &= bool(np.all(np.diff(trace.energies) <= 1e-14 * trace.energies[0]))
-    passed = worst <= 1e-12 and monotone
+    passed = worst <= 1e-13 and monotone
     _report(
         capsys, 7, passed,
         f"max per-step energy defect {worst:.3e} of E(0), monotone={monotone}",

@@ -8,7 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from schrostab.cli import main
+from schrostab.dynamics import MAX_N
 from schrostab.errors import NumericalError
+from schrostab.identities import MAX_SAMPLES
+from schrostab.spectral import MAX_LINEAR_STEPS
 
 
 @pytest.fixture
@@ -225,6 +228,38 @@ class TestSimulate:
         assert not any(tmp_path.iterdir())
 
 
+    def test_order_reduction_needs_no_sparse_lu(self, runner, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("order-reduction simulate built or factored the block system")
+
+        monkeypatch.setattr("schrostab.dynamics.splu", refuse)
+        monkeypatch.setattr("schrostab.dynamics.sp.block_array", refuse)
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "--n", "65535", "--dt", "0.01", "--t-final", "0.05", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(read_lines(out)) == 6
+
+    def test_non_finite_set_up_exits_3(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["simulate", "--n", "7", "--k", "1e308", "--out", str(tmp_path / "x.csv")]
+        )
+        assert result.exit_code == 3, result.output
+        assert "numerical failure: modal midpoint step not finite" in result.output
+
+    def test_does_not_load_scipy_fft(self, tmp_path):
+        # a fresh interpreter: numpy.fft does the modal transform
+        code = ("import sys; from schrostab.cli import main; "
+                "main(['simulate', '--n', '63', '--t-final', '0.01', '--out', sys.argv[1]], "
+                "standalone_mode=False); print('scipy.fft' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "x.csv")],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split()[-1] == "False"
+
+
 class TestVerify:
     def test_pass_exit_zero(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "5"])
@@ -267,6 +302,30 @@ class TestVerify:
 def test_precondition_violation_is_usage_error(runner, tmp_path, argv):
     result = runner.invoke(main, argv + ["--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize(
+    "argv, option, cap",
+    [
+        (["simulate", "--n", "3000000000", "--out", "x.csv"], "--n", MAX_N),
+        (["resolvent", "--n-list", "3", "--linear-steps", str(10**12), "--out", "x.csv"],
+         "--linear-steps", MAX_LINEAR_STEPS),
+        (["verify", "--samples", str(10**12)], "--samples", MAX_SAMPLES),
+    ],
+    ids=["simulate-n", "resolvent-linear-steps", "verify-samples"],
+)
+def test_size_cap_is_usage_error(runner, tmp_path, monkeypatch, argv, option, cap):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built something before the size cap")
+
+    for name in ("Mesh", "run_identity_suite"):
+        monkeypatch.setattr(f"schrostab.cli.{name}", refuse)
+    monkeypatch.setenv("SCHROSTAB_OUTDIR", str(tmp_path))
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert f"x<={cap}" in result.output
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

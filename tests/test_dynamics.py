@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schrostab import dynamics
 from schrostab.dynamics import (
     EnergyTrace,
     MidpointStepper,
@@ -8,8 +9,10 @@ from schrostab.dynamics import (
     initial_state,
     simulate,
 )
+from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
-from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
+from schrostab.secular import or_poles_weights
+from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 from conftest import random_complex
 
@@ -38,7 +41,9 @@ class TestStepper:
         A = system.generator
         eye = np.eye(6)
         expect = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
-        np.testing.assert_allclose(MidpointStepper(system, dt).step(W), expect, rtol=1e-12)
+        stepper = MidpointStepper(system, dt)
+        np.testing.assert_allclose(stepper.step(stepper.enter(W)), stepper.enter(expect),
+                                   rtol=1e-12)
 
     def test_second_order_convergence(self):
         # global error ratio under step halving approaches 4; the data must
@@ -58,19 +63,64 @@ class TestStepper:
         exact = vecs @ np.exp(lams * t_final)
         errors = {}
         for dt in (1e-3, 5e-4, 2.5e-4):
-            errors[dt] = np.linalg.norm(_state_at_end(system, W0, dt, t_final) - exact)
+            stepper = MidpointStepper(system, dt)
+            errors[dt] = np.linalg.norm(_state_at_end(stepper, W0, t_final)
+                                        - stepper.enter(exact))
         r1 = errors[1e-3] / errors[5e-4]
         r2 = errors[5e-4] / errors[2.5e-4]
         assert 3.5 <= r1 <= 4.5
         assert 3.5 <= r2 <= 4.5
 
 
-def _state_at_end(system, W0, dt, t_final):
-    stepper = MidpointStepper(system, dt)
-    W = np.asarray(W0, dtype=complex).copy()
-    for _ in range(int(round(t_final / dt))):
-        W = stepper.step(W)
-    return W
+def _state_at_end(stepper, W0, t_final):
+    u = stepper.enter(W0)
+    for _ in range(int(round(t_final / stepper.dt))):
+        u = stepper.step(u)
+    return u
+
+
+class TestModalStepper:
+    @pytest.mark.parametrize("n", [1, 5, 15, 63])
+    @pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+    def test_matches_dense_cayley_step(self, n, k, rng):
+        # one Sherman-Morrison step against the dense Cayley step of the
+        # modal generator i Theta - (k/h) c c^T
+        mesh = Mesh(n)
+        theta, c = or_poles_weights(mesh)
+        B = 1j * np.diag(theta) - (k / mesh.h) * np.outer(c, c)
+        dt = 1e-3
+        a = random_complex(rng, n + 1)
+        eye = np.eye(n + 1)
+        expect = np.linalg.solve(eye - 0.5 * dt * B, (eye + 0.5 * dt * B) @ a)
+        got = MidpointStepper(SemiDiscreteSystem(ORDER_REDUCTION, mesh, k), dt).step(a)
+        assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(a)
+
+    def test_simulate_matches_nodal_stepping(self, rng):
+        # energies and midpoint boundary values against the dense nodal Cayley
+        # step, which is the less accurate side (6e-14 and 3e-14 measured)
+        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
+        dt, steps = 1e-3, 50
+        W = random_complex(rng, 16)
+        trace = simulate(system, W, dt, steps * dt)
+        A = system.generator
+        eye = np.eye(16)
+        energies, boundary = [discrete_energy(W, system.mesh)], []
+        for _ in range(steps):
+            W_next = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
+            boundary.append(0.5 * (W[-1] + W_next[-1]))
+            energies.append(discrete_energy(W_next, system.mesh))
+            W = W_next
+        boundary = np.array(boundary)
+        assert np.max(np.abs(trace.boundary_values - boundary)) <= 1e-12 * np.max(np.abs(boundary))
+        assert np.max(np.abs(trace.energies - energies)) <= 1e-12 * energies[0]
+
+    def test_entry_check_binds(self, monkeypatch, rng):
+        exact = dynamics.or_modal_coordinates
+        monkeypatch.setattr(dynamics, "or_modal_coordinates",
+                            lambda mesh, W: exact(mesh, W) * (1 + 1e-10))
+        system = make_system(15)
+        with pytest.raises(NumericalError, match="modal coordinates carry energy"):
+            simulate(system, random_complex(rng, 16), 1e-3, 0.01)
 
 
 class TestSimulate:

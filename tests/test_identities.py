@@ -3,6 +3,7 @@ import pytest
 
 from schrostab.grid import Mesh, extend_shadow, shadow_element, triple_sum_identity_gap
 from schrostab.identities import (
+    MAX_SAMPLES,
     SUITE_TOLERANCES,
     boundary_multiplier_gap_y,
     boundary_multiplier_gap_z,
@@ -149,6 +150,14 @@ class TestSuite:
         failed = [r for r in reports if not r.passed]
         assert failed
         assert all(r.identity in ("claim2", "claim3") for r in failed)
+
+    def test_samples_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew samples before the cap check")
+
+        monkeypatch.setattr("schrostab.identities._random_states", refuse)
+        with pytest.raises(ValueError, match=f"samples {10**12} exceeds the cap of {MAX_SAMPLES}"):
+            run_identity_suite(samples=10**12)
 
     def test_seed_determinism(self):
         a = run_identity_suite(n_values=(2, 7), samples=10, seed=5)

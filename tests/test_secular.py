@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 from schrostab import secular
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
-from schrostab.secular import or_poles_weights, or_resolvent_smin, or_spectrum, secular_roots
+from schrostab.secular import (
+    or_modal_coordinates,
+    or_poles_weights,
+    or_resolvent_smin,
+    or_spectrum,
+    secular_roots,
+)
 from schrostab.spectral import default_beta_max, sweep_grid
 from schrostab.systems import ORDER_REDUCTION, SemiDiscreteSystem
 
-from conftest import weighted_oracle
+from conftest import modal_oracle, random_complex, weighted_oracle
 
 
 def by_imaginary_part(z):
@@ -25,13 +31,25 @@ def test_factorisation_matches_weighted_oracle(n, k):
     # B = Q (i Theta - (k/h) c c^T) Q^T with q_m = D s_m / ||D s_m||
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
-    x = mesh.nodes[1:]
-    S = np.sin(np.outer(x, np.arange(n + 1) + 0.5) * np.pi)
-    Q = build_scheme_matrices(mesh).D.toarray() @ S
-    Q /= np.linalg.norm(Q, axis=0)
+    Q = modal_oracle(mesh)
     B = Q @ (1j * np.diag(theta) - (k / mesh.h) * np.outer(c, c)) @ Q.T
     expect = weighted_oracle(SemiDiscreteSystem(ORDER_REDUCTION, mesh, k))
     assert np.linalg.norm(B - expect, 2) <= 1e-11 * np.linalg.norm(expect, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 15, 100, 255])
+def test_modal_coordinates_match_dense_sine_matrix(n, rng):
+    # the DST-III through numpy.fft against Q^T sqrt(h) D W with Q dense; the
+    # dense sines round their arguments, which reach (N+1) pi, so the oracle
+    # itself is off by about 2e-13 at N=255
+    mesh = Mesh(n)
+    W = random_complex(rng, n + 1)
+    expect = modal_oracle(mesh).T @ (np.sqrt(mesh.h) * (build_scheme_matrices(mesh).D @ W))
+    got = or_modal_coordinates(mesh, W)
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    # the last state component is c^T a / sqrt(h)
+    c = or_poles_weights(mesh)[1]
+    assert abs(c @ got / np.sqrt(mesh.h) - W[-1]) <= 1e-13 * np.linalg.norm(W)
 
 
 @settings(max_examples=20, deadline=None)

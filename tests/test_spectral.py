@@ -7,6 +7,7 @@ from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
 from schrostab.spectral import (
     MAX_EIG_DIM,
+    MAX_LINEAR_STEPS,
     eigenpairs,
     resolvent_norm,
     resolvent_sweep,
@@ -201,6 +202,16 @@ class TestResolventSweep:
             resolvent_sweep(system, -5.0, 5.0, 1)
         with pytest.raises(ValueError, match="log_decades 400 exceeds the cap of 30"):
             resolvent_sweep(system, -5.0, 5.0, 10, log_decades=400.0)
+
+    def test_linear_steps_cap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the linear-steps cap")
+
+        monkeypatch.setattr("schrostab.spectral.spectral_abscissa", refuse)
+        system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(3), 1.0)
+        with pytest.raises(ValueError, match=f"linear_steps {10**12} exceeds the cap of "
+                                             f"{MAX_LINEAR_STEPS}"):
+            resolvent_sweep(system, -5.0, 5.0, 10**12)
 
     def test_order_reduction_resolvent_never_forms_a_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):
