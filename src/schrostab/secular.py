@@ -1,4 +1,4 @@
-"""Order-reduction spectra from the closed-form secular equation.
+"""Spectra of both schemes from closed-form secular equations.
 
 The weighted order-reduction generator B = D A D^{-1} is diagonal plus rank
 one in closed form, B = Q (i Theta - (k/h) c c^T) Q^T with Q orthogonal,
@@ -16,6 +16,13 @@ safeguarded Aberth sweeps (Aberth, Math. Comp. 27, 1973), in blocks of rows
 so that memory stays O(N) and no matrix is formed.  `or_spectrum` certifies
 what it returns, or raises NumericalError.
 
+The classical generator is tridiagonal, A = i M M^T + (k/h) u e_N^T with
+u = e_{N-1}/2 - 3 e_N/2 (0-indexed), and M M^T has closed-form eigenpairs,
+so its eigenvalues are the roots of the same kind of secular equation with
+the poles mu_m and weights c_m of `classical_poles_weights`.
+`classical_spectrum` finds them with `secular_roots` and certifies each by
+inverse iteration on the tridiagonal, O(N) per root.
+
 The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
 sigma_min(i beta - B) = sigma_min(X), and `or_resolvent_smin` brackets it
@@ -32,15 +39,19 @@ order-reduction scheme in this basis.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import zgtsv
 
 from .errors import NumericalError
 from .grid import Mesh
+from .systems import CLASSICAL, apply_generator
 
 __all__ = [
     "or_poles_weights",
+    "classical_poles_weights",
     "or_modal_coordinates",
     "secular_roots",
     "or_spectrum",
+    "classical_spectrum",
     "or_resolvent_smin",
 ]
 
@@ -50,9 +61,12 @@ _BLOCK_ELEMENTS = 1 << 18
 _MAX_SWEEPS = 100
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
-# Exact roots lie at least about 6/(N+1) apart relative to their size
-# (measured to N = 4095), so two approximations of one root fall below this.
+# Exact roots lie at least about 6/(N+1) (order reduction) and 7.4/(N+1)^2
+# (classical) apart relative to their size (measured to N = 4095 and 1023),
+# so two approximations of one root fall below this.
 _DISTINCT_RTOL = 1e-10
+# The fixed start of every classical inverse iteration.
+_INVERSE_ITERATION_SEED = 20231
 # sigma_min brackets: relative width on return, step budget, and the relative
 # Newton step below which the far side of the root is probed.
 _SMIN_RTOL = 1e-14
@@ -78,6 +92,38 @@ def or_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     theta = (2.0 / mesh.h) ** 2 * np.tan(phi) ** 2
     c = np.where(m % 2 == 0, 1.0, -1.0) * np.sqrt(2.0 * mesh.h) / np.cos(phi)
     return theta, c
+
+
+def classical_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
+    """The poles mu_m and weights c_m of the classical secular equation, O(N).
+
+    M M^T = h^{-2} tridiag(-1, 2, -1) with last diagonal entry h^{-2}, and
+    its eigenvectors are v_m(j) = sin(2 (j+1) a_m), j = 0..N, with
+    a_m = (2m+1) pi / (2(2N+3)), eigenvalues mu_m = (2 sin a_m / h)^2 and
+    ||v_m||^2 = (2N+3)/4.  In that basis A = i diag(mu) + (k/h) p r^T with
+    p_m = v_m^T u / ||v_m|| and r_m = v_m(N) / ||v_m||, so the eigenvalues
+    of A are the roots of 1 - (k/h) sum_m p_m r_m / (lam - i mu_m).
+
+    Every weight p_m r_m is negative.  Since (2N+3) a_m = (2m+1) pi/2,
+    v_m(N) = (-1)^m cos a_m and v_m(N-1) = (-1)^m cos 3a_m, so
+
+        ||v_m||^2 p_m r_m = cos a_m (cos 3a_m / 2 - 3 cos a_m / 2)
+                          = cos^2 a_m (2 cos^2 a_m - 3)
+
+    by cos 3a = 4 cos^3 a - 3 cos a, and 0 < a_m < pi/2 makes it negative.
+    Hence p_m r_m = -c_m^2 with c_m = 2 cos a_m sqrt((1 + 2 sin^2 a_m) / (2N+3)),
+    and the equation is 1 + (k/h) sum_m c_m^2 / (lam - i mu_m) = 0, the
+    form `secular_roots` solves.  cos a_m is evaluated as
+    sin((N+1-m) pi / (2N+3)), which keeps its relative accuracy at the top
+    pole, where cos a_m is about pi / (2N+3).
+    """
+    n = mesh.n
+    m = np.arange(mesh.state_size)
+    sin_a = np.sin((2 * m + 1) * np.pi / (2 * (2 * n + 3)))
+    cos_a = np.sin((n + 1 - m) * np.pi / (2 * n + 3))
+    mu = (2.0 * sin_a / mesh.h) ** 2
+    c = 2.0 * cos_a * np.sqrt((1.0 + 2.0 * sin_a**2) / (2 * n + 3))
+    return mu, c
 
 
 def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
@@ -142,6 +188,44 @@ def secular_roots(theta: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     return lam
 
 
+def _certify(lam, residual, scale, traces, where: str) -> float:
+    """Check all roots of one secular equation; returns their worst residual.
+
+    Raises NumericalError unless every root is finite, the roots are
+    pairwise distinct to 1e-10 relative, residual(rows) is at most
+    1e-14 scale for every block of root indices rows, and the sums of the
+    real and imaginary parts of the roots match traces, each to 1e-12
+    relative.  Roots are taken in blocks of rows, so memory stays O(N).
+    """
+    n1 = lam.size
+    finite = np.count_nonzero(np.isfinite(lam))
+    if finite != n1:
+        raise NumericalError(f"secular solver found {finite} finite roots of {n1} {where}")
+    residuals = np.empty(n1)
+    closest = np.inf
+    for rows in _row_blocks(np.arange(n1), n1):
+        residuals[rows] = residual(rows)
+        here = lam[rows, None]
+        gaps = np.abs(here - lam) / np.maximum(np.abs(here), np.abs(lam))
+        gaps[np.arange(rows.size), rows] = np.inf
+        closest = min(closest, float(gaps.min(initial=np.inf)))
+    if not closest > _DISTINCT_RTOL:
+        raise NumericalError(
+            f"two secular roots coincide to {closest:.1e} relative {where}"
+        )
+    worst = float(np.max(residuals))
+    bound = _RESIDUAL_TOL * scale
+    if not worst <= bound:
+        raise NumericalError(f"secular residual {worst:.3e} exceeds {bound:.3e} {where}")
+    for part, got, expect in zip(("real", "imaginary"),
+                                 (np.sum(lam.real), np.sum(lam.imag)), traces):
+        if not abs(got - expect) <= _TRACE_RTOL * abs(expect):
+            raise NumericalError(
+                f"secular roots miss the {part}-part trace: {got!r} against {expect!r} {where}"
+            )
+    return worst
+
+
 def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the order-reduction generator, and their worst residual.
 
@@ -151,45 +235,83 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     N+1 finite, pairwise distinct roots, each residual is at most
     1e-14 (max theta + (k/h) ||c||^2), and the roots keep the trace:
     sum Re lam = -(k/h) ||c||^2 = -2k sum sec^2 phi_m and
-    sum Im lam = sum theta_m, each to 1e-12 relative.
+    sum Im lam = sum theta_m, each to 1e-12 relative (`_certify`).
     """
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
     lam = secular_roots(theta, c, rho)
-    n1 = theta.size
-    where = f"(scheme=order_reduction, n={mesh.n}, k={k})"
-    finite = np.count_nonzero(np.isfinite(lam))
-    if finite != n1:
-        raise NumericalError(f"secular solver found {finite} finite roots of {n1} {where}")
-
     c2 = c * c
     c2_sum = np.sum(c2)
     c_norm = np.sqrt(c2_sum)
-    residuals = np.empty(n1)
-    closest = np.inf
-    for rows in _row_blocks(np.arange(n1), n1):
-        here = lam[rows, None]
+
+    def backward(rows):
         with np.errstate(divide="ignore", invalid="ignore"):
-            to_poles = 1.0 / (here - 1j * theta)
+            to_poles = 1.0 / (lam[rows, None] - 1j * theta)
             f = 1.0 + rho * (to_poles @ c2)
-            residuals[rows] = c_norm * np.abs(f) / np.sqrt(np.abs(to_poles) ** 2 @ c2)
-        gaps = np.abs(here - lam) / np.maximum(np.abs(here), np.abs(lam))
-        gaps[np.arange(rows.size), rows] = np.inf
-        closest = min(closest, float(gaps.min(initial=np.inf)))
-    if not closest > _DISTINCT_RTOL:
-        raise NumericalError(
-            f"two secular roots coincide to {closest:.1e} relative {where}"
-        )
-    worst = float(np.max(residuals))
-    bound = _RESIDUAL_TOL * (np.max(theta) + rho * c2_sum)
-    if not worst <= bound:
-        raise NumericalError(f"secular residual {worst:.3e} exceeds {bound:.3e} {where}")
-    for part, got, expect in (("real", np.sum(lam.real), -rho * c2_sum),
-                              ("imaginary", np.sum(lam.imag), np.sum(theta))):
-        if not abs(got - expect) <= _TRACE_RTOL * abs(expect):
-            raise NumericalError(
-                f"secular roots miss the {part}-part trace: {got!r} against {expect!r} {where}"
-            )
+            return c_norm * np.abs(f) / np.sqrt(np.abs(to_poles) ** 2 @ c2)
+
+    worst = _certify(lam, backward, np.max(theta) + rho * c2_sum,
+                     (-rho * c2_sum, np.sum(theta)),
+                     f"(scheme=order_reduction, n={mesh.n}, k={k})")
+    return lam, worst
+
+
+def _classical_tridiagonal(mesh: Mesh, k: float):
+    """Sub-, main and super-diagonal of A = i M M^T + (k/h) u e_N^T, from the closed form."""
+    n1 = mesh.state_size
+    off = -1j / mesh.h**2
+    d = np.full(n1, -2.0 * off)
+    d[-1] = -off - 1.5 * k / mesh.h
+    du = np.full(n1 - 1, off)
+    du[-1] += 0.5 * k / mesh.h
+    return np.full(n1 - 1, off), d, du
+
+
+def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
+    """Certified eigenvalues of the classical generator, and their worst residual.
+
+    The roots are those of the secular equation of `classical_poles_weights`.
+    The residual of a root lam is ||A x - lam x|| / ||x||, with A applied
+    by `systems.apply_generator` and x from two steps of inverse iteration
+    on the tridiagonal A - lam (LAPACK zgtsv, partial pivoting) from one
+    fixed seeded unit vector, O(N) per root; a tridiagonal that is not the
+    generator's therefore fails the check.  An exactly zero pivot, which
+    puts lam on an eigenvalue of the rounded factors, is moved off by
+    eps times the scale below.  (The secular-formula eigenvector
+    (lam - i M M^T)^{-1} u is not used: summed in the sine basis, it left
+    residuals of 4.1e-13 of the scale at N=1023, against 6.6e-16 here.)
+
+    Raises NumericalError unless there are N+1 finite, pairwise distinct
+    roots, each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
+    on ||A||_2, and the roots keep the trace: sum Re lam = -(3/2) k/h and
+    sum Im lam = trace(M M^T) = (2N+1)/h^2, each to 1e-12 relative
+    (`_certify`).
+    """
+    mu, c = classical_poles_weights(mesh)
+    rho = k / mesh.h
+    lam = secular_roots(mu, c, rho)
+    scale = np.max(mu) + np.sqrt(2.5) * rho
+    dl, d, du = _classical_tridiagonal(mesh, k)
+    n1 = mesh.state_size
+    rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
+    start = rng.standard_normal((n1, 1)) + 1j * rng.standard_normal((n1, 1))
+    start /= np.linalg.norm(start)
+
+    def residual(rows):
+        X = np.empty((rows.size, n1), dtype=complex)
+        for row, root in enumerate(lam[rows]):
+            x = start
+            for _ in range(2):
+                y, info = zgtsv(dl, d - root, du, x)[3:]
+                if info:
+                    y = zgtsv(dl, d - (root + _EPS * scale), du, x)[3]
+                x = y / np.linalg.norm(y)
+            X[row] = x[:, 0]
+        R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
+        return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
+
+    worst = _certify(lam, residual, scale, (-1.5 * rho, (2 * mesh.n + 1) / mesh.h**2),
+                     f"(scheme=classical, n={mesh.n}, k={k})")
     return lam, worst
 
 

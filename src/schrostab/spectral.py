@@ -3,13 +3,15 @@
 The similarity S = sqrt(h) D carries the mesh-weighted norm to the Euclidean
 one, so the weighted operator norm of (i beta I - A)^{-1} is the reciprocal
 smallest singular value of i beta I - B with B = S A S^{-1} = D A D^{-1}.
-The order-reduction B is diagonal plus rank one in closed form
-(`schrostab.secular`): its eigenvalues are the certified roots of a secular
-equation, and each sigma_min(i beta I - B) is bracketed by an exact O(N)
-eigenvalue count, with no matrix.  The classical scheme stays dense: its
-eigenvalues come from a dense eigensolve of A, and each beta costs one SVD
-of i beta I - B, with B formed once per system
-(`SemiDiscreteSystem.weighted_generator`).
+Both spectra are the certified roots of closed-form secular equations
+(`schrostab.secular`), with no matrix: the order-reduction B is diagonal
+plus rank one, and the classical A is tridiagonal, diagonal plus rank one
+in the eigenbasis of M M^T.  Each order-reduction sigma_min(i beta I - B) is
+bracketed by an exact O(N) eigenvalue count.  The classical resolvent stays
+dense: each beta costs one SVD of i beta I - B, with B formed once per
+system (`SemiDiscreteSystem.weighted_generator`).  `eigenpairs` and
+`spectral_norm_estimate` are the dense eigensolver and norm estimate, kept
+for small-N oracles; no spectrum here uses them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import scipy.linalg as sla
 
 from .errors import NumericalError
 from .grid import Mesh
-from .secular import or_resolvent_smin, or_spectrum
+from .secular import classical_spectrum, or_resolvent_smin, or_spectrum
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem
 
 __all__ = [
@@ -43,7 +45,6 @@ MAX_EIG_DIM = 2048
 MAX_LOG_DECADES = 30.0
 # The linear grid is evaluated twice (at beta and -beta): 2e5 points at the cap.
 MAX_LINEAR_STEPS = 10**5
-DEFAULT_EIG_TOL = 1e-12
 _POWER_ITERATIONS = 60
 
 
@@ -112,26 +113,14 @@ def eigenpairs(A: np.ndarray):
 def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
     """Eigenvalues of the generator with their maximal real part.
 
-    Order-reduction spectra are the certified secular roots
-    (`secular.or_spectrum`, which raises NumericalError itself), and
-    max_eigen_residual is their worst backward residual.  Classical spectra
-    come from a dense eigensolve of the assembled generator; raises
-    NumericalError when the worst eigenpair residual exceeds
-    DEFAULT_EIG_TOL * ||A||.
+    Both spectra are certified secular roots, which raise NumericalError
+    themselves: `secular.or_spectrum`, whose max_eigen_residual is the
+    worst backward residual, and `secular.classical_spectrum`, whose
+    max_eigen_residual is the worst ||A x - lam x|| / ||x|| of an
+    inverse-iteration vector x.
     """
-    if system.scheme == ORDER_REDUCTION:
-        ev, res = or_spectrum(system.mesh, system.k)
-    else:
-        A = system.generator
-        ev, V = eigenpairs(A)
-        R = A @ V - V * ev[None, :]
-        res = float(np.max(np.linalg.norm(R, axis=0) / np.linalg.norm(V, axis=0)))
-        bound = DEFAULT_EIG_TOL * max(spectral_norm_estimate(A), np.finfo(float).tiny)
-        if res > bound:
-            raise NumericalError(
-                f"eigen-residual {res:.3e} exceeds {bound:.3e} "
-                f"(scheme={system.scheme}, n={system.n})"
-            )
+    solve = or_spectrum if system.scheme == ORDER_REDUCTION else classical_spectrum
+    ev, res = solve(system.mesh, system.k)
     return SpectrumReport(
         scheme=system.scheme,
         n=system.n,

@@ -4,13 +4,14 @@ Both generators are one O(N) applier over the mesh's sparse scheme matrices,
 `apply_generator`: the order-reduction scheme advances a state through the
 shadow element (P = D), the classical scheme is the plain second-difference
 operator with the same boundary feedback (P = I).  That applier is the only
-definition of either generator: the dense generator that the classical
-eigensolve needs, and the dense weighted generator D A D^{-1} that the
-classical resolvent needs, are the applier evaluated on the identity.  The
-order-reduction spectrum and resolvent need neither (see
-`schrostab.secular`).  A
-`SemiDiscreteSystem` forms each of them on first use and keeps it, as a
-cached property, the way a `Mesh` keeps its scheme matrices.
+definition of either generator, and the classical spectrum certifies its
+eigenpairs against it (`schrostab.secular`).  The dense generator and the
+dense weighted generator D A D^{-1} are the applier evaluated on the
+identity; the classical resolvent needs the weighted generator, and the
+dense generator serves only as a small-N oracle.  Neither spectrum, nor the
+order-reduction resolvent, forms either of them.  A `SemiDiscreteSystem`
+forms each on first use and keeps it, as a cached property, the way a
+`Mesh` keeps its scheme matrices.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from schrostab.cli import main
+from schrostab.cli import MAX_N_LIST, main
 from schrostab.dynamics import MAX_N
 from schrostab.errors import NumericalError
 from schrostab.identities import MAX_SAMPLES
@@ -88,7 +88,7 @@ class TestSpectrum:
 
     def test_dimension_cap_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
-            main, ["spectrum", "--n-list", "4000", "--out", str(tmp_path / "x.csv")]
+            main, ["spectrum", "--n-list", str(MAX_N_LIST + 1), "--out", str(tmp_path / "x.csv")]
         )
         assert result.exit_code == 2
 
@@ -100,6 +100,19 @@ class TestSpectrum:
         )
         assert result.exit_code == 0, result.output
         assert read_lines(out)[1].startswith("order_reduction,4095,")
+
+    def test_classical_beyond_dense_cap(self, runner, tmp_path):
+        out = tmp_path / "x.json"
+        result = runner.invoke(
+            main, ["spectrum", "--scheme", "classical", "--n-list", "2048",
+                   "--format", "json", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        row = json.loads(out.read_text())["rows"][0]
+        scale = (2 / row["h"]) ** 2 + 2.5**0.5 / row["h"]  # bounds ||A||_2 at k=1
+        assert (row["scheme"], row["n"]) == ("classical", 2048)
+        assert row["abscissa"] < 0
+        assert row["max_eigen_residual"] <= 1e-14 * scale
 
 
 class TestResolvent:
@@ -356,12 +369,10 @@ def test_non_finite_float_is_usage_error(runner, tmp_path, argv, option, value):
 @pytest.mark.parametrize(
     "argv, user",
     [
-        (["spectrum", "--scheme", "both"], "the classical scheme"),
-        (["spectrum", "--scheme", "classical"], "the classical scheme"),
         (["resolvent", "--scheme", "both"], "the classical scheme"),
         (["resolvent", "--scheme", "classical"], "the classical scheme"),
     ],
-    ids=["spectrum-both", "spectrum-classical", "resolvent", "resolvent-classical"],
+    ids=["resolvent", "resolvent-classical"],
 )
 def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
     def refuse(*args, **kwargs):
@@ -372,6 +383,22 @@ def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
     result = runner.invoke(main, argv + ["--n-list", "5,2048", "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
     assert f"exceed the dense cap of {user}" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "resolvent"])
+@pytest.mark.parametrize("scheme", ["both", "classical", "order-reduction"])
+def test_n_list_cap_names_its_option(runner, tmp_path, monkeypatch, command, scheme):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a mesh before the --n-list cap check")
+
+    for name in ("Mesh", "spectral_abscissa", "resolvent_sweep"):
+        monkeypatch.setattr(f"schrostab.cli.{name}", refuse)
+    result = runner.invoke(main, [command, "--scheme", scheme, "--n-list",
+                                  f"5,{MAX_N_LIST + 1}", "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert (f"Invalid value for '--n-list': grid size {MAX_N_LIST + 1} "
+            f"exceeds the cap of {MAX_N_LIST}") in result.output
     assert not any(tmp_path.iterdir())
 
 

@@ -9,6 +9,8 @@ from schrostab import secular
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
 from schrostab.secular import (
+    classical_poles_weights,
+    classical_spectrum,
     or_modal_coordinates,
     or_poles_weights,
     or_resolvent_smin,
@@ -16,7 +18,7 @@ from schrostab.secular import (
     secular_roots,
 )
 from schrostab.spectral import default_beta_max, sweep_grid
-from schrostab.systems import ORDER_REDUCTION, SemiDiscreteSystem
+from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
 from conftest import modal_oracle, random_complex, weighted_oracle
 
@@ -127,6 +129,90 @@ def test_nonfinite_root_is_refused(monkeypatch):
     monkeypatch.setattr("schrostab.secular.secular_roots", lost)
     with pytest.raises(NumericalError, match="15 finite roots of 16"):
         or_spectrum(Mesh(15), 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 255])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+def test_classical_poles_weights_match_dense_eigendecomposition(n, k):
+    # A = i M M^T + (k/h) u e_N^T = Q (i diag(mu) + (k/h) p r^T) Q^T with
+    # p r^T having the diagonal -c^2
+    mesh = Mesh(n)
+    mu, c = classical_poles_weights(mesh)
+    M = build_scheme_matrices(mesh).M.toarray()
+    ev, Q = np.linalg.eigh(M @ M.T)
+    assert np.all(np.abs(mu - ev) <= 1e-13 * ev.max())
+    u = np.zeros(n + 1)
+    u[-2] += 0.5
+    u[-1] -= 1.5
+    p, r = Q.T @ u, Q[-1]
+    assert np.all(np.abs(p * r + c * c) <= 1e-13)
+    A = Q @ (1j * np.diag(mu) + (k / mesh.h) * np.outer(p, r)) @ Q.T
+    expect = SemiDiscreteSystem(CLASSICAL, mesh, k).generator
+    assert np.linalg.norm(A - expect, 2) <= 1e-13 * np.linalg.norm(expect, 2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 255), k=st.floats(0.1, 100.0))
+def test_classical_roots_match_dense_eigenvalues(n, k):
+    # the dense eigenvalues carry errors of about eps ||A||, which the
+    # secular roots do not: up to 3.8e-11 relative (N=255, k=0.1)
+    system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
+    lam = by_imaginary_part(classical_spectrum(system.mesh, k)[0])
+    dense = by_imaginary_part(np.linalg.eigvals(system.generator))
+    assert np.all(np.abs(lam - dense) <= 1e-9 * np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [1, 7, 15])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0, 100.0])
+def test_classical_roots_match_mpmath_oracle(n, k):
+    mesh = Mesh(n)
+    mu, c = classical_poles_weights(mesh)
+    rho = k / mesh.h
+    lam = by_imaginary_part(classical_spectrum(mesh, k)[0])
+    expect = by_imaginary_part(_mpmath_roots(mu, c, rho))
+    assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 255, 1023])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0, 100.0])
+def test_classical_certificate_holds_with_margin(n, k):
+    mesh = Mesh(n)
+    mu = classical_poles_weights(mesh)[0]
+    lam, worst = classical_spectrum(mesh, k)
+    assert lam.size == n + 1
+    assert worst <= 1e-15 * (mu.max() + np.sqrt(2.5) * k / mesh.h)
+
+
+def test_classical_zero_pivot_is_moved_off(monkeypatch):
+    # at N=2, k=1 the lowest root is an exact eigenvalue of the rounded
+    # factors: zgtsv reports a zero pivot, and the nudged solve certifies it
+    solve = secular.zgtsv
+    infos = []
+
+    def recorded(*args):
+        out = solve(*args)
+        infos.append(out[-1])
+        return out
+
+    monkeypatch.setattr("schrostab.secular.zgtsv", recorded)
+    lam, worst = classical_spectrum(Mesh(2), 1.0)
+    assert any(infos)
+    assert worst <= 1e-15 * classical_poles_weights(Mesh(2))[0].max()
+
+
+def test_wrong_classical_tridiagonal_is_refused(monkeypatch):
+    # without the boundary term k/(2h) in the last super-diagonal entry, the
+    # inverse-iteration vectors are not the generator's eigenvectors
+    tridiagonal = secular._classical_tridiagonal
+
+    def unbordered(mesh, k):
+        dl, d, du = tridiagonal(mesh, k)
+        du[-1] = dl[-1]
+        return dl, d, du
+
+    monkeypatch.setattr("schrostab.secular._classical_tridiagonal", unbordered)
+    with pytest.raises(NumericalError, match="secular residual"):
+        classical_spectrum(Mesh(15), 1.0)
 
 
 EPS = np.finfo(float).eps

@@ -81,17 +81,21 @@ class TestSpectralAbscissa:
         assert rep.max_eigen_residual <= 1e-12 * norm
 
     def test_residual_check_binds(self, monkeypatch):
-        # eigenvalues off by 1e-10 ||A|| leave a residual of that size
-        system = SemiDiscreteSystem(CLASSICAL, Mesh(15), 1.0)
-        shift = 1e-10 * spectral_norm_estimate(system.generator)
+        # one classical root off by 1e-12 of the scale leaves an inverse-iteration
+        # residual of about that size, 100 times the bound
+        mesh = Mesh(15)
+        mu = secular.classical_poles_weights(mesh)[0]
+        shift = 1e-12 * (mu.max() + np.sqrt(2.5) / mesh.h)
+        solve = secular.secular_roots
+        for root in (0, 7, 15):
+            def shifted(theta, c, rho, root=root):
+                lam = solve(theta, c, rho)
+                lam[root] += shift
+                return lam
 
-        def shifted(A):
-            ev, V = eigenpairs(A)
-            return ev + shift, V
-
-        monkeypatch.setattr("schrostab.spectral.eigenpairs", shifted)
-        with pytest.raises(NumericalError, match="eigen-residual"):
-            spectral_abscissa(system)
+            monkeypatch.setattr("schrostab.secular.secular_roots", shifted)
+            with pytest.raises(NumericalError, match="secular residual"):
+                spectral_abscissa(SemiDiscreteSystem(CLASSICAL, mesh, 1.0))
 
     @pytest.mark.parametrize("root", [0, 7, 15])
     def test_secular_residual_check_binds(self, monkeypatch, root):
@@ -119,6 +123,17 @@ class TestSpectralAbscissa:
         rep = spectral_abscissa(SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0))
         assert rep.eigenvalues.size == 4096
         assert rep.abscissa < 0
+
+    def test_classical_never_forms_a_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the classical spectrum formed a dense matrix")
+
+        for name in ("generator", "weighted_generator"):
+            monkeypatch.setattr(SemiDiscreteSystem, name, property(refuse))
+        monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
+        rep = spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(4095), 1.0))
+        assert rep.eigenvalues.size == 4096
+        assert -1e-6 < rep.abscissa < 0
 
     def test_classical_abscissa_shrinks(self):
         a9 = spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(9), 1.0)).abscissa
