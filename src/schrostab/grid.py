@@ -134,7 +134,9 @@ def _as_state(Y, mesh: Mesh) -> np.ndarray:
 
 def _signs(b: np.ndarray) -> np.ndarray:
     """The column (+1, -1, +1, ...) down b's first axis, shaped to broadcast against b."""
-    return np.resize([1.0, -1.0], b.shape[0]).reshape((-1,) + (1,) * (b.ndim - 1))
+    s = np.ones(b.shape[0])
+    s[1::2] = -1.0
+    return s.reshape((-1,) + (1,) * (b.ndim - 1))
 
 
 def solve_d(b: np.ndarray) -> np.ndarray:

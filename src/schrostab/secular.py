@@ -27,7 +27,11 @@ The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
 sigma_min(i beta - B) = sigma_min(X), and `or_resolvent_smin` brackets it
 for every beta by an exact O(N) eigenvalue count of X^H X (Bunch, Nielsen &
-Sorensen, Numer. Math. 31, 1978), again with no matrix.
+Sorensen, Numer. Math. 31, 1978), again with no matrix.  The weighted
+classical generator has no orthogonal diagonal-plus-rank-one form, so
+`classical_resolvent_norm` finds ||D (i beta - A)^{-1} D^{-1}|| by inverse
+Lanczos instead: D as a stencil, D^{-1} in closed form and one pivoted LU
+of the tridiagonal i beta - A per beta, O(N) per step and no matrix either.
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
@@ -39,10 +43,10 @@ order-reduction scheme in this basis.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import NumericalError
-from .grid import Mesh
+from .grid import Mesh, solve_d, solve_dt
 from .systems import CLASSICAL, apply_generator
 
 __all__ = [
@@ -53,6 +57,7 @@ __all__ = [
     "or_spectrum",
     "classical_spectrum",
     "or_resolvent_smin",
+    "classical_resolvent_norm",
 ]
 
 _EPS = np.finfo(float).eps
@@ -78,6 +83,15 @@ _SMIN_PROBE = 1e-7
 _SMIN_BLOCK_ELEMENTS = 1 << 14
 # A bracket top at or below this times |beta| + (k/h) ||c||^2 puts i beta in the spectrum.
 _SPECTRUM_RTOL = 1e-14
+# Inverse Lanczos for the classical resolvent: the fixed start, the relative
+# residual at which a beta is frozen, and the step budget.  At most 21 steps
+# were needed for N <= 255, k in [0.01, 100] and |beta| up to 1e30; on the
+# default sweep grids at most 16 for k <= 10 (11 at N = 1023 and 2047).
+_LANCZOS_SEED = 20230
+_LANCZOS_RTOL = 1e-14
+_LANCZOS_MAX_STEPS = 48
+# Entries of the Krylov basis per block of betas: 2 MiB of complex128.
+_KRYLOV_ELEMENTS = 1 << 17
 
 
 def _phases(mesh: Mesh) -> np.ndarray:
@@ -488,3 +502,166 @@ def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
                 f"beta={betas[rows][np.argmax(failed)]} {where}"
             )
     return 0.5 * (lo + hi)
+
+
+def _rows_d(v: np.ndarray) -> np.ndarray:
+    """D applied to each row of v by its stencil: (v_{j-1} + v_j) / 2, with v_{-1} = 0."""
+    out = 0.5 * v
+    out[:, 1:] += 0.5 * v[:, :-1]
+    return out
+
+
+def _rows_dt(v: np.ndarray) -> np.ndarray:
+    """D^T applied to each row of v by its stencil: (v_j + v_{j+1}) / 2, with v_{N+1} = 0."""
+    out = 0.5 * v
+    out[:, :-1] += 0.5 * v[:, 1:]
+    return out
+
+
+def _shifted_factors(mesh: Mesh, k: float, betas: np.ndarray):
+    """zgttrf factors of Z = i beta - A for each beta of the classical scheme, one row per beta.
+
+    The tridiagonals of all betas form one block-diagonal tridiagonal with
+    zero couplings, so one zgttrf factors them all and no pivot crosses from
+    one beta to the next.  One more decoupled unknown, a 1 on the diagonal,
+    follows the last block: scipy's ?gttrf and ?gttrs wrappers refuse
+    systems of fewer than three unknowns, as one beta at N = 1 would be.
+    The factors come back as rows of N+1 entries (the zero couplings and
+    fill kept as padding, the pivots relative to their row), so that
+    `_factor_rows` can hand any subset of the betas to zgttrs.
+    """
+    dl, d, du = _classical_tridiagonal(mesh, k)
+    m, n1 = betas.size, mesh.state_size
+
+    def coupled(band):
+        rows = np.zeros((m, n1), dtype=complex)
+        rows[:, :-1] = -band
+        return rows.ravel()
+
+    fdl, fd, fdu, fdu2, ipiv, _ = zgttrf(
+        coupled(dl), np.append((1j * betas[:, None] - d).ravel(), 1.0), coupled(du))
+    piv = ipiv[:-1] - 1 - np.arange(m * n1)
+    return (fdl.reshape(m, n1), fd[:-1].reshape(m, n1), fdu.reshape(m, n1),
+            np.append(fdu2, 0.0).reshape(m, n1), piv.reshape(m, n1))
+
+
+def _factor_rows(factors, rows: np.ndarray):
+    """The zgttrs arguments for some rows of `_shifted_factors`, with the decoupled unknown."""
+    dl, d, du, du2, piv = (f[rows].ravel() for f in factors)
+    size = d.size
+    return (dl, np.append(d, 1.0), du, du2[:size - 1],
+            np.append(piv + np.arange(1, size + 1), size + 1).astype(np.int32))
+
+
+def _inverse_gram(solve, q: np.ndarray) -> np.ndarray:
+    """X^{-1} X^{-H} q = D Z^{-1} D^{-1} D^{-T} Z^{-H} D^T q for each row q, O(N) per row."""
+    m, n1 = q.shape
+
+    def solve_rows(b, trans):
+        return zgttrs(*solve, np.append(b, 0.0)[:, None], trans=trans)[0][:-1].reshape(m, n1)
+
+    x = solve_d(solve_dt(solve_rows(_rows_dt(q), "C").T)).T
+    return _rows_d(solve_rows(x, "N"))
+
+
+def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
+    """Largest eigenvalue of each Lanczos tridiagonal, and the last entry of its eigenvector."""
+    m, j = alpha.shape
+    T = np.zeros((m, j, j))
+    diag = np.arange(j)
+    T[:, diag, diag] = alpha
+    T[:, diag[1:], diag[:-1]] = beta
+    ev, vec = np.linalg.eigh(T, UPLO="L")
+    return ev[:, -1], vec[:, -1, -1]
+
+
+def _lanczos_top(factors, start: np.ndarray, steps: int) -> np.ndarray:
+    """Largest eigenvalue of X^{-1} X^{-H} per row of the factors; nan if `steps` did not suffice.
+
+    Lanczos from `start` with full reorthogonalisation (classical
+    Gram-Schmidt against the whole basis, twice, by einsum, which forms no
+    temporary of the basis's size).  A row is frozen once its residual
+    |b_j s_j| is at most 1e-14 of its top Ritz value theta, and the rows left
+    are compacted.  Every reduction runs along one row, D and D^T
+    act as row stencils, and the blocks of the tridiagonal do not couple, so
+    a row's value does not depend on the rows beside it.  (CSR products with
+    D in place of the stencils broke that: a beta alone and the same beta in
+    a sweep differed in the last bits.)
+    """
+    m, n1 = factors[1].shape
+    V = np.empty((m, steps + 1, n1), dtype=complex)
+    V[:, 0] = start
+    alpha = np.zeros((m, steps))
+    beta = np.zeros((m, steps))
+    top = np.full(m, np.nan)
+    live = np.arange(m)
+    solve = _factor_rows(factors, live)
+    for j in range(steps):
+        w = _inverse_gram(solve, V[:, j])
+        basis = V[:, :j + 1]
+        for sweep in range(2):
+            coef = np.einsum("mjn,mn->mj", basis, w.conj()).conj()
+            if sweep == 0:
+                alpha[:, j] = coef[:, j].real
+            w -= np.einsum("mj,mjn->mn", coef, basis)
+        beta[:, j] = np.linalg.norm(w, axis=1)
+        theta, last = _top_ritz(alpha[:, :j + 1], beta[:, :j])
+        done = beta[:, j] * np.abs(last) <= _LANCZOS_RTOL * theta
+        top[live[done]] = theta[done]
+        keep = ~done
+        if not np.any(keep):
+            break
+        V[keep, j + 1] = w[keep] / beta[keep, j, None]
+        if np.any(done):
+            live, alpha, beta = live[keep], alpha[keep], beta[keep]
+            V, used = np.empty((live.size, steps + 1, n1), dtype=complex), V
+            V[:, :j + 2] = used[keep, :j + 2]  # the unused slots stay untouched
+            solve = _factor_rows(factors, live)
+    return top
+
+
+def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
+    """Weighted norm of (i beta - A)^{-1} of the classical scheme per beta, O(N) per Lanczos step.
+
+    With X = D (i beta - A) D^{-1}, the norm is ||X^{-1}||_2, the square
+    root of the largest eigenvalue of X^{-1} X^{-H}, which `_lanczos_top`
+    finds by inverse Lanczos (Wright & Trefethen, SIAM J. Sci. Comput. 23,
+    2001) from one fixed seeded start.  It applies X^{-1} X^{-H} from O(N)
+    pieces only: D and D^T as stencils, D^{-1} and D^{-T} as the
+    closed-form sums `grid.solve_d` and `grid.solve_dt`, and Z^{-1} and
+    Z^{-H}, Z = i beta - A, by zgttrs with the zgttrf factors of Z, one
+    factorisation per beta.  Partial pivoting is needed: without it the first
+    pivot is exactly zero at beta = 2/h^2, far from the spectrum.  No matrix
+    is formed.  Betas are processed in blocks whose Krylov basis fits in
+    2 MiB.
+
+    Raises NumericalError when i beta is numerically in the spectrum: a
+    factor has an exactly zero pivot, or 1/norm is at most
+    1e-14 (|beta| + max mu + sqrt(5/2) k/h), with the last two terms a bound
+    on ||A||_2; and when Lanczos does not converge within its step budget.
+    """
+    n1 = mesh.state_size
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    where = f"(scheme=classical, n={mesh.n}, k={k})"
+    steps = min(n1, _LANCZOS_MAX_STEPS)
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    start = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
+    start /= np.linalg.norm(start)
+    top = np.empty(betas.size)
+    for rows in _row_blocks(np.arange(betas.size), n1 * (steps + 1), _KRYLOV_ELEMENTS):
+        factors = _shifted_factors(mesh, k, betas[rows])
+        singular = np.any(factors[1] == 0, axis=1)
+        if np.any(singular):
+            raise NumericalError(f"i*beta is numerically in the spectrum (zero pivot) at "
+                                 f"beta={betas[rows][np.argmax(singular)]} {where}")
+        top[rows] = _lanczos_top(factors, start, steps)
+    norms = np.sqrt(top)
+    scale = np.max(classical_poles_weights(mesh)[0]) + np.sqrt(2.5) * k / mesh.h
+    for failed, what in (
+        (np.isnan(norms), f"Lanczos did not converge in {steps} steps"),
+        (1.0 / norms <= _SPECTRUM_RTOL * (np.abs(betas) + scale),
+         "i*beta is numerically in the spectrum"),
+    ):
+        if np.any(failed):
+            raise NumericalError(f"{what} at beta={betas[np.argmax(failed)]} {where}")
+    return norms

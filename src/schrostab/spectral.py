@@ -6,12 +6,12 @@ smallest singular value of i beta I - B with B = S A S^{-1} = D A D^{-1}.
 Both spectra are the certified roots of closed-form secular equations
 (`schrostab.secular`), with no matrix: the order-reduction B is diagonal
 plus rank one, and the classical A is tridiagonal, diagonal plus rank one
-in the eigenbasis of M M^T.  Each order-reduction sigma_min(i beta I - B) is
-bracketed by an exact O(N) eigenvalue count.  The classical resolvent stays
-dense: each beta costs one SVD of i beta I - B, with B formed once per
-system (`SemiDiscreteSystem.weighted_generator`).  `eigenpairs` and
-`spectral_norm_estimate` are the dense eigensolver and norm estimate, kept
-for small-N oracles; no spectrum here uses them.
+in the eigenbasis of M M^T.  Neither resolvent forms a matrix either: each
+order-reduction sigma_min(i beta I - B) is bracketed by an exact O(N)
+eigenvalue count, and each classical norm is found by inverse Lanczos on
+O(N) tridiagonal solves.  `eigenpairs` and `spectral_norm_estimate` are the
+dense eigensolver and norm estimate, kept for small-N oracles; no spectrum
+or resolvent here uses them.
 """
 
 from __future__ import annotations
@@ -23,11 +23,17 @@ import scipy.linalg as sla
 
 from .errors import NumericalError
 from .grid import Mesh
-from .secular import classical_spectrum, or_resolvent_smin, or_spectrum
+from .secular import (
+    classical_resolvent_norm,
+    classical_spectrum,
+    or_resolvent_smin,
+    or_spectrum,
+)
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem
 
 __all__ = [
     "MAX_EIG_DIM",
+    "MAX_CLASSICAL_RESOLVENT_N",
     "MAX_LOG_DECADES",
     "MAX_LINEAR_STEPS",
     "SpectrumReport",
@@ -41,6 +47,13 @@ __all__ = [
 ]
 
 MAX_EIG_DIM = 2048
+# Largest N at which the classical resolvent peak can still be sampled: the
+# rightmost eigenvalue needs |Re lam| / |Im lam| >= 100 eps = 2.2e-14, or too
+# few doubles beta land inside its peak.  At k = 1 that ratio is 2.10e-13 at
+# N = 2047 and 1.31e-14 at N = 4095.  It is proportional to k, so at
+# N = 2047 and k = 0.1 (2.1e-14) the peak is refused as numerically in the
+# spectrum.
+MAX_CLASSICAL_RESOLVENT_N = 2047
 # Log tails reach at most 10**30, with 20 points per decade on each side.
 MAX_LOG_DECADES = 30.0
 # The linear grid is evaluated twice (at beta and -beta): 2e5 points at the cap.
@@ -131,25 +144,22 @@ def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
     )
 
 
-def resolvent_norm(system: SemiDiscreteSystem, beta: float) -> float:
-    """Weighted operator norm of (i beta I - A)^{-1}.
+def resolvent_norm(system: SemiDiscreteSystem, beta):
+    """Weighted operator norm of (i beta I - A)^{-1}, for one beta or an array of them.
 
-    Computed as 1 / sigma_min(i beta I - B) with B the system's weighted
-    generator: from the secular bracket for the order-reduction scheme
-    (`secular.or_resolvent_smin`), from a dense SVD for the classical one.
+    A float for a scalar beta, else an array of beta's shape.  The
+    order-reduction norm is 1 / sigma_min(i beta I - B) from the secular
+    bracket (`secular.or_resolvent_smin`), the classical one comes from
+    inverse Lanczos (`secular.classical_resolvent_norm`); both take the whole
+    array in one call, and each beta's value does not depend on the others.
     Raises NumericalError when i*beta is numerically an eigenvalue.
     """
+    betas = np.asarray(beta, dtype=float)
     if system.scheme == ORDER_REDUCTION:
-        return float(1.0 / or_resolvent_smin(system.mesh, system.k, beta)[0])
-    B = system.weighted_generator
-    sv = sla.svdvals(1j * beta * np.eye(B.shape[0]) - B)
-    smin, smax = sv[-1], sv[0]
-    if smin <= 1e-14 * smax:
-        raise NumericalError(
-            f"i*beta is numerically in the spectrum at beta={beta} "
-            f"(scheme={system.scheme}, n={system.n})"
-        )
-    return float(1.0 / smin)
+        norms = 1.0 / or_resolvent_smin(system.mesh, system.k, betas.ravel())
+    else:
+        norms = classical_resolvent_norm(system.mesh, system.k, betas.ravel())
+    return float(norms[0]) if betas.ndim == 0 else norms.reshape(betas.shape)
 
 
 def default_beta_max(mesh: Mesh) -> float:
@@ -198,16 +208,13 @@ def resolvent_sweep(
 ) -> ResolventSweepReport:
     """Evaluate the weighted resolvent norm over the sweep grid.
 
-    Order-reduction norms come from one vectorised secular call over the
-    grid.  Ties in the argmax are broken toward the smallest |beta|.
+    Both schemes take one `resolvent_norm` call over the whole grid.  Ties
+    in the argmax are broken toward the smallest |beta|.
     """
     if log_decades is None:
         log_decades = float(np.log10(default_beta_max(system.mesh)))
     grid = sweep_grid(system, beta_min, beta_max, linear_steps, log_decades)
-    if system.scheme == ORDER_REDUCTION:
-        norms = 1.0 / or_resolvent_smin(system.mesh, system.k, grid)
-    else:
-        norms = np.array([resolvent_norm(system, b) for b in grid])
+    norms = resolvent_norm(system, grid)
     sup = float(np.max(norms))
     at_max = grid[norms == sup]
     argmax = float(at_max[np.argmin(np.abs(at_max))])

@@ -5,13 +5,11 @@ Both generators are one O(N) applier over the mesh's sparse scheme matrices,
 shadow element (P = D), the classical scheme is the plain second-difference
 operator with the same boundary feedback (P = I).  That applier is the only
 definition of either generator, and the classical spectrum certifies its
-eigenpairs against it (`schrostab.secular`).  The dense generator and the
-dense weighted generator D A D^{-1} are the applier evaluated on the
-identity; the classical resolvent needs the weighted generator, and the
-dense generator serves only as a small-N oracle.  Neither spectrum, nor the
-order-reduction resolvent, forms either of them.  A `SemiDiscreteSystem`
-forms each on first use and keeps it, as a cached property, the way a
-`Mesh` keeps its scheme matrices.
+eigenpairs against it (`schrostab.secular`).  The dense generator is the
+applier evaluated on the identity and serves only as a small-N oracle: no
+spectrum or resolvent of either scheme forms it, or any other matrix.  A
+`SemiDiscreteSystem` forms it on first use and keeps it, as a cached
+property, the way a `Mesh` keeps its scheme matrices.
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ def assemble_generator(scheme: str, k: float, mesh: Mesh) -> np.ndarray:
 class SemiDiscreteSystem:
     """One member of the semi-discrete family: scheme kind, mesh and gain.
 
-    The dense generator and weighted generator are assembled lazily, each at
-    most once per system; `apply` stays matrix-free and O(N).
+    The dense generator is assembled lazily, at most once per system;
+    `apply` stays matrix-free and O(N).
     """
 
     scheme: str
@@ -95,15 +93,6 @@ class SemiDiscreteSystem:
     @cached_property
     def generator(self) -> np.ndarray:
         return assemble_generator(self.scheme, self.k, self.mesh)
-
-    @cached_property
-    def weighted_generator(self) -> np.ndarray:
-        """B = D A D^{-1}, the generator in coordinates where the weighted norm is Euclidean.
-
-        With S = sqrt(h) D, yh_norm(Y) = ||S Y||_2 and B = S A S^{-1}.  Each
-        column is D A applied to a column of D^{-1}, O(N) per column.
-        """
-        return self.mesh.matrices.D @ self.apply(solve_d(np.eye(self.mesh.state_size)))
 
 
 def discrete_energy(W, mesh: Mesh) -> float:

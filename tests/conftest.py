@@ -27,3 +27,41 @@ def modal_oracle(mesh):
     S = np.sin(np.outer(x, np.arange(mesh.state_size) + 0.5) * np.pi)
     Q = build_scheme_matrices(mesh).D.toarray() @ S
     return Q / np.linalg.norm(Q, axis=0)
+
+
+
+def classical_resolvent_within(system, betas, norms, rtol):
+    """Whether each norm is within rtol of sigma_max(M), M = D Z^{-1} D^{-1} and Z = i beta - A.
+
+    Z comes from the dense classical generator, and Z^{-1} D^{-1} from one
+    banded solve (`scipy.linalg.solve_banded`) with the dense D^{-1} as
+    right-hand side.  The test is an exact inertia count, cheaper than an
+    SVD: sigma_max(M) < x exactly when x^2 I - M^H M has a Cholesky factor,
+    so a norm g passes when there is one at x = g (1 + rtol) and none at
+    x = g (1 - rtol).
+    """
+    import scipy.linalg as sla
+    from scipy.linalg.blas import zherk
+    from scipy.linalg.lapack import zpotrf
+
+    from schrostab.grid import build_scheme_matrices
+
+    A = system.generator
+    assert not np.any(np.triu(A, 2)) and not np.any(np.tril(A, -2))
+    D = build_scheme_matrices(system.mesh).D
+    D_inv = np.linalg.inv(D.toarray())
+    diag = np.diag_indices(A.shape[0])
+    bands = np.zeros((3, A.shape[0]), dtype=complex)
+    bands[0, 1:] = -np.diag(A, 1)
+    bands[2, :-1] = -np.diag(A, -1)
+    within = []
+    for beta, norm in zip(np.atleast_1d(betas), np.atleast_1d(norms)):
+        bands[1] = 1j * beta - np.diag(A)
+        G = zherk(-1.0, D @ sla.solve_banded((1, 1), bands, D_inv), trans=2)  # upper triangle
+        factors = []
+        for side in (1, -1):
+            H = G.copy()
+            H[diag] += (norm * (1 + side * rtol)) ** 2
+            factors.append(zpotrf(H)[1] == 0)
+        within.append(factors == [True, False])
+    return np.array(within)

@@ -375,6 +375,7 @@ def test_non_finite_float_is_usage_error(runner, tmp_path, argv, option, value):
     ids=["resolvent", "resolvent-classical"],
 )
 def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
+    # the classical resolvent cap: past N = 2047 no double beta samples the peak
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the cap check")
 
@@ -382,7 +383,7 @@ def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
         monkeypatch.setattr(f"schrostab.cli.{solver}", refuse)
     result = runner.invoke(main, argv + ["--n-list", "5,2048", "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
-    assert f"exceed the dense cap of {user}" in result.output
+    assert f"--n-list grid sizes above 2047 exceed the resolvent cap of {user}" in result.output
     assert not any(tmp_path.iterdir())
 
 

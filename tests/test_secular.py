@@ -10,6 +10,7 @@ from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
 from schrostab.secular import (
     classical_poles_weights,
+    classical_resolvent_norm,
     classical_spectrum,
     or_modal_coordinates,
     or_poles_weights,
@@ -20,7 +21,7 @@ from schrostab.secular import (
 from schrostab.spectral import default_beta_max, sweep_grid
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
-from conftest import modal_oracle, random_complex, weighted_oracle
+from conftest import classical_resolvent_within, modal_oracle, random_complex, weighted_oracle
 
 
 def by_imaginary_part(z):
@@ -307,3 +308,76 @@ def test_beta_in_the_spectrum_is_refused(monkeypatch):
     theta = poles_weights(Mesh(15))[0]
     with pytest.raises(NumericalError, match="numerically in the spectrum at beta="):
         or_resolvent_smin(Mesh(15), 1.0, [0.0, theta[3]])
+
+
+def _default_grid(system):
+    return sweep_grid(system, -20.0, 20.0, 81, float(np.log10(default_beta_max(system.mesh))))
+
+
+@pytest.mark.parametrize("n", [1, 15, 63, 127, 255])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+def test_classical_resolvent_matches_inverse_oracle(n, k):
+    # measured: at most 6.0e-14 relative (N=255); the dense SVD of i beta - B
+    # that this path replaced was 5.2e-9 off at N=127
+    system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
+    betas = _default_grid(system)
+    got = classical_resolvent_norm(system.mesh, k, betas)
+    assert np.all(classical_resolvent_within(system, betas, got, 1e-12))
+
+
+def test_classical_resolvent_needs_pivoting():
+    # without row interchanges the first pivot of i beta - A is exactly zero at
+    # beta = 2/h^2, far from the spectrum (the norm is 4.5e-3 at N=255).  The
+    # grid beta whose unpivoted elimination meets the smallest pivot, 1.8e-8 of
+    # |beta| + max mu + sqrt(5/2) k/h, is checked too, though unpivoted
+    # elimination stays as accurate there (measured: 6e-14 relative)
+    system = SemiDiscreteSystem(CLASSICAL, Mesh(255), 1.0)
+    betas = _default_grid(system)
+    A = system.generator
+    sub_sup = np.diag(A, -1) * np.diag(A, 1)
+    pivot = 1j * betas - A[0, 0]
+    smallest = np.abs(pivot)
+    for i in range(1, A.shape[0]):
+        pivot = 1j * betas - A[i, i] - sub_sup[i - 1] / pivot
+        smallest = np.minimum(smallest, np.abs(pivot))
+    mu = classical_poles_weights(system.mesh)[0]
+    relative = smallest / (np.abs(betas) + mu.max() + np.sqrt(2.5) / system.mesh.h)
+    assert relative.min() < 1e-7
+    betas = np.array([2.0 / system.mesh.h**2, betas[np.argmin(relative)]])
+    assert 1j * betas[0] == A[0, 0]
+    got = classical_resolvent_norm(system.mesh, 1.0, betas)
+    assert np.all(classical_resolvent_within(system, betas, got, 1e-12))
+
+
+@pytest.mark.parametrize("n", [1, 63])
+def test_classical_resolvent_rows_are_independent(n):
+    # a beta alone gives its value inside a sweep, bit for bit
+    mesh = Mesh(n)
+    betas = _default_grid(SemiDiscreteSystem(CLASSICAL, mesh, 1.0))
+    swept = classical_resolvent_norm(mesh, 1.0, betas)
+    alone = np.array([classical_resolvent_norm(mesh, 1.0, beta)[0] for beta in betas])
+    assert np.array_equal(alone, swept)
+
+
+def test_classical_beta_in_the_spectrum_is_refused(monkeypatch):
+    # with k = 1e-20, i mu_5 is an eigenvalue of A to within 1e-18
+    mesh = Mesh(15)
+    mu = classical_poles_weights(mesh)[0]
+    with pytest.raises(NumericalError, match=f"numerically in the spectrum at beta={mu[5]}"):
+        classical_resolvent_norm(mesh, 1e-20, [0.0, mu[5]])
+
+    # with A = 0, beta = 0 leaves every pivot exactly zero
+    tridiagonal = secular._classical_tridiagonal
+
+    def zero(mesh, k):
+        return tuple(np.zeros_like(band) for band in tridiagonal(mesh, k))
+
+    monkeypatch.setattr("schrostab.secular._classical_tridiagonal", zero)
+    with pytest.raises(NumericalError, match=r"in the spectrum \(zero pivot\) at beta=0.0"):
+        classical_resolvent_norm(mesh, 1.0, [1.0, 0.0])
+
+
+def test_classical_lanczos_budget_binds(monkeypatch):
+    monkeypatch.setattr("schrostab.secular._LANCZOS_MAX_STEPS", 2)
+    with pytest.raises(NumericalError, match="Lanczos did not converge in 2 steps"):
+        classical_resolvent_norm(Mesh(15), 1.0, [0.0])

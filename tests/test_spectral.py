@@ -101,7 +101,7 @@ class TestSpectralAbscissa:
     def test_secular_residual_check_binds(self, monkeypatch, root):
         # one secular root off by 1e-10 ||B|| leaves a backward residual of about that size
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
-        shift = 1e-10 * spectral_norm_estimate(system.weighted_generator)
+        shift = 1e-10 * spectral_norm_estimate(weighted_oracle(system))
         solve = secular.secular_roots
 
         def shifted(theta, c, rho):
@@ -117,8 +117,7 @@ class TestSpectralAbscissa:
         def refuse(*args, **kwargs):
             raise AssertionError("the order-reduction spectrum formed a dense matrix")
 
-        for name in ("generator", "weighted_generator"):
-            monkeypatch.setattr(SemiDiscreteSystem, name, property(refuse))
+        monkeypatch.setattr(SemiDiscreteSystem, "generator", property(refuse))
         monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
         rep = spectral_abscissa(SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0))
         assert rep.eigenvalues.size == 4096
@@ -128,8 +127,7 @@ class TestSpectralAbscissa:
         def refuse(*args, **kwargs):
             raise AssertionError("the classical spectrum formed a dense matrix")
 
-        for name in ("generator", "weighted_generator"):
-            monkeypatch.setattr(SemiDiscreteSystem, name, property(refuse))
+        monkeypatch.setattr(SemiDiscreteSystem, "generator", property(refuse))
         monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
         rep = spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(4095), 1.0))
         assert rep.eigenvalues.size == 4096
@@ -232,8 +230,7 @@ class TestResolventSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("the order-reduction resolvent formed a dense matrix")
 
-        for name in ("generator", "weighted_generator"):
-            monkeypatch.setattr(SemiDiscreteSystem, name, property(refuse))
+        monkeypatch.setattr(SemiDiscreteSystem, "generator", property(refuse))
         monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
         monkeypatch.setattr("schrostab.spectral.sla.svdvals", refuse)
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0)
@@ -241,3 +238,26 @@ class TestResolventSweep:
         assert sweep.beta_grid.size > 4096  # the 4096 eigenvalue peaks and the grid
         assert 0.52 < sweep.sup_norm < 0.53
         assert resolvent_norm(system, 2.868) <= sweep.sup_norm
+
+    def test_classical_resolvent_never_forms_a_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the classical resolvent formed a dense matrix")
+
+        monkeypatch.setattr(SemiDiscreteSystem, "generator", property(refuse))
+        monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
+        monkeypatch.setattr("scipy.linalg.svdvals", refuse)
+        system = SemiDiscreteSystem(CLASSICAL, Mesh(2047), 1.0)
+        sweep = resolvent_sweep(system, -20.0, 20.0, 11, log_decades=1.0)
+        assert sweep.beta_grid.size > 2048  # the 2048 eigenvalue peaks and the grid
+        assert 4.90e5 < sweep.sup_norm < 4.92e5  # measured: 490955.2355
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_resolvent_norm_takes_a_scalar_or_an_array(scheme):
+    system = SemiDiscreteSystem(scheme, Mesh(15), 1.0)
+    betas = np.array([[0.0, 2.868], [-17.5, 1e4]])
+    norms = resolvent_norm(system, betas)
+    assert norms.shape == betas.shape
+    scalar = resolvent_norm(system, 2.868)
+    assert isinstance(scalar, float)
+    assert scalar == norms[0, 1]
