@@ -139,6 +139,17 @@ def _signs(b: np.ndarray) -> np.ndarray:
     return s.reshape((-1,) + (1,) * (b.ndim - 1))
 
 
+def _row_blocks(rows: np.ndarray, width: int, elements: int):
+    """Consecutive runs of `rows` of max(1, elements // width) entries each.
+
+    A block of such rows, each `width` entries wide, then holds about
+    `elements` entries.
+    """
+    step = max(1, elements // width)
+    for start in range(0, rows.size, step):
+        yield rows[start:start + step]
+
+
 def solve_d(b: np.ndarray) -> np.ndarray:
     """Solve D x = b along the first axis by D's closed-form inverse, O(N).
 
@@ -161,14 +172,21 @@ def yh_inner(Y, Ytilde, mesh: Mesh) -> complex:
     Hermitian and positive definite since D is invertible.
     """
     D = mesh.matrices.D
-    a = D @ _as_state(Y, mesh)
-    b = D @ _as_state(Ytilde, mesh)
-    return mesh.h * np.sum(a * np.conj(b), axis=0)
+    return _d_inner(D @ _as_state(Y, mesh), D @ _as_state(Ytilde, mesh), mesh.h)
 
 
 def yh_norm(Y, mesh: Mesh) -> float:
-    a = mesh.matrices.D @ _as_state(Y, mesh)
-    return np.sqrt(mesh.h * np.sum(np.abs(a) ** 2, axis=0))
+    return _d_norm(mesh.matrices.D @ _as_state(Y, mesh), mesh.h)
+
+
+def _d_inner(a: np.ndarray, b: np.ndarray, h: float):
+    """yh_inner from the products a = D Y and b = D Ytilde."""
+    return h * np.sum(a * np.conj(b), axis=0)
+
+
+def _d_norm(a: np.ndarray, h: float):
+    """yh_norm from the product a = D Y."""
+    return np.sqrt(h * np.sum(np.abs(a) ** 2, axis=0))
 
 
 def _shadow_rhs(Y, k: float, mesh: Mesh) -> np.ndarray:

@@ -10,25 +10,36 @@ All operations accept a single vector (shape (N+1,)) or a batch (shape
 (N+1, m)); gaps are then scalars or length-m arrays.  Each gap comes with
 the scale of the largest term entering its identity, the denominator of
 the relative defect the suite checks.
+
+Each identity has one private kernel.  A public gap function builds the
+pieces of its batch and calls the kernel; `run_identity_suite` calls the
+same kernels on column blocks of about 2^15 entries, which stay in cache.
+It builds the shadow element, the extended vectors and their cell values
+once per block and shares them among all identities.  One worker thread
+draws the next seeded batch while the main thread evaluates the current
+one.  A column's defect does not depend on the width of its block.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .grid import (
     Mesh,
+    _d_inner,
+    _row_blocks,
     average,
     difference,
     extend_shadow,
     extend_state,
     shadow_element,
     triple_sum_identity_gap,
-    yh_inner,
 )
-from .systems import dissipation_gap
+from .systems import _dissipation_gap
 
 __all__ = [
     "MultiplierReport",
@@ -42,15 +53,41 @@ __all__ = [
 ]
 
 
-def _boundary_gap(ext: np.ndarray, mesh: Mesh):
-    mids = average(ext)
-    difs = difference(ext, mesh.h)
+class _Block(NamedTuple):
+    """A state batch Y, its shadow element Z, D Y, both vectors extended, and their cell values."""
+
+    Y: np.ndarray
+    Z: np.ndarray
+    DY: np.ndarray
+    yext: np.ndarray
+    zext: np.ndarray
+    y_mid: np.ndarray
+    y_dif: np.ndarray
+    z_mid: np.ndarray
+    z_dif: np.ndarray
+
+
+def _block(Y, k: float, mesh: Mesh) -> _Block:
+    Y = np.asarray(Y, dtype=complex)
+    Z = shadow_element(Y, k, mesh)
+    yext = extend_state(Y, mesh)
+    zext = extend_shadow(Z, Y, k, mesh)
+    h = mesh.h
+    return _Block(
+        Y, Z, mesh.matrices.D @ Y, yext, zext,
+        average(yext), difference(yext, h), average(zext), difference(zext, h),
+    )
+
+
+def _boundary_gap(last, mids, difs, mesh: Mesh):
+    """The boundary multiplier defect of an extended vector from its last
+    entry, its cell averages and its scaled differences."""
     x_mid = mesh.midpoints()
-    if ext.ndim > 1:
+    if mids.ndim > 1:
         x_mid = x_mid[:, None]
     h = mesh.h
     lhs = 2.0 * np.real(h * np.sum(x_mid * mids * np.conj(difs), axis=0))
-    t_boundary = np.abs(ext[-1]) ** 2
+    t_boundary = np.abs(last) ** 2
     t_mid = h * np.sum(np.abs(mids) ** 2, axis=0)
     t_dif = (h**3 / 4.0) * np.sum(np.abs(difs) ** 2, axis=0)
     gap = np.abs(lhs - (t_boundary - t_mid - t_dif))
@@ -66,7 +103,7 @@ def boundary_multiplier_gap_y(Y, mesh: Mesh):
     difference energies.  Returns (gap, scale).
     """
     ext = extend_state(np.asarray(Y, dtype=complex), mesh)
-    return _boundary_gap(ext, mesh)
+    return _boundary_gap(ext[-1], average(ext), difference(ext, mesh.h), mesh)
 
 
 def boundary_multiplier_gap_z(Zext, mesh: Mesh):
@@ -81,7 +118,7 @@ def boundary_multiplier_gap_z(Zext, mesh: Mesh):
             f"extended vector on mesh n={mesh.n} needs length {mesh.n + 2}, "
             f"got {Zext.shape[0]}"
         )
-    return _boundary_gap(Zext, mesh)
+    return _boundary_gap(Zext[-1], average(Zext), difference(Zext, mesh.h), mesh)
 
 
 def cross_term_gap(Y, k: float, mesh: Mesh):
@@ -92,16 +129,18 @@ def cross_term_gap(Y, k: float, mesh: Mesh):
     twice the midpoint energy of z; the boundary pairing drops out because
     y conj(z) at the damped end is purely imaginary.  Returns (gap, scale).
     """
-    Y = np.asarray(Y, dtype=complex)
-    Z = shadow_element(Y, k, mesh)
-    yext = extend_state(Y, mesh)
-    zext = extend_shadow(Z, Y, k, mesh)
+    return _cross_term_gap(_block(Y, k, mesh), mesh)
+
+
+def _cross_term_gap(b: _Block, mesh: Mesh):
     h = mesh.h
-    y_mid = average(yext)
-    z_mid = average(zext)
-    dz = difference(zext, h)
-    cross = h * np.sum(np.conj(y_mid) * dz + y_mid * np.conj(dz), axis=0)
-    t_z = 2.0 * h * np.sum(np.abs(z_mid) ** 2, axis=0)
+    # Both conjugates are named so that numpy cannot multiply in place in a
+    # temporary.  It does so for large temporaries, with the factors swapped,
+    # and complex products round differently in the two orders: the gap
+    # would depend on the width of the block.
+    cy, cz = np.conj(b.y_mid), np.conj(b.z_dif)
+    cross = h * np.sum(cy * b.z_dif + b.y_mid * cz, axis=0)
+    t_z = 2.0 * h * np.sum(np.abs(b.z_mid) ** 2, axis=0)
     gap = np.abs(cross + t_z)
     scale = np.maximum(np.abs(cross), t_z)
     return gap, scale
@@ -115,24 +154,23 @@ def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh, matrices=None):
     matrix and sum forms agree exactly for any beta != 0.
     Returns {"gap_claim2", "gap_claim3", "scale_claim2", "scale_claim3"}.
     """
+    sm = matrices if matrices is not None else mesh.matrices
+    return _claim_functionals_gap(_block(Y, k, mesh), beta, sm, mesh)
+
+
+def _claim_functionals_gap(b: _Block, beta: float, sm, mesh: Mesh):
     if beta == 0:
         raise ValueError("beta must be nonzero")
-    Y = np.asarray(Y, dtype=complex)
-    Z = shadow_element(Y, k, mesh)
-    yext = extend_state(Y, mesh)
-    zext = extend_shadow(Z, Y, k, mesh)
-    sm = matrices if matrices is not None else mesh.matrices
     h = mesh.h
+    y_norm2 = np.real(_d_inner(b.DY, b.DY, h))
+    sig_z = h * np.sum(np.abs(sm.Sigma @ b.zext) ** 2, axis=0)
+    del_z = h * np.sum(np.abs(sm.Delta @ b.zext) ** 2, axis=0)
+    del_y = h * np.sum(np.abs(sm.Delta @ b.yext) ** 2, axis=0)
 
-    y_norm2 = np.real(yh_inner(Y, Y, mesh))
-    sig_z = h * np.sum(np.abs(sm.Sigma @ zext) ** 2, axis=0)
-    del_z = h * np.sum(np.abs(sm.Delta @ zext) ** 2, axis=0)
-    del_y = h * np.sum(np.abs(sm.Delta @ yext) ** 2, axis=0)
-
-    s_y = h * np.sum(np.abs(average(yext)) ** 2, axis=0)
-    s_z = h * np.sum(np.abs(average(zext)) ** 2, axis=0)
-    s_dz = h * np.sum(np.abs(difference(zext, h)) ** 2, axis=0)
-    s_dy = h * np.sum(np.abs(difference(yext, h)) ** 2, axis=0)
+    s_y = h * np.sum(np.abs(b.y_mid) ** 2, axis=0)
+    s_z = h * np.sum(np.abs(b.z_mid) ** 2, axis=0)
+    s_dz = h * np.sum(np.abs(b.z_dif) ** 2, axis=0)
+    s_dy = h * np.sum(np.abs(b.y_dif) ** 2, axis=0)
 
     m2 = [y_norm2, sig_z / beta, (h**2 / (4 * beta)) * del_z, (h**2 / 4) * del_y]
     s2 = [s_y, s_z / beta, (h**2 / (4 * beta)) * s_dz, (h**2 / 4) * s_dy]
@@ -183,12 +221,43 @@ SUITE_TOLERANCES = {
 
 DEFAULT_SUITE_N = (1, 2, 7, 64, 255)
 DEFAULT_SUITE_K = (0.1, 1.0, 10.0)
-# The default suite peaks at about 53 KiB per sample (594 MiB at the cap, 6 s).
+# The default suite peaks at about 35 KiB per sample above the imports (405 MiB
+# at the cap, 2.4-3.0 s on a 2-core machine with one BLAS thread).
 MAX_SAMPLES = 10**4
+# Entries per column block of a batch: 512 KiB of complex128.
+_BLOCK_ELEMENTS = 1 << 15
+# in report order
+_GAIN_IDENTITIES = (
+    "dissipation", "boundary_multiplier_y", "boundary_multiplier_z", "cross_term", "claim2", "claim3"
+)
 
 
 def _random_states(rng, size: int, batch: int) -> np.ndarray:
     return rng.standard_normal((size, batch)) + 1j * rng.standard_normal((size, batch))
+
+
+def _prefetched(pool, draw, plan):
+    """draw(sizes) for each entry of plan, in order, each drawn on pool
+    while the caller evaluates the one before it."""
+    ahead = pool.submit(draw, plan[0])
+    for sizes in plan[1:]:
+        batch = ahead.result()
+        ahead = pool.submit(draw, sizes)
+        yield batch
+    yield ahead.result()
+
+
+def _column_blocks(samples: int, rows: int) -> list[slice]:
+    """Column slices of a batch with `rows` rows, about _BLOCK_ELEMENTS entries each.
+
+    No block is one column wide unless the batch is: numpy sums a lone
+    column pairwise but a wider block row by row, so a lone column would
+    round differently from the same column in a wider block.
+    """
+    blocks = list(_row_blocks(np.arange(samples), rows, max(_BLOCK_ELEMENTS, 2 * rows)))
+    if len(blocks) > 1 and blocks[-1].size == 1:
+        blocks[-2:] = [np.concatenate(blocks[-2:])]
+    return [slice(c[0], c[-1] + 1) for c in blocks]
 
 
 def run_identity_suite(
@@ -200,6 +269,11 @@ def run_identity_suite(
 ) -> list[MultiplierReport]:
     """Evaluate every identity on seeded random batches; one report each.
 
+    Each batch is evaluated in column blocks that stay in cache, with the
+    shadow element and the extended vectors formed once per block and
+    shared by every identity.  One worker thread draws the next batch, in
+    the seeded order, while the current one is evaluated.
+
     `perturb` injects a fault into one entry of the Sigma matrix used by the
     functional equalities, as a sensitivity check that the suite actually
     detects broken algebra.
@@ -209,41 +283,57 @@ def run_identity_suite(
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
+
+    def draw(sizes):
+        return [_random_states(rng, size, samples) for size in sizes]
+
+    # per grid size: u, v, w for the triple sum, then Y and Zext per gain
+    plan = [
+        sizes
+        for n in n_values
+        for sizes in [(n + 2,) * 3] + [(n + 1, n + 2)] * len(DEFAULT_SUITE_K)
+    ]
     reports = []
-    for n in n_values:
-        mesh = Mesh(n)
-        sm = mesh.matrices
-        if perturb != 0.0:
-            Sigma = sm.Sigma.copy()
-            Sigma[0, 0] += perturb
-            sm = replace(sm, Sigma=Sigma)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        batches = _prefetched(pool, draw, plan)
+        for n in n_values:
+            mesh = Mesh(n)
+            sm = mesh.matrices
+            if perturb != 0.0:
+                Sigma = sm.Sigma.copy()
+                Sigma[0, 0] += perturb
+                sm = replace(sm, Sigma=Sigma)
+            blocks = _column_blocks(samples, n + 2)
 
-        u, v, w = (_random_states(rng, n + 2, samples) for _ in range(3))
-        gap = np.abs(triple_sum_identity_gap(u, v, w))
-        scale = (
-            np.max(np.abs(u), axis=0) * np.max(np.abs(v), axis=0) * np.max(np.abs(w), axis=0)
-        ) * (n + 2)
-        # triple_sum is gain-independent; report it under k = 0
-        _append_worst(reports, "triple_sum", n, 0.0, seed, gap, scale)
+            u, v, w = next(batches)
+            defects = np.empty((2, samples))
+            for cols in blocks:
+                ub, vb, wb = (np.ascontiguousarray(a[:, cols]) for a in (u, v, w))
+                defects[0, cols] = np.abs(triple_sum_identity_gap(ub, vb, wb))
+                defects[1, cols] = (
+                    np.max(np.abs(ub), axis=0) * np.max(np.abs(vb), axis=0)
+                    * np.max(np.abs(wb), axis=0)
+                ) * (n + 2)
+            # triple_sum is gain-independent; report it under k = 0
+            _append_worst(reports, "triple_sum", n, 0.0, seed, *defects)
 
-        for k in DEFAULT_SUITE_K:
-            Y = _random_states(rng, n + 1, samples)
-            g, s = dissipation_gap(Y, k, mesh)
-            _append_worst(reports, "dissipation", n, k, seed, g, s)
-
-            g, s = boundary_multiplier_gap_y(Y, mesh)
-            _append_worst(reports, "boundary_multiplier_y", n, k, seed, g, s)
-
-            Zext = _random_states(rng, n + 2, samples)
-            g, s = boundary_multiplier_gap_z(Zext, mesh)
-            _append_worst(reports, "boundary_multiplier_z", n, k, seed, g, s)
-
-            g, s = cross_term_gap(Y, k, mesh)
-            _append_worst(reports, "cross_term", n, k, seed, g, s)
-
-            cf = claim_functionals_gap(Y, k, beta, mesh, matrices=sm)
-            _append_worst(reports, "claim2", n, k, seed, cf["gap_claim2"], cf["scale_claim2"])
-            _append_worst(reports, "claim3", n, k, seed, cf["gap_claim3"], cf["scale_claim3"])
+            for k in DEFAULT_SUITE_K:
+                Y, Zext = next(batches)
+                defects = {name: np.empty((2, samples)) for name in _GAIN_IDENTITIES}
+                for cols in blocks:
+                    Yb, Zb = (np.ascontiguousarray(a[:, cols]) for a in (Y, Zext))
+                    b = _block(Yb, k, mesh)
+                    defects["dissipation"][:, cols] = _dissipation_gap(b.Y, b.Z, b.DY, k, mesh)
+                    defects["boundary_multiplier_y"][:, cols] = _boundary_gap(
+                        b.Y[-1], b.y_mid, b.y_dif, mesh
+                    )
+                    defects["boundary_multiplier_z"][:, cols] = boundary_multiplier_gap_z(Zb, mesh)
+                    defects["cross_term"][:, cols] = _cross_term_gap(b, mesh)
+                    cf = _claim_functionals_gap(b, beta, sm, mesh)
+                    for claim in ("claim2", "claim3"):
+                        defects[claim][:, cols] = cf["gap_" + claim], cf["scale_" + claim]
+                for name, (gaps, scales) in defects.items():
+                    _append_worst(reports, name, n, k, seed, gaps, scales)
     return reports
 
 

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import NumericalError
-from .grid import Mesh, solve_d, solve_dt
+from .grid import Mesh, _row_blocks, solve_d, solve_dt
 from .systems import CLASSICAL, apply_generator
 
 __all__ = [
@@ -160,12 +160,6 @@ def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
     return (up - down) / (2j * np.cos(_phases(mesh)) * np.sqrt(n1 / 2))
 
 
-def _row_blocks(rows: np.ndarray, n1: int, elements: int = _BLOCK_ELEMENTS):
-    step = max(1, elements // n1)
-    for start in range(0, rows.size, step):
-        yield rows[start:start + step]
-
-
 def secular_roots(theta: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
     """All roots of 1 + rho sum_m c_m^2 / (lam - i theta_m), by Aberth sweeps.
 
@@ -185,7 +179,7 @@ def secular_roots(theta: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
         todo = np.flatnonzero(active)
         if todo.size == 0:
             break
-        for rows in _row_blocks(todo, n1):
+        for rows in _row_blocks(todo, n1, _BLOCK_ELEMENTS):
             here = lam[rows, None]
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 to_poles = 1.0 / (here - poles)
@@ -217,7 +211,7 @@ def _certify(lam, residual, scale, traces, where: str) -> float:
         raise NumericalError(f"secular solver found {finite} finite roots of {n1} {where}")
     residuals = np.empty(n1)
     closest = np.inf
-    for rows in _row_blocks(np.arange(n1), n1):
+    for rows in _row_blocks(np.arange(n1), n1, _BLOCK_ELEMENTS):
         residuals[rows] = residual(rows)
         here = lam[rows, None]
         gaps = np.abs(here - lam) / np.maximum(np.abs(here), np.abs(lam))

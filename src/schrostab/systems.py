@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Mesh, _shadow_rhs, shadow_element, solve_d, yh_inner, yh_norm
+from .grid import Mesh, _d_inner, _d_norm, _shadow_rhs, shadow_element, solve_d
 
 __all__ = [
     "ORDER_REDUCTION",
@@ -53,6 +53,11 @@ def apply_generator(scheme: str, Y, k: float, mesh: Mesh) -> np.ndarray:
         raise ValueError(f"unknown scheme {scheme!r}")
     Y = np.asarray(Y, dtype=complex)
     Z = (shadow_element if scheme == ORDER_REDUCTION else _shadow_rhs)(Y, k, mesh)
+    return _apply_shadowed(scheme, Y, Z, k, mesh)
+
+
+def _apply_shadowed(scheme: str, Y: np.ndarray, Z: np.ndarray, k: float, mesh: Mesh):
+    """`apply_generator` with the shadow vector Z of Y (P.T Z above) already solved."""
     b = -1j * (mesh.matrices.M @ Z)
     b[-1] -= (k / mesh.h) * Y[-1]
     return solve_d(b) if scheme == ORDER_REDUCTION else b
@@ -113,8 +118,14 @@ def dissipation_gap(Y, k: float, mesh: Mesh):
     ||Y|| ||A Y|| + k |y_{N+1}|^2 in the weighted norm.
     """
     Y = np.asarray(Y, dtype=complex)
-    AY = apply_generator(ORDER_REDUCTION, Y, k, mesh)
+    return _dissipation_gap(Y, shadow_element(Y, k, mesh), mesh.matrices.D @ Y, k, mesh)
+
+
+def _dissipation_gap(Y: np.ndarray, Z: np.ndarray, DY: np.ndarray, k: float, mesh: Mesh):
+    """`dissipation_gap` of Y given its shadow element Z and the product D Y."""
+    AY = _apply_shadowed(ORDER_REDUCTION, Y, Z, k, mesh)
+    DAY = mesh.matrices.D @ AY
     boundary = k * np.abs(Y[-1]) ** 2
-    gap = np.abs(np.real(yh_inner(AY, Y, mesh)) + boundary)
-    scale = yh_norm(Y, mesh) * yh_norm(AY, mesh) + boundary
+    gap = np.abs(np.real(_d_inner(DAY, DY, mesh.h)) + boundary)
+    scale = _d_norm(DY, mesh.h) * _d_norm(DAY, mesh.h) + boundary
     return gap, scale

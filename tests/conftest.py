@@ -1,5 +1,13 @@
-import numpy as np
-import pytest
+import os
+
+# One OpenBLAS thread unless the caller sets another count.  OpenBLAS reads
+# the variable when numpy first loads it, and nothing has imported numpy yet
+# when pytest imports this file.  On a 2-core machine two threads made the
+# dense-oracle tests about three times slower.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -280,6 +280,12 @@ class TestVerify:
         assert "FAIL" not in result.output
         assert "pass" in result.output
 
+    def test_single_sample_exit_zero(self, runner):
+        # one sample is one block one column wide, summed pairwise by numpy
+        result = runner.invoke(main, ["verify", "--samples", "1"])
+        assert result.exit_code == 0, result.output
+        assert "FAIL" not in result.output
+
     def test_perturb_exit_one(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "5", "--perturb", "1e-6"])
         assert result.exit_code == 1

@@ -1,8 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 
+from schrostab import identities
 from schrostab.grid import Mesh, extend_shadow, shadow_element, triple_sum_identity_gap
 from schrostab.identities import (
+    DEFAULT_SUITE_N,
     MAX_SAMPLES,
     SUITE_TOLERANCES,
     boundary_multiplier_gap_y,
@@ -11,6 +15,7 @@ from schrostab.identities import (
     cross_term_gap,
     run_identity_suite,
 )
+from schrostab.systems import _dissipation_gap, dissipation_gap
 
 from conftest import random_complex
 
@@ -178,3 +183,103 @@ class TestSuite:
         report = run_identity_suite(n_values=(n,), samples=samples, seed=seed)[0]
         assert (report.identity, report.k) == ("triple_sum", 0.0)
         assert (report.gap, report.scale) == (gap[worst], scale[worst])
+
+
+def _as_tuples(reports):
+    return [(r.identity, r.n, r.k, r.gap, r.scale, r.passed) for r in reports]
+
+
+class TestPublicGapsAreTheKernels:
+    @pytest.mark.parametrize("n", [1, 7, 64])
+    def test_batch(self, n, rng):
+        mesh, k, beta = Mesh(n), 0.7, 3.7
+        Y = random_complex(rng, n + 1, 9)
+        b = identities._block(Y, k, mesh)
+        pairs = [
+            (dissipation_gap(Y, k, mesh), _dissipation_gap(b.Y, b.Z, b.DY, k, mesh)),
+            (boundary_multiplier_gap_y(Y, mesh),
+             identities._boundary_gap(b.Y[-1], b.y_mid, b.y_dif, mesh)),
+            (cross_term_gap(Y, k, mesh), identities._cross_term_gap(b, mesh)),
+        ]
+        for public, kernel in pairs:
+            for a, c in zip(public, kernel):
+                np.testing.assert_array_equal(a, c)
+        public = claim_functionals_gap(Y, k, beta, mesh)
+        kernel = identities._claim_functionals_gap(b, beta, mesh.matrices, mesh)
+        assert public.keys() == kernel.keys()
+        for key in public:
+            np.testing.assert_array_equal(public[key], kernel[key])
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("samples", [1, 2, 3, 7, 100, 128, 2000])
+    @pytest.mark.parametrize("budget", [1, 9, 30, 1 << 15])
+    def test_blocks_partition_the_batch(self, samples, budget, monkeypatch):
+        monkeypatch.setattr("schrostab.identities._BLOCK_ELEMENTS", budget)
+        rows = 9
+        blocks = identities._column_blocks(samples, rows)
+        np.testing.assert_array_equal(np.concatenate([np.arange(samples)[c] for c in blocks]),
+                                      np.arange(samples))
+        widths = [c.stop - c.start for c in blocks]
+        # a lone column is summed in another order than a column of a wider block
+        assert min(widths) >= 2 or widths == [1]
+        assert max(widths) <= max(2, budget // rows) + 1
+
+    @pytest.mark.parametrize("perturb", [0.0, 1e-6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_do_not_depend_on_block_width(self, seed, perturb, monkeypatch):
+        for n in DEFAULT_SUITE_N:
+            # three columns per block leave one over from 100, folded into the last block
+            monkeypatch.setattr("schrostab.identities._BLOCK_ELEMENTS", 3 * (n + 2))
+            narrow = run_identity_suite(n_values=(n,), samples=100, seed=seed, perturb=perturb)
+            monkeypatch.setattr("schrostab.identities._BLOCK_ELEMENTS", 100 * (n + 2))
+            whole = run_identity_suite(n_values=(n,), samples=100, seed=seed, perturb=perturb)
+            assert _as_tuples(narrow) == _as_tuples(whole)
+            failed = {r.identity for r in narrow if not r.passed}
+            if perturb:
+                assert "claim2" in failed and failed <= {"claim2", "claim3"}
+            else:
+                assert not failed
+
+
+class TestPrefetch:
+    @pytest.mark.parametrize("fail_at", [0, 4])
+    def test_draw_error_propagates(self, fail_at, monkeypatch):
+        draw = identities._random_states
+        calls = []
+
+        def failing(rng, size, batch):
+            calls.append(size)
+            if len(calls) > fail_at:
+                raise RuntimeError("draw failed")
+            return draw(rng, size, batch)
+
+        monkeypatch.setattr("schrostab.identities._random_states", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_identity_suite(n_values=(2, 7), samples=5)
+        assert threading.active_count() == before
+
+    def test_evaluation_error_leaves_no_thread(self):
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="beta must be nonzero"):
+            run_identity_suite(n_values=(2, 7), samples=5, beta=0.0)
+        assert threading.active_count() == before
+
+    def test_draws_run_in_order_on_one_worker(self, monkeypatch):
+        draw = identities._random_states
+        seen = []
+
+        def recording(rng, size, batch):
+            seen.append((threading.current_thread(), threading.active_count(), size))
+            return draw(rng, size, batch)
+
+        monkeypatch.setattr("schrostab.identities._random_states", recording)
+        before = threading.active_count()
+        run_identity_suite(n_values=(2, 7), samples=5)
+        assert threading.active_count() == before
+        workers = {thread for thread, _, _ in seen}
+        assert len(workers) == 1 and threading.main_thread() not in workers
+        assert max(count for _, count, _ in seen) == before + 1
+        # per grid size: u, v, w, then Y and Zext for each of the three gains
+        assert [size for _, _, size in seen] == [4, 4, 4] + [3, 4] * 3 + [9, 9, 9] + [8, 9] * 3
