@@ -4,11 +4,11 @@ Everything downstream (generators, multiplier identities, energy norms) is
 expressed through four objects defined here: the midpoint average, the scaled
 first difference, the bidiagonal scheme matrices, and the weighted inner
 product induced by the lower-bidiagonal averaging matrix.  The scheme
-matrices have one form, the sparse CSR matrices that each mesh builds once
-from the two stencils Sigma and Delta (`Mesh.matrices`, which keeps M.T as a
-CSR matrix `MT` of its own); products are `D @`, `M @` and `MT @`, and
-solve_d and solve_dt apply the closed-form inverses of D and D.T, an
-alternating cumulative sum in O(N).  Nothing here forms a dense operator.
+matrices have one banded form, `Bidiagonal`, which each mesh builds once
+(`Mesh.matrices`, which keeps M.T as a matrix `MT` of its own); products are
+`D @`, `M @` and `MT @`, and solve_d and solve_dt apply the closed-form
+inverses of D and D.T, an alternating cumulative sum in O(N).  Nothing here
+forms a dense operator or imports SciPy.
 
 Index conventions: a *state* vector holds nodes 1..N+1, a *shadow* vector
 holds nodes 0..N, and an *extended* vector holds nodes 0..N+1.  Mixing them
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
+    "Bidiagonal",
     "SchemeMatrices",
     "average",
     "difference",
@@ -89,47 +89,79 @@ def difference(u: np.ndarray, h: float) -> np.ndarray:
     return (u[1:] - u[:-1]) / h
 
 
+@dataclass(frozen=True, eq=False)
+class Bidiagonal:
+    """A matrix of `cols` columns: row i holds main[i] in column i, off[i] in column i + step.
+
+    step = -1 (lower) or +1 (upper); an off[i] outside the columns is unused,
+    and only a square one has a transpose `T`.  `A @ x` acts along x's first
+    axis and sums the two rounded products, as a CSR product does, bit for
+    bit and independently of x's other columns.
+    """
+
+    main: np.ndarray
+    off: np.ndarray
+    step: int
+    cols: int
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.shape[0] != self.cols:
+            raise ValueError(f"matrix with {self.cols} columns applied to {x.shape[0]} rows")
+        rows, shape = self.main.size, (-1,) + (1,) * (x.ndim - 1)
+        out = self.main.reshape(shape) * x[:rows]
+        lo, hi = max(0, -self.step), min(rows, self.cols - self.step)
+        out[lo:hi] += self.off[lo:hi].reshape(shape) * x[lo + self.step:hi + self.step]
+        return out
+
+    @cached_property
+    def T(self) -> Bidiagonal:
+        return Bidiagonal(self.main, np.roll(self.off, self.step), -self.step, self.cols)
+
+    def toarray(self) -> np.ndarray:
+        return self @ np.eye(self.cols)
+
+
 @dataclass(frozen=True)
 class SchemeMatrices:
-    """Sparse (CSR) forms of the four scheme matrices for a given mesh.
+    """The four scheme matrices of a mesh, M.T, and the stencils they come from.
 
     D is (N+1)x(N+1) lower bidiagonal (midpoint averaging of a state vector
     with an implicit leading zero), M is (N+1)x(N+1) upper bidiagonal
-    (scaled differencing with an implicit trailing zero), and MT is M.T,
-    stored so that no product builds a transposed view.  Sigma and Delta
-    act on extended vectors and are therefore (N+1)x(N+2): Sigma produces
-    the N+1 midpoint averages, Delta the N+1 scaled differences, so that
-    h*||Sigma z||^2 = h * sum |z_{j+1/2}|^2 exactly.
+    (scaled differencing with an implicit trailing zero).  Sigma and Delta
+    act on extended vectors, so they are (N+1)x(N+2): Sigma gives the N+1
+    midpoint averages, Delta the N+1 scaled differences.
     """
 
-    D: sp.csr_array
-    M: sp.csr_array
-    MT: sp.csr_array
-    Sigma: sp.csr_array
-    Delta: sp.csr_array
+    D: Bidiagonal
+    M: Bidiagonal
+    MT: Bidiagonal
+    Sigma: Bidiagonal
+    Delta: Bidiagonal
 
 
 def build_scheme_matrices(mesh: Mesh) -> SchemeMatrices:
-    """Sigma and Delta from their stencils, then D = Sigma[:, 1:] and M = Delta[:, :-1]."""
+    """All five from three shared read-only diagonals; D = Sigma[:, 1:], M = Delta[:, :-1]."""
     n1 = mesh.state_size
+    half, up, down = (np.full(n1, v) for v in (0.5, 1.0 / mesh.h, -1.0 / mesh.h))
+    for diagonal in (half, up, down):
+        diagonal.flags.writeable = False
+    return SchemeMatrices(
+        D=Bidiagonal(half, half, -1, n1), M=Bidiagonal(down, up, 1, n1),
+        MT=Bidiagonal(down, up, -1, n1),
+        Sigma=Bidiagonal(half, half, 1, n1 + 1), Delta=Bidiagonal(down, up, 1, n1 + 1),
+    )
 
-    def stencil(values) -> sp.csr_array:
-        return sp.diags_array(values, offsets=(0, 1), shape=(n1, n1 + 1), format="csr")
 
-    Sigma = stencil((0.5, 0.5))
-    Delta = stencil((-1.0 / mesh.h, 1.0 / mesh.h))
-    M = Delta[:, :-1]
-    return SchemeMatrices(D=Sigma[:, 1:], M=M, MT=M.T.tocsr(), Sigma=Sigma, Delta=Delta)
+def _sized(v, size: int, kind: str, mesh: Mesh) -> np.ndarray:
+    v = np.asarray(v, dtype=complex)
+    if v.shape[0] != size:
+        raise ValueError(f"{kind} vector on mesh n={mesh.n} needs length {size}, got {v.shape[0]}")
+    return v
 
 
 def _as_state(Y, mesh: Mesh) -> np.ndarray:
-    Y = np.asarray(Y, dtype=complex)
-    if Y.shape[0] != mesh.state_size:
-        raise ValueError(
-            f"state vector on mesh n={mesh.n} needs length {mesh.state_size}, "
-            f"got {Y.shape[0]}"
-        )
-    return Y
+    return _sized(Y, mesh.state_size, "state", mesh)
 
 
 def _signs(b: np.ndarray) -> np.ndarray:
@@ -181,7 +213,9 @@ def yh_norm(Y, mesh: Mesh) -> float:
 
 def _d_inner(a: np.ndarray, b: np.ndarray, h: float):
     """yh_inner from the products a = D Y and b = D Ytilde."""
-    return h * np.sum(a * np.conj(b), axis=0)
+    # named: in a temporary of 256 KiB or more numpy swaps the factors, so rounding tracks width
+    cb = np.conj(b)
+    return h * np.sum(a * cb, axis=0)
 
 
 def _d_norm(a: np.ndarray, h: float):
@@ -219,13 +253,8 @@ def extend_state(Y, mesh: Mesh) -> np.ndarray:
 
 def extend_shadow(Z, Y, k: float, mesh: Mesh) -> np.ndarray:
     """Pad a shadow vector with its feedback value z_{N+1} = -i k y_{N+1}."""
-    Z = np.asarray(Z, dtype=complex)
+    Z = _sized(Z, mesh.state_size, "shadow", mesh)
     Y = _as_state(Y, mesh)
-    if Z.shape[0] != mesh.state_size:
-        raise ValueError(
-            f"shadow vector on mesh n={mesh.n} needs length {mesh.state_size}, "
-            f"got {Z.shape[0]}"
-        )
     tail = (-1j * k * Y[-1])[None, ...]
     return np.concatenate([Z, tail])
 

@@ -32,6 +32,7 @@ from .grid import (
     Mesh,
     _d_inner,
     _row_blocks,
+    _sized,
     average,
     difference,
     extend_shadow,
@@ -112,12 +113,7 @@ def boundary_multiplier_gap_z(Zext, mesh: Mesh):
     No padding convention is needed: the x_0 = 0 factor removes the first
     node from the telescoped boundary term.  Returns (gap, scale).
     """
-    Zext = np.asarray(Zext, dtype=complex)
-    if Zext.shape[0] != mesh.n + 2:
-        raise ValueError(
-            f"extended vector on mesh n={mesh.n} needs length {mesh.n + 2}, "
-            f"got {Zext.shape[0]}"
-        )
+    Zext = _sized(Zext, mesh.n + 2, "extended", mesh)
     return _boundary_gap(Zext[-1], average(Zext), difference(Zext, mesh.h), mesh)
 
 
@@ -146,7 +142,7 @@ def _cross_term_gap(b: _Block, mesh: Mesh):
     return gap, scale
 
 
-def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh, matrices=None):
+def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh):
     """Defects of the matrix-norm versus midpoint-sum functional equalities.
 
     Both functionals mix the weighted state norm with Sigma/Delta norms of
@@ -154,8 +150,7 @@ def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh, matrices=None):
     matrix and sum forms agree exactly for any beta != 0.
     Returns {"gap_claim2", "gap_claim3", "scale_claim2", "scale_claim3"}.
     """
-    sm = matrices if matrices is not None else mesh.matrices
-    return _claim_functionals_gap(_block(Y, k, mesh), beta, sm, mesh)
+    return _claim_functionals_gap(_block(Y, k, mesh), beta, mesh.matrices, mesh)
 
 
 def _claim_functionals_gap(b: _Block, beta: float, sm, mesh: Mesh):
@@ -233,7 +228,11 @@ _GAIN_IDENTITIES = (
 
 
 def _random_states(rng, size: int, batch: int) -> np.ndarray:
-    return rng.standard_normal((size, batch)) + 1j * rng.standard_normal((size, batch))
+    """standard_normal + 1j * standard_normal, bit for bit, with one real temporary."""
+    states, draw = np.empty((size, batch), dtype=complex), np.empty((size, batch))
+    states.real = rng.standard_normal(out=draw)
+    states.imag = rng.standard_normal(out=draw)
+    return states
 
 
 def _prefetched(pool, draw, plan):
@@ -300,9 +299,9 @@ def run_identity_suite(
             mesh = Mesh(n)
             sm = mesh.matrices
             if perturb != 0.0:
-                Sigma = sm.Sigma.copy()
-                Sigma[0, 0] += perturb
-                sm = replace(sm, Sigma=Sigma)
+                main = sm.Sigma.main.copy()
+                main[0] += perturb
+                sm = replace(sm, Sigma=replace(sm.Sigma, main=main))
             blocks = _column_blocks(samples, n + 2)
 
             u, v, w = next(batches)

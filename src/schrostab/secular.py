@@ -30,8 +30,9 @@ for every beta by an exact O(N) eigenvalue count of X^H X (Bunch, Nielsen &
 Sorensen, Numer. Math. 31, 1978), again with no matrix.  The weighted
 classical generator has no orthogonal diagonal-plus-rank-one form, so
 `classical_resolvent_norm` finds ||D (i beta - A)^{-1} D^{-1}|| by inverse
-Lanczos instead: D as a stencil, D^{-1} in closed form and one pivoted LU
+Lanczos instead: D as a bidiagonal, D^{-1} in closed form and one pivoted LU
 of the tridiagonal i beta - A per beta, O(N) per step and no matrix either.
+Only these classical solvers import SciPy, for LAPACK, and only when called.
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
@@ -43,10 +44,9 @@ order-reduction scheme in this basis.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv, zgttrf, zgttrs
 
 from .errors import NumericalError
-from .grid import Mesh, _row_blocks, solve_d, solve_dt
+from .grid import Bidiagonal, Mesh, _row_blocks, solve_d, solve_dt
 from .systems import CLASSICAL, apply_generator
 
 __all__ = [
@@ -295,6 +295,7 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     sum Im lam = trace(M M^T) = (2N+1)/h^2, each to 1e-12 relative
     (`_certify`).
     """
+    from scipy.linalg.lapack import zgtsv
     mu, c = classical_poles_weights(mesh)
     rho = k / mesh.h
     lam = secular_roots(mu, c, rho)
@@ -498,20 +499,6 @@ def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _rows_d(v: np.ndarray) -> np.ndarray:
-    """D applied to each row of v by its stencil: (v_{j-1} + v_j) / 2, with v_{-1} = 0."""
-    out = 0.5 * v
-    out[:, 1:] += 0.5 * v[:, :-1]
-    return out
-
-
-def _rows_dt(v: np.ndarray) -> np.ndarray:
-    """D^T applied to each row of v by its stencil: (v_j + v_{j+1}) / 2, with v_{N+1} = 0."""
-    out = 0.5 * v
-    out[:, :-1] += 0.5 * v[:, 1:]
-    return out
-
-
 def _shifted_factors(mesh: Mesh, k: float, betas: np.ndarray):
     """zgttrf factors of Z = i beta - A for each beta of the classical scheme, one row per beta.
 
@@ -524,6 +511,7 @@ def _shifted_factors(mesh: Mesh, k: float, betas: np.ndarray):
     fill kept as padding, the pivots relative to their row), so that
     `_factor_rows` can hand any subset of the betas to zgttrs.
     """
+    from scipy.linalg.lapack import zgttrf
     dl, d, du = _classical_tridiagonal(mesh, k)
     m, n1 = betas.size, mesh.state_size
 
@@ -547,15 +535,16 @@ def _factor_rows(factors, rows: np.ndarray):
             np.append(piv + np.arange(1, size + 1), size + 1).astype(np.int32))
 
 
-def _inverse_gram(solve, q: np.ndarray) -> np.ndarray:
+def _inverse_gram(solve, D: Bidiagonal, q: np.ndarray) -> np.ndarray:
     """X^{-1} X^{-H} q = D Z^{-1} D^{-1} D^{-T} Z^{-H} D^T q for each row q, O(N) per row."""
+    from scipy.linalg.lapack import zgttrs
     m, n1 = q.shape
 
     def solve_rows(b, trans):
         return zgttrs(*solve, np.append(b, 0.0)[:, None], trans=trans)[0][:-1].reshape(m, n1)
 
-    x = solve_d(solve_dt(solve_rows(_rows_dt(q), "C").T)).T
-    return _rows_d(solve_rows(x, "N"))
+    x = solve_d(solve_dt(solve_rows((D.T @ q.T).T, "C").T)).T
+    return (D @ solve_rows(x, "N").T).T
 
 
 def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
@@ -569,18 +558,16 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
     return ev[:, -1], vec[:, -1, -1]
 
 
-def _lanczos_top(factors, start: np.ndarray, steps: int) -> np.ndarray:
+def _lanczos_top(factors, D: Bidiagonal, start: np.ndarray, steps: int) -> np.ndarray:
     """Largest eigenvalue of X^{-1} X^{-H} per row of the factors; nan if `steps` did not suffice.
 
     Lanczos from `start` with full reorthogonalisation (classical
     Gram-Schmidt against the whole basis, twice, by einsum, which forms no
     temporary of the basis's size).  A row is frozen once its residual
     |b_j s_j| is at most 1e-14 of its top Ritz value theta, and the rows left
-    are compacted.  Every reduction runs along one row, D and D^T
-    act as row stencils, and the blocks of the tridiagonal do not couple, so
-    a row's value does not depend on the rows beside it.  (CSR products with
-    D in place of the stencils broke that: a beta alone and the same beta in
-    a sweep differed in the last bits.)
+    are compacted.  Every reduction runs along one row, D and D^T act
+    elementwise, and the blocks of the tridiagonal do not couple, so a
+    row's value does not depend on the rows beside it.
     """
     m, n1 = factors[1].shape
     V = np.empty((m, steps + 1, n1), dtype=complex)
@@ -591,7 +578,7 @@ def _lanczos_top(factors, start: np.ndarray, steps: int) -> np.ndarray:
     live = np.arange(m)
     solve = _factor_rows(factors, live)
     for j in range(steps):
-        w = _inverse_gram(solve, V[:, j])
+        w = _inverse_gram(solve, D, V[:, j])
         basis = V[:, :j + 1]
         for sweep in range(2):
             coef = np.einsum("mjn,mn->mj", basis, w.conj()).conj()
@@ -621,7 +608,7 @@ def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
     root of the largest eigenvalue of X^{-1} X^{-H}, which `_lanczos_top`
     finds by inverse Lanczos (Wright & Trefethen, SIAM J. Sci. Comput. 23,
     2001) from one fixed seeded start.  It applies X^{-1} X^{-H} from O(N)
-    pieces only: D and D^T as stencils, D^{-1} and D^{-T} as the
+    pieces only: D and D^T as bidiagonals, D^{-1} and D^{-T} as the
     closed-form sums `grid.solve_d` and `grid.solve_dt`, and Z^{-1} and
     Z^{-H}, Z = i beta - A, by zgttrs with the zgttrf factors of Z, one
     factorisation per beta.  Partial pivoting is needed: without it the first
@@ -648,7 +635,7 @@ def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
         if np.any(singular):
             raise NumericalError(f"i*beta is numerically in the spectrum (zero pivot) at "
                                  f"beta={betas[rows][np.argmax(singular)]} {where}")
-        top[rows] = _lanczos_top(factors, start, steps)
+        top[rows] = _lanczos_top(factors, mesh.matrices.D, start, steps)
     norms = np.sqrt(top)
     scale = np.max(classical_poles_weights(mesh)[0]) + np.sqrt(2.5) * k / mesh.h
     for failed, what in (

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError
 from .grid import Mesh
@@ -114,7 +113,8 @@ def spectral_norm_estimate(A: np.ndarray) -> float:
 
 
 def eigenpairs(A: np.ndarray):
-    """All eigenvalues with right eigenvectors (unit 2-norm columns)."""
+    """All eigenvalues with right eigenvectors (unit 2-norm columns), by SciPy's dense eig."""
+    import scipy.linalg as sla
     A = _check_square(A)
     try:
         ev, V = sla.eig(A)

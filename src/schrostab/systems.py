@@ -1,11 +1,12 @@
 """Generators of the two semi-discrete schemes and their energy bookkeeping.
 
-Both generators are one O(N) applier over the mesh's sparse scheme matrices,
-`apply_generator`: the order-reduction scheme advances a state through the
-shadow element (P = D), the classical scheme is the plain second-difference
-operator with the same boundary feedback (P = I).  That applier is the only
-definition of either generator, and the classical spectrum certifies its
-eigenpairs against it (`schrostab.secular`).  The dense generator is the
+Both generators are one O(N) applier over the mesh's banded scheme
+matrices (`grid.Bidiagonal`), `apply_generator`: the order-reduction scheme
+advances a state through the shadow element (P = D), the classical scheme
+is the plain second-difference operator with the same boundary feedback
+(P = I).  That applier is the only definition of either generator, and
+the classical spectrum certifies its eigenpairs against it
+(`schrostab.secular`).  The dense generator is the
 applier evaluated on the identity and serves only as a small-N oracle: no
 spectrum or resolvent of either scheme forms it, or any other matrix.  A
 `SemiDiscreteSystem` forms it on first use and keeps it, as a cached
@@ -35,11 +36,6 @@ __all__ = [
 ORDER_REDUCTION = "order_reduction"
 CLASSICAL = "classical"
 SCHEMES = (ORDER_REDUCTION, CLASSICAL)
-
-
-def _check_gain(k: float):
-    if k <= 0:
-        raise ValueError(f"feedback gain must be positive, got k={k}")
 
 
 def apply_generator(scheme: str, Y, k: float, mesh: Mesh) -> np.ndarray:
@@ -86,7 +82,8 @@ class SemiDiscreteSystem:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        _check_gain(self.k)
+        if self.k <= 0:
+            raise ValueError(f"feedback gain must be positive, got k={self.k}")
 
     @property
     def n(self) -> int:

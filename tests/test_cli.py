@@ -241,12 +241,7 @@ class TestSimulate:
         assert not any(tmp_path.iterdir())
 
 
-    def test_order_reduction_needs_no_sparse_lu(self, runner, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("order-reduction simulate built or factored the block system")
-
-        monkeypatch.setattr("schrostab.dynamics.splu", refuse)
-        monkeypatch.setattr("schrostab.dynamics.sp.block_array", refuse)
+    def test_order_reduction_at_large_n(self, runner, tmp_path):
         out = tmp_path / "sim.csv"
         result = runner.invoke(
             main,
@@ -261,6 +256,12 @@ class TestSimulate:
         )
         assert result.exit_code == 3, result.output
         assert "numerical failure: modal midpoint step not finite" in result.output
+
+    def test_classical_near_singular_exits_3(self, runner, tmp_path):
+        result = runner.invoke(main, ["simulate", "--scheme", "classical", "--n", "7",
+                                      "--k", "1e300", "--out", str(tmp_path / "x.csv")])
+        assert result.exit_code == 3, result.output
+        assert "numerical failure: midpoint solve near-singular" in result.output
 
     def test_does_not_load_scipy_fft(self, tmp_path):
         # a fresh interpreter: numpy.fft does the modal transform
@@ -457,6 +458,42 @@ def test_missing_required_option_is_usage_error(runner):
 def test_version(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
+
+
+def test_scipy_loads_only_for_the_classical_scheme(tmp_path):
+    # fresh interpreters: the order-reduction and identity commands run on
+    # numpy alone, and the classical scheme's LAPACK calls need no scipy.sparse
+    code = (
+        "import sys; from schrostab.cli import main\n"
+        "def scipy_modules():\n"
+        "    print('loaded', *(m for m in sys.modules if m.startswith('scipy')))\n"
+        "scipy_modules()\n"
+        "for argv in sys.argv[1:]:\n"
+        "    try: main(argv.split(), standalone_mode=False)\n"
+        "    except SystemExit as exc: assert not exc.code, exc.code\n"
+        "    scipy_modules()\n"
+    )
+
+    def loaded(stdout):
+        return [line.split()[1:] for line in stdout.splitlines() if line.startswith("loaded")]
+
+    out = str(tmp_path / "x.csv")
+    result = subprocess.run(
+        [sys.executable, "-c", code, f"simulate --n 63 --t-final 0.01 --out {out}",
+         "verify --samples 2"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert loaded(result.stdout) == [[]] * 3  # after the import, simulate and verify
+
+    result = subprocess.run(
+        [sys.executable, "-c", code, f"spectrum --scheme classical --n-list 3 --out {out}"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    modules = loaded(result.stdout)[-1]
+    assert "scipy.linalg.lapack" in modules
+    assert not [m for m in modules if m.startswith("scipy.sparse")]
 
 
 def test_import_loads_submodules_but_not_scipy_integrate():

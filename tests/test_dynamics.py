@@ -123,6 +123,21 @@ class TestModalStepper:
             simulate(system, random_complex(rng, 16), 1e-3, 0.01)
 
 
+class TestClassicalStepper:
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 63])
+    @pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+    def test_matches_dense_cayley_step(self, n, k, rng):
+        # N = 1 and 2 give fewer than three unknowns without the decoupled one
+        system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
+        dt = 1e-3
+        W = random_complex(rng, n + 1)
+        A = system.generator
+        eye = np.eye(n + 1)
+        expect = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
+        got = MidpointStepper(system, dt).step(W)
+        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(W)
+
+
 class TestSimulate:
     def test_trace_shapes(self):
         system = make_system()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
 
 from schrostab.grid import (
@@ -114,9 +115,32 @@ class TestSchemeMatrices:
     @pytest.mark.parametrize("n", [1, 2, 9, 1023])
     def test_stored_transpose_gives_the_same_products(self, n, rng):
         sm = build_scheme_matrices(Mesh(n))
-        assert sm.MT.format == "csr"
+        np.testing.assert_array_equal(sm.MT.toarray(), sm.M.toarray().T)
         for Y in (random_complex(rng, n + 1), random_complex(rng, n + 1, 7)):
             np.testing.assert_array_equal(sm.MT @ Y, sm.M.T @ Y)
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64, 1023])
+    def test_products_are_bit_equal_to_csr(self, n, rng):
+        # each row rounds its two products and sums them, as a CSR product does
+        m = Mesh(n)
+        sm = build_scheme_matrices(m)
+
+        def stencil(values):
+            return sp.diags_array(values, offsets=(0, 1), shape=(n + 1, n + 2), format="csr")
+
+        Sigma, Delta = stencil((0.5, 0.5)), stencil((-1.0 / m.h, 1.0 / m.h))
+        csr = {"D": Sigma[:, 1:], "M": Delta[:, :-1], "MT": Delta[:, :-1].T.tocsr(),
+               "Sigma": Sigma, "Delta": Delta}
+        for name, oracle in csr.items():
+            A = getattr(sm, name)
+            for x in (random_complex(rng, A.cols), random_complex(rng, A.cols, 7),
+                      rng.standard_normal(A.cols)):
+                assert_same_bits(A @ x, oracle @ x)
+
+    def test_refuses_a_vector_of_the_wrong_length(self):
+        sm = build_scheme_matrices(Mesh(4))
+        with pytest.raises(ValueError, match="6 columns applied to 5 rows"):
+            sm.Sigma @ np.zeros(5)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 64])
     def test_invertible(self, n):
@@ -215,6 +239,16 @@ class TestYhInner:
         with pytest.raises(ValueError):
             yh_inner(np.zeros(3), np.zeros(3), Mesh(3))
 
+    def test_column_does_not_depend_on_batch_width(self, rng):
+        # a batch of 2^15 entries is past numpy's 256 KiB threshold for
+        # multiplying in place in a temporary; the narrowest block of the
+        # identity suite is two columns (a lone column is summed pairwise)
+        m = Mesh(255)
+        Y, Yt = random_complex(rng, 256, 128), random_complex(rng, 256, 128)
+        wide = yh_inner(Y, Yt, m)
+        for j in range(0, 128, 2):
+            assert_same_bits(yh_inner(Y[:, j:j + 2], Yt[:, j:j + 2], m), wide[j:j + 2])
+
 
 class TestShadowElement:
     def test_zero(self):
@@ -248,7 +282,7 @@ class TestShadowElement:
         k = 2.5
         Y = random_complex(rng, 31)
         Z = shadow_element(Y, k, m)
-        rhs = -sm.M.T @ Y
+        rhs = -(sm.M.T @ Y)
         rhs[-1] += 0.5j * k * Y[-1]
         np.testing.assert_allclose(sm.D.T @ Z, rhs, atol=1e-11)
 

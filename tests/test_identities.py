@@ -211,6 +211,17 @@ class TestPublicGapsAreTheKernels:
             np.testing.assert_array_equal(public[key], kernel[key])
 
 
+@pytest.mark.parametrize("sizes", [[(2, 1)], [(66, 496), (65, 496), (3, 7)]])
+def test_random_states_are_the_two_draws(sizes):
+    # one complex array filled draw by draw, bit for bit the sum of the draws
+    mine, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for shape in sizes:
+        got = identities._random_states(mine, *shape)
+        expect = theirs.standard_normal(shape) + 1j * theirs.standard_normal(shape)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+
 class TestColumnBlocks:
     @pytest.mark.parametrize("samples", [1, 2, 3, 7, 100, 128, 2000])
     @pytest.mark.parametrize("budget", [1, 9, 30, 1 << 15])

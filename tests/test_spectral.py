@@ -232,7 +232,7 @@ class TestResolventSweep:
 
         monkeypatch.setattr(SemiDiscreteSystem, "generator", property(refuse))
         monkeypatch.setattr("schrostab.spectral.eigenpairs", refuse)
-        monkeypatch.setattr("schrostab.spectral.sla.svdvals", refuse)
+        monkeypatch.setattr("scipy.linalg.svdvals", refuse)
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(4095), 1.0)
         sweep = resolvent_sweep(system, -20.0, 20.0, 11, log_decades=1.0)
         assert sweep.beta_grid.size > 4096  # the 4096 eigenvalue peaks and the grid

@@ -75,14 +75,14 @@ class TestAssembleGenerator:
         m = Mesh(n)
         sm = build_scheme_matrices(m)
         A = assemble_generator(CLASSICAL, k, m)
-        base = 1j * (sm.M @ sm.M.T).toarray()
+        base = 1j * (sm.M @ sm.MT.toarray())
         np.testing.assert_allclose(A[:, :-1], base[:, :-1], atol=1e-10)
         assert np.linalg.norm(A[:, -1] - base[:, -1]) > 0
 
     def test_classical_interior_basis_vectors(self):
         m = Mesh(8)
         sm = build_scheme_matrices(m)
-        base = 1j * (sm.M @ sm.M.T).toarray()
+        base = 1j * (sm.M @ sm.MT.toarray())
         for j in range(m.n):  # all but the boundary column
             e = np.zeros(m.n + 1, dtype=complex)
             e[j] = 1.0
