@@ -5,8 +5,8 @@ expressed through four objects defined here: the midpoint average, the scaled
 first difference, the bidiagonal scheme matrices, and the weighted inner
 product induced by the lower-bidiagonal averaging matrix.  The scheme
 matrices have one banded form, `Bidiagonal`, which each mesh builds once
-(`Mesh.matrices`, which keeps M.T as a matrix `MT` of its own); products are
-`D @`, `M @` and `MT @`, and solve_d and solve_dt apply the closed-form
+(`Mesh.matrices`); products are `D @`, `M @` and `M.T @`, the transpose
+built once per matrix, and solve_d and solve_dt apply the closed-form
 inverses of D and D.T, an alternating cumulative sum in O(N).  Nothing here
 forms a dense operator or imports SciPy.
 
@@ -124,7 +124,7 @@ class Bidiagonal:
 
 @dataclass(frozen=True)
 class SchemeMatrices:
-    """The four scheme matrices of a mesh, M.T, and the stencils they come from.
+    """The four scheme matrices of a mesh and the stencils they come from.
 
     D is (N+1)x(N+1) lower bidiagonal (midpoint averaging of a state vector
     with an implicit leading zero), M is (N+1)x(N+1) upper bidiagonal
@@ -135,20 +135,18 @@ class SchemeMatrices:
 
     D: Bidiagonal
     M: Bidiagonal
-    MT: Bidiagonal
     Sigma: Bidiagonal
     Delta: Bidiagonal
 
 
 def build_scheme_matrices(mesh: Mesh) -> SchemeMatrices:
-    """All five from three shared read-only diagonals; D = Sigma[:, 1:], M = Delta[:, :-1]."""
+    """All four from three shared read-only diagonals; D = Sigma[:, 1:], M = Delta[:, :-1]."""
     n1 = mesh.state_size
     half, up, down = (np.full(n1, v) for v in (0.5, 1.0 / mesh.h, -1.0 / mesh.h))
     for diagonal in (half, up, down):
         diagonal.flags.writeable = False
     return SchemeMatrices(
         D=Bidiagonal(half, half, -1, n1), M=Bidiagonal(down, up, 1, n1),
-        MT=Bidiagonal(down, up, -1, n1),
         Sigma=Bidiagonal(half, half, 1, n1 + 1), Delta=Bidiagonal(down, up, 1, n1 + 1),
     )
 
@@ -228,7 +226,7 @@ def _shadow_rhs(Y, k: float, mesh: Mesh) -> np.ndarray:
     if k <= 0:
         raise ValueError(f"feedback gain must be positive, got k={k}")
     Y = _as_state(Y, mesh)
-    rhs = -(mesh.matrices.MT @ Y)
+    rhs = -(mesh.matrices.M.T @ Y)
     rhs[-1] += 0.5j * k * Y[-1]
     return rhs
 

@@ -33,6 +33,8 @@ classical generator has no orthogonal diagonal-plus-rank-one form, so
 Lanczos instead: D as a bidiagonal, D^{-1} in closed form and one pivoted LU
 of the tridiagonal i beta - A per beta, O(N) per step and no matrix either.
 Only these classical solvers import SciPy, for LAPACK, and only when called.
+`classical_peak_resolvable` decides in O(N), from the top root's closed form,
+whether the peak where the classical sup sits is wide enough to sample.
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
@@ -52,6 +54,7 @@ from .systems import CLASSICAL, apply_generator
 __all__ = [
     "or_poles_weights",
     "classical_poles_weights",
+    "classical_peak_resolvable",
     "or_modal_coordinates",
     "secular_roots",
     "or_spectrum",
@@ -83,6 +86,13 @@ _SMIN_PROBE = 1e-7
 _SMIN_BLOCK_ELEMENTS = 1 << 14
 # A bracket top at or below this times |beta| + (k/h) ||c||^2 puts i beta in the spectrum.
 _SPECTRUM_RTOL = 1e-14
+# Smallest |Re lam| / |Im lam| of the top classical root whose peak, where the
+# classical sup sits, `classical_resolvent_norm` can sample.  It refuses once
+# 1/||R|| <= _SPECTRUM_RTOL (|beta| + max mu + sqrt(5/2) k/h).  At the peak
+# |beta| = max mu, 1/||R|| = |Re lam| / 1.732 (the measured peak height), and
+# k/h < 1.2e-3 max mu near this bound for N <= 8191, so the check fires below
+# 2 (1.732) _SPECTRUM_RTOL = 3.46e-14.  The bound keeps a margin of 1.15.
+_PEAK_RTOL = 1.15 * 2 * 1.732 * _SPECTRUM_RTOL
 # Inverse Lanczos for the classical resolvent: the fixed start, the relative
 # residual at which a beta is frozen, and the step budget.  At most 21 steps
 # were needed for N <= 255, k in [0.01, 100] and |beta| up to 1e30; on the
@@ -138,6 +148,18 @@ def classical_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     mu = (2.0 * sin_a / mesh.h) ** 2
     c = 2.0 * cos_a * np.sqrt((1.0 + 2.0 * sin_a**2) / (2 * n + 3))
     return mu, c
+
+
+def classical_peak_resolvable(mesh: Mesh, k: float) -> bool:
+    """Whether the top classical root's |Re lam| / |Im lam| exceeds _PEAK_RTOL, O(N).
+
+    To first order that root is i mu_N - (k/h) c_N^2, so the ratio is
+    (k/h) c_N^2 / mu_N (within 2.4e-3 of the certified roots at N = 1023 to
+    4095, k = 0.01 to 100): proportional to k, falling like (N+1)^-4.  At
+    k = 1 the largest N accepted is 3103.
+    """
+    mu, c = classical_poles_weights(mesh)
+    return bool(k / mesh.h * c[-1] ** 2 / mu[-1] > _PEAK_RTOL)
 
 
 def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:

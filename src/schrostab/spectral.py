@@ -9,9 +9,10 @@ plus rank one, and the classical A is tridiagonal, diagonal plus rank one
 in the eigenbasis of M M^T.  Neither resolvent forms a matrix either: each
 order-reduction sigma_min(i beta I - B) is bracketed by an exact O(N)
 eigenvalue count, and each classical norm is found by inverse Lanczos on
-O(N) tridiagonal solves.  `eigenpairs` and `spectral_norm_estimate` are the
-dense eigensolver and norm estimate, kept for small-N oracles; no spectrum
-or resolvent here uses them.
+O(N) tridiagonal solves; `secular.classical_peak_resolvable` decides in
+closed form whether the classical peak can be sampled at all.  `eigenpairs`
+and `spectral_norm_estimate` are the dense eigensolver and norm estimate,
+kept for small-N oracles; no spectrum or resolvent here uses them.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .systems import ORDER_REDUCTION, SemiDiscreteSystem
 
 __all__ = [
     "MAX_EIG_DIM",
-    "MAX_CLASSICAL_RESOLVENT_N",
     "MAX_LOG_DECADES",
     "MAX_LINEAR_STEPS",
     "SpectrumReport",
@@ -46,13 +46,6 @@ __all__ = [
 ]
 
 MAX_EIG_DIM = 2048
-# Largest N at which the classical resolvent peak can still be sampled: the
-# rightmost eigenvalue needs |Re lam| / |Im lam| >= 100 eps = 2.2e-14, or too
-# few doubles beta land inside its peak.  At k = 1 that ratio is 2.10e-13 at
-# N = 2047 and 1.31e-14 at N = 4095.  It is proportional to k, so at
-# N = 2047 and k = 0.1 (2.1e-14) the peak is refused as numerically in the
-# spectrum.
-MAX_CLASSICAL_RESOLVENT_N = 2047
 # Log tails reach at most 10**30, with 20 points per decade on each side.
 MAX_LOG_DECADES = 30.0
 # The linear grid is evaluated twice (at beta and -beta): 2e5 points at the cap.

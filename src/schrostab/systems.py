@@ -6,17 +6,14 @@ advances a state through the shadow element (P = D), the classical scheme
 is the plain second-difference operator with the same boundary feedback
 (P = I).  That applier is the only definition of either generator, and
 the classical spectrum certifies its eigenpairs against it
-(`schrostab.secular`).  The dense generator is the
+(`schrostab.secular`).  The dense generator, `assemble_generator`, is the
 applier evaluated on the identity and serves only as a small-N oracle: no
-spectrum or resolvent of either scheme forms it, or any other matrix.  A
-`SemiDiscreteSystem` forms it on first use and keeps it, as a cached
-property, the way a `Mesh` keeps its scheme matrices.
+spectrum or resolvent of either scheme forms it, or any other matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,20 +57,13 @@ def _apply_shadowed(scheme: str, Y: np.ndarray, Z: np.ndarray, k: float, mesh: M
 
 
 def assemble_generator(scheme: str, k: float, mesh: Mesh) -> np.ndarray:
-    """Dense generator matrix; column j is the applier at basis vector e_j.
-
-    The applier is evaluated on the identity in one batched pass.
-    """
+    """Dense generator matrix: the applier evaluated on the identity in one batched pass."""
     return apply_generator(scheme, np.eye(mesh.state_size, dtype=complex), k, mesh)
 
 
 @dataclass(frozen=True)
 class SemiDiscreteSystem:
-    """One member of the semi-discrete family: scheme kind, mesh and gain.
-
-    The dense generator is assembled lazily, at most once per system;
-    `apply` stays matrix-free and O(N).
-    """
+    """One member of the semi-discrete family: scheme kind, mesh and gain."""
 
     scheme: str
     mesh: Mesh
@@ -91,10 +81,6 @@ class SemiDiscreteSystem:
 
     def apply(self, Y) -> np.ndarray:
         return apply_generator(self.scheme, Y, self.k, self.mesh)
-
-    @cached_property
-    def generator(self) -> np.ndarray:
-        return assemble_generator(self.scheme, self.k, self.mesh)
 
 
 def discrete_energy(W, mesh: Mesh) -> float:

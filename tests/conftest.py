@@ -19,12 +19,19 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def dense_generator(system):
+    """The dense generator of a system, the applier evaluated on the identity."""
+    from schrostab.systems import assemble_generator
+
+    return assemble_generator(system.scheme, system.k, system.mesh)
+
+
 def weighted_oracle(system):
     """Dense S A S^{-1} with S = sqrt(h) D formed from the sparse scheme matrix."""
     from schrostab.grid import build_scheme_matrices
 
     S = np.sqrt(system.mesh.h) * build_scheme_matrices(system.mesh).D.toarray()
-    return S @ system.generator @ np.linalg.inv(S)
+    return S @ dense_generator(system) @ np.linalg.inv(S)
 
 
 def modal_oracle(mesh):
@@ -54,7 +61,7 @@ def classical_resolvent_within(system, betas, norms, rtol):
 
     from schrostab.grid import build_scheme_matrices
 
-    A = system.generator
+    A = dense_generator(system)
     assert not np.any(np.triu(A, 2)) and not np.any(np.tril(A, -2))
     D = build_scheme_matrices(system.mesh).D
     D_inv = np.linalg.inv(D.toarray())

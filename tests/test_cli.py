@@ -218,6 +218,19 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         assert len(read_lines(out)) == 11
 
+    def test_classical_step_gap_is_not_at_roundoff(self, runner, tmp_path):
+        # the step gap is the order-reduction dissipation identity's defect, which
+        # the classical scheme does not satisfy (5.3e-3 E(0) at N=63)
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "--scheme", "classical", "--n", "63", "--k", "1", "--dt", "1e-3",
+             "--t-final", "0.1", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads(Path(str(out) + ".summary.json").read_text())
+        assert summary["max_step_gap"] > 1e-4 * summary["initial_energy"]
+
     def test_rejects_both_scheme(self, runner, tmp_path):
         result = runner.invoke(
             main, ["simulate", "--scheme", "both", "--n", "7",
@@ -315,7 +328,7 @@ class TestVerify:
         ["resolvent", "--n-list", "7", "--k", "-1"],
         ["simulate", "--n", "7", "--dt", "-1"],
         ["simulate", "--n", "7", "--t-final", "0.5", "--dt", "1"],
-        ["resolvent", "--n-list", "2048"],
+        ["resolvent", "--n-list", "4095"],
     ],
     ids=["beta-range", "negative-gain", "negative-dt", "t-final-below-dt", "resolvent-cap"],
 )
@@ -373,25 +386,35 @@ def test_non_finite_float_is_usage_error(runner, tmp_path, argv, option, value):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize(
-    "argv, user",
-    [
-        (["resolvent", "--scheme", "both"], "the classical scheme"),
-        (["resolvent", "--scheme", "classical"], "the classical scheme"),
-    ],
-    ids=["resolvent", "resolvent-classical"],
-)
-def test_dense_cap_names_its_user(runner, tmp_path, monkeypatch, argv, user):
-    # the classical resolvent cap: past N = 2047 no double beta samples the peak
+@pytest.mark.parametrize("scheme", ["classical", "both"])
+@pytest.mark.parametrize("n, k", [(1023, 0.01), (2047, 0.1), (2047, 0.15), (4095, 1.0),
+                                  (8191, 1.0)])
+def test_classical_peak_rule_names_its_options(runner, tmp_path, monkeypatch, scheme, n, k):
+    # the top root's |Re lam| / |Im lam| is below the solver's spectrum tolerance
     def refuse(*args, **kwargs):
-        raise AssertionError("computed before the cap check")
+        raise AssertionError("computed before the classical peak check")
 
     for solver in ("spectral_abscissa", "resolvent_sweep"):
         monkeypatch.setattr(f"schrostab.cli.{solver}", refuse)
-    result = runner.invoke(main, argv + ["--n-list", "5,2048", "--out", str(tmp_path / "x.csv")])
+    result = runner.invoke(main, ["resolvent", "--scheme", scheme, "--n-list", f"5,{n}",
+                                  "--k", str(k), "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
-    assert f"--n-list grid sizes above 2047 exceed the resolvent cap of {user}" in result.output
+    assert (f"--n-list grid size {n} at --k {k:g}: the classical resolvent peak is narrower "
+            "than the solver's spectrum tolerance") in result.output
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n, k", [(15, 1.0), (2047, 1.0), (2047, 0.2), (1023, 0.02),
+                                  (4095, 10.0)])
+def test_classical_peak_rule_reaches_the_solver(runner, tmp_path, monkeypatch, n, k):
+    def reached(*args, **kwargs):
+        raise NumericalError("reached the sweep")
+
+    monkeypatch.setattr("schrostab.cli.resolvent_sweep", reached)
+    result = runner.invoke(main, ["resolvent", "--scheme", "classical", "--n-list", str(n),
+                                  "--k", str(k), "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: reached the sweep" in result.output
 
 
 @pytest.mark.parametrize("command", ["spectrum", "resolvent"])

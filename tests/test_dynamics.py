@@ -14,7 +14,7 @@ from schrostab.grid import Mesh
 from schrostab.secular import or_poles_weights
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
-from conftest import random_complex
+from conftest import dense_generator, random_complex
 
 
 def make_system(n=7, k=1.0):
@@ -38,7 +38,7 @@ class TestStepper:
         system = SemiDiscreteSystem(scheme, Mesh(5), 1.0)
         dt = 1e-2
         W = random_complex(rng, 6)
-        A = system.generator
+        A = dense_generator(system)
         eye = np.eye(6)
         expect = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
         stepper = MidpointStepper(system, dt)
@@ -54,7 +54,7 @@ class TestStepper:
         from schrostab.spectral import eigenpairs
 
         system = make_system(7)
-        ev, V = eigenpairs(system.generator)
+        ev, V = eigenpairs(dense_generator(system))
         order = np.argsort(np.abs(ev))
         lams = ev[order[:2]]
         vecs = V[:, order[:2]]
@@ -102,7 +102,7 @@ class TestModalStepper:
         dt, steps = 1e-3, 50
         W = random_complex(rng, 16)
         trace = simulate(system, W, dt, steps * dt)
-        A = system.generator
+        A = dense_generator(system)
         eye = np.eye(16)
         energies, boundary = [discrete_energy(W, system.mesh)], []
         for _ in range(steps):
@@ -131,7 +131,7 @@ class TestClassicalStepper:
         system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
         dt = 1e-3
         W = random_complex(rng, n + 1)
-        A = system.generator
+        A = dense_generator(system)
         eye = np.eye(n + 1)
         expect = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
         got = MidpointStepper(system, dt).step(W)

@@ -10,6 +10,7 @@ from schrostab import secular
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
 from schrostab.secular import (
+    classical_peak_resolvable,
     classical_poles_weights,
     classical_resolvent_norm,
     classical_spectrum,
@@ -22,7 +23,13 @@ from schrostab.secular import (
 from schrostab.spectral import default_beta_max, sweep_grid
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
-from conftest import classical_resolvent_within, modal_oracle, random_complex, weighted_oracle
+from conftest import (
+    classical_resolvent_within,
+    dense_generator,
+    modal_oracle,
+    random_complex,
+    weighted_oracle,
+)
 
 
 def by_imaginary_part(z):
@@ -61,7 +68,7 @@ def test_modal_coordinates_match_dense_sine_matrix(n, rng):
 def test_secular_roots_match_dense_eigenvalues(n, k):
     system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), k)
     lam = by_imaginary_part(or_spectrum(system.mesh, k)[0])
-    dense = by_imaginary_part(np.linalg.eigvals(system.generator))
+    dense = by_imaginary_part(np.linalg.eigvals(dense_generator(system)))
     assert np.all(np.abs(lam - dense) <= 1e-7 * np.abs(dense))
 
 
@@ -149,7 +156,7 @@ def test_classical_poles_weights_match_dense_eigendecomposition(n, k):
     p, r = Q.T @ u, Q[-1]
     assert np.all(np.abs(p * r + c * c) <= 1e-13)
     A = Q @ (1j * np.diag(mu) + (k / mesh.h) * np.outer(p, r)) @ Q.T
-    expect = SemiDiscreteSystem(CLASSICAL, mesh, k).generator
+    expect = dense_generator(SemiDiscreteSystem(CLASSICAL, mesh, k))
     assert np.linalg.norm(A - expect, 2) <= 1e-13 * np.linalg.norm(expect, 2)
 
 
@@ -160,7 +167,7 @@ def test_classical_roots_match_dense_eigenvalues(n, k):
     # secular roots do not: up to 3.8e-11 relative (N=255, k=0.1)
     system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
     lam = by_imaginary_part(classical_spectrum(system.mesh, k)[0])
-    dense = by_imaginary_part(np.linalg.eigvals(system.generator))
+    dense = by_imaginary_part(np.linalg.eigvals(dense_generator(system)))
     assert np.all(np.abs(lam - dense) <= 1e-9 * np.abs(dense))
 
 
@@ -334,7 +341,7 @@ def test_classical_resolvent_needs_pivoting():
     # elimination stays as accurate there (measured: 6e-14 relative)
     system = SemiDiscreteSystem(CLASSICAL, Mesh(255), 1.0)
     betas = _default_grid(system)
-    A = system.generator
+    A = dense_generator(system)
     sub_sup = np.diag(A, -1) * np.diag(A, 1)
     pivot = 1j * betas - A[0, 0]
     smallest = np.abs(pivot)
@@ -382,3 +389,21 @@ def test_classical_lanczos_budget_binds(monkeypatch):
     monkeypatch.setattr("schrostab.secular._LANCZOS_MAX_STEPS", 2)
     with pytest.raises(NumericalError, match="Lanczos did not converge in 2 steps"):
         classical_resolvent_norm(Mesh(15), 1.0, [0.0])
+
+
+@pytest.mark.parametrize("k, resolvable", [(0.01, False), (0.02, True)])
+def test_classical_peak_rule_matches_the_solver(k, resolvable):
+    # the closed-form ratio of the top root against the certified root, and the
+    # rule's verdict against the solver's own at that root's peak
+    mesh = Mesh(1023)
+    lam = classical_spectrum(mesh, k)[0]
+    top = lam[np.argmax(lam.real)]
+    mu, c = classical_poles_weights(mesh)
+    ratio = k / mesh.h * c[-1] ** 2 / mu[-1]
+    assert abs(ratio - abs(top.real) / top.imag) <= 1e-3 * ratio
+    assert classical_peak_resolvable(mesh, k) is resolvable
+    if resolvable:
+        assert classical_resolvent_norm(mesh, k, [top.imag])[0] * abs(top.real) > 1.7
+    else:
+        with pytest.raises(NumericalError, match="numerically in the spectrum"):
+            classical_resolvent_norm(mesh, k, [top.imag])
