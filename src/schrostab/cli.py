@@ -52,10 +52,9 @@ class _FiniteFloat(click.types.FloatParamType):
 
 
 FINITE_FLOAT = _FiniteFloat()
-# Largest grid size of `spectrum` and `resolvent`.  Both spectra cost O(N^2)
-# time per solve.  At this cap (one BLAS thread, 2-vCPU VM) the classical
-# spectrum took 16 s and the order-reduction spectrum and resolvent 4 s and
-# 25 s; at N=16383 they took 58-67 s, 14 s and 104 s.
+# Largest grid size of `spectrum` and `resolvent`.  The roots cost O(N) but their
+# certificate O(N^2): at this cap (one BLAS thread, 2-vCPU VM) the classical and
+# order-reduction spectra take 9 s and 2.1 s (k = 1), the resolvent 25 s.
 MAX_N_LIST = 8191
 
 

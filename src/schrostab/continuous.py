@@ -1,8 +1,8 @@
 """Desk-scale oracles for the continuous boundary-damped system.
 
 Provides the closed-form bounded inverse of the closed-loop operator and
-high-precision eigenvalues from the transcendental characteristic equation,
-for cross-checking the discrete spectra.
+eigenvalues from the transcendental characteristic equation, by the
+branch-wise root finder that also gives both discrete spectra.
 """
 
 from __future__ import annotations
@@ -79,42 +79,44 @@ def characteristic_residual(mu: complex, k: float) -> complex:
     return mu * np.cosh(mu) + 1j * k * np.sinh(mu)
 
 
-def _newton_root(mu0: complex, k: float) -> complex:
-    mu = mu0
-    for _ in range(100):
-        f = characteristic_residual(mu, k)
-        df = np.cosh(mu) + mu * np.sinh(mu) + 1j * k * np.cosh(mu)
-        step = f / df
-        mu = mu - step
-        if abs(step) <= 1e-15 * max(1.0, abs(mu)):
-            return mu
-    raise NumericalError(f"characteristic root search stalled at seed {mu0}")
+def _branch_roots(coefficients, zeta0) -> np.ndarray:
+    """One root mu_j = i (j + 1/2) pi + zeta_j of a cosh mu + b sinh mu per branch j, O(1) each.
+
+    `coefficients(mu)` returns a, b, a' and b', and zeta0 the roots at k = 0.
+    On branch j the equation is a sinh zeta + b cosh zeta = 0: zeta_j starts at
+    the principal artanh(-b/a) at zeta0; Newton steps cut to length 1 (full ones
+    jumped branches where -b/a is near -1) reach 4 eps |mu| in 100, else nan.
+    """
+    base = 1j * (np.arange(zeta0.size) + 0.5) * np.pi
+    a, b = coefficients(base + zeta0)[:2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        zeta = np.arctanh(-b / a)
+        for _ in range(100):
+            a, b, da, db = coefficients(base + zeta)
+            sinh, cosh = np.sinh(zeta), np.cosh(zeta)
+            step = (a * sinh + b * cosh) / ((da + b) * sinh + (a + db) * cosh)
+            zeta -= step / np.maximum(1, np.abs(step))
+            settled = np.abs(step) <= 4 * np.finfo(float).eps * np.abs(base + zeta)
+            if np.all(settled):
+                break
+    zeta[~settled] = np.nan
+    return base + zeta
 
 
 def characteristic_roots(k: float, count: int) -> np.ndarray:
     """The `count` lowest-frequency eigenvalues of the closed-loop operator.
 
     Eigenvalues are lam = -i mu^2 where mu solves the characteristic
-    equation; Newton iterations are seeded at the undamped (k = 0) roots
-    mu = i (n + 1/2) pi, which are exact when k = 0.
+    equation, one root per branch of `_branch_roots` (a = mu, b = i k).
     """
     if k < 0:
         raise ValueError(f"feedback gain must be nonnegative, got k={k}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
-    mus = []
-    for n in range(count):
-        seed = 1j * (n + 0.5) * np.pi
-        if k == 0:
-            mus.append(seed)
-            continue
-        mu = _newton_root(seed, k)
-        res = characteristic_residual(mu, k)
-        tol = 1e-12 * (1.0 + abs(mu) * np.exp(abs(mu.real)))
-        if abs(res) > tol:
-            raise NumericalError(
-                f"characteristic residual {abs(res):.3e} exceeds {tol:.3e} "
-                f"for seed index {n}"
-            )
-        mus.append(mu)
-    return -1j * np.asarray(mus) ** 2
+    mu = _branch_roots(lambda mu: (mu, 1j * k, 1.0, 0.0), np.zeros(count))
+    res = np.abs(characteristic_residual(mu, k))
+    tol = 1e-12 * (1.0 + np.abs(mu) * np.exp(np.abs(mu.real)))
+    if not np.all(res <= tol):
+        n = int(np.argmax(~(res <= tol)))
+        raise NumericalError(f"characteristic root {n} has residual {res[n]:.3e} > {tol[n]:.3e}")
+    return -1j * mu**2

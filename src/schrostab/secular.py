@@ -11,17 +11,14 @@ and q_m = D s_m / ||D s_m|| for s_m = sin((m + 1/2) pi x_j).  Its eigenvalues
 
     f(lam) = 1 + (k/h) sum_m c_m^2 / (lam - i theta_m) = 0
 
-(Golub, SIAM Rev. 15, 1973).  `secular_roots` finds all of them at once with
-safeguarded Aberth sweeps (Aberth, Math. Comp. 27, 1973), in blocks of rows
-so that memory stays O(N) and no matrix is formed.  `or_spectrum` certifies
-what it returns, or raises NumericalError.
-
-The classical generator is tridiagonal, A = i M M^T + (k/h) u e_N^T with
-u = e_{N-1}/2 - 3 e_N/2 (0-indexed), and M M^T has closed-form eigenpairs,
-so its eigenvalues are the roots of the same kind of secular equation with
-the poles mu_m and weights c_m of `classical_poles_weights`.
-`classical_spectrum` finds them with `secular_roots` and certifies each by
-inverse iteration on the tridiagonal, O(N) per root.
+(Golub, SIAM Rev. 15, 1973).  The classical generator is tridiagonal,
+A = i M M^T + (k/h) u e_N^T with u = e_{N-1}/2 - 3 e_N/2 (0-indexed), and
+M M^T has closed-form eigenpairs, so its eigenvalues are the roots of the
+same kind of equation, with the poles and weights of `classical_poles_weights`.
+Both spectra, like the continuous one, are the roots lam = -i nu(mu)^2 of a
+relation a(mu) cosh mu + b(mu) sinh mu = 0, one per branch of
+`continuous._branch_roots` in O(N), refined on the secular sum by `_polish`
+and certified by `or_spectrum` and `classical_spectrum` (or NumericalError).
 
 The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
@@ -47,6 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .continuous import _branch_roots
 from .errors import NumericalError
 from .grid import Bidiagonal, Mesh, _row_blocks, solve_d, solve_dt
 from .systems import CLASSICAL, apply_generator
@@ -56,7 +54,6 @@ __all__ = [
     "classical_poles_weights",
     "classical_peak_resolvable",
     "or_modal_coordinates",
-    "secular_roots",
     "or_spectrum",
     "classical_spectrum",
     "or_resolvent_smin",
@@ -66,7 +63,6 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # Entries per (rows x N+1) block of pairwise terms: 4 MiB of complex128.
 _BLOCK_ELEMENTS = 1 << 18
-_MAX_SWEEPS = 100
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
 # Exact roots lie at least about 6/(N+1) (order reduction) and 7.4/(N+1)^2
@@ -104,17 +100,13 @@ _LANCZOS_MAX_STEPS = 48
 _KRYLOV_ELEMENTS = 1 << 17
 
 
-def _phases(mesh: Mesh) -> np.ndarray:
-    """phi_m = (m + 1/2) pi h / 2 for m = 0..N."""
-    return (np.arange(mesh.state_size) + 0.5) * np.pi * mesh.h / 2
-
-
 def or_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """The poles theta_m and weights c_m of the order-reduction secular equation, O(N)."""
-    m = np.arange(mesh.state_size)
-    phi = _phases(mesh)
-    theta = (2.0 / mesh.h) ** 2 * np.tan(phi) ** 2
-    c = np.where(m % 2 == 0, 1.0, -1.0) * np.sqrt(2.0 * mesh.h) / np.cos(phi)
+    m = np.arange(mesh.state_size) + 0.5
+    sin = np.sin(m * np.pi * mesh.h / 2)
+    cos = np.sin((mesh.n + 1 - m) * np.pi * mesh.h / 2)  # cos phi_m, accurate at the top
+    theta = (2.0 / mesh.h * sin / cos) ** 2
+    c = (-1.0) ** np.arange(mesh.state_size) * np.sqrt(2.0 * mesh.h) / cos
     return theta, c
 
 
@@ -137,7 +129,7 @@ def classical_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     by cos 3a = 4 cos^3 a - 3 cos a, and 0 < a_m < pi/2 makes it negative.
     Hence p_m r_m = -c_m^2 with c_m = 2 cos a_m sqrt((1 + 2 sin^2 a_m) / (2N+3)),
     and the equation is 1 + (k/h) sum_m c_m^2 / (lam - i mu_m) = 0, the
-    form `secular_roots` solves.  cos a_m is evaluated as
+    order-reduction form.  cos a_m is evaluated as
     sin((N+1-m) pi / (2N+3)), which keeps its relative accuracy at the top
     pole, where cos a_m is about pi / (2N+3).
     """
@@ -166,7 +158,7 @@ def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
     """The modal coordinates a = Q^T sqrt(h) D W of a state W, O(N log N).
 
     a_m = s_m^T (sqrt(h) D^T D W) / ||D s_m||, with ||D s_m|| = cos phi_m
-    sqrt((N+1)/2).  The sums S_m = sum_j y_j sin((2m+1) pi j / (2(N+1)))
+    sqrt((N+1)/2) = 1/|c_m|.  The sums S_m = sum_j y_j sin((2m+1) pi j / (2(N+1)))
     are a DST-III: with t_j = exp(i pi j / (2(N+1))), S_m = (F+_m - F-_m) / 2i,
     where F+ and F- are the length-2(N+1) Fourier sums of y t and y conj(t),
     one inverse and one forward numpy FFT (scipy.fft would be one more
@@ -179,43 +171,34 @@ def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
     twist = np.exp(0.5j * np.pi * np.arange(n1 + 1) / n1)
     up = np.fft.ifft(y * twist, 2 * n1)[:n1] * (2 * n1)
     down = np.fft.fft(y * twist.conj(), 2 * n1)[:n1]
-    return (up - down) / (2j * np.cos(_phases(mesh)) * np.sqrt(n1 / 2))
+    return np.abs(or_poles_weights(mesh)[1]) * (up - down) / 2j
 
 
-def secular_roots(theta: np.ndarray, c: np.ndarray, rho: float) -> np.ndarray:
-    """All roots of 1 + rho sum_m c_m^2 / (lam - i theta_m), by Aberth sweeps.
+def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
+    """Branch roots lam made whole, then refined by Newton on 1 + sum weights / (lam - i poles).
 
-    The sweeps take Aberth steps on p(lam) = f(lam) prod_m (lam - i theta_m),
-    whose Newton correction is 1 / (f'/f + sum_m 1/(lam - i theta_m)), from
-    the seeds i theta_m - rho c_m^2, where the m-th term cancels the 1.  Each
-    block of roots is updated in place.  A root is frozen once its step is
-    at most 4 eps |lam|; a non-finite step leaves its root unchanged for that
-    sweep.  Roots still moving after _MAX_SWEEPS are left to the certificate.
+    A nan, or the second of two roots equal to 1e-10 relative, is missing; one
+    missing root is the trace less the others.  Newton on the sum restores the
+    digits lost at the fold of lam(mu) (top order-reduction roots) and runs on
+    eps_j = lam_j - i poles_j (Gu & Eisenstat, 1995), so that small real parts
+    keep theirs, for up to 8 steps, until the error left is at most 4 eps |eps_j|.
     """
-    n1 = theta.size
-    weights = rho * c * c
-    poles = 1j * theta
-    lam = poles - weights
-    active = np.ones(n1, dtype=bool)
-    for _ in range(_MAX_SWEEPS):
-        todo = np.flatnonzero(active)
-        if todo.size == 0:
-            break
-        for rows in _row_blocks(todo, n1, _BLOCK_ELEMENTS):
-            here = lam[rows, None]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                to_poles = 1.0 / (here - poles)
-                f = 1.0 + to_poles @ weights
-                df = -(to_poles * to_poles) @ weights
-                newton = 1.0 / (df / f + to_poles.sum(axis=1))
-                apart = here - lam
-                apart[np.arange(rows.size), rows] = np.inf
-                step = newton / (1.0 - newton * (1.0 / apart).sum(axis=1))
-            finite = np.isfinite(step)
-            moved = rows[finite]
-            lam[moved] -= step[finite]
-            active[moved[np.abs(step[finite]) <= 4 * _EPS * np.abs(lam[moved])]] = False
-    return lam
+    order = np.argsort(lam.imag)
+    twin = np.abs(np.diff(lam[order])) <= _DISTINCT_RTOL * np.abs(lam[order[1:]])
+    lam[order[1:][twin]] = np.nan
+    if np.count_nonzero(np.isnan(lam)) == 1:
+        lam[np.isnan(lam)] = trace - np.nansum(lam)
+    eps = lam - 1j * poles
+    active = np.ones(lam.size, dtype=bool)
+    for _ in range(8):
+        for rows in _row_blocks(np.flatnonzero(active), lam.size, _BLOCK_ELEMENTS):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                to_poles = 1.0 / (eps[rows, None] + 1j * (poles[rows, None] - poles))
+                step = (1.0 + to_poles @ weights) / ((to_poles * to_poles) @ weights)
+            eps[rows] += step
+            left = np.abs(step) ** 2 * np.abs(to_poles).max(axis=1)  # error after this step
+            active[rows] = left > 4 * _EPS * np.abs(eps[rows])
+    return 1j * poles + eps
 
 
 def _certify(lam, residual, scale, traces, where: str) -> float:
@@ -268,10 +251,16 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     sum Im lam = sum theta_m, each to 1e-12 relative (`_certify`).
     """
     theta, c = or_poles_weights(mesh)
-    rho = k / mesh.h
-    lam = secular_roots(theta, c, rho)
+    h, rho = mesh.h, k / mesh.h
     c2 = c * c
     c2_sum = np.sum(c2)
+
+    def coefficients(mu):
+        t = np.tanh(mu * h / 2)
+        return 2 / h * t, 1j * k, 1 - t * t, 0.0
+
+    nu = coefficients(_branch_roots(coefficients, np.zeros(mesh.state_size)))[0]
+    lam = _polish(-1j * nu**2, theta, rho * c2, -rho * c2_sum + 1j * np.sum(theta))
     c_norm = np.sqrt(c2_sum)
 
     def backward(rows):
@@ -300,7 +289,8 @@ def _classical_tridiagonal(mesh: Mesh, k: float):
 def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the classical generator, and their worst residual.
 
-    The roots are those of the secular equation of `classical_poles_weights`.
+    The roots solve the last two rows of A with y_j = sinh(mu x_j) and
+    y_{N+1} = sinh(mu) / (1 + i k h/2), less the fold mu h = i pi, where y = 0.
     The residual of a root lam is ||A x - lam x|| / ||x||, with A applied
     by `systems.apply_generator` and x from two steps of inverse iteration
     on the tridiagonal A - lam (LAPACK zgtsv, partial pivoting) from one
@@ -319,8 +309,17 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     """
     from scipy.linalg.lapack import zgtsv
     mu, c = classical_poles_weights(mesh)
-    rho = k / mesh.h
-    lam = secular_roots(mu, c, rho)
+    n, h, rho = mesh.n, mesh.h, k / mesh.h
+    s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
+
+    def coefficients(z):
+        sinh, cosh = np.sinh(z * h), np.cosh(z * h)
+        return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
+
+    z = _branch_roots(coefficients, -1j * (np.arange(n + 1) + 0.5) * np.pi / (2 * n + 3))
+    lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
+    lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
+    lam = _polish(lam, mu, rho * c * c, -1.5 * rho + 1j * (2 * n + 1) / h**2)
     scale = np.max(mu) + np.sqrt(2.5) * rho
     dl, d, du = _classical_tridiagonal(mesh, k)
     n1 = mesh.state_size

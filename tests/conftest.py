@@ -44,6 +44,45 @@ def modal_oracle(mesh):
     return Q / np.linalg.norm(Q, axis=0)
 
 
+def aberth_roots(theta, c, rho, sweeps=100):
+    """All roots of 1 + rho sum_m c_m^2 / (lam - i theta_m), by Aberth sweeps.
+
+    An independent O(N^2)-per-sweep oracle for the branch-wise spectra
+    (Aberth, Math. Comp. 27, 1973).  The sweeps take Aberth steps on
+    p(lam) = f(lam) prod_m (lam - i theta_m), whose Newton correction is
+    1 / (f'/f + sum_m 1/(lam - i theta_m)), from the seeds
+    i theta_m - rho c_m^2, where the m-th term cancels the 1.  Each block of
+    roots is updated in place.  A root is frozen once its step is at most
+    4 eps |lam|; a non-finite step leaves its root unchanged for that sweep.
+    """
+    from schrostab.grid import _row_blocks
+
+    eps = np.finfo(float).eps
+    n1 = theta.size
+    weights = rho * c * c
+    poles = 1j * theta
+    lam = poles - weights
+    active = np.ones(n1, dtype=bool)
+    for _ in range(sweeps):
+        todo = np.flatnonzero(active)
+        if todo.size == 0:
+            break
+        for rows in _row_blocks(todo, n1, 1 << 18):
+            here = lam[rows, None]
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                to_poles = 1.0 / (here - poles)
+                f = 1.0 + to_poles @ weights
+                df = -(to_poles * to_poles) @ weights
+                newton = 1.0 / (df / f + to_poles.sum(axis=1))
+                apart = here - lam
+                apart[np.arange(rows.size), rows] = np.inf
+                step = newton / (1.0 - newton * (1.0 / apart).sum(axis=1))
+            finite = np.isfinite(step)
+            moved = rows[finite]
+            lam[moved] -= step[finite]
+            active[moved[np.abs(step[finite]) <= 4 * eps * np.abs(lam[moved])]] = False
+    return lam
+
 
 def classical_resolvent_within(system, betas, norms, rtol):
     """Whether each norm is within rtol of sigma_max(M), M = D Z^{-1} D^{-1} and Z = i beta - A.

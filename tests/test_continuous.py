@@ -114,12 +114,13 @@ class TestCharacteristicRoots:
         expect = 1j * ((np.arange(5) + 0.5) * np.pi) ** 2
         np.testing.assert_allclose(lam, expect, rtol=1e-13)
 
-    def test_residuals(self):
-        lam = characteristic_roots(1.0, 20)
+    @pytest.mark.parametrize("k", [1.0, 30.0, 100.0])
+    def test_residuals(self, k):
+        lam = characteristic_roots(k, 20)
         for l in lam:
             m = np.sqrt(l / (-1j))
             res = min(
-                abs(characteristic_residual(m, 1.0)), abs(characteristic_residual(-m, 1.0))
+                abs(characteristic_residual(m, k)), abs(characteristic_residual(-m, k))
             )
             assert res <= 1e-12 * (1 + abs(m) * np.exp(abs(m.real)))
 
@@ -127,9 +128,12 @@ class TestCharacteristicRoots:
         lam = characteristic_roots(1.0, 20)
         assert np.all(lam.real < 0)
 
-    def test_pairwise_distinct(self):
-        lam = characteristic_roots(1.0, 30)
-        diffs = np.abs(lam[:, None] - lam[None, :]) + np.eye(30)
+    @pytest.mark.parametrize("k", [1.0, 30.0, 100.0])
+    def test_pairwise_distinct(self, k):
+        # Newton from i (n + 1/2) pi alone returned 49 distinct roots of 50 at
+        # k = 30 and 44 at k = 100
+        lam = characteristic_roots(k, 50)
+        diffs = np.abs(lam[:, None] - lam[None, :]) + np.eye(50)
         assert diffs.min() > 1e-6
 
     def test_rejects_bad_count(self):

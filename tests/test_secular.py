@@ -18,18 +18,21 @@ from schrostab.secular import (
     or_poles_weights,
     or_resolvent_smin,
     or_spectrum,
-    secular_roots,
 )
 from schrostab.spectral import default_beta_max, sweep_grid
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
 from conftest import (
+    aberth_roots,
     classical_resolvent_within,
     dense_generator,
     modal_oracle,
     random_complex,
     weighted_oracle,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def by_imaginary_part(z):
@@ -99,9 +102,43 @@ def test_roots_match_mpmath_oracle(n, k):
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
-    lam = by_imaginary_part(secular_roots(theta, c, rho))
+    lam = by_imaginary_part(or_spectrum(mesh, k)[0])
     expect = by_imaginary_part(_mpmath_roots(theta, c, rho))
     assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
+
+
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 63, 255, 1023])
+@pytest.mark.parametrize("k", [0.01, 0.1, 1.0, 10.0, 100.0])
+def test_spectra_match_aberth_oracle(scheme, n, k):
+    # the branch-wise roots against all-at-once Aberth sweeps on the same
+    # secular equation; at large k h one classical branch lands on the fold
+    # lam = 4i/h^2 and the root it misses is the trace less the others
+    mesh = Mesh(n)
+    if scheme == ORDER_REDUCTION:
+        poles, c = or_poles_weights(mesh)
+        lam = or_spectrum(mesh, k)[0]
+    else:
+        poles, c = classical_poles_weights(mesh)
+        lam = classical_spectrum(mesh, k)[0]
+    expect = by_imaginary_part(aberth_roots(poles, c, k / mesh.h))
+    lam = by_imaginary_part(lam)
+    assert np.all(np.abs(lam - expect) <= 1e-12 * np.abs(expect))
+
+
+@pytest.mark.parametrize("n", [255, 1023, 8191])
+def test_poles_weights_match_mpmath(n):
+    # tan phi_m and cos phi_m near pi/2 taken from the rounded phi_m put
+    # theta_N 2.6e-12 and c_N 1.3e-12 off at N = 8191
+    theta, c = or_poles_weights(Mesh(n))
+    with mpmath.workdps(40):
+        h = mpmath.mpf(1) / (n + 1)
+        phi = [(m + mpmath.mpf(1) / 2) * mpmath.pi * h / 2 for m in range(n + 1)]
+        expect_theta = np.array([float((2 / h * mpmath.tan(p)) ** 2) for p in phi])
+        expect_c = np.array([float((-1) ** m * mpmath.sqrt(2 * h) / mpmath.cos(p))
+                             for m, p in enumerate(phi)])
+    assert np.all(np.abs(theta - expect_theta) <= 4 * EPS * expect_theta)
+    assert np.all(np.abs(c - expect_c) <= 4 * EPS * np.abs(expect_c))
 
 
 @pytest.mark.parametrize("n", [1, 15, 255, 1023])
@@ -115,29 +152,47 @@ def test_certificate_holds_with_margin(n, k):
 
 
 def test_duplicate_root_is_refused(monkeypatch):
-    solve = secular_roots
+    polish = secular._polish
 
-    def duplicated(theta, c, rho):
-        lam = solve(theta, c, rho)
+    def duplicated(*args):
+        lam = polish(*args)
         lam[1] = lam[0]
         return lam
 
-    monkeypatch.setattr("schrostab.secular.secular_roots", duplicated)
+    monkeypatch.setattr("schrostab.secular._polish", duplicated)
     with pytest.raises(NumericalError, match="coincide"):
         or_spectrum(Mesh(15), 1.0)
 
 
 def test_nonfinite_root_is_refused(monkeypatch):
-    solve = secular_roots
+    # one lost branch root is the trace less the others; two are refused
+    solve = secular._branch_roots
 
-    def lost(theta, c, rho):
-        lam = solve(theta, c, rho)
-        lam[3] = np.nan
-        return lam
+    def lost(coefficients, zeta0):
+        mu = solve(coefficients, zeta0)
+        mu[[3, 8]] = np.nan
+        return mu
 
-    monkeypatch.setattr("schrostab.secular.secular_roots", lost)
-    with pytest.raises(NumericalError, match="15 finite roots of 16"):
+    monkeypatch.setattr("schrostab.secular._branch_roots", lost)
+    with pytest.raises(NumericalError, match="14 finite roots of 16"):
         or_spectrum(Mesh(15), 1.0)
+
+
+@pytest.mark.parametrize("spectrum", [or_spectrum, classical_spectrum])
+@pytest.mark.parametrize("fault", ["nan", "twin"])
+def test_one_missing_branch_root_comes_from_the_trace(monkeypatch, spectrum, fault):
+    mesh = Mesh(15)
+    expect = by_imaginary_part(spectrum(mesh, 1.0)[0])
+    solve = secular._branch_roots
+
+    def lost(coefficients, zeta0):
+        mu = solve(coefficients, zeta0)
+        mu[5] = np.nan if fault == "nan" else mu[6]
+        return mu
+
+    monkeypatch.setattr("schrostab.secular._branch_roots", lost)
+    lam = by_imaginary_part(spectrum(mesh, 1.0)[0])
+    assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 255])
@@ -193,7 +248,7 @@ def test_classical_certificate_holds_with_margin(n, k):
 
 
 def test_classical_zero_pivot_is_moved_off(monkeypatch):
-    # at N=2, k=1 the lowest root is an exact eigenvalue of the rounded
+    # at N=3, k=1 the lowest root is an exact eigenvalue of the rounded
     # factors: zgtsv reports a zero pivot, and the nudged solve certifies it
     solve = lapack.zgtsv
     infos = []
@@ -204,9 +259,9 @@ def test_classical_zero_pivot_is_moved_off(monkeypatch):
         return out
 
     monkeypatch.setattr("scipy.linalg.lapack.zgtsv", recorded)
-    lam, worst = classical_spectrum(Mesh(2), 1.0)
+    lam, worst = classical_spectrum(Mesh(3), 1.0)
     assert any(infos)
-    assert worst <= 1e-15 * classical_poles_weights(Mesh(2))[0].max()
+    assert worst <= 1e-15 * classical_poles_weights(Mesh(3))[0].max()
 
 
 def test_wrong_classical_tridiagonal_is_refused(monkeypatch):
@@ -223,8 +278,6 @@ def test_wrong_classical_tridiagonal_is_refused(monkeypatch):
     with pytest.raises(NumericalError, match="secular residual"):
         classical_spectrum(Mesh(15), 1.0)
 
-
-EPS = np.finfo(float).eps
 
 
 def _resolvent_betas(system):
