@@ -91,32 +91,31 @@ def difference(u: np.ndarray, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Bidiagonal:
-    """A matrix of `cols` columns: row i holds main[i] in column i, off[i] in column i + step.
+    """A rows x cols matrix, rows <= cols, with scalars main at (i, i) and off at (i, i + step).
 
-    step = -1 (lower) or +1 (upper); an off[i] outside the columns is unused,
-    and only a square one has a transpose `T`.  `A @ x` acts along x's first
-    axis and sums the two rounded products, as a CSR product does, bit for
-    bit and independently of x's other columns.
+    step = -1 (lower) or +1 (upper), and only a square one has a transpose `T`.
+    `A @ x` acts along x's first axis and sums the two rounded products, as a
+    CSR product does, bit for bit and independently of x's other columns.
     """
 
-    main: np.ndarray
-    off: np.ndarray
+    main: float
+    off: float
     step: int
+    rows: int
     cols: int
 
     def __matmul__(self, x):
         x = np.asarray(x)
         if x.shape[0] != self.cols:
             raise ValueError(f"matrix with {self.cols} columns applied to {x.shape[0]} rows")
-        rows, shape = self.main.size, (-1,) + (1,) * (x.ndim - 1)
-        out = self.main.reshape(shape) * x[:rows]
-        lo, hi = max(0, -self.step), min(rows, self.cols - self.step)
-        out[lo:hi] += self.off[lo:hi].reshape(shape) * x[lo + self.step:hi + self.step]
+        out = self.main * x[:self.rows]
+        lo, hi = max(0, -self.step), min(self.rows, self.cols - self.step)
+        out[lo:hi] += self.off * x[lo + self.step:hi + self.step]
         return out
 
     @cached_property
     def T(self) -> Bidiagonal:
-        return Bidiagonal(self.main, np.roll(self.off, self.step), -self.step, self.cols)
+        return Bidiagonal(self.main, self.off, -self.step, self.cols, self.rows)
 
     def toarray(self) -> np.ndarray:
         return self @ np.eye(self.cols)
@@ -140,14 +139,11 @@ class SchemeMatrices:
 
 
 def build_scheme_matrices(mesh: Mesh) -> SchemeMatrices:
-    """All four from three shared read-only diagonals; D = Sigma[:, 1:], M = Delta[:, :-1]."""
-    n1 = mesh.state_size
-    half, up, down = (np.full(n1, v) for v in (0.5, 1.0 / mesh.h, -1.0 / mesh.h))
-    for diagonal in (half, up, down):
-        diagonal.flags.writeable = False
+    """All four from two scalars each, O(1); D = Sigma[:, 1:], M = Delta[:, :-1]."""
+    n1, up = mesh.state_size, 1.0 / mesh.h
     return SchemeMatrices(
-        D=Bidiagonal(half, half, -1, n1), M=Bidiagonal(down, up, 1, n1),
-        Sigma=Bidiagonal(half, half, 1, n1 + 1), Delta=Bidiagonal(down, up, 1, n1 + 1),
+        D=Bidiagonal(0.5, 0.5, -1, n1, n1), M=Bidiagonal(-up, up, 1, n1, n1),
+        Sigma=Bidiagonal(0.5, 0.5, 1, n1, n1 + 1), Delta=Bidiagonal(-up, up, 1, n1, n1 + 1),
     )
 
 

@@ -23,7 +23,7 @@ one.  A column's defect does not depend on the width of its block.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -150,15 +150,19 @@ def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh):
     matrix and sum forms agree exactly for any beta != 0.
     Returns {"gap_claim2", "gap_claim3", "scale_claim2", "scale_claim3"}.
     """
-    return _claim_functionals_gap(_block(Y, k, mesh), beta, mesh.matrices, mesh)
+    return _claim_functionals_gap(_block(Y, k, mesh), beta, mesh)
 
 
-def _claim_functionals_gap(b: _Block, beta: float, sm, mesh: Mesh):
+def _claim_functionals_gap(b: _Block, beta: float, mesh: Mesh, perturb: float = 0.0):
     if beta == 0:
         raise ValueError("beta must be nonzero")
     h = mesh.h
+    sm = mesh.matrices
     y_norm2 = np.real(_d_inner(b.DY, b.DY, h))
-    sig_z = h * np.sum(np.abs(sm.Sigma @ b.zext) ** 2, axis=0)
+    sz = sm.Sigma @ b.zext
+    # row 0 again, rounded as the product rounds it, with perturb added to Sigma[0, 0]
+    sz[0] = (sm.Sigma.main + perturb) * b.zext[0] + sm.Sigma.off * b.zext[1]
+    sig_z = h * np.sum(np.abs(sz) ** 2, axis=0)
     del_z = h * np.sum(np.abs(sm.Delta @ b.zext) ** 2, axis=0)
     del_y = h * np.sum(np.abs(sm.Delta @ b.yext) ** 2, axis=0)
 
@@ -297,11 +301,6 @@ def run_identity_suite(
         batches = _prefetched(pool, draw, plan)
         for n in n_values:
             mesh = Mesh(n)
-            sm = mesh.matrices
-            if perturb != 0.0:
-                main = sm.Sigma.main.copy()
-                main[0] += perturb
-                sm = replace(sm, Sigma=replace(sm.Sigma, main=main))
             blocks = _column_blocks(samples, n + 2)
 
             u, v, w = next(batches)
@@ -328,7 +327,7 @@ def run_identity_suite(
                     )
                     defects["boundary_multiplier_z"][:, cols] = boundary_multiplier_gap_z(Zb, mesh)
                     defects["cross_term"][:, cols] = _cross_term_gap(b, mesh)
-                    cf = _claim_functionals_gap(b, beta, sm, mesh)
+                    cf = _claim_functionals_gap(b, beta, mesh, perturb)
                     for claim in ("claim2", "claim3"):
                         defects[claim][:, cols] = cf["gap_" + claim], cf["scale_" + claim]
                 for name, (gaps, scales) in defects.items():

@@ -61,13 +61,13 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# Entries per (rows x N+1) block of pairwise terms: 4 MiB of complex128.
+# Entries per (rows x N+1) block of root-to-pole terms: 4 MiB of complex128.
 _BLOCK_ELEMENTS = 1 << 18
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
-# Exact roots lie at least about 6/(N+1) (order reduction) and 7.4/(N+1)^2
-# (classical) apart relative to their size (measured to N = 4095 and 1023),
-# so two approximations of one root fall below this.
+# Neighbours in imaginary-part order differ in imaginary part by >= 5.5e-3 (order
+# reduction) and 7.05e-6 (classical) of the larger modulus at N = 1023, kh in [1e-3, 50],
+# falling like 6/(N+1) and 7.4/(N+1)^2; two approximations of one root fall below this.
 _DISTINCT_RTOL = 1e-10
 # The fixed start of every classical inverse iteration.
 _INVERSE_ITERATION_SEED = 20231
@@ -174,18 +174,33 @@ def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
     return np.abs(or_poles_weights(mesh)[1]) * (up - down) / 2j
 
 
+def _coincident(lam) -> np.ndarray:
+    """Marks each root within 1e-10 relative of the next root down in imaginary part, O(N log N).
+
+    Root i+1 in imaginary-part order is marked if Im lam_{i+1} - Im lam_i <= 1e-10
+    max(|lam_i|, |lam_{i+1}|); a nan never is.  With none marked, any lam_i below lam_j are
+    over 1e-10 max(|lam_i|, |lam_j|) apart: |lam_j - lam_i| >= the sum of the sorted gaps
+    between them, whose first and last alone exceed 1e-10 |lam_i| and 1e-10 |lam_j|.
+    That distinct roots lie this far apart in imaginary part is a hypothesis `_certify` checks.
+    """
+    order = np.argsort(lam.imag)
+    tol = _DISTINCT_RTOL * np.abs(lam[order])
+    marked = np.zeros(lam.size, dtype=bool)
+    marked[order[1:]] = np.diff(lam.imag[order]) <= np.maximum(tol[1:], tol[:-1])
+    return marked
+
+
 def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
     """Branch roots lam made whole, then refined by Newton on 1 + sum weights / (lam - i poles).
 
-    A nan, or the second of two roots equal to 1e-10 relative, is missing; one
-    missing root is the trace less the others.  Newton on the sum restores the
-    digits lost at the fold of lam(mu) (top order-reduction roots) and runs on
-    eps_j = lam_j - i poles_j (Gu & Eisenstat, 1995), so that small real parts
-    keep theirs, for up to 8 steps, until the error left is at most 4 eps |eps_j|.
+    A nan, or a root `_coincident` marks, is missing; one missing root is the trace less
+    the others.  Newton on the sum restores the digits lost at the fold of lam(mu) (top
+    order-reduction roots) and runs on eps_j = lam_j - i poles_j (Gu & Eisenstat, 1995),
+    so that small real parts keep theirs, for up to 8 steps, until the error left is at
+    most 4 eps |eps_j|.  It steps on eps_j f, which removes pole j: from a branch root
+    more than |eps_j| off (the top roots at weak damping), Newton on f runs off along it.
     """
-    order = np.argsort(lam.imag)
-    twin = np.abs(np.diff(lam[order])) <= _DISTINCT_RTOL * np.abs(lam[order[1:]])
-    lam[order[1:][twin]] = np.nan
+    lam[_coincident(lam)] = np.nan
     if np.count_nonzero(np.isnan(lam)) == 1:
         lam[np.isnan(lam)] = trace - np.nansum(lam)
     eps = lam - 1j * poles
@@ -194,7 +209,8 @@ def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
         for rows in _row_blocks(np.flatnonzero(active), lam.size, _BLOCK_ELEMENTS):
             with np.errstate(divide="ignore", invalid="ignore"):
                 to_poles = 1.0 / (eps[rows, None] + 1j * (poles[rows, None] - poles))
-                step = (1.0 + to_poles @ weights) / ((to_poles * to_poles) @ weights)
+                f = 1.0 + to_poles @ weights
+                step = eps[rows] * f / (eps[rows] * ((to_poles * to_poles) @ weights) - f)
             eps[rows] += step
             left = np.abs(step) ** 2 * np.abs(to_poles).max(axis=1)  # error after this step
             active[rows] = left > 4 * _EPS * np.abs(eps[rows])
@@ -204,29 +220,18 @@ def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
 def _certify(lam, residual, scale, traces, where: str) -> float:
     """Check all roots of one secular equation; returns their worst residual.
 
-    Raises NumericalError unless every root is finite, the roots are
-    pairwise distinct to 1e-10 relative, residual(rows) is at most
-    1e-14 scale for every block of root indices rows, and the sums of the
-    real and imaginary parts of the roots match traces, each to 1e-12
-    relative.  Roots are taken in blocks of rows, so memory stays O(N).
+    Raises NumericalError unless every root is finite, `_coincident` marks none, residual(rows)
+    is at most 1e-14 scale for every block of root indices rows (O(N) memory), and the sums
+    of the real and imaginary parts of the roots match traces, each to 1e-12 relative.
     """
     n1 = lam.size
     finite = np.count_nonzero(np.isfinite(lam))
     if finite != n1:
         raise NumericalError(f"secular solver found {finite} finite roots of {n1} {where}")
-    residuals = np.empty(n1)
-    closest = np.inf
-    for rows in _row_blocks(np.arange(n1), n1, _BLOCK_ELEMENTS):
-        residuals[rows] = residual(rows)
-        here = lam[rows, None]
-        gaps = np.abs(here - lam) / np.maximum(np.abs(here), np.abs(lam))
-        gaps[np.arange(rows.size), rows] = np.inf
-        closest = min(closest, float(gaps.min(initial=np.inf)))
-    if not closest > _DISTINCT_RTOL:
-        raise NumericalError(
-            f"two secular roots coincide to {closest:.1e} relative {where}"
-        )
-    worst = float(np.max(residuals))
+    if np.any(_coincident(lam)):
+        raise NumericalError(f"two secular roots coincide in imaginary part {where}")
+    worst = max(float(np.max(residual(rows)))
+                for rows in _row_blocks(np.arange(n1), n1, _BLOCK_ELEMENTS))
     bound = _RESIDUAL_TOL * scale
     if not worst <= bound:
         raise NumericalError(f"secular residual {worst:.3e} exceeds {bound:.3e} {where}")
@@ -245,7 +250,7 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     The residual of a root lam is the backward error of the eigenpair
     (lam, v) of i Theta - (k/h) c c^T with v = (lam - i Theta)^{-1} c,
     namely ||c|| |f(lam)| / ||v||.  Raises NumericalError unless there are
-    N+1 finite, pairwise distinct roots, each residual is at most
+    N+1 finite roots, none coinciding, each residual is at most
     1e-14 (max theta + (k/h) ||c||^2), and the roots keep the trace:
     sum Re lam = -(k/h) ||c||^2 = -2k sum sec^2 phi_m and
     sum Im lam = sum theta_m, each to 1e-12 relative (`_certify`).
@@ -299,17 +304,18 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     puts lam on an eigenvalue of the rounded factors, is moved off by
     eps times the scale below.  (The secular-formula eigenvector
     (lam - i M M^T)^{-1} u is not used: summed in the sine basis, it left
-    residuals of 4.1e-13 of the scale at N=1023, against 6.6e-16 here.)
+    residuals of 4.1e-13 of the scale at N=1023, against 6.6e-16 here.)  One zgtsv
+    call per root stays: block-diagonal zgttrf/zgttrs over many roots gained <= 7% at N >= 1023.
 
-    Raises NumericalError unless there are N+1 finite, pairwise distinct
-    roots, each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
+    Raises NumericalError unless there are N+1 finite roots, none coinciding,
+    each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
     on ||A||_2, and the roots keep the trace: sum Re lam = -(3/2) k/h and
     sum Im lam = trace(M M^T) = (2N+1)/h^2, each to 1e-12 relative
     (`_certify`).
     """
     from scipy.linalg.lapack import zgtsv
     mu, c = classical_poles_weights(mesh)
-    n, h, rho = mesh.n, mesh.h, k / mesh.h
+    n, n1, h, rho = mesh.n, mesh.state_size, mesh.h, k / mesh.h
     s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
 
     def coefficients(z):
@@ -322,7 +328,6 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     lam = _polish(lam, mu, rho * c * c, -1.5 * rho + 1j * (2 * n + 1) / h**2)
     scale = np.max(mu) + np.sqrt(2.5) * rho
     dl, d, du = _classical_tridiagonal(mesh, k)
-    n1 = mesh.state_size
     rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
     start = rng.standard_normal((n1, 1)) + 1j * rng.standard_normal((n1, 1))
     start /= np.linalg.norm(start)

@@ -120,7 +120,7 @@ class TestSchemeMatrices:
         sm = build_scheme_matrices(Mesh(n))
         assert sm.M.T is sm.M.T
         np.testing.assert_array_equal(sm.M.T.toarray(), sm.M.toarray().T)
-        lower = Bidiagonal(sm.M.main, sm.M.off, -1, n + 1)
+        lower = Bidiagonal(sm.M.main, sm.M.off, -1, n + 1, n + 1)
         for Y in (random_complex(rng, n + 1), random_complex(rng, n + 1, 7)):
             np.testing.assert_array_equal(sm.M.T @ Y, lower @ Y)
 

@@ -205,7 +205,7 @@ class TestPublicGapsAreTheKernels:
             for a, c in zip(public, kernel):
                 np.testing.assert_array_equal(a, c)
         public = claim_functionals_gap(Y, k, beta, mesh)
-        kernel = identities._claim_functionals_gap(b, beta, mesh.matrices, mesh)
+        kernel = identities._claim_functionals_gap(b, beta, mesh)
         assert public.keys() == kernel.keys()
         for key in public:
             np.testing.assert_array_equal(public[key], kernel[key])

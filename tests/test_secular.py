@@ -107,13 +107,8 @@ def test_roots_match_mpmath_oracle(n, k):
     assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
 
 
-@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
-@pytest.mark.parametrize("n", [1, 2, 7, 15, 63, 255, 1023])
-@pytest.mark.parametrize("k", [0.01, 0.1, 1.0, 10.0, 100.0])
-def test_spectra_match_aberth_oracle(scheme, n, k):
-    # the branch-wise roots against all-at-once Aberth sweeps on the same
-    # secular equation; at large k h one classical branch lands on the fold
-    # lam = 4i/h^2 and the root it misses is the trace less the others
+def spectrum_and_aberth(scheme, n, k):
+    """Certified and Aberth roots of a scheme's secular equation, by imaginary part."""
     mesh = Mesh(n)
     if scheme == ORDER_REDUCTION:
         poles, c = or_poles_weights(mesh)
@@ -121,9 +116,29 @@ def test_spectra_match_aberth_oracle(scheme, n, k):
     else:
         poles, c = classical_poles_weights(mesh)
         lam = classical_spectrum(mesh, k)[0]
-    expect = by_imaginary_part(aberth_roots(poles, c, k / mesh.h))
-    lam = by_imaginary_part(lam)
+    return by_imaginary_part(lam), by_imaginary_part(aberth_roots(poles, c, k / mesh.h))
+
+
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+@pytest.mark.parametrize("n", [1, 2, 7, 15, 63, 255, 1023])
+@pytest.mark.parametrize("k", [0.01, 0.1, 1.0, 10.0, 100.0])
+def test_spectra_match_aberth_oracle(scheme, n, k):
+    # the branch-wise roots against all-at-once Aberth sweeps on the same
+    # secular equation; at large k h one classical branch lands on the fold
+    # lam = 4i/h^2 and the root it misses is the trace less the others
+    lam, expect = spectrum_and_aberth(scheme, n, k)
     assert np.all(np.abs(lam - expect) <= 1e-12 * np.abs(expect))
+
+
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+@pytest.mark.parametrize("n", [15, 255, 1023])
+@pytest.mark.parametrize("k", [1e-12, 1e-9, 1e-6])
+def test_weak_damping_matches_aberth_oracle(scheme, n, k):
+    # the top branch roots are off by more than |eps_j| = (k/h) c_j^2 there,
+    # so Newton on f alone runs off along pole j; real parts agree to 6.4e-16
+    lam, expect = spectrum_and_aberth(scheme, n, k)
+    assert np.all(np.abs(lam - expect) <= 1e-12 * np.abs(expect))
+    assert np.all(np.abs(lam.real - expect.real) <= 8 * EPS * np.abs(expect.real))
 
 
 @pytest.mark.parametrize("n", [255, 1023, 8191])
@@ -160,6 +175,21 @@ def test_duplicate_root_is_refused(monkeypatch):
         return lam
 
     monkeypatch.setattr("schrostab.secular._polish", duplicated)
+    with pytest.raises(NumericalError, match="coincide"):
+        or_spectrum(Mesh(15), 1.0)
+
+
+def test_roots_apart_only_in_real_part_are_refused(monkeypatch):
+    # one imaginary part and real parts 1e-3 apart: 2.9e-4 apart relative to
+    # |lam|, which the pairwise rule passes, but coincident in imaginary-part order
+    polish = secular._polish
+
+    def flattened(*args):
+        lam = polish(*args)
+        lam[1] = lam[0] + 1e-3
+        return lam
+
+    monkeypatch.setattr("schrostab.secular._polish", flattened)
     with pytest.raises(NumericalError, match="coincide"):
         or_spectrum(Mesh(15), 1.0)
 
