@@ -6,15 +6,13 @@ k * dt * |m_{N+1}|^2 at the midpoint state m, to roundoff, for every step
 size.  That turns the continuous energy balance into a machine-checkable
 assertion on each step of a simulation.
 
-Neither scheme forms its generator.  The order-reduction scheme steps in
-its closed-form modal basis (`schrostab.secular`), where the weighted
-generator is i Theta - (k/h) c c^T: one Cayley step is a diagonal scaling
-and a Sherman-Morrison correction, O(N) with no matrix, the energy is half
-the squared norm of the modal coordinates, and its defect stays at roundoff
-of E(0) at every N.  The classical generator is tridiagonal, so each step
-is one O(N) solve with the LAPACK LU of I - (dt/2) A (SciPy's only use
-here); that scheme does not dissipate this energy exactly, and its step
-gap was 5.3e-3 E(0) at N=63 and 1.7e-3 E(0) at N=1023 (k=1, dt=1e-3).
+Neither scheme forms its generator: both step in a closed-form modal basis
+(`schrostab.secular`) where it is i Theta - (k/h) p r^T, so one Cayley step
+is a diagonal scaling and a Sherman-Morrison correction, O(N) with no matrix
+and no LAPACK.  The order-reduction energy defect stays at roundoff of E(0)
+at every N.  The classical scheme does not dissipate this energy exactly: its
+step gap was 5.3e-3 E(0) at N=63 and 3.6e-4 E(0) at N=1023 (k=1, dt=1e-3,
+smooth preset, t = 3).
 """
 
 from __future__ import annotations
@@ -24,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .secular import _classical_tridiagonal, or_modal_coordinates, or_poles_weights
+from .secular import (classical_modal_coordinates, classical_poles_weights,
+                      or_modal_coordinates, or_poles_weights)
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 __all__ = [
@@ -38,13 +37,14 @@ __all__ = [
 ]
 
 
-# The order-reduction stepper keeps a few complex arrays of N+1 entries
-# (16 MiB each at the cap) and the entry transform two FFTs of twice that.
+# The stepper keeps a few complex arrays of N+1 entries (16 MiB each at
+# the cap) and the entry transform two FFTs of about twice that; a classical
+# run at the cap peaked at 470 MiB RSS, its FFT length 2N+3 being odd.
 MAX_N = 2**20
 # A trace keeps 40 bytes per step, so the cap holds its arrays to 40 MB.
 MAX_STEPS = 10**6
-# Largest |(1/2)||a||^2 - E(W)| / E(W) the modal entry transform may leave;
-# the measured worst is 2.6e-14 up to N=65535.
+# Largest |energy(u) - E(W)| / E(W) the modal entry transform may leave; the measured
+# worst up to N=65535 is 2.6e-14 (order reduction) and 6.3e-15 (classical).
 _ENTRY_RTOL = 1e-12
 
 
@@ -64,23 +64,19 @@ class EnergyTrace:
 
 
 class MidpointStepper:
-    """Implicit midpoint stepper W+ = 2V - W with (I - dt/2 A) V = W, set up once per dt.
+    """Implicit midpoint stepper u+ = 2v - u with (I - (dt/2) B) v = u, set up once per dt.
 
-    It steps its own coordinates: `enter` maps a state into them, `step`
-    advances them, `energy` and `boundary` read the discrete energy and the
-    midpoint boundary value V_{N+1} off them.
+    It steps modal coordinates u (`enter` maps a state into them), in which the
+    generator is B = i Theta - rho p r^T with rho = k/h and V_{N+1} = r^T v / sqrt(h)
+    (`boundary`).  With tau = dt/2, g = 1/(1 - i tau theta) and
+    w = tau rho (g p) / (1 + tau rho r^T(g p)), v = g u - (r^T(g u)) w; Re g > 0
+    and p r = c^2 > 0, so the denominator is at least 1 in modulus.
 
-    Order reduction: the modal coordinates a = Q^T sqrt(h) D W, in which A
-    acts as i Theta - rho c c^T with rho = k/h.  With tau = dt/2 and
-    g = 1/(1 - i tau theta), the midpoint is
-    v = g a - (tau rho c^T(g a) / (1 + tau rho c^T(g c))) g c, the energy
-    is ||a||^2 / 2 and V_{N+1} = c^T v / sqrt(h).  Re g > 0, so the
-    denominator is at least 1 in modulus.
-
-    Classical: the state itself.  A is tridiagonal, so I - (dt/2) A is
-    factored once by zgttrf (partial pivoting) and each step solves with
-    zgttrs.  One decoupled unknown, a 1 on the diagonal, follows the system:
-    the SciPy wrappers refuse fewer than three unknowns, as N = 1 would give.
+    Order reduction: u = Q^T sqrt(h) D W, p = r = c and the energy is ||u||^2 / 2.
+    Classical: u = sqrt(h) V^T W in the sine eigenbasis V of M M^T, theta = mu,
+    r = V^T e_N and p = c^2 / r; by 4 D^T D = 4I - h^2 M M^T - 2 e_N e_N^T the energy is
+    (sum_m cos^2 a_m |u_m|^2 - |r^T u|^2 / 2) / 2, with cos^2 a_m taken as
+    (2N+3) r_m^2 / 4, since 1 - mu_m h^2 / 4 cancels at the top modes.
     """
 
     def __init__(self, system: SemiDiscreteSystem, dt: float):
@@ -89,61 +85,47 @@ class MidpointStepper:
         self.system = system
         self.dt = dt
         mesh, k, tau = system.mesh, system.k, 0.5 * dt
-        self._modal = system.scheme == ORDER_REDUCTION
-        if self._modal:
-            theta, c = or_poles_weights(mesh)
-            rho = k / mesh.h
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = 1.0 / (1.0 - 1j * tau * theta)
-                gc = g * c
-                w = (tau * rho / (1.0 + tau * rho * (c @ gc))) * gc
-            # w is nan if rho or tau theta overflows
-            if not np.all(np.isfinite(w)):
-                raise NumericalError(f"modal midpoint step not finite at dt={dt}, k={k}")
-            self._g, self._c, self._w = g, c.astype(complex), w  # c complex: no cast per dot
-            return
-        from scipy.linalg.lapack import zgttrf, zgttrs
-        dl, d, du = _classical_tridiagonal(mesh, k)
-        *lu, _ = zgttrf(np.append(-tau * dl, 0.0), np.append(1.0 - tau * d, 1.0),
-                        np.append(-tau * du, 0.0))
-        diag = np.abs(lu[1][:-1])  # U's diagonal; an exactly zero pivot fails too
-        if not np.min(diag) > 1e-14 * np.max(diag):
-            raise NumericalError(f"midpoint solve near-singular at dt={dt}")
-        self._solve = lambda b: zgttrs(*lu, b)[0]
+        if system.scheme == ORDER_REDUCTION:
+            theta, r = or_poles_weights(mesh)
+            p, self._cos2, self._coordinates = r, None, or_modal_coordinates
+        else:
+            theta, c = classical_poles_weights(mesh)
+            r = (-1.0) ** np.arange(mesh.state_size) * c / np.sqrt(1.0 + 0.5 * theta * mesh.h**2)
+            p, self._cos2 = c * c / r, 0.25 * (2 * mesh.n + 3) * r**2
+            self._coordinates = classical_modal_coordinates
+        rho = k / mesh.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = 1.0 / (1.0 - 1j * tau * theta)
+            gp = g * p
+            w = (tau * rho / (1.0 + tau * rho * (r @ gp))) * gp
+        # w is nan if rho or tau theta overflows
+        if not np.all(np.isfinite(w)):
+            raise NumericalError(f"modal midpoint step not finite at dt={dt}, k={k}")
+        self._g, self._r, self._w = g, r.astype(complex), w  # r complex: no cast per dot
 
     def enter(self, W) -> np.ndarray:
-        """The stepper's coordinates of the state W.
-
-        Raises NumericalError if the modal coordinates miss the discrete
-        energy of W by more than 1e-12 of it.
-        """
+        """The modal coordinates of W; NumericalError if they miss its energy by over 1e-12 of it."""
         W = np.asarray(W, dtype=complex)
-        if not self._modal:
-            return W
-        a = or_modal_coordinates(self.system.mesh, W)
-        got, expect = self.energy(a), discrete_energy(W, self.system.mesh)
+        u = self._coordinates(self.system.mesh, W)
+        got, expect = self.energy(u), discrete_energy(W, self.system.mesh)
         if not abs(got - expect) <= _ENTRY_RTOL * expect:
             raise NumericalError(
                 f"modal coordinates carry energy {got!r} against {expect!r} (n={self.system.n})"
             )
-        return a
+        return u
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        if self._modal:
-            gu = self._g * u
-            return 2.0 * (gu - (self._c @ gu) * self._w) - u
-        return 2.0 * self._solve(np.append(u, 0.0))[:-1] - u
+        gu = self._g * u
+        return 2.0 * (gu - (self._r @ gu) * self._w) - u
 
     def energy(self, u: np.ndarray) -> float:
-        if self._modal:
+        if self._cos2 is None:
             return 0.5 * float(np.vdot(u, u).real)
-        return discrete_energy(u, self.system.mesh)
+        return 0.5 * float(self._cos2 @ np.abs(u) ** 2 - 0.5 * abs(self._r @ u) ** 2)
 
     def boundary(self, u: np.ndarray, u_next: np.ndarray) -> complex:
         """V_{N+1} for the midpoint V of the step from u to u_next."""
-        if self._modal:
-            return (self._c @ (u + u_next)) * (0.5 / np.sqrt(self.system.mesh.h))
-        return 0.5 * (u[-1] + u_next[-1])
+        return (self._r @ (u + u_next)) * (0.5 / np.sqrt(self.system.mesh.h))
 
 
 def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> EnergyTrace:

@@ -36,8 +36,9 @@ whether the peak where the classical sup sits is wide enough to sample.
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
 last state component is c^T a / sqrt(h).  `or_modal_coordinates` computes
-them by one DST-III in O(N log N), so `schrostab.dynamics` steps the
-order-reduction scheme in this basis.
+them, and `classical_modal_coordinates` the coordinates sqrt(h) V^T W in the
+sine eigenbasis V of M M^T, each by one odd-frequency sine sum in
+O(N log N), so `schrostab.dynamics` steps both schemes in these bases.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .continuous import _branch_roots
 from .errors import NumericalError
-from .grid import Bidiagonal, Mesh, _row_blocks, solve_d, solve_dt
+from .grid import Bidiagonal, Mesh, _as_state, _row_blocks, solve_d, solve_dt
 from .systems import CLASSICAL, apply_generator
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
     "classical_poles_weights",
     "classical_peak_resolvable",
     "or_modal_coordinates",
+    "classical_modal_coordinates",
     "or_spectrum",
     "classical_spectrum",
     "or_resolvent_smin",
@@ -154,24 +156,39 @@ def classical_peak_resolvable(mesh: Mesh, k: float) -> bool:
     return bool(k / mesh.h * c[-1] ** 2 / mu[-1] > _PEAK_RTOL)
 
 
+def _sine_sums(x: np.ndarray, period: int) -> np.ndarray:
+    """S_m = sum_j x_j sin((2m+1) pi j / period), j = 1..size, m < size, by two numpy FFTs.
+
+    With y = (0, x) and t_j = exp(i pi j / period), S_m = (F+_m - F-_m) / 2i for F+ and F-
+    the length-`period` Fourier sums of y t and y conj(t), one inverse and one forward
+    FFT (scipy.fft would be one more package to import).
+    """
+    y, twist = np.pad(x, (1, 0)), np.exp(1j * np.pi * np.arange(x.size + 1) / period)
+    up = np.fft.ifft(y * twist, period)[:x.size] * period
+    down = np.fft.fft(y * twist.conj(), period)[:x.size]
+    return (up - down) / 2j
+
+
 def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
     """The modal coordinates a = Q^T sqrt(h) D W of a state W, O(N log N).
 
     a_m = s_m^T (sqrt(h) D^T D W) / ||D s_m||, with ||D s_m|| = cos phi_m
-    sqrt((N+1)/2) = 1/|c_m|.  The sums S_m = sum_j y_j sin((2m+1) pi j / (2(N+1)))
-    are a DST-III: with t_j = exp(i pi j / (2(N+1))), S_m = (F+_m - F-_m) / 2i,
-    where F+ and F- are the length-2(N+1) Fourier sums of y t and y conj(t),
-    one inverse and one forward numpy FFT (scipy.fft would be one more
-    package to import).
+    sqrt((N+1)/2) = 1/|c_m|; the sums s_m^T y are a DST-III, `_sine_sums` of period 2(N+1).
     """
-    n1 = mesh.state_size
     D = mesh.matrices.D
-    y = np.zeros(n1 + 1, dtype=complex)
-    y[1:] = np.sqrt(mesh.h) * (D.T @ (D @ np.asarray(W, dtype=complex)))
-    twist = np.exp(0.5j * np.pi * np.arange(n1 + 1) / n1)
-    up = np.fft.ifft(y * twist, 2 * n1)[:n1] * (2 * n1)
-    down = np.fft.fft(y * twist.conj(), 2 * n1)[:n1]
-    return np.abs(or_poles_weights(mesh)[1]) * (up - down) / 2j
+    y = np.sqrt(mesh.h) * (D.T @ (D @ np.asarray(W, dtype=complex)))
+    return np.abs(or_poles_weights(mesh)[1]) * _sine_sums(y, 2 * mesh.state_size)
+
+
+def classical_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
+    """The coordinates u = sqrt(h) V^T W of a state W, V_jm = v_m(j) / ||v_m||, O(N log N).
+
+    V is the orthonormal eigenbasis of M M^T (`classical_poles_weights`), so u is
+    2 sqrt(h / (2N+3)) times `_sine_sums` of period 2N+3.  The last state component
+    is r^T u / sqrt(h), r_m = v_m(N) / ||v_m|| = (-1)^m c_m / sqrt(1 + mu_m h^2 / 2).
+    """
+    period = 2 * mesh.n + 3
+    return 2 * np.sqrt(mesh.h / period) * _sine_sums(_as_state(W, mesh), period)
 
 
 def _coincident(lam) -> np.ndarray:

@@ -263,18 +263,12 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         assert len(read_lines(out)) == 6
 
-    def test_non_finite_set_up_exits_3(self, runner, tmp_path):
-        result = runner.invoke(
-            main, ["simulate", "--n", "7", "--k", "1e308", "--out", str(tmp_path / "x.csv")]
-        )
+    @pytest.mark.parametrize("scheme", ["order-reduction", "classical"])
+    def test_non_finite_set_up_exits_3(self, runner, tmp_path, scheme):
+        result = runner.invoke(main, ["simulate", "--scheme", scheme, "--n", "7",
+                                      "--k", "1e308", "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 3, result.output
         assert "numerical failure: modal midpoint step not finite" in result.output
-
-    def test_classical_near_singular_exits_3(self, runner, tmp_path):
-        result = runner.invoke(main, ["simulate", "--scheme", "classical", "--n", "7",
-                                      "--k", "1e300", "--out", str(tmp_path / "x.csv")])
-        assert result.exit_code == 3, result.output
-        assert "numerical failure: midpoint solve near-singular" in result.output
 
     def test_does_not_load_scipy_fft(self, tmp_path):
         # a fresh interpreter: numpy.fft does the modal transform
@@ -484,8 +478,8 @@ def test_version(runner):
 
 
 def test_scipy_loads_only_for_the_classical_scheme(tmp_path):
-    # fresh interpreters: the order-reduction and identity commands run on
-    # numpy alone, and the classical scheme's LAPACK calls need no scipy.sparse
+    # fresh interpreters: simulate (both schemes) and the identity commands run
+    # on numpy alone, and the classical spectrum's LAPACK calls need no scipy.sparse
     code = (
         "import sys; from schrostab.cli import main\n"
         "def scipy_modules():\n"
@@ -503,11 +497,11 @@ def test_scipy_loads_only_for_the_classical_scheme(tmp_path):
     out = str(tmp_path / "x.csv")
     result = subprocess.run(
         [sys.executable, "-c", code, f"simulate --n 63 --t-final 0.01 --out {out}",
-         "verify --samples 2"],
+         f"simulate --scheme classical --n 63 --t-final 0.01 --out {out}", "verify --samples 2"],
         capture_output=True, text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert loaded(result.stdout) == [[]] * 3  # after the import, simulate and verify
+    assert loaded(result.stdout) == [[]] * 4  # after the import, both simulates and verify
 
     result = subprocess.run(
         [sys.executable, "-c", code, f"spectrum --scheme classical --n-list 3 --out {out}"],

@@ -114,28 +114,42 @@ class TestModalStepper:
         assert np.max(np.abs(trace.boundary_values - boundary)) <= 1e-12 * np.max(np.abs(boundary))
         assert np.max(np.abs(trace.energies - energies)) <= 1e-12 * energies[0]
 
-    def test_entry_check_binds(self, monkeypatch, rng):
-        exact = dynamics.or_modal_coordinates
-        monkeypatch.setattr(dynamics, "or_modal_coordinates",
-                            lambda mesh, W: exact(mesh, W) * (1 + 1e-10))
-        system = make_system(15)
+    @pytest.mark.parametrize("scheme,coordinates", [(ORDER_REDUCTION, "or_modal_coordinates"),
+                                                    (CLASSICAL, "classical_modal_coordinates")],
+                             ids=[ORDER_REDUCTION, CLASSICAL])
+    def test_entry_check_binds(self, scheme, coordinates, monkeypatch, rng):
+        exact = getattr(dynamics, coordinates)
+        monkeypatch.setattr(dynamics, coordinates, lambda mesh, W: exact(mesh, W) * (1 + 1e-10))
+        system = SemiDiscreteSystem(scheme, Mesh(15), 1.0)
         with pytest.raises(NumericalError, match="modal coordinates carry energy"):
             simulate(system, random_complex(rng, 16), 1e-3, 0.01)
 
 
 class TestClassicalStepper:
-    @pytest.mark.parametrize("n", [1, 2, 3, 15, 63])
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 63, 255])
     @pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
     def test_matches_dense_cayley_step(self, n, k, rng):
-        # N = 1 and 2 give fewer than three unknowns without the decoupled one
         system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
         dt = 1e-3
         W = random_complex(rng, n + 1)
         A = dense_generator(system)
         eye = np.eye(n + 1)
         expect = np.linalg.solve(eye - 0.5 * dt * A, (eye + 0.5 * dt * A) @ W)
-        got = MidpointStepper(system, dt).step(W)
-        assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(W)
+        stepper = MidpointStepper(system, dt)
+        u = stepper.enter(W)
+        assert np.linalg.norm(stepper.step(u) - stepper.enter(expect)) <= 1e-13 * np.linalg.norm(u)
+
+    def test_weak_damping_keeps_the_norm(self):
+        # at k = 1e-12 the generator is nearly skew-Hermitian, so the Cayley step
+        # keeps the Euclidean norm; the modal coordinates are sqrt(h) V^T W with V
+        # orthogonal, so their norm is the state's (6.0e-13 drift measured)
+        system = SemiDiscreteSystem(CLASSICAL, Mesh(65535), 1e-12)
+        stepper = MidpointStepper(system, 1e-3)
+        u = stepper.enter(initial_state("smooth", system))
+        start = np.linalg.norm(u)
+        for _ in range(300):
+            u = stepper.step(u)
+        assert abs(np.linalg.norm(u) - start) <= 1e-11 * start
 
 
 class TestSimulate:

@@ -14,6 +14,7 @@ from schrostab.secular import (
     classical_poles_weights,
     classical_resolvent_norm,
     classical_spectrum,
+    classical_modal_coordinates,
     or_modal_coordinates,
     or_poles_weights,
     or_resolvent_smin,
@@ -64,6 +65,32 @@ def test_modal_coordinates_match_dense_sine_matrix(n, rng):
     # the last state component is c^T a / sqrt(h)
     c = or_poles_weights(mesh)[1]
     assert abs(c @ got / np.sqrt(mesh.h) - W[-1]) <= 1e-13 * np.linalg.norm(W)
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 255])
+def test_classical_modal_coordinates_match_dense_sine_matrix(n, rng):
+    # u = sqrt(h) V^T W with V_jm = sin(2 (j+1) a_m) / ||v_m||, checked orthonormal
+    # and diagonalising M M^T; the stepper's weights r = V^T e_N and energy form
+    mesh = Mesh(n)
+    mu, c = classical_poles_weights(mesh)
+    a = (2 * np.arange(n + 1) + 1) * np.pi / (2 * (2 * n + 3))
+    V = np.sin(2 * np.outer(np.arange(1, n + 2), a)) / np.sqrt((2 * n + 3) / 4)
+    np.testing.assert_allclose(V.T @ V, np.eye(n + 1), atol=1e-13)
+    M = build_scheme_matrices(mesh).M.toarray()
+    np.testing.assert_allclose(V.T @ M @ M.T @ V, np.diag(mu), atol=1e-12 * np.max(mu))
+    W = random_complex(rng, n + 1)
+    expect = np.sqrt(mesh.h) * (V.T @ W)
+    got = classical_modal_coordinates(mesh, W)
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    r = (-1.0) ** np.arange(n + 1) * c / np.sqrt(1 + 0.5 * mu * mesh.h**2)
+    np.testing.assert_allclose(V[-1], r, rtol=0, atol=1e-13)
+    assert abs(r @ got / np.sqrt(mesh.h) - W[-1]) <= 1e-13 * np.linalg.norm(W)
+    # (h/2) ||D W||^2 = (sum cos^2 a_m |u_m|^2 - |r^T u|^2 / 2) / 2
+    D = build_scheme_matrices(mesh).D
+    energy = 0.5 * (np.cos(a) ** 2 @ np.abs(got) ** 2 - 0.5 * abs(r @ got) ** 2)
+    assert energy == pytest.approx(0.5 * mesh.h * np.linalg.norm(D @ W) ** 2, rel=1e-13)
+    with pytest.raises(ValueError, match="needs length"):
+        classical_modal_coordinates(mesh, W[:-1])
 
 
 @settings(max_examples=20, deadline=None)
