@@ -53,8 +53,8 @@ class _FiniteFloat(click.types.FloatParamType):
 
 FINITE_FLOAT = _FiniteFloat()
 # Largest grid size of `spectrum` and `resolvent`.  The roots cost O(N) but their
-# certificate O(N^2): at this cap (one BLAS thread, 2-vCPU VM) the classical and
-# order-reduction spectra take 9 s and 2.1 s (k = 1), the resolvent 25 s.
+# certificate O(N^2): at this cap (one BLAS thread, 2-vCPU Intel Xeon VM) the classical
+# and order-reduction spectra take 11 s and 4 s (k = 1), the resolvent sweep 20 s.
 MAX_N_LIST = 8191
 
 

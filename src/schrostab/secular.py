@@ -29,7 +29,8 @@ classical generator has no orthogonal diagonal-plus-rank-one form, so
 `classical_resolvent_norm` finds ||D (i beta - A)^{-1} D^{-1}|| by inverse
 Lanczos instead: D as a bidiagonal, D^{-1} in closed form and one pivoted LU
 of the tridiagonal i beta - A per beta, O(N) per step and no matrix either.
-Only these classical solvers import SciPy, for LAPACK, and only when called.
+That LU and its solves, `_shifted_factors` and `_solve`, also certify the
+classical roots; only they import SciPy (LAPACK zgttrf, zgttrs), when called.
 `classical_peak_resolvable` decides in O(N), from the top root's closed form,
 whether the peak where the classical sup sits is wide enough to sample.
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .continuous import _branch_roots
 from .errors import NumericalError
-from .grid import Bidiagonal, Mesh, _as_state, _row_blocks, solve_d, solve_dt
+from .grid import Mesh, _as_state, _row_blocks, solve_d, solve_dt
 from .systems import CLASSICAL, apply_generator
 
 __all__ = [
@@ -65,6 +66,9 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # Entries per (rows x N+1) block of root-to-pole terms: 4 MiB of complex128.
 _BLOCK_ELEMENTS = 1 << 18
+# Entries per block of classical inverse-iteration vectors, 512 KiB of complex128 (blocks
+# of 2^18 were slower at N = 1023 and 4095, and took 24 MiB more peak RSS).
+_CERTIFY_ELEMENTS = _BLOCK_ELEMENTS // 8
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
 # Neighbours in imaginary-part order differ in imaginary part by >= 5.5e-3 (order
@@ -234,12 +238,12 @@ def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
     return 1j * poles + eps
 
 
-def _certify(lam, residual, scale, traces, where: str) -> float:
+def _certify(lam, residual, scale, traces, where: str, elements=_BLOCK_ELEMENTS) -> float:
     """Check all roots of one secular equation; returns their worst residual.
 
     Raises NumericalError unless every root is finite, `_coincident` marks none, residual(rows)
-    is at most 1e-14 scale for every block of root indices rows (O(N) memory), and the sums
-    of the real and imaginary parts of the roots match traces, each to 1e-12 relative.
+    is at most 1e-14 scale for every block rows of `elements` / (N+1) root indices (O(N) memory),
+    and the sums of the real and imaginary parts of the roots match traces, each to 1e-12 relative.
     """
     n1 = lam.size
     finite = np.count_nonzero(np.isfinite(lam))
@@ -248,7 +252,7 @@ def _certify(lam, residual, scale, traces, where: str) -> float:
     if np.any(_coincident(lam)):
         raise NumericalError(f"two secular roots coincide in imaginary part {where}")
     worst = max(float(np.max(residual(rows)))
-                for rows in _row_blocks(np.arange(n1), n1, _BLOCK_ELEMENTS))
+                for rows in _row_blocks(np.arange(n1), n1, elements))
     bound = _RESIDUAL_TOL * scale
     if not worst <= bound:
         raise NumericalError(f"secular residual {worst:.3e} exceeds {bound:.3e} {where}")
@@ -308,6 +312,35 @@ def _classical_tridiagonal(mesh: Mesh, k: float):
     return np.full(n1 - 1, off), d, du
 
 
+def _shifted_factors(mesh: Mesh, k: float, shifts: np.ndarray):
+    """The zgttrs arguments (dl, d, du, du2, ipiv) for z - A of the classical scheme, per shift z.
+
+    The tridiagonals of all shifts form one block-diagonal tridiagonal with
+    zero couplings, so one zgttrf factors them all and no pivot crosses from
+    one shift to the next: a shift's factors do not depend on the shifts beside
+    it.  One more decoupled unknown, a 1 on the diagonal, follows the last
+    block: scipy's ?gttrf and ?gttrs wrappers refuse systems of fewer than
+    three unknowns, as one shift at N = 1 would be.
+    """
+    from scipy.linalg.lapack import zgttrf
+    dl, d, du = _classical_tridiagonal(mesh, k)
+    bands = np.zeros((2, shifts.size, mesh.state_size), dtype=complex)
+    bands[:, :, :-1] = -np.stack((dl, du))[:, None]
+    sub, sup = bands.reshape(2, -1)
+    return zgttrf(sub, np.append((shifts[:, None] - d).ravel(), 1.0), sup)[:5]
+
+
+def _zero_pivots(factors, n1: int) -> np.ndarray:
+    """Whether the U factor of each shift of `_shifted_factors` has an exactly zero pivot."""
+    return np.any(factors[1][:-1].reshape(-1, n1) == 0, axis=1)
+
+
+def _solve(factors, rows: np.ndarray, trans: str) -> np.ndarray:
+    """(z - A)^{-1} (trans "N") or (z - A)^{-H} (trans "C") applied to each row, one per shift."""
+    from scipy.linalg.lapack import zgttrs
+    return zgttrs(*factors, np.append(rows, 0.0)[:, None], trans=trans)[0][:-1].reshape(rows.shape)
+
+
 def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the classical generator, and their worst residual.
 
@@ -315,14 +348,15 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     y_{N+1} = sinh(mu) / (1 + i k h/2), less the fold mu h = i pi, where y = 0.
     The residual of a root lam is ||A x - lam x|| / ||x||, with A applied
     by `systems.apply_generator` and x from two steps of inverse iteration
-    on the tridiagonal A - lam (LAPACK zgtsv, partial pivoting) from one
-    fixed seeded unit vector, O(N) per root; a tridiagonal that is not the
-    generator's therefore fails the check.  An exactly zero pivot, which
-    puts lam on an eigenvalue of the rounded factors, is moved off by
-    eps times the scale below.  (The secular-formula eigenvector
+    on the tridiagonal lam - A from one fixed seeded unit vector, O(N) per
+    root: each block of 2^15 / (N+1) roots is factored once by
+    `_shifted_factors` (LAPACK zgttrf, partial pivoting) and solved twice by
+    `_solve`.  A tridiagonal that is not the generator's therefore fails the
+    check.  A root whose factors have an exactly zero pivot, which puts lam
+    on an eigenvalue of the rounded factors, is moved off by eps times the
+    scale below and its block refactored.  (The secular-formula eigenvector
     (lam - i M M^T)^{-1} u is not used: summed in the sine basis, it left
-    residuals of 4.1e-13 of the scale at N=1023, against 6.6e-16 here.)  One zgtsv
-    call per root stays: block-diagonal zgttrf/zgttrs over many roots gained <= 7% at N >= 1023.
+    residuals of 4.1e-13 of the scale at N=1023, against at most 6.7e-16 here.)
 
     Raises NumericalError unless there are N+1 finite roots, none coinciding,
     each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
@@ -330,7 +364,6 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     sum Im lam = trace(M M^T) = (2N+1)/h^2, each to 1e-12 relative
     (`_certify`).
     """
-    from scipy.linalg.lapack import zgtsv
     mu, c = classical_poles_weights(mesh)
     n, n1, h, rho = mesh.n, mesh.state_size, mesh.h, k / mesh.h
     s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
@@ -344,26 +377,24 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
     lam = _polish(lam, mu, rho * c * c, -1.5 * rho + 1j * (2 * n + 1) / h**2)
     scale = np.max(mu) + np.sqrt(2.5) * rho
-    dl, d, du = _classical_tridiagonal(mesh, k)
     rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
-    start = rng.standard_normal((n1, 1)) + 1j * rng.standard_normal((n1, 1))
+    start = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
     start /= np.linalg.norm(start)
 
     def residual(rows):
-        X = np.empty((rows.size, n1), dtype=complex)
-        for row, root in enumerate(lam[rows]):
-            x = start
-            for _ in range(2):
-                y, info = zgtsv(dl, d - root, du, x)[3:]
-                if info:
-                    y = zgtsv(dl, d - (root + _EPS * scale), du, x)[3]
-                x = y / np.linalg.norm(y)
-            X[row] = x[:, 0]
+        factors = _shifted_factors(mesh, k, lam[rows])
+        zero = _zero_pivots(factors, n1)
+        if np.any(zero):
+            factors = _shifted_factors(mesh, k, lam[rows] + zero * (_EPS * scale))
+        X = np.broadcast_to(start, (rows.size, n1))
+        for _ in range(2):
+            Y = _solve(factors, X, "N")
+            X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
         R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
         return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
 
     worst = _certify(lam, residual, scale, (-1.5 * rho, (2 * mesh.n + 1) / mesh.h**2),
-                     f"(scheme=classical, n={mesh.n}, k={k})")
+                     f"(scheme=classical, n={mesh.n}, k={k})", _CERTIFY_ELEMENTS)
     return lam, worst
 
 
@@ -542,54 +573,6 @@ def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _shifted_factors(mesh: Mesh, k: float, betas: np.ndarray):
-    """zgttrf factors of Z = i beta - A for each beta of the classical scheme, one row per beta.
-
-    The tridiagonals of all betas form one block-diagonal tridiagonal with
-    zero couplings, so one zgttrf factors them all and no pivot crosses from
-    one beta to the next.  One more decoupled unknown, a 1 on the diagonal,
-    follows the last block: scipy's ?gttrf and ?gttrs wrappers refuse
-    systems of fewer than three unknowns, as one beta at N = 1 would be.
-    The factors come back as rows of N+1 entries (the zero couplings and
-    fill kept as padding, the pivots relative to their row), so that
-    `_factor_rows` can hand any subset of the betas to zgttrs.
-    """
-    from scipy.linalg.lapack import zgttrf
-    dl, d, du = _classical_tridiagonal(mesh, k)
-    m, n1 = betas.size, mesh.state_size
-
-    def coupled(band):
-        rows = np.zeros((m, n1), dtype=complex)
-        rows[:, :-1] = -band
-        return rows.ravel()
-
-    fdl, fd, fdu, fdu2, ipiv, _ = zgttrf(
-        coupled(dl), np.append((1j * betas[:, None] - d).ravel(), 1.0), coupled(du))
-    piv = ipiv[:-1] - 1 - np.arange(m * n1)
-    return (fdl.reshape(m, n1), fd[:-1].reshape(m, n1), fdu.reshape(m, n1),
-            np.append(fdu2, 0.0).reshape(m, n1), piv.reshape(m, n1))
-
-
-def _factor_rows(factors, rows: np.ndarray):
-    """The zgttrs arguments for some rows of `_shifted_factors`, with the decoupled unknown."""
-    dl, d, du, du2, piv = (f[rows].ravel() for f in factors)
-    size = d.size
-    return (dl, np.append(d, 1.0), du, du2[:size - 1],
-            np.append(piv + np.arange(1, size + 1), size + 1).astype(np.int32))
-
-
-def _inverse_gram(solve, D: Bidiagonal, q: np.ndarray) -> np.ndarray:
-    """X^{-1} X^{-H} q = D Z^{-1} D^{-1} D^{-T} Z^{-H} D^T q for each row q, O(N) per row."""
-    from scipy.linalg.lapack import zgttrs
-    m, n1 = q.shape
-
-    def solve_rows(b, trans):
-        return zgttrs(*solve, np.append(b, 0.0)[:, None], trans=trans)[0][:-1].reshape(m, n1)
-
-    x = solve_d(solve_dt(solve_rows((D.T @ q.T).T, "C").T)).T
-    return (D @ solve_rows(x, "N").T).T
-
-
 def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
     """Largest eigenvalue of each Lanczos tridiagonal, and the last entry of its eigenvector."""
     m, j = alpha.shape
@@ -601,27 +584,31 @@ def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
     return ev[:, -1], vec[:, -1, -1]
 
 
-def _lanczos_top(factors, D: Bidiagonal, start: np.ndarray, steps: int) -> np.ndarray:
-    """Largest eigenvalue of X^{-1} X^{-H} per row of the factors; nan if `steps` did not suffice.
+def _lanczos_top(mesh: Mesh, k: float, shifts: np.ndarray, factors, start: np.ndarray,
+                 steps: int) -> np.ndarray:
+    """Largest eigenvalue of X^{-1} X^{-H} per shift z = i beta; nan if `steps` did not suffice.
 
-    Lanczos from `start` with full reorthogonalisation (classical
-    Gram-Schmidt against the whole basis, twice, by einsum, which forms no
-    temporary of the basis's size).  A row is frozen once its residual
-    |b_j s_j| is at most 1e-14 of its top Ritz value theta, and the rows left
-    are compacted.  Every reduction runs along one row, D and D^T act
-    elementwise, and the blocks of the tridiagonal do not couple, so a
-    row's value does not depend on the rows beside it.
+    `factors` are the `_shifted_factors` of the shifts.  Lanczos from `start`
+    with full reorthogonalisation (classical Gram-Schmidt against the whole
+    basis, twice, by einsum, which forms no temporary of the basis's size).
+    A row is frozen once its residual |b_j s_j| is at most 1e-14 of its top
+    Ritz value theta; the rows left are compacted and their shifts refactored.
+    Every reduction runs along one row, D and D^T act elementwise, and a
+    shift's factors do not depend on the shifts beside it, so a row's value
+    does not depend on the rows beside it.
     """
-    m, n1 = factors[1].shape
+    D = mesh.matrices.D
+    m, n1 = shifts.size, mesh.state_size
     V = np.empty((m, steps + 1, n1), dtype=complex)
     V[:, 0] = start
     alpha = np.zeros((m, steps))
     beta = np.zeros((m, steps))
     top = np.full(m, np.nan)
     live = np.arange(m)
-    solve = _factor_rows(factors, live)
     for j in range(steps):
-        w = _inverse_gram(solve, D, V[:, j])
+        # X^{-1} X^{-H} q = D Z^{-1} D^{-1} D^{-T} Z^{-H} D^T q, Z = i beta - A, O(N) per row q
+        x = solve_d(solve_dt(_solve(factors, (D.T @ V[:, j].T).T, "C").T)).T
+        w = (D @ _solve(factors, x, "N").T).T
         basis = V[:, :j + 1]
         for sweep in range(2):
             coef = np.einsum("mjn,mn->mj", basis, w.conj()).conj()
@@ -640,7 +627,7 @@ def _lanczos_top(factors, D: Bidiagonal, start: np.ndarray, steps: int) -> np.nd
             live, alpha, beta = live[keep], alpha[keep], beta[keep]
             V, used = np.empty((live.size, steps + 1, n1), dtype=complex), V
             V[:, :j + 2] = used[keep, :j + 2]  # the unused slots stay untouched
-            solve = _factor_rows(factors, live)
+            factors = _shifted_factors(mesh, k, shifts[live])
     return top
 
 
@@ -653,8 +640,10 @@ def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
     2001) from one fixed seeded start.  It applies X^{-1} X^{-H} from O(N)
     pieces only: D and D^T as bidiagonals, D^{-1} and D^{-T} as the
     closed-form sums `grid.solve_d` and `grid.solve_dt`, and Z^{-1} and
-    Z^{-H}, Z = i beta - A, by zgttrs with the zgttrf factors of Z, one
-    factorisation per beta.  Partial pivoting is needed: without it the first
+    Z^{-H}, Z = i beta - A, by `_solve` on the `_shifted_factors` of Z, the
+    factor-and-solve pair of the classical spectrum certificate: one
+    factorisation per beta, and one more per block each time Lanczos freezes
+    some of its betas.  Partial pivoting is needed: without it the first
     pivot is exactly zero at beta = 2/h^2, far from the spectrum.  No matrix
     is formed.  Betas are processed in blocks whose Krylov basis fits in
     2 MiB.
@@ -673,12 +662,13 @@ def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
     start /= np.linalg.norm(start)
     top = np.empty(betas.size)
     for rows in _row_blocks(np.arange(betas.size), n1 * (steps + 1), _KRYLOV_ELEMENTS):
-        factors = _shifted_factors(mesh, k, betas[rows])
-        singular = np.any(factors[1] == 0, axis=1)
+        shifts = 1j * betas[rows]
+        factors = _shifted_factors(mesh, k, shifts)
+        singular = _zero_pivots(factors, n1)
         if np.any(singular):
             raise NumericalError(f"i*beta is numerically in the spectrum (zero pivot) at "
                                  f"beta={betas[rows][np.argmax(singular)]} {where}")
-        top[rows] = _lanczos_top(factors, mesh.matrices.D, start, steps)
+        top[rows] = _lanczos_top(mesh, k, shifts, factors, start, steps)
     norms = np.sqrt(top)
     scale = np.max(classical_poles_weights(mesh)[0]) + np.sqrt(2.5) * k / mesh.h
     for failed, what in (

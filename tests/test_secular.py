@@ -2,7 +2,6 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -306,19 +305,32 @@ def test_classical_certificate_holds_with_margin(n, k):
 
 def test_classical_zero_pivot_is_moved_off(monkeypatch):
     # at N=3, k=1 the lowest root is an exact eigenvalue of the rounded
-    # factors: zgtsv reports a zero pivot, and the nudged solve certifies it
-    solve = lapack.zgtsv
-    infos = []
+    # factors: they have a zero pivot, and the nudged refactor certifies it
+    zero_pivots = secular._zero_pivots
+    found = []
 
     def recorded(*args):
-        out = solve(*args)
-        infos.append(out[-1])
+        out = zero_pivots(*args)
+        found.append(out)
         return out
 
-    monkeypatch.setattr("scipy.linalg.lapack.zgtsv", recorded)
+    monkeypatch.setattr("schrostab.secular._zero_pivots", recorded)
     lam, worst = classical_spectrum(Mesh(3), 1.0)
-    assert any(infos)
+    assert any(np.any(zero) for zero in found)
     assert worst <= 1e-15 * classical_poles_weights(Mesh(3))[0].max()
+
+
+def test_classical_solvers_need_no_zgtsv(monkeypatch):
+    # the certificate and the resolvent share one zgttrf/zgttrs path
+    def refused(*args, **kwargs):
+        raise AssertionError("zgtsv called")
+
+    monkeypatch.setattr("scipy.linalg.lapack.zgtsv", refused)
+    for n in (1, 3, 63):
+        assert classical_spectrum(Mesh(n), 1.0)[0].size == n + 1
+    system = SemiDiscreteSystem(CLASSICAL, Mesh(15), 1.0)
+    betas = _default_grid(system)
+    assert np.all(np.isfinite(classical_resolvent_norm(system.mesh, 1.0, betas)))
 
 
 def test_wrong_classical_tridiagonal_is_refused(monkeypatch):
