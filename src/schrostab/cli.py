@@ -52,9 +52,11 @@ class _FiniteFloat(click.types.FloatParamType):
 
 
 FINITE_FLOAT = _FiniteFloat()
-# Largest grid size of `spectrum` and `resolvent`.  The roots cost O(N) but their
-# certificate O(N^2): at this cap (one BLAS thread, 2-vCPU Intel Xeon VM) the classical
-# and order-reduction spectra take 11 s and 4 s (k = 1), the resolvent sweep 20 s.
+# Largest grid size of the classical `spectrum` and of `resolvent`, which cost O(N^2): at
+# this cap (k = 1, one BLAS thread, 2-vCPU Intel Xeon VM) the classical spectrum takes 11 s
+# and the order-reduction resolvent sweep 9 s.  The order-reduction spectrum is O(N) and
+# runs to `dynamics.MAX_N`: 0.02 s at N = 8191, 0.18 s at 65535 and 3.5 s at 2^20 - 1
+# (the whole command 5 s and 320 MiB peak RSS).
 MAX_N_LIST = 8191
 
 
@@ -71,11 +73,15 @@ def _parse_n_list(ctx, param, text: str) -> list[int]:
         raise click.UsageError(f"bad N list {text!r}: {exc}")
     if not values or any(v < 1 for v in values):
         raise click.UsageError(f"N list must contain positive integers, got {text!r}")
-    if max(values) > MAX_N_LIST:
-        raise click.BadParameter(
-            f"grid size {max(values)} exceeds the cap of {MAX_N_LIST}", ctx, param
-        )
     return values
+
+
+def _check_n_cap(n_list: list[int], cap: int, what: str):
+    """Refuse, as a usage error on --n-list, a grid size above the cap of `what`."""
+    if max(n_list) > cap:
+        raise click.BadParameter(
+            f"grid size {max(n_list)} exceeds the cap of {cap} of {what}",
+            param_hint="'--n-list'")
 
 
 def _check_output_dir(path: str):
@@ -150,6 +156,10 @@ def main():
 @_exit_code_guard
 def spectrum(config, scheme, n_list, k, out, format, svg):
     """Spectral abscissae of the generators over a list of grid sizes."""
+    if CLASSICAL in SCHEME_CHOICES[scheme]:
+        _check_n_cap(n_list, MAX_N_LIST, "the classical spectrum")
+    else:
+        _check_n_cap(n_list, MAX_N, "the order-reduction spectrum")
     meshes = [Mesh(n) for n in n_list]
     rows = []
     for sch in SCHEME_CHOICES[scheme]:
@@ -195,6 +205,7 @@ def spectrum(config, scheme, n_list, k, out, format, svg):
 def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_decades,
               out, format):
     """Weighted resolvent-norm sweeps along the imaginary axis."""
+    _check_n_cap(n_list, MAX_N_LIST, "resolvent")
     meshes = [Mesh(n) for n in n_list]
     systems = [SemiDiscreteSystem(sch, mesh, k)
                for sch in SCHEME_CHOICES[scheme] for mesh in meshes]

@@ -17,8 +17,16 @@ M M^T has closed-form eigenpairs, so its eigenvalues are the roots of the
 same kind of equation, with the poles and weights of `classical_poles_weights`.
 Both spectra, like the continuous one, are the roots lam = -i nu(mu)^2 of a
 relation a(mu) cosh mu + b(mu) sinh mu = 0, one per branch of
-`continuous._branch_roots` in O(N), refined on the secular sum by `_polish`
-and certified by `or_spectrum` and `classical_spectrum` (or NumericalError).
+`continuous._branch_roots` in O(N), and are certified by `or_spectrum` and
+`classical_spectrum` (or NumericalError).  The order-reduction sum has the closed form
+
+    f(lam) = 1 + (i k h/2) tan(2(N+1) psi) / tan psi,  tan^2 psi = -i lam h^2 / 4,
+
+so its roots are refined (`_or_refine`) and their backward residuals bounded
+(`_or_residual`) relative to their poles in O(1) each, O(N) in all (Gu &
+Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Li, LAPACK Working Note 89,
+1994), with the poles' rounding taken from np.longdouble; the classical roots
+are refined on the direct sum by `_polish`, O(N^2).
 
 The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
@@ -75,6 +83,11 @@ _TRACE_RTOL = 1e-12
 # reduction) and 7.05e-6 (classical) of the larger modulus at N = 1023, kh in [1e-3, 50],
 # falling like 6/(N+1) and 7.4/(N+1)^2; two approximations of one root fall below this.
 _DISTINCT_RTOL = 1e-10
+# Order-reduction roots whose residual is also summed directly over all poles: the
+# rightmost ones, and seeded draws (with repeats) from all of them.
+_CROSS_CHECK_RIGHTMOST = 8
+_CROSS_CHECK_SEEDED = 64
+_CROSS_CHECK_SEED = 20232
 # The fixed start of every classical inverse iteration.
 _INVERSE_ITERATION_SEED = 20231
 # sigma_min brackets: relative width on return, step budget, and the relative
@@ -212,14 +225,16 @@ def _coincident(lam) -> np.ndarray:
 
 
 def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
-    """Branch roots lam made whole, then refined by Newton on 1 + sum weights / (lam - i poles).
+    """Classical branch roots made whole, then refined by Newton on the secular sum, O(N^2).
 
     A nan, or a root `_coincident` marks, is missing; one missing root is the trace less
-    the others.  Newton on the sum restores the digits lost at the fold of lam(mu) (top
-    order-reduction roots) and runs on eps_j = lam_j - i poles_j (Gu & Eisenstat, 1995),
-    so that small real parts keep theirs, for up to 8 steps, until the error left is at
+    the others.  Newton on f = 1 + sum weights / (lam - i poles) runs on
+    eps_j = lam_j - i poles_j (Gu & Eisenstat, 1995), so that small real parts (the
+    classical abscissa) keep their digits, for up to 8 steps, until the error left is at
     most 4 eps |eps_j|.  It steps on eps_j f, which removes pole j: from a branch root
     more than |eps_j| off (the top roots at weak damping), Newton on f runs off along it.
+    Each step sums over all poles; the order-reduction roots are refined in O(N) by
+    `_or_refine` instead.
     """
     lam[_coincident(lam)] = np.nan
     if np.count_nonzero(np.isnan(lam)) == 1:
@@ -238,12 +253,14 @@ def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
     return 1j * poles + eps
 
 
-def _certify(lam, residual, scale, traces, where: str, elements=_BLOCK_ELEMENTS) -> float:
+def _certify(lam, residuals, scale, traces, where: str) -> float:
     """Check all roots of one secular equation; returns their worst residual.
 
-    Raises NumericalError unless every root is finite, `_coincident` marks none, residual(rows)
-    is at most 1e-14 scale for every block rows of `elements` / (N+1) root indices (O(N) memory),
-    and the sums of the real and imaginary parts of the roots match traces, each to 1e-12 relative.
+    Raises NumericalError unless every root is finite, `_coincident` marks none, every
+    entry of every array of root residuals that the iterable `residuals` yields (drawn
+    only after those two checks, so that a generator can evaluate them block by block)
+    lies in [0, 1e-14 scale], which a nan or a negative value does not, and the sums of
+    the real and imaginary parts of the roots match traces, each to 1e-12 relative.
     """
     n1 = lam.size
     finite = np.count_nonzero(np.isfinite(lam))
@@ -251,51 +268,173 @@ def _certify(lam, residual, scale, traces, where: str, elements=_BLOCK_ELEMENTS)
         raise NumericalError(f"secular solver found {finite} finite roots of {n1} {where}")
     if np.any(_coincident(lam)):
         raise NumericalError(f"two secular roots coincide in imaginary part {where}")
-    worst = max(float(np.max(residual(rows)))
-                for rows in _row_blocks(np.arange(n1), n1, elements))
     bound = _RESIDUAL_TOL * scale
-    if not worst <= bound:
-        raise NumericalError(f"secular residual {worst:.3e} exceeds {bound:.3e} {where}")
+    extremes = np.array([(np.min(block), np.max(block)) for block in residuals])
+    outside = extremes[~((extremes >= 0) & (extremes <= bound))]  # nan is outside
+    if outside.size:
+        raise NumericalError(
+            f"secular residual {outside[0]:.3e} is outside [0, {bound:.3e}] {where}")
     for part, got, expect in zip(("real", "imaginary"),
                                  (np.sum(lam.real), np.sum(lam.imag)), traces):
         if not abs(got - expect) <= _TRACE_RTOL * abs(expect):
             raise NumericalError(
                 f"secular roots miss the {part}-part trace: {got!r} against {expect!r} {where}"
             )
-    return worst
+    return float(np.max(extremes))
+
+
+def _or_tangents(mesh: Mesh, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tan phi_m, and the offset theta_m^exact - theta_m of each rounded pole, O(N).
+
+    Both come from np.longdouble, extended precision on x86-64 Linux: tan phi_m as
+    sin phi_m over the sine of the complementary angle, which keeps its relative accuracy
+    at the top pole, and theta_m^exact = (2 (N+1) tan phi_m)^2.  An offset eps_j from the
+    rounded theta_j alone would carry its rounding, up to eps theta_j, which is most of
+    eps_j at weak damping and at the top poles; np.longdouble leaves about 6e-19 theta_j.
+    Where np.longdouble is plain double, the offsets carry no extra digits, and the
+    same 1e-14 bound of `_certify` refuses any spectrum that this leaves short.
+    """
+    m = np.arange(mesh.state_size, dtype=np.longdouble)
+    quarter = np.arctan(np.longdouble(1)) / mesh.state_size  # pi / (4 (N+1))
+    tan = np.sin((2 * m + 1) * quarter) / np.sin((2 * (mesh.n - m) + 1) * quarter)
+    return tan.astype(float), ((2 * mesh.state_size * tan) ** 2 - theta).astype(float)
+
+
+def _or_pole_relative(lam, theta, tan, offset, mesh: Mesh):
+    """tan delta_j, tan psi_j and eps_j = lam_j - i theta_j^exact of each lam_j, O(1) each.
+
+    Row j is taken relative to pole j: psi_j = phi_j + delta_j with tan^2 psi = -i lam h^2/4.
+    eps_j is (lam_j - i theta_j) - i (theta_j^exact - theta_j), so that with
+    q = -i eps_j h^2 / 4 = tan^2 psi_j - tan^2 phi_j both tan psi_j - tan phi_j =
+    q / (tan phi_j + sqrt(tan^2 phi_j + q)) and tan delta_j keep their relative accuracy.
+    """
+    eps = (lam - 1j * theta) - 1j * offset
+    q = -1j * eps / (2 * mesh.state_size) ** 2  # -i eps h^2 / 4
+    shift = q / (tan + np.sqrt(tan * tan + q))
+    tan_psi = tan + shift
+    return shift / (1 + tan * tan_psi), tan_psi, eps
+
+
+def _or_characteristic(lam, theta, tan, offset, mesh: Mesh, k: float):
+    """f(lam_j) of the order-reduction secular equation in closed form, and eps_j, O(1) each.
+
+    f(lam) = 1 + (i k h/2) tan(2(N+1) psi) / tan psi with tan^2 psi = -i lam h^2/4.  On
+    pole j, 2(N+1) psi = (j + 1/2) pi + 2(N+1) delta_j, so tan(2(N+1) psi) is
+    -1 / tan(2(N+1) delta_j), evaluated from tan delta_j of `_or_pole_relative`.
+    """
+    tan_delta, tan_psi, eps = _or_pole_relative(lam, theta, tan, offset, mesh)
+    big = np.tan(2 * mesh.state_size * np.arctan(tan_delta))
+    return 1 - 0.5j * k * mesh.h / (big * tan_psi), eps
+
+
+def _or_refine(mu, theta, tan, offset, mesh: Mesh, k: float, trace: complex) -> np.ndarray:
+    """Order-reduction roots from branch roots mu_j = i (j + 1/2) pi + zeta_j, O(N).
+
+    A nan, or a root whose lam(mu) `_coincident` marks, is missing; one missing root is
+    the trace less the others, taken relative to its pole by `_or_pole_relative`.  With
+    L = 2(N+1), each root is delta_j = -i zeta_j / L, refined by Newton on
+
+        g(delta) = tan(L delta) tan(phi_j + delta) - i k h/2,
+
+    whose root is f's, since f = g / (tan(L delta) tan psi), and which has no pole at
+    delta = 0: the Gu & Eisenstat (1995) idea in closed form, so small real parts keep
+    their digits and a far start at weak damping still converges.  tan(phi_j + delta) is
+    (t + tan delta) / (1 - t tan delta) with t = tan phi_j, so delta stays relative to
+    the exact pole.  Newton takes up to 8 steps, until a step is at most 4 eps |delta_j|.
+    lam_j = i theta_j + (eps_j + i (theta_j^exact - theta_j)) is formed only at the end,
+    with eps_j = i L^2 s (2 t + s) and s = tan psi_j - t.
+    """
+    n1 = mesh.state_size
+    length = 2 * n1
+    lam = -1j * (2 / mesh.h * np.tanh(mu * mesh.h / 2)) ** 2
+    missing = np.isnan(lam) | _coincident(lam)
+    zeta = mu - 1j * (np.arange(n1) + 0.5) * np.pi
+    delta = np.where(missing, np.nan, -1j * zeta / length)
+    if np.count_nonzero(missing) == 1:
+        lam[missing] = np.nan
+        fill = np.array([trace - np.nansum(lam)])
+        tan_delta = _or_pole_relative(fill, theta[missing], tan[missing], offset[missing], mesh)[0]
+        delta[missing] = np.arctan(tan_delta)
+    active = np.flatnonzero(np.isfinite(delta))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(8):
+            d, t = delta[active], tan[active]
+            big, small = np.tan(length * d), np.tan(d)
+            near = (t + small) / (1 - t * small)  # tan(phi_j + delta)
+            step = (big * near - 0.5j * k * mesh.h) / (
+                length * (1 + big * big) * near + big * (1 + near * near))
+            delta[active] = d - step
+            active = active[np.abs(step) > 4 * _EPS * np.abs(d - step)]
+            if active.size == 0:
+                break
+        small = np.tan(delta)
+        s = small * (1 + tan * tan) / (1 - tan * small)
+        return 1j * theta + (1j * length**2 * s * (2 * tan + s) + 1j * offset)
+
+
+def _or_residual(lam, theta, c, tan, offset, mesh: Mesh, k: float) -> np.ndarray:
+    """An upper bound on the backward residual ||c|| |f(lam_j)| / ||v_j|| of each root, O(1) each.
+
+    f comes from `_or_characteristic`.  ||v_j||^2 = sum_m c_m^2 / |lam_j - i theta_m|^2
+    is bounded below by its 9 terms |m - j| <= 4 (at least 0.858 of the sum, measured for
+    N <= 4095 and k = 1e-12 to 1e3), so the residual only grows; each term is taken as
+    c_m^2 |eps_j / (lam_j - i theta_m)|^2 and the residual as ||c|| |f| |eps_j| / sqrt(sum),
+    which neither overflows nor underflows at weak damping.
+    """
+    c2 = c * c
+    n1 = lam.size
+    near = c2.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f, eps = _or_characteristic(lam, theta, tan, offset, mesh, k)
+        for o in (-4, -3, -2, -1, 1, 2, 3, 4):
+            if abs(o) >= n1:
+                continue
+            rows, poles = slice(max(0, -o), n1 - max(0, o)), slice(max(0, o), n1 - max(0, -o))
+            gap = (theta[rows] - theta[poles]) + (offset[rows] - offset[poles])
+            near[rows] += c2[poles] * np.abs(eps[rows] / (eps[rows] + 1j * gap)) ** 2
+        return np.sqrt(np.sum(c2)) * np.abs(f) * np.abs(eps) / np.sqrt(near)
 
 
 def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
-    """Certified eigenvalues of the order-reduction generator, and their worst residual.
+    """Certified eigenvalues of the order-reduction generator, and their worst residual, O(N).
 
+    The roots are the branch roots of `continuous._branch_roots` refined by `_or_refine`.
     The residual of a root lam is the backward error of the eigenpair
     (lam, v) of i Theta - (k/h) c c^T with v = (lam - i Theta)^{-1} c,
-    namely ||c|| |f(lam)| / ||v||.  Raises NumericalError unless there are
-    N+1 finite roots, none coinciding, each residual is at most
-    1e-14 (max theta + (k/h) ||c||^2), and the roots keep the trace:
+    namely ||c|| |f(lam)| / ||v||, bounded above for every root in closed form by
+    `_or_residual` and, as a cross-check, summed directly over all N+1 poles at the 8
+    rightmost roots and at 64 seeded ones, O(N) each, in blocks of 2^18 / (N+1).  Raises
+    NumericalError unless there are N+1 finite roots, none coinciding, each residual is at
+    most 1e-14 (max theta + (k/h) ||c||^2), and the roots keep the trace:
     sum Re lam = -(k/h) ||c||^2 = -2k sum sec^2 phi_m and
     sum Im lam = sum theta_m, each to 1e-12 relative (`_certify`).
     """
     theta, c = or_poles_weights(mesh)
-    h, rho = mesh.h, k / mesh.h
+    n1, h, rho = mesh.state_size, mesh.h, k / mesh.h
     c2 = c * c
     c2_sum = np.sum(c2)
+    tan, offset = _or_tangents(mesh, theta)
 
     def coefficients(mu):
         t = np.tanh(mu * h / 2)
         return 2 / h * t, 1j * k, 1 - t * t, 0.0
 
-    nu = coefficients(_branch_roots(coefficients, np.zeros(mesh.state_size)))[0]
-    lam = _polish(-1j * nu**2, theta, rho * c2, -rho * c2_sum + 1j * np.sum(theta))
-    c_norm = np.sqrt(c2_sum)
+    mu = _branch_roots(coefficients, np.zeros(n1))
+    lam = _or_refine(mu, theta, tan, offset, mesh, k, -rho * c2_sum + 1j * np.sum(theta))
 
-    def backward(rows):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            to_poles = 1.0 / (lam[rows, None] - 1j * theta)
-            f = 1.0 + rho * (to_poles @ c2)
-            return c_norm * np.abs(f) / np.sqrt(np.abs(to_poles) ** 2 @ c2)
+    def residuals():
+        yield _or_residual(lam, theta, c, tan, offset, mesh, k)
+        seeded = np.random.default_rng(_CROSS_CHECK_SEED).integers(0, n1, _CROSS_CHECK_SEEDED)
+        rightmost = np.argsort(lam.real)[-_CROSS_CHECK_RIGHTMOST:]
+        for rows in _row_blocks(np.union1d(seeded, rightmost), n1, _BLOCK_ELEMENTS):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                to_poles = lam[rows, None] - 1j * theta
+                near = np.min(np.abs(to_poles), axis=1)
+                np.divide(near[:, None], to_poles, out=to_poles)  # at most 1 in modulus
+                f = 1.0 + rho * (to_poles @ c2) / near
+                yield np.sqrt(c2_sum) * np.abs(f) * near / np.sqrt(np.abs(to_poles) ** 2 @ c2)
 
-    worst = _certify(lam, backward, np.max(theta) + rho * c2_sum,
+    worst = _certify(lam, residuals(), np.max(theta) + rho * c2_sum,
                      (-rho * c2_sum, np.sum(theta)),
                      f"(scheme=order_reduction, n={mesh.n}, k={k})")
     return lam, worst
@@ -393,8 +532,10 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
         R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
         return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
 
-    worst = _certify(lam, residual, scale, (-1.5 * rho, (2 * mesh.n + 1) / mesh.h**2),
-                     f"(scheme=classical, n={mesh.n}, k={k})", _CERTIFY_ELEMENTS)
+    blocks = _row_blocks(np.arange(n1), n1, _CERTIFY_ELEMENTS)
+    worst = _certify(lam, (residual(rows) for rows in blocks), scale,
+                     (-1.5 * rho, (2 * mesh.n + 1) / mesh.h**2),
+                     f"(scheme=classical, n={mesh.n}, k={k})")
     return lam, worst
 
 

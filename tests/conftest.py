@@ -119,3 +119,43 @@ def classical_resolvent_within(system, betas, norms, rtol):
             factors.append(zpotrf(H)[1] == 0)
         within.append(factors == [True, False])
     return np.array(within)
+
+
+def or_backward_residual(lam, theta, c, rho):
+    """||c|| |f(lam)| / ||v|| per root by direct sums over all poles, O(N^2) in all.
+
+    The backward error of the eigenpair (lam, v) of i Theta - rho c c^T with
+    v = (lam - i Theta)^{-1} c and f(lam) = 1 + rho sum_m c_m^2 / (lam - i theta_m),
+    in blocks of 2^18 root-to-pole terms.
+    """
+    from schrostab.grid import _row_blocks
+
+    c2 = c * c
+    out = []
+    for rows in _row_blocks(np.arange(lam.size), theta.size, 1 << 18):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_poles = 1.0 / (lam[rows, None] - 1j * theta)
+            f = 1.0 + rho * (to_poles @ c2)
+            out.append(np.sqrt(c2.sum()) * np.abs(f) / np.sqrt(np.abs(to_poles) ** 2 @ c2))
+    return np.concatenate(out)
+
+
+def or_polished_roots(mesh, k):
+    """Order-reduction roots by Newton on the direct secular sum, O(N^2) in all.
+
+    The branch roots of the order-reduction dispersion relation, refined by
+    the classical scheme's `secular._polish` on the order-reduction poles
+    and weights, as rounded to double precision.
+    """
+    from schrostab.continuous import _branch_roots
+    from schrostab.secular import _polish, or_poles_weights
+
+    theta, c = or_poles_weights(mesh)
+    rho, h = k / mesh.h, mesh.h
+
+    def coefficients(mu):
+        t = np.tanh(mu * h / 2)
+        return 2 / h * t, 1j * k, 1 - t * t, 0.0
+
+    nu = coefficients(_branch_roots(coefficients, np.zeros(mesh.state_size)))[0]
+    return _polish(-1j * nu**2, theta, rho * c * c, -rho * c @ c + 1j * np.sum(theta))

@@ -238,16 +238,17 @@ def _continuum_coefficient(k):
 
 def test_criterion_11_order_reduction_abscissa_beyond_dense_cap(capsys):
     # |alpha_h - alpha - Re(C) h^2| <= 0.6 h^4 + 1e-14, with the h^4 coefficient
-    # measured at -0.509 for N = 63, 255 and 1023
+    # measured at -0.509 for N = 63, 255 and 1023; from N = 16383 on, the bound is
+    # the 1e-14 alone
     continuous = float(np.max(characteristic_roots(1.0, 50).real))
     re_c = _continuum_coefficient(1.0).real
-    n_values = (63, 255, 1023, 4095)
+    n_values = (63, 255, 1023, 4095, 16383, 65535)
     gaps = []
     for n in n_values:
         rep = spectral_abscissa(SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), 1.0))
         h = 1.0 / (n + 1)
         gaps.append((abs(rep.abscissa - continuous - re_c * h**2), 0.6 * h**4 + 1e-14))
-    passed = rep.eigenvalues.size == 4096 and all(gap <= bound for gap, bound in gaps)
+    passed = rep.eigenvalues.size == 65536 and all(gap <= bound for gap, bound in gaps)
     _report(
         capsys, 11, passed,
         f"order-reduction abscissa minus continuum expansion (Re C = {re_c:.7f}): "

@@ -101,6 +101,22 @@ class TestSpectrum:
         assert result.exit_code == 0, result.output
         assert read_lines(out)[1].startswith("order_reduction,4095,")
 
+    @pytest.mark.parametrize("scheme", ["order-reduction", "order_reduction"])
+    def test_order_reduction_beyond_the_classical_cap(self, runner, tmp_path, scheme):
+        # the order-reduction spectrum is O(N) and runs to the simulate cap
+        out = tmp_path / "x.json"
+        result = runner.invoke(
+            main, ["spectrum", "--scheme", scheme, "--n-list", f"7,{MAX_N_LIST + 1},65535",
+                   "--format", "json", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["n"] for row in rows] == [7, MAX_N_LIST + 1, 65535]
+        for row in rows:
+            scale = 6.6 / row["h"] ** 4  # bounds max theta + (k/h) ||c||^2 at k=1
+            assert -1.97 < row["abscissa"] < -1.94
+            assert 0 <= row["max_eigen_residual"] <= 1e-15 * scale
+
     def test_classical_beyond_dense_cap(self, runner, tmp_path):
         out = tmp_path / "x.json"
         result = runner.invoke(
@@ -414,16 +430,24 @@ def test_classical_peak_rule_reaches_the_solver(runner, tmp_path, monkeypatch, n
 @pytest.mark.parametrize("command", ["spectrum", "resolvent"])
 @pytest.mark.parametrize("scheme", ["both", "classical", "order-reduction"])
 def test_n_list_cap_names_its_option(runner, tmp_path, monkeypatch, command, scheme):
+    # the order-reduction spectrum runs to the simulate cap; the classical spectrum and
+    # every resolvent stop at MAX_N_LIST
     def refuse(*args, **kwargs):
         raise AssertionError("built a mesh before the --n-list cap check")
 
     for name in ("Mesh", "spectral_abscissa", "resolvent_sweep"):
         monkeypatch.setattr(f"schrostab.cli.{name}", refuse)
+    if command == "resolvent":
+        cap, what = MAX_N_LIST, "resolvent"
+    elif scheme == "order-reduction":
+        cap, what = MAX_N, "the order-reduction spectrum"
+    else:
+        cap, what = MAX_N_LIST, "the classical spectrum"
     result = runner.invoke(main, [command, "--scheme", scheme, "--n-list",
-                                  f"5,{MAX_N_LIST + 1}", "--out", str(tmp_path / "x.csv")])
+                                  f"5,{cap + 1}", "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
-    assert (f"Invalid value for '--n-list': grid size {MAX_N_LIST + 1} "
-            f"exceeds the cap of {MAX_N_LIST}") in result.output
+    assert (f"Invalid value for '--n-list': grid size {cap + 1} "
+            f"exceeds the cap of {cap} of {what}") in result.output
     assert not any(tmp_path.iterdir())
 
 

@@ -27,6 +27,8 @@ from conftest import (
     classical_resolvent_within,
     dense_generator,
     modal_oracle,
+    or_backward_residual,
+    or_polished_roots,
     random_complex,
     weighted_oracle,
 )
@@ -192,15 +194,88 @@ def test_certificate_holds_with_margin(n, k):
     assert worst <= 1e-15 * (theta.max() + (k / mesh.h) * c @ c)
 
 
+@pytest.mark.parametrize("n", [1, 15, 255, 1023, 4095])
+@pytest.mark.parametrize("k", [1e-12, 0.01, 1.0, 100.0, 1e3])
+def test_closed_form_matches_direct_oracle(n, k):
+    # the O(N) roots and residuals against Newton and backward residuals on the
+    # direct O(N^2) sums: roots measured within 3.7e-15 relative, and the
+    # closed-form residual, whose ||v|| keeps 9 terms, within [1, 1.08] of the
+    # direct one away from the roots
+    mesh = Mesh(n)
+    theta, c = or_poles_weights(mesh)
+    rho = k / mesh.h
+    scale = theta.max() + rho * c @ c
+    lam = or_spectrum(mesh, k)[0]
+    expect = or_polished_roots(mesh, k)
+    assert np.all(np.abs(lam - expect) <= 1e-14 * np.abs(expect))
+    assert np.all(or_backward_residual(lam, theta, c, rho) <= 1e-14 * scale)
+    moved = lam + 1e-9 * np.abs(lam)
+    tan, offset = secular._or_tangents(mesh, theta)
+    ratio = (secular._or_residual(moved, theta, c, tan, offset, mesh, k)
+             / or_backward_residual(moved, theta, c, rho))
+    assert np.all((ratio >= 1 - 1e-5) & (ratio <= 1.1))
+
+
+def _mpmath_characteristic(lam, n, k):
+    """f(lam) and 1 + sum_m |rho c_m^2 / (lam - i theta_m)| at 40 digits, with exact poles."""
+    with mpmath.workdps(40):
+        h = mpmath.mpf(1) / (n + 1)
+        z = mpmath.mpc(lam.real, lam.imag)
+        f = size = mpmath.mpf(1)
+        for m in range(n + 1):
+            phi = (m + mpmath.mpf(1) / 2) * mpmath.pi * h / 2
+            term = (2 * k / mpmath.cos(phi) ** 2) / (z - 1j * (2 / h * mpmath.tan(phi)) ** 2)
+            f += term
+            size += abs(term)
+        return complex(f), float(size)
+
+
+@pytest.mark.parametrize("n", [1, 7, 15])
+@pytest.mark.parametrize("k", [1e-12, 1.0, 1e3])
+def test_closed_form_matches_mpmath(n, k, rng):
+    # f at the roots and at eps_j = r theta_j e^{i t} from pole j, against the
+    # direct sum on the exact poles.  Its error is a relative 1e-14 of the
+    # summed terms, plus a pole error of 1e-17 theta_j (measured: at most 0.064 of
+    # that); taken from the rounded poles alone, the pole error reached 44 times it
+    mesh = Mesh(n)
+    theta, c = or_poles_weights(mesh)
+    tan, offset = secular._or_tangents(mesh, theta)
+    points = [or_spectrum(mesh, k)[0]]
+    for r in (1e-2, 1e-8, 1e-14):
+        eps = r * theta * np.exp(2j * np.pi * rng.random(n + 1))
+        points.append((1j * theta + eps) + 1j * offset)
+    for lam in points:
+        f, eps = secular._or_characteristic(lam, theta, tan, offset, mesh, k)
+        for j in range(n + 1):
+            expect, size = _mpmath_characteristic(lam[j], n, k)
+            assert abs(f[j] - expect) <= size * (1e-14 + 1e-17 * theta[j] / abs(eps[j]))
+
+
+@pytest.mark.parametrize("n, k, rtol", [
+    (15, 1e-30, 8 * EPS), (255, 1e-30, 8 * EPS), (8191, 1e-30, 8 * EPS),
+    (15, 1e-300, 8 * EPS), (255, 1e-300, 8 * EPS), (8191, 1e-300, 1e-11),
+])
+def test_extreme_weak_damping_certifies(n, k, rtol):
+    # Re lam_j = -(k/h) c_j^2 (1 + O(k^2)), to 3.8 eps measured; at k = 1e-300 and
+    # N = 8191 the pole-relative delta_j of the top roots is subnormal, and their
+    # real parts keep 2.3e-12 relative
+    mesh = Mesh(n)
+    theta, c = or_poles_weights(mesh)
+    rho = k / mesh.h
+    lam, worst = or_spectrum(mesh, k)
+    assert 0 <= worst <= 1e-15 * (theta.max() + rho * c @ c)
+    assert np.all(np.abs(lam.real + rho * c * c) <= rtol * rho * c * c)
+
+
 def test_duplicate_root_is_refused(monkeypatch):
-    polish = secular._polish
+    refine = secular._or_refine
 
     def duplicated(*args):
-        lam = polish(*args)
+        lam = refine(*args)
         lam[1] = lam[0]
         return lam
 
-    monkeypatch.setattr("schrostab.secular._polish", duplicated)
+    monkeypatch.setattr("schrostab.secular._or_refine", duplicated)
     with pytest.raises(NumericalError, match="coincide"):
         or_spectrum(Mesh(15), 1.0)
 
@@ -208,16 +283,65 @@ def test_duplicate_root_is_refused(monkeypatch):
 def test_roots_apart_only_in_real_part_are_refused(monkeypatch):
     # one imaginary part and real parts 1e-3 apart: 2.9e-4 apart relative to
     # |lam|, which the pairwise rule passes, but coincident in imaginary-part order
-    polish = secular._polish
+    refine = secular._or_refine
 
     def flattened(*args):
-        lam = polish(*args)
+        lam = refine(*args)
         lam[1] = lam[0] + 1e-3
         return lam
 
-    monkeypatch.setattr("schrostab.secular._polish", flattened)
+    monkeypatch.setattr("schrostab.secular._or_refine", flattened)
     with pytest.raises(NumericalError, match="coincide"):
         or_spectrum(Mesh(15), 1.0)
+
+
+@pytest.mark.parametrize("n", [15, 255, 4095])
+@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
+def test_closed_form_residual_binds(monkeypatch, n, where):
+    # one root moved by 1e-13 of the scale, 10 times the bound: the closed form
+    # alone refuses it, and so does the certificate, whose direct cross-check
+    # covers every root at N = 15 but only 72 of them otherwise
+    mesh = Mesh(n)
+    theta, c = or_poles_weights(mesh)
+    scale = theta.max() + c @ c / mesh.h
+    root = {"bottom": 0, "middle": n // 2, "top": n}[where]
+    refine = secular._or_refine
+    refined = []
+
+    def shifted(*args):
+        lam = refine(*args)
+        lam[root] += 1e-13 * scale
+        refined.append(lam)
+        return lam
+
+    monkeypatch.setattr("schrostab.secular._or_refine", shifted)
+    with pytest.raises(NumericalError, match="secular residual"):
+        or_spectrum(mesh, 1.0)
+    tan, offset = secular._or_tangents(mesh, theta)
+    residual = secular._or_residual(refined[0], theta, c, tan, offset, mesh, 1.0)
+    assert residual[root] > 1e-14 * scale
+
+
+@pytest.mark.parametrize("bad", [-np.inf, np.nan])
+def test_residual_that_is_not_a_nonnegative_number_is_refused(monkeypatch, bad):
+    residual = secular._or_residual
+
+    def broken(*args):
+        out = residual(*args)
+        out[3] = bad
+        return out
+
+    monkeypatch.setattr("schrostab.secular._or_residual", broken)
+    with pytest.raises(NumericalError, match="secular residual"):
+        or_spectrum(Mesh(15), 1.0)
+
+
+def test_nan_in_a_later_residual_block_is_refused():
+    # the worst residual over blocks keeps a nan that a running max() would drop
+    lam = np.array([-1.0 + 1.0j, -1.0 + 2.0j])
+    blocks = iter([np.array([0.0]), np.array([np.nan])])
+    with pytest.raises(NumericalError, match=r"secular residual nan is outside \[0, "):
+        secular._certify(lam, blocks, 1.0, (-2.0, 3.0), "(test)")
 
 
 def test_nonfinite_root_is_refused(monkeypatch):

@@ -100,14 +100,14 @@ class TestSpectralAbscissa:
         # one secular root off by 1e-10 ||B|| leaves a backward residual of about that size
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
         shift = 1e-10 * spectral_norm_estimate(weighted_oracle(system))
-        polish = secular._polish
+        refine = secular._or_refine
 
         def shifted(*args):
-            lam = polish(*args)
+            lam = refine(*args)
             lam[root] += shift
             return lam
 
-        monkeypatch.setattr("schrostab.secular._polish", shifted)
+        monkeypatch.setattr("schrostab.secular._or_refine", shifted)
         with pytest.raises(NumericalError, match="secular residual"):
             spectral_abscissa(system)
 
