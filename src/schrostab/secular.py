@@ -33,12 +33,15 @@ similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
 sigma_min(i beta - B) = sigma_min(X), and `or_resolvent_smin` brackets it
 for every beta by an exact O(N) eigenvalue count of X^H X (Bunch, Nielsen &
 Sorensen, Numer. Math. 31, 1978), again with no matrix.  The weighted
-classical generator has no orthogonal diagonal-plus-rank-one form, so
-`classical_resolvent_norm` finds ||D (i beta - A)^{-1} D^{-1}|| by inverse
-Lanczos instead: D as a bidiagonal, D^{-1} in closed form and one pivoted LU
-of the tridiagonal i beta - A per beta, O(N) per step and no matrix either.
-That LU and its solves, `_shifted_factors` and `_solve`, also certify the
-classical roots; only they import SciPy (LAPACK zgttrf, zgttrs), when called.
+classical generator has no orthogonal diagonal-plus-rank-one form, but in
+the sine basis of M M^T, scaled, it is X = L (i diag(d) + b s^T) L^{-1}
+with L^2 = I - kappa s s^T, so `classical_resolvent_norm` counts the
+eigenvalues of X^H X below x^2 the same way in O(N), with a 3x3 Hermitian
+matrix in place of the 2x2 (Haynsworth inertia additivity, Linear Algebra
+Appl. 1, 1968).  One bracket loop, `_smin_brackets`, serves both counts.
+The classical roots are certified by inverse iteration on one pivoted LU
+of the tridiagonal lam - A per root, `_shifted_factors` and `_solve`, the
+only code here that imports SciPy (LAPACK zgttrf, zgttrs), when called.
 `classical_peak_resolvable` decides in O(N), from the top root's closed form,
 whether the peak where the classical sup sits is wide enough to sample.
 
@@ -56,7 +59,7 @@ import numpy as np
 
 from .continuous import _branch_roots
 from .errors import NumericalError
-from .grid import Mesh, _as_state, _row_blocks, solve_d, solve_dt
+from .grid import Mesh, _as_state, _row_blocks
 from .systems import CLASSICAL, apply_generator
 
 __all__ = [
@@ -99,7 +102,7 @@ _SMIN_PROBE = 1e-7
 # Blocks of 1 << 18 were slower (1.11 s against 0.93 s for 4147 betas at
 # N=4095) and raised the peak RSS of repeated resolvent sweeps by 1.3 MiB.
 _SMIN_BLOCK_ELEMENTS = 1 << 14
-# A bracket top at or below this times |beta| + (k/h) ||c||^2 puts i beta in the spectrum.
+# A bracket top at or below this times a bound on ||i beta - A|| puts i beta in the spectrum.
 _SPECTRUM_RTOL = 1e-14
 # Smallest |Re lam| / |Im lam| of the top classical root whose peak, where the
 # classical sup sits, `classical_resolvent_norm` can sample.  It refuses once
@@ -108,15 +111,6 @@ _SPECTRUM_RTOL = 1e-14
 # k/h < 1.2e-3 max mu near this bound for N <= 8191, so the check fires below
 # 2 (1.732) _SPECTRUM_RTOL = 3.46e-14.  The bound keeps a margin of 1.15.
 _PEAK_RTOL = 1.15 * 2 * 1.732 * _SPECTRUM_RTOL
-# Inverse Lanczos for the classical resolvent: the fixed start, the relative
-# residual at which a beta is frozen, and the step budget.  At most 21 steps
-# were needed for N <= 255, k in [0.01, 100] and |beta| up to 1e30; on the
-# default sweep grids at most 16 for k <= 10 (11 at N = 1023 and 2047).
-_LANCZOS_SEED = 20230
-_LANCZOS_RTOL = 1e-14
-_LANCZOS_MAX_STEPS = 48
-# Entries of the Krylov basis per block of betas: 2 MiB of complex128.
-_KRYLOV_ELEMENTS = 1 << 17
 
 
 def or_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -327,6 +321,12 @@ def _or_characteristic(lam, theta, tan, offset, mesh: Mesh, k: float):
     return 1 - 0.5j * k * mesh.h / (big * tan_psi), eps
 
 
+def _tan_ratio(z):
+    """tan(z) / z, as 1 + z^2/3 below |z| = 1e-5, where a subnormal z has lost its digits."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        return np.where(np.abs(z) < 1e-5, 1 + z * z / 3, np.tan(z) / z)
+
+
 def _or_refine(mu, theta, tan, offset, mesh: Mesh, k: float, trace: complex) -> np.ndarray:
     """Order-reduction roots from branch roots mu_j = i (j + 1/2) pi + zeta_j, O(N).
 
@@ -340,36 +340,39 @@ def _or_refine(mu, theta, tan, offset, mesh: Mesh, k: float, trace: complex) -> 
     delta = 0: the Gu & Eisenstat (1995) idea in closed form, so small real parts keep
     their digits and a far start at weak damping still converges.  tan(phi_j + delta) is
     (t + tan delta) / (1 - t tan delta) with t = tan phi_j, so delta stays relative to
-    the exact pole.  Newton takes up to 8 steps, until a step is at most 4 eps |delta_j|.
+    the exact pole.  Newton runs on v = delta / (k h) and g / (k h), with tan(L delta) / (k h)
+    taken as L v `_tan_ratio`(L k h v), so that no subnormal delta (k = 1e-300, N = 65535)
+    costs digits, for up to 8 steps, until a step is at most 4 eps |v_j|.
     lam_j = i theta_j + (eps_j + i (theta_j^exact - theta_j)) is formed only at the end,
-    with eps_j = i L^2 s (2 t + s) and s = tan psi_j - t.
+    with eps_j = i L^2 s (2 t + s), s = tan psi_j - t and s / (k h) formed first.
     """
     n1 = mesh.state_size
-    length = 2 * n1
+    length, kh = 2 * n1, k * mesh.h
     lam = -1j * (2 / mesh.h * np.tanh(mu * mesh.h / 2)) ** 2
     missing = np.isnan(lam) | _coincident(lam)
     zeta = mu - 1j * (np.arange(n1) + 0.5) * np.pi
-    delta = np.where(missing, np.nan, -1j * zeta / length)
+    v = np.where(missing, np.nan, -1j * zeta / (length * kh))
     if np.count_nonzero(missing) == 1:
         lam[missing] = np.nan
         fill = np.array([trace - np.nansum(lam)])
         tan_delta = _or_pole_relative(fill, theta[missing], tan[missing], offset[missing], mesh)[0]
-        delta[missing] = np.arctan(tan_delta)
-    active = np.flatnonzero(np.isfinite(delta))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v[missing] = np.arctan(tan_delta) / kh
+    active = np.flatnonzero(np.isfinite(v))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         for _ in range(8):
-            d, t = delta[active], tan[active]
-            big, small = np.tan(length * d), np.tan(d)
+            u, t = v[active], tan[active]
+            big = length * u * _tan_ratio(length * kh * u)  # tan(L delta) / (k h)
+            small = kh * u * _tan_ratio(kh * u)  # tan delta
             near = (t + small) / (1 - t * small)  # tan(phi_j + delta)
-            step = (big * near - 0.5j * k * mesh.h) / (
-                length * (1 + big * big) * near + big * (1 + near * near))
-            delta[active] = d - step
-            active = active[np.abs(step) > 4 * _EPS * np.abs(d - step)]
+            step = (big * near - 0.5j) / (
+                length * (1 + (big * kh) ** 2) * near + big * (1 + near * near) * kh)
+            v[active] = u - step
+            active = active[np.abs(step) > 4 * _EPS * np.abs(u - step)]
             if active.size == 0:
                 break
-        small = np.tan(delta)
-        s = small * (1 + tan * tan) / (1 - tan * small)
-        return 1j * theta + (1j * length**2 * s * (2 * tan + s) + 1j * offset)
+        ratio = _tan_ratio(kh * v)
+        s = v * ratio * (1 + tan * tan) / (1 - tan * (kh * v * ratio))  # s / (k h)
+        return 1j * theta + (1j * length**2 * s * kh * (2 * tan + s * kh) + 1j * offset)
 
 
 def _or_residual(lam, theta, c, tan, offset, mesh: Mesh, k: float) -> np.ndarray:
@@ -452,14 +455,15 @@ def _classical_tridiagonal(mesh: Mesh, k: float):
 
 
 def _shifted_factors(mesh: Mesh, k: float, shifts: np.ndarray):
-    """The zgttrs arguments (dl, d, du, du2, ipiv) for z - A of the classical scheme, per shift z.
+    """The zgttrs arguments (dl, d, du, du2, ipiv) for z - A of the classical scheme, per root z.
 
-    The tridiagonals of all shifts form one block-diagonal tridiagonal with
-    zero couplings, so one zgttrf factors them all and no pivot crosses from
-    one shift to the next: a shift's factors do not depend on the shifts beside
-    it.  One more decoupled unknown, a 1 on the diagonal, follows the last
-    block: scipy's ?gttrf and ?gttrs wrappers refuse systems of fewer than
-    three unknowns, as one shift at N = 1 would be.
+    The classical spectrum certificate factors its roots in blocks.  The
+    tridiagonals of a block form one block-diagonal tridiagonal with zero
+    couplings, so one zgttrf factors them all and no pivot crosses from one
+    root to the next: a root's factors do not depend on the roots beside it.
+    One more decoupled unknown, a 1 on the diagonal, follows the last block:
+    scipy's ?gttrf and ?gttrs wrappers refuse systems of fewer than three
+    unknowns, as one root at N = 1 would be.
     """
     from scipy.linalg.lapack import zgttrf
     dl, d, du = _classical_tridiagonal(mesh, k)
@@ -539,7 +543,7 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     return lam, worst
 
 
-def _smin_start(d: np.ndarray, c2: np.ndarray, rho: float) -> np.ndarray:
+def _smin_start(d: np.ndarray, ad: np.ndarray, c2: np.ndarray, rho: float) -> np.ndarray:
     """min_m 1 / ||X^{-1} e_m||, an upper bound on sigma_min(X), per row of d.
 
     By Sherman-Morrison X^{-1} = -i D^{-1} + alpha D^{-1} c c^T D^{-1} with
@@ -568,7 +572,7 @@ def _smin_start(d: np.ndarray, c2: np.ndarray, rho: float) -> np.ndarray:
         return 1.0 / np.sqrt(np.max(col2, axis=1))
 
 
-def _smin_count(d, ad, c2, rho2, x, newton=False):
+def _or_count(d, ad, c2, rho, x, newton=False):
     """Eigenvalues of X^H X below x^2 per row, and optionally a Newton step toward sigma_min.
 
     X^H X - x^2 = (D^2 - x^2) + W C W^H with W = [c, Dc] and
@@ -585,6 +589,7 @@ def _smin_count(d, ad, c2, rho2, x, newton=False):
     which removes the pole that would otherwise stall Newton's method.
     """
     xs = x[:, None]
+    rho2 = rho * rho
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         minus = d - xs
         np.reciprocal(minus, out=minus)
@@ -610,79 +615,174 @@ def _smin_count(d, ad, c2, rho2, x, newton=False):
         return count, gap * g / (gap * dg - g)
 
 
-def _smin_brackets(theta, c, rho, betas):
-    """Brackets [lo, hi] with count(lo) = 0 and count(hi) >= 1, for all betas at once.
+def _classical_count(d, ad, c2, rho, x, newton=False):
+    """Eigenvalues of X^H X below x^2 per row, and optionally a Newton step toward sigma_min.
 
-    Starts at `_smin_start` inside [0, second-smallest |d_m|], which holds
-    sigma_min by Thompson interlacing (X is a rank-one change of i diag(d)).
-    Each step evaluates the count at one point per beta and keeps the
-    bracket.  The next point is the Newton point; once two points fall on
-    one side and the Newton step is below _SMIN_PROBE relative, it is the
-    Newton point moved on by one more such step, which lands past the root
-    and closes the far side.  A Newton point
-    outside the bracket, or a bracket that has not halved in three steps,
-    gives a bisection step instead: geometric while hi > 4 lo, else
-    arithmetic.  Rows stop at a relative width of _SMIN_RTOL.
+    In the sine basis of M M^T, scaled by C = diag(cos a_m), the weighted
+    i beta - A is X = L (i D + b s^T) L^{-1} with s_m = (-1)^m / sqrt(N+1),
+    b_m = rho sqrt(N+1) (-1)^m c_m^2 and L^2 = I - kappa s s^T,
+    kappa = (2N+2)/(2N+3), since the weighted norm of a state with sine
+    coordinates u is ||L C u|| (`dynamics.MidpointStepper`).  By Sylvester's law the count is the
+    number of negative eigenvalues of (D^2 - x^2) + W K W^T with W = [Db, Ds, s]
+    and K a Hermitian 3x3 with one positive eigenvalue, and Haynsworth inertia
+    additivity makes it #{|d_m| < x} + neg(S) - 1 with R_m = 1/(d_m^2 - x^2) and
+
+        S = [[x^2 (kappa - B0), -x^2 T0,          i - T1],
+             [-x^2 T0,          1/(2N+2) - x^2 S0, -S1   ],
+             [-i - T1,          -S1,               -S0   ]],
+
+    B0 = sum b^2 R, T0 = sum b s R, T1 = sum b s d R, S0 = sum s^2 R and
+    S1 = sum s^2 d R.  The pole p with |d_p| nearest x is deflated: its terms
+    leave the sums (S_r, with the constant parts of its terms kept) and come
+    back as e = (d_p^2 - x^2) - w^T S_r^{-1} w, w = (d_p b_p, d_p s_p, s_p), so
+    the count is #{m != p : |d_m| < x} + neg(S_r) - 1 + [e < 0], and e is smooth
+    through the pole: the Newton step is taken on it.  neg(S_r) is the number
+    of sign changes of (1, trace, sum of principal 2x2 minors, det), exact by
+    Descartes' rule since S_r has real eigenvalues, and S_r^{-1} w is
+    adj(S_r) w / det.  Every sum runs along one row, so a count does not
+    change with the rows evaluated beside it.
     """
-    n1 = theta.size
-    c2 = c * c
-    rho2 = rho * rho
-    lo = np.zeros(betas.size)
-    hi = np.empty(betas.size)
-    for rows in _row_blocks(np.arange(betas.size), n1, _SMIN_BLOCK_ELEMENTS):
-        d = betas[rows, None] - theta
+    m, n1 = d.shape
+    rows, xs, x2 = np.arange(m), x[:, None], x * x
+    kappa = 2 * n1 / (2 * n1 + 1)
+    bs = rho * c2  # b_m s_m
+    bb = n1 * bs * bs
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = np.argmin(np.abs(ad - xs), axis=1)
+        R = (d - xs) * (d + xs)
+        np.reciprocal(R, out=R)
+        R[rows, p] = 0.0
+
+        def sums(R):
+            dR = d * R
+            return (R.sum(axis=1) / n1, dR.sum(axis=1) / n1, (bs * R).sum(axis=1),
+                    (bs * dR).sum(axis=1), (bb * R).sum(axis=1))
+
+        S0, S1, T0, T1, B0 = sums(R)
+        sp = np.where(p % 2, -1.0, 1.0) / np.sqrt(n1)
+        bp, dp = n1 * bs[p] * sp, d[rows, p]
+        # the entries of S_r = [[a, f, u + i], [f, b, g], [u - i, g, c]], with s_p^2 = 1/(N+1)
+        a, f, u = x2 * (kappa - B0) + bp * bp, bp * sp - x2 * T0, -T1
+        b, g, c = 1.5 / n1 - x2 * S0, -S1, -S0
+        minors = (b * c - g * g, a * c - u * u - 1, a * b - f * f)
+        det = a * minors[0] - f * f * c + 2 * f * g * u - b * (u * u + 1)
+        changes, last = np.zeros(m, dtype=int), np.ones(m)
+        for sign in np.sign((a + b + c, sum(minors), det)):
+            changes += (sign != 0) & (sign != last)
+            last = np.where(sign == 0, last, sign)
+        w = (dp * bp, dp * sp, sp)
+        # adj(S_r) w, real and imaginary parts, over det
+        y_re = np.array((minors[0] * w[0] + (u * g - f * c) * w[1] + (f * g - u * b) * w[2],
+                         (u * g - f * c) * w[0] + minors[1] * w[1] + (u * f - a * g) * w[2],
+                         (f * g - u * b) * w[0] + (u * f - a * g) * w[1] + minors[2] * w[2]))
+        y_re /= det
+        e = (dp - x) * (dp + x) - (w[0] * y_re[0] + w[1] * y_re[1] + w[2] * y_re[2])
+        count = (np.count_nonzero(ad < xs, axis=1) - (np.abs(dp) < x) + changes - 1 + (e < 0))
+        if not newton:
+            return count
+        S02, S12, T02, T12, B02 = sums(R * R)
+        y_im = np.array((g * w[1] - b * w[2], f * w[2] - g * w[0], b * w[0] - f * w[1]))
+        y_im /= det
+        # de/dx = 2x (y^H P y - 1) with S_r' = 2x P, P real symmetric
+        P = ((kappa - B0 - x2 * B02, -T0 - x2 * T02, -T12),
+             (-T0 - x2 * T02, -S0 - x2 * S02, -S12),
+             (-T12, -S12, -S02))
+        quad = sum(P[i][j] * (y_re[i] * y_re[j] + y_im[i] * y_im[j])
+                   for i in range(3) for j in range(3))
+        return count, e / (2 * x * (quad - 1))
+
+
+def _smin_brackets(count, start, d, c2, rho):
+    """Brackets [lo, hi] with count(lo) = 0 and count(hi) >= 1 for each row of d.
+
+    Starts at `start` inside [0, the third-smallest |d_m|] (the largest with
+    fewer poles), which holds sigma_min by interlacing: X is i diag(d) plus a
+    term of rank at most two, one for order reduction.  Each step evaluates the
+    count at one point per row and keeps the bracket.  The next point is the
+    Newton point of `count`, taken only where the count is at most 1, inside
+    the bracket, and after a step at least twice its size (or a bisection);
+    once two points fall on one side and the Newton step is below
+    _SMIN_PROBE relative, it is the Newton point moved on by one more such
+    step, which lands past the root and closes the far side.  Otherwise a
+    bisection step: geometric while hi > 4 lo, else arithmetic.  Rows stop
+    at a relative width of _SMIN_RTOL.
+    """
+    m, n1 = d.shape
+    ad = np.abs(d)
+    low = np.zeros(m)
+    high = np.partition(ad, min(2, n1 - 1), axis=1)[:, min(2, n1 - 1)] * (1 + 4 * _EPS)
+    high += np.finfo(float).tiny
+    x = start(d, ad, c2, rho)
+    outside = ~((x > 0) & (x < high))
+    x[outside] = 0.5 * high[outside]
+    last_step = np.full(m, np.inf)
+    last_side = np.zeros(m)
+    todo = np.arange(m)
+    for _ in range(_SMIN_MAX_STEPS):
+        if todo.size == 0:
+            break
+        here = x[todo]
+        every = todo.size == m  # skip the row copies while no row has stopped
+        counts, step = count(d if every else d[todo], ad if every else ad[todo],
+                             c2, rho, here, newton=True)
+        above = counts >= 1
+        high[todo[above]] = here[above]
+        low[todo[~above]] = here[~above]
+        lo_t, hi_t = low[todo], high[todo]
+        width = hi_t - lo_t
+        side = np.where(above, 1.0, -1.0)
+        probe = (side == last_side[todo]) & (np.abs(step) <= _SMIN_PROBE * here)
+        last_side[todo] = side
+        target = here - step - np.where(probe, side * np.abs(step), 0.0)
+        slack = _SMIN_RTOL * hi_t
+        with np.errstate(invalid="ignore"):
+            take = ((target > lo_t - slack) & (target < hi_t + slack) & (counts <= 1)
+                    & (probe | (np.abs(step) <= 0.5 * last_step[todo])))
+        last_step[todo] = np.where(take, np.abs(step), np.inf)
+        target = np.clip(target, lo_t + 4 * _EPS * hi_t, hi_t - 4 * _EPS * hi_t)
+        floor = np.maximum(lo_t, _EPS * hi_t)
+        bisect = np.where(hi_t > 4 * floor, np.sqrt(floor * hi_t), 0.5 * (lo_t + hi_t))
+        x[todo] = np.where(take, target, bisect)
+        todo = todo[width > _SMIN_RTOL * hi_t]
+    return low, high
+
+
+def _resolvent_smin(count, start, poles, offset, c2, rho, betas, scale, where):
+    """Certified sigma_min of X for each beta, by `_smin_brackets` on d = (beta - poles) - offset.
+
+    The value is the midpoint of a bracket [lo, hi] of relative width at most
+    1e-14 whose ends the exact inertia count puts on either side of
+    sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below hi^2.
+    Rows of betas are processed in blocks, so memory stays O(N) and no matrix
+    is formed.  Raises NumericalError if hi is at most 1e-14 scale, that is,
+    when i beta is numerically in the spectrum, if a bracket is wider than
+    1e-14 relative, or if it fails the count.
+    """
+    lo, hi = np.zeros(betas.size), np.empty(betas.size)
+    blocks = list(_row_blocks(np.arange(betas.size), poles.size, _SMIN_BLOCK_ELEMENTS))
+    for rows in blocks:
+        d = (betas[rows, None] - poles) - offset
+        lo[rows], hi[rows] = _smin_brackets(count, start, d, c2, rho)
+    for failed, what in ((hi <= _SPECTRUM_RTOL * scale, "i*beta is numerically in the spectrum"),
+                         (~(hi - lo <= _SMIN_RTOL * hi), "sigma_min bracket did not converge")):
+        if np.any(failed):
+            raise NumericalError(f"{what} at beta={betas[np.argmax(failed)]} {where}")
+    for rows in blocks:
+        d = (betas[rows, None] - poles) - offset
         ad = np.abs(d)
-        m = rows.size
-        low = np.zeros(m)
-        high = np.partition(ad, 1, axis=1)[:, 1] * (1 + 4 * _EPS) + np.finfo(float).tiny
-        x = _smin_start(d, c2, rho)
-        outside = ~((x > 0) & (x < high))
-        x[outside] = 0.5 * high[outside]
-        widths = np.full((3, m), np.inf)
-        last_side = np.zeros(m)
-        todo = np.arange(m)
-        for step_no in range(_SMIN_MAX_STEPS):
-            if todo.size == 0:
-                break
-            here = x[todo]
-            every = todo.size == m  # skip the row copies while no row has stopped
-            count, step = _smin_count(d if every else d[todo], ad if every else ad[todo],
-                                      c2, rho2, here, newton=True)
-            above = count >= 1
-            high[todo[above]] = here[above]
-            low[todo[~above]] = here[~above]
-            lo_t, hi_t = low[todo], high[todo]
-            width = hi_t - lo_t
-            side = np.where(above, 1.0, -1.0)
-            probe = (side == last_side[todo]) & (np.abs(step) <= _SMIN_PROBE * here)
-            last_side[todo] = side
-            target = here - step - np.where(probe, side * np.abs(step), 0.0)
-            slack = _SMIN_RTOL * hi_t
-            with np.errstate(invalid="ignore"):
-                take = ((target > lo_t - slack) & (target < hi_t + slack)
-                        & (probe | (width <= 0.5 * widths[step_no % 3, todo])))
-            widths[step_no % 3, todo] = width
-            target = np.clip(target, lo_t + 4 * _EPS * hi_t, hi_t - 4 * _EPS * hi_t)
-            floor = np.maximum(lo_t, _EPS * hi_t)
-            bisect = np.where(hi_t > 4 * floor, np.sqrt(floor * hi_t), 0.5 * (lo_t + hi_t))
-            x[todo] = np.where(take, target, bisect)
-            todo = todo[width > _SMIN_RTOL * hi_t]
-        lo[rows] = low
-        hi[rows] = high
-    return lo, hi
+        failed = (count(d, ad, c2, rho, lo[rows]) != 0) | (count(d, ad, c2, rho, hi[rows]) < 1)
+        if np.any(failed):
+            raise NumericalError(f"sigma_min bracket fails its eigenvalue count at "
+                                 f"beta={betas[rows][np.argmax(failed)]} {where}")
+    return 0.5 * (lo + hi)
 
 
 def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
     """Certified sigma_min(i beta - B) of the order-reduction scheme for each beta, O(N) each.
 
-    The value is the midpoint of a bracket [lo, hi] of relative width at
-    most 1e-14 whose ends the exact inertia count puts on either side of
-    sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below
-    hi^2.  Rows of betas are processed in blocks, so memory stays O(N) and
-    no matrix is formed.  Raises NumericalError if hi is at most 1e-14
-    (|beta| + (k/h) ||c||^2), that is, when i beta is numerically in the
-    spectrum, if a bracket is wider than 1e-14 relative, or if it fails the
-    count.  The spectrum scale leaves out max_m |beta - theta_m|, the rest
+    `_resolvent_smin` with `_or_count` from `_smin_start`: NumericalError if a bracket fails
+    to converge or its count, or if its top is at most 1e-14 (|beta| + (k/h) ||c||^2), i beta
+    numerically in the spectrum.  The scale leaves out max_m |beta - theta_m|, the rest
     of the bound on ||i beta - B||_2, which grows like (N+1)^4: the count
     works on the differences d_m, each rounded relative to itself, so a far
     pole theta_m moves sigma_min by a relative eps of its small term
@@ -692,131 +792,33 @@ def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
     rho = k / mesh.h
     c2 = c * c
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    lo, hi = _smin_brackets(theta, c, rho, betas)
-    where = f"(scheme=order_reduction, n={mesh.n}, k={k})"
-    for failed, what in (
-        (hi <= _SPECTRUM_RTOL * (np.abs(betas) + rho * np.sum(c2)),
-         "i*beta is numerically in the spectrum"),
-        (~(hi - lo <= _SMIN_RTOL * hi), "sigma_min bracket did not converge"),
-    ):
-        if np.any(failed):
-            raise NumericalError(f"{what} at beta={betas[np.argmax(failed)]} {where}")
-    for rows in _row_blocks(np.arange(betas.size), theta.size, _SMIN_BLOCK_ELEMENTS):
-        d = betas[rows, None] - theta
-        ad = np.abs(d)
-        failed = ((_smin_count(d, ad, c2, rho * rho, lo[rows]) != 0)
-                  | (_smin_count(d, ad, c2, rho * rho, hi[rows]) < 1))
-        if np.any(failed):
-            raise NumericalError(
-                f"sigma_min bracket fails its eigenvalue count at "
-                f"beta={betas[rows][np.argmax(failed)]} {where}"
-            )
-    return 0.5 * (lo + hi)
-
-
-def _top_ritz(alpha: np.ndarray, beta: np.ndarray):
-    """Largest eigenvalue of each Lanczos tridiagonal, and the last entry of its eigenvector."""
-    m, j = alpha.shape
-    T = np.zeros((m, j, j))
-    diag = np.arange(j)
-    T[:, diag, diag] = alpha
-    T[:, diag[1:], diag[:-1]] = beta
-    ev, vec = np.linalg.eigh(T, UPLO="L")
-    return ev[:, -1], vec[:, -1, -1]
-
-
-def _lanczos_top(mesh: Mesh, k: float, shifts: np.ndarray, factors, start: np.ndarray,
-                 steps: int) -> np.ndarray:
-    """Largest eigenvalue of X^{-1} X^{-H} per shift z = i beta; nan if `steps` did not suffice.
-
-    `factors` are the `_shifted_factors` of the shifts.  Lanczos from `start`
-    with full reorthogonalisation (classical Gram-Schmidt against the whole
-    basis, twice, by einsum, which forms no temporary of the basis's size).
-    A row is frozen once its residual |b_j s_j| is at most 1e-14 of its top
-    Ritz value theta; the rows left are compacted and their shifts refactored.
-    Every reduction runs along one row, D and D^T act elementwise, and a
-    shift's factors do not depend on the shifts beside it, so a row's value
-    does not depend on the rows beside it.
-    """
-    D = mesh.matrices.D
-    m, n1 = shifts.size, mesh.state_size
-    V = np.empty((m, steps + 1, n1), dtype=complex)
-    V[:, 0] = start
-    alpha = np.zeros((m, steps))
-    beta = np.zeros((m, steps))
-    top = np.full(m, np.nan)
-    live = np.arange(m)
-    for j in range(steps):
-        # X^{-1} X^{-H} q = D Z^{-1} D^{-1} D^{-T} Z^{-H} D^T q, Z = i beta - A, O(N) per row q
-        x = solve_d(solve_dt(_solve(factors, (D.T @ V[:, j].T).T, "C").T)).T
-        w = (D @ _solve(factors, x, "N").T).T
-        basis = V[:, :j + 1]
-        for sweep in range(2):
-            coef = np.einsum("mjn,mn->mj", basis, w.conj()).conj()
-            if sweep == 0:
-                alpha[:, j] = coef[:, j].real
-            w -= np.einsum("mj,mjn->mn", coef, basis)
-        beta[:, j] = np.linalg.norm(w, axis=1)
-        theta, last = _top_ritz(alpha[:, :j + 1], beta[:, :j])
-        done = beta[:, j] * np.abs(last) <= _LANCZOS_RTOL * theta
-        top[live[done]] = theta[done]
-        keep = ~done
-        if not np.any(keep):
-            break
-        V[keep, j + 1] = w[keep] / beta[keep, j, None]
-        if np.any(done):
-            live, alpha, beta = live[keep], alpha[keep], beta[keep]
-            V, used = np.empty((live.size, steps + 1, n1), dtype=complex), V
-            V[:, :j + 2] = used[keep, :j + 2]  # the unused slots stay untouched
-            factors = _shifted_factors(mesh, k, shifts[live])
-    return top
+    return _resolvent_smin(_or_count, _smin_start, theta, 0.0, c2, rho, betas,
+                           np.abs(betas) + rho * np.sum(c2),
+                           f"(scheme=order_reduction, n={mesh.n}, k={k})")
 
 
 def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
-    """Weighted norm of (i beta - A)^{-1} of the classical scheme per beta, O(N) per Lanczos step.
+    """Weighted norm of (i beta - A)^{-1} of the classical scheme per beta, O(N) per count.
 
-    With X = D (i beta - A) D^{-1}, the norm is ||X^{-1}||_2, the square
-    root of the largest eigenvalue of X^{-1} X^{-H}, which `_lanczos_top`
-    finds by inverse Lanczos (Wright & Trefethen, SIAM J. Sci. Comput. 23,
-    2001) from one fixed seeded start.  It applies X^{-1} X^{-H} from O(N)
-    pieces only: D and D^T as bidiagonals, D^{-1} and D^{-T} as the
-    closed-form sums `grid.solve_d` and `grid.solve_dt`, and Z^{-1} and
-    Z^{-H}, Z = i beta - A, by `_solve` on the `_shifted_factors` of Z, the
-    factor-and-solve pair of the classical spectrum certificate: one
-    factorisation per beta, and one more per block each time Lanczos freezes
-    some of its betas.  Partial pivoting is needed: without it the first
-    pivot is exactly zero at beta = 2/h^2, far from the spectrum.  No matrix
-    is formed.  Betas are processed in blocks whose Krylov basis fits in
-    2 MiB.
-
-    Raises NumericalError when i beta is numerically in the spectrum: a
-    factor has an exactly zero pivot, or 1/norm is at most
-    1e-14 (|beta| + max mu + sqrt(5/2) k/h), with the last two terms a bound
-    on ||A||_2; and when Lanczos does not converge within its step budget.
+    The norm is 1/sigma_min(X) with X = D (i beta - A) D^{-1}, bracketed by
+    `_resolvent_smin` with the exact inertia count `_classical_count` from half
+    the nearest pole |d_m|, and no matrix.  d_m = (beta - mu_m) - (mu_m^exact - mu_m)
+    with mu_m^exact = (2 (N+1) sin a_m)^2 from np.longdouble, as in `_or_tangents`, and
+    in the upper half as 4 (N+1)^2 - (2 (N+1) cos a_m)^2, offset from 4 (N+1)^2 - mu_m:
+    beta - mu_m alone would carry the pole's rounding, up to eps mu_m, which is most
+    of sigma_min near a pole.  Raises NumericalError when i beta is numerically in the
+    spectrum, the bracket top at most 1e-14 (|beta| + max mu + sqrt(5/2) k/h), with
+    the last two terms a bound on ||A||_2; and when a bracket fails to converge or its count.
     """
-    n1 = mesh.state_size
+    mu, c = classical_poles_weights(mesh)
+    rho = k / mesh.h
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    where = f"(scheme=classical, n={mesh.n}, k={k})"
-    steps = min(n1, _LANCZOS_MAX_STEPS)
-    rng = np.random.default_rng(_LANCZOS_SEED)
-    start = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
-    start /= np.linalg.norm(start)
-    top = np.empty(betas.size)
-    for rows in _row_blocks(np.arange(betas.size), n1 * (steps + 1), _KRYLOV_ELEMENTS):
-        shifts = 1j * betas[rows]
-        factors = _shifted_factors(mesh, k, shifts)
-        singular = _zero_pivots(factors, n1)
-        if np.any(singular):
-            raise NumericalError(f"i*beta is numerically in the spectrum (zero pivot) at "
-                                 f"beta={betas[rows][np.argmax(singular)]} {where}")
-        top[rows] = _lanczos_top(mesh, k, shifts, factors, start, steps)
-    norms = np.sqrt(top)
-    scale = np.max(classical_poles_weights(mesh)[0]) + np.sqrt(2.5) * k / mesh.h
-    for failed, what in (
-        (np.isnan(norms), f"Lanczos did not converge in {steps} steps"),
-        (1.0 / norms <= _SPECTRUM_RTOL * (np.abs(betas) + scale),
-         "i*beta is numerically in the spectrum"),
-    ):
-        if np.any(failed):
-            raise NumericalError(f"{what} at beta={betas[np.argmax(failed)]} {where}")
-    return norms
+    m, top = np.arange(mesh.state_size, dtype=np.longdouble), 4 * mesh.state_size**2
+    quarter = 2 * np.arctan(np.longdouble(1)) / (2 * mesh.n + 3)  # pi / (2 (2N+3))
+    sin2, cos2 = (2 * mesh.state_size * np.sin(np.array((2 * m + 1, 2 * (mesh.n - m) + 2))
+                                                * quarter)) ** 2
+    offset = np.where(m > mesh.n / 2, (top - mu) - cos2, sin2 - mu).astype(float)
+    return 1.0 / _resolvent_smin(_classical_count, lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1),
+                                 mu, offset, c * c, rho, betas,
+                                 np.abs(betas) + np.max(mu) + np.sqrt(2.5) * rho,
+                                 f"(scheme=classical, n={mesh.n}, k={k})")

@@ -7,10 +7,9 @@ Both spectra are the certified roots of closed-form secular equations
 (`schrostab.secular`), with no matrix: the order-reduction B is diagonal
 plus rank one, and the classical A is tridiagonal, diagonal plus rank one
 in the eigenbasis of M M^T.  Neither resolvent forms a matrix either: each
-order-reduction sigma_min(i beta I - B) is bracketed by an exact O(N)
-eigenvalue count, and each classical norm is found by inverse Lanczos on
-O(N) tridiagonal solves; `secular.classical_peak_resolvable` decides in
-closed form whether the classical peak can be sampled at all.  `eigenpairs`
+sigma_min(i beta I - B) is bracketed by an exact O(N) eigenvalue count, one
+bracket loop with a count for each scheme; `secular.classical_peak_resolvable`
+decides in closed form whether the classical peak can be sampled at all.  `eigenpairs`
 and `spectral_norm_estimate` are the dense eigensolver and norm estimate,
 kept for small-N oracles; no spectrum or resolvent here uses them.
 """
@@ -140,11 +139,10 @@ def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
 def resolvent_norm(system: SemiDiscreteSystem, beta):
     """Weighted operator norm of (i beta I - A)^{-1}, for one beta or an array of them.
 
-    A float for a scalar beta, else an array of beta's shape.  The
-    order-reduction norm is 1 / sigma_min(i beta I - B) from the secular
-    bracket (`secular.or_resolvent_smin`), the classical one comes from
-    inverse Lanczos (`secular.classical_resolvent_norm`); both take the whole
-    array in one call, and each beta's value does not depend on the others.
+    A float for a scalar beta, else an array of beta's shape: 1 / sigma_min(i beta I - B)
+    from the secular brackets (`secular.or_resolvent_smin`,
+    `secular.classical_resolvent_norm`), which take the whole array in one
+    call; each beta's value does not depend on the others.
     Raises NumericalError when i*beta is numerically an eigenvalue.
     """
     betas = np.asarray(beta, dtype=float)

@@ -253,12 +253,13 @@ def test_closed_form_matches_mpmath(n, k, rng):
 
 @pytest.mark.parametrize("n, k, rtol", [
     (15, 1e-30, 8 * EPS), (255, 1e-30, 8 * EPS), (8191, 1e-30, 8 * EPS),
-    (15, 1e-300, 8 * EPS), (255, 1e-300, 8 * EPS), (8191, 1e-300, 1e-11),
+    (15, 1e-300, 8 * EPS), (255, 1e-300, 8 * EPS), (8191, 1e-300, 8 * EPS),
+    (65535, 1e-300, 8 * EPS),
 ])
 def test_extreme_weak_damping_certifies(n, k, rtol):
-    # Re lam_j = -(k/h) c_j^2 (1 + O(k^2)), to 3.8 eps measured; at k = 1e-300 and
-    # N = 8191 the pole-relative delta_j of the top roots is subnormal, and their
-    # real parts keep 2.3e-12 relative
+    # Re lam_j = -(k/h) c_j^2 (1 + O(k^2)), to 4.9 eps measured; at k = 1e-300 the
+    # pole-relative delta_j of the top roots is subnormal from N = 8191 on, so Newton
+    # runs on delta / (k h)
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
@@ -445,7 +446,7 @@ def test_classical_zero_pivot_is_moved_off(monkeypatch):
 
 
 def test_classical_solvers_need_no_zgtsv(monkeypatch):
-    # the certificate and the resolvent share one zgttrf/zgttrs path
+    # the certificate solves by zgttrf/zgttrs, the resolvent by no LAPACK at all
     def refused(*args, **kwargs):
         raise AssertionError("zgtsv called")
 
@@ -528,8 +529,8 @@ def test_resolvent_bracket_count_binds(monkeypatch, scale):
     # a bracket moved by 1e-10 relative leaves sigma_min outside it
     solve = secular._smin_brackets
 
-    def moved(theta, c, rho, betas):
-        lo, hi = solve(theta, c, rho, betas)
+    def moved(*args):
+        lo, hi = solve(*args)
         return lo * scale, hi * scale
 
     monkeypatch.setattr("schrostab.secular._smin_brackets", moved)
@@ -540,8 +541,8 @@ def test_resolvent_bracket_count_binds(monkeypatch, scale):
 def test_resolvent_bracket_width_binds(monkeypatch):
     solve = secular._smin_brackets
 
-    def widened(theta, c, rho, betas):
-        lo, hi = solve(theta, c, rho, betas)
+    def widened(*args):
+        lo, hi = solve(*args)
         return lo * (1 - 1e-12), hi
 
     monkeypatch.setattr("schrostab.secular._smin_brackets", widened)
@@ -571,20 +572,59 @@ def _default_grid(system):
 @pytest.mark.parametrize("n", [1, 15, 63, 127, 255])
 @pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
 def test_classical_resolvent_matches_inverse_oracle(n, k):
-    # measured: at most 6.0e-14 relative (N=255); the dense SVD of i beta - B
-    # that this path replaced was 5.2e-9 off at N=127
+    # measured: within 3e-14 relative of the refined oracle for N <= 255; inverse
+    # Lanczos on double solves, which this count replaced, was 5.0e-12 off at N=255
     system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
     betas = _default_grid(system)
     got = classical_resolvent_norm(system.mesh, k, betas)
-    assert np.all(classical_resolvent_within(system, betas, got, 1e-12))
+    assert np.all(classical_resolvent_within(system, betas, got, 1e-13))
+
+
+def _mpmath_classical_smin(n, k, beta):
+    """sigma_min(D (i beta - A) D^{-1}) of the classical scheme by a 30-digit SVD, h = 1/(N+1)."""
+    with mpmath.workdps(30):
+        n1, beta = n + 1, mpmath.mpf(beta)
+        h2, rho = mpmath.mpf(n1) ** 2, mpmath.mpf(k) * n1
+        Z = mpmath.zeros(n1, n1)  # i beta - A, A = i M M^T + rho (e_{N-1}/2 - 3 e_N/2) e_N^T
+        D, D_inv = mpmath.zeros(n1, n1), mpmath.zeros(n1, n1)
+        for i in range(n1):
+            Z[i, i] = mpmath.mpc(0, beta - 2 * h2)
+            if i > 0:
+                Z[i, i - 1] = Z[i - 1, i] = mpmath.mpc(0, h2)
+                D[i, i - 1] = mpmath.mpf(1) / 2
+            D[i, i] = mpmath.mpf(1) / 2
+            for j in range(i + 1):
+                D_inv[i, j] = 2 * (-1) ** (i - j)
+        Z[n, n] = mpmath.mpc(rho * 3 / 2, beta - h2)
+        Z[n - 1, n] -= rho / 2
+        return float(min(mpmath.svd_c(D * Z * D_inv, compute_uv=False)))
+
+
+@pytest.mark.parametrize("n", [1, 7, 15, 31])
+@pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
+def test_classical_resolvent_matches_mpmath_oracle(n, k):
+    # the top peak and its flank half a width up, the three grid points nearest 0
+    # and four seeded betas.  On the flank, the pole offsets move the value by up
+    # to 1.3e-10 relative at N=31 (k=0.1), 4.1e-12 at N=15
+    mesh = Mesh(n)
+    lam = classical_spectrum(mesh, k)[0]
+    top = lam[np.argmax(lam.real)]
+    grid = _default_grid(SemiDiscreteSystem(CLASSICAL, mesh, k))
+    mu_max = classical_poles_weights(mesh)[0].max()
+    seeded = np.random.default_rng(n).uniform(-1.0, 1.2, 4) * mu_max
+    betas = np.concatenate([[top.imag, top.imag - 0.5 * top.real],
+                            grid[np.argsort(np.abs(grid))[:3]], seeded])
+    got = 1.0 / classical_resolvent_norm(mesh, k, betas)
+    expect = np.array([_mpmath_classical_smin(n, k, b) for b in betas])
+    assert np.all(np.abs(got - expect) <= 1e-13 * expect)
 
 
 def test_classical_resolvent_needs_pivoting():
-    # without row interchanges the first pivot of i beta - A is exactly zero at
-    # beta = 2/h^2, far from the spectrum (the norm is 4.5e-3 at N=255).  The
-    # grid beta whose unpivoted elimination meets the smallest pivot, 1.8e-8 of
-    # |beta| + max mu + sqrt(5/2) k/h, is checked too, though unpivoted
-    # elimination stays as accurate there (measured: 6e-14 relative)
+    # the betas where an LU of i beta - A needs row interchanges, as the oracle's
+    # does: without them the first pivot is exactly zero at beta = 2/h^2, far
+    # from the spectrum (the norm is 4.5e-3 at N=255), and the grid beta whose
+    # unpivoted elimination meets the smallest pivot, 1.8e-8 of
+    # |beta| + max mu + sqrt(5/2) k/h
     system = SemiDiscreteSystem(CLASSICAL, Mesh(255), 1.0)
     betas = _default_grid(system)
     A = dense_generator(system)
@@ -613,6 +653,64 @@ def test_classical_resolvent_rows_are_independent(n):
     assert np.array_equal(alone, swept)
 
 
+def _mpmath_peak_smin(n, k, beta):
+    """sigma_min(D (i beta - A) D^{-1}) by 30-digit inverse iteration on X^H X, O(N) per step.
+
+    For a beta near an isolated singular value, where sigma_min is far below the
+    next one: X^{-1} = D Z^{-1} D^{-1} with Z = i beta - A solved by tridiagonal
+    elimination, h = 1/(N+1) exact.
+    """
+    with mpmath.workdps(30):
+        n1, beta = n + 1, mpmath.mpf(beta)
+        h2, rho = mpmath.mpf(n1) ** 2, mpmath.mpf(k) * n1
+        diag = [mpmath.mpc(0, beta - 2 * h2)] * n + [mpmath.mpc(rho * 3 / 2, beta - h2)]
+        sub = [mpmath.mpc(0, h2)] * n
+        sup = sub[1:] + [mpmath.mpc(-rho / 2, h2)]
+
+        def solve(lower, main, upper, b):
+            b, main = list(b), list(main)
+            for i in range(1, n1):
+                ratio = lower[i - 1] / main[i - 1]
+                main[i] -= ratio * upper[i - 1]
+                b[i] -= ratio * b[i - 1]
+            for i in range(n, -1, -1):
+                b[i] = (b[i] - (upper[i] * b[i + 1] if i < n else 0)) / main[i]
+            return b
+
+        def d_inv(v, step):  # D^{-1} (step 1) or D^{-T} (step -1), D = (I + S)/2
+            out, run = [0] * n1, 0
+            for i in (range(n1) if step == 1 else range(n, -1, -1)):
+                out[i] = run = 2 * v[i] - run
+            return out
+
+        v, value = [mpmath.mpf(1)] * n1, 0
+        for _ in range(60):
+            w = [(v[i] + v[i + 1]) / 2 for i in range(n)] + [v[n] / 2]  # D^T v
+            w = solve([z.conjugate() for z in sup], [z.conjugate() for z in diag],
+                      [z.conjugate() for z in sub], w)
+            w = solve(sub, diag, sup, d_inv(d_inv(w, -1), 1))
+            w = [w[0] / 2] + [(w[i] + w[i - 1]) / 2 for i in range(1, n1)]  # D w
+            norm = mpmath.sqrt(sum(abs(z) ** 2 for z in w))
+            v, value, last = [z / norm for z in w], norm, value
+            if abs(value - last) <= 1e-25 * value:
+                return float(1 / mpmath.sqrt(value))
+        raise AssertionError("inverse iteration did not converge")
+
+
+@pytest.mark.parametrize("k", [0.1, 1.0])
+def test_classical_resolvent_top_peak_matches_mpmath(k):
+    # at N=1023 the top pole's offset needs the complementary angle: from
+    # (2 (N+1) sin a_N)^2 in np.longdouble it is 1.4e-13 off, which left the
+    # peak, where the sup sits, 3.5e-11 off (k=0.1); measured with it: 1.3e-16.
+    # Half a width up the flank the offset's own 5e-19 leaves 1.5e-13
+    mesh = Mesh(1023)
+    lam = classical_spectrum(mesh, k)[0]
+    peak = lam[np.argmax(lam.real)].imag
+    got = 1.0 / classical_resolvent_norm(mesh, k, [peak])[0]
+    expect = _mpmath_peak_smin(1023, k, peak)
+    assert abs(got - expect) <= 1e-13 * expect
+
+
 def test_classical_beta_in_the_spectrum_is_refused(monkeypatch):
     # with k = 1e-20, i mu_5 is an eigenvalue of A to within 1e-18
     mesh = Mesh(15)
@@ -620,21 +718,37 @@ def test_classical_beta_in_the_spectrum_is_refused(monkeypatch):
     with pytest.raises(NumericalError, match=f"numerically in the spectrum at beta={mu[5]}"):
         classical_resolvent_norm(mesh, 1e-20, [0.0, mu[5]])
 
-    # with A = 0, beta = 0 leaves every pivot exactly zero
-    tridiagonal = secular._classical_tridiagonal
+    # with c_3 = 0, i mu_3 is an eigenvalue of the classical generator
+    poles_weights = classical_poles_weights
 
-    def zero(mesh, k):
-        return tuple(np.zeros_like(band) for band in tridiagonal(mesh, k))
+    def decoupled(mesh):
+        mu, c = poles_weights(mesh)
+        c[3] = 0.0
+        return mu, c
 
-    monkeypatch.setattr("schrostab.secular._classical_tridiagonal", zero)
-    with pytest.raises(NumericalError, match=r"in the spectrum \(zero pivot\) at beta=0.0"):
-        classical_resolvent_norm(mesh, 1.0, [1.0, 0.0])
+    monkeypatch.setattr("schrostab.secular.classical_poles_weights", decoupled)
+    with pytest.raises(NumericalError, match=f"numerically in the spectrum at beta={mu[3]}"):
+        classical_resolvent_norm(mesh, 1.0, [0.0, mu[3]])
 
 
-def test_classical_lanczos_budget_binds(monkeypatch):
-    monkeypatch.setattr("schrostab.secular._LANCZOS_MAX_STEPS", 2)
-    with pytest.raises(NumericalError, match="Lanczos did not converge in 2 steps"):
+def test_classical_smin_budget_binds(monkeypatch):
+    monkeypatch.setattr("schrostab.secular._SMIN_MAX_STEPS", 2)
+    with pytest.raises(NumericalError, match="sigma_min bracket did not converge"):
         classical_resolvent_norm(Mesh(15), 1.0, [0.0])
+
+
+def test_classical_resolvent_needs_no_lapack(monkeypatch):
+    # zgttrf and zgttrs serve the classical spectrum certificate only
+    system = SemiDiscreteSystem(CLASSICAL, Mesh(1023), 1.0)
+    betas = _default_grid(system)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the classical resolvent called LAPACK")
+
+    for name in ("schrostab.secular._shifted_factors", "scipy.linalg.lapack.zgttrf",
+                 "scipy.linalg.lapack.zgttrs"):
+        monkeypatch.setattr(name, refused)
+    assert np.all(np.isfinite(classical_resolvent_norm(system.mesh, 1.0, betas)))
 
 
 @pytest.mark.parametrize("k, resolvable", [(0.01, False), (0.02, True)])
