@@ -39,9 +39,9 @@ with L^2 = I - kappa s s^T, so `classical_resolvent_norm` counts the
 eigenvalues of X^H X below x^2 the same way in O(N), with a 3x3 Hermitian
 matrix in place of the 2x2 (Haynsworth inertia additivity, Linear Algebra
 Appl. 1, 1968).  One bracket loop, `_smin_brackets`, serves both counts.
-The classical roots are certified by inverse iteration on one pivoted LU
-of the tridiagonal lam - A per root, `_shifted_factors` and `_solve`, the
-only code here that imports SciPy (LAPACK zgttrf, zgttrs), when called.
+The classical roots are certified by inverse iteration on one pivoted LU of
+the tridiagonal lam - A per root, its bands read off the generator applier, in
+`classical_spectrum`, the only code here importing SciPy (zgttrf, zgttrs).
 `classical_peak_resolvable` decides in O(N), from the top root's closed form,
 whether the peak where the classical sup sits is wide enough to sample.
 
@@ -444,44 +444,15 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
 
 
 def _classical_tridiagonal(mesh: Mesh, k: float):
-    """Sub-, main and super-diagonal of A = i M M^T + (k/h) u e_N^T, from the closed form."""
-    n1 = mesh.state_size
-    off = -1j / mesh.h**2
-    d = np.full(n1, -2.0 * off)
-    d[-1] = -off - 1.5 * k / mesh.h
-    du = np.full(n1 - 1, off)
-    du[-1] += 0.5 * k / mesh.h
-    return np.full(n1 - 1, off), d, du
+    """Sub-, main and super-diagonal of the classical generator, read off `apply_generator`.
 
-
-def _shifted_factors(mesh: Mesh, k: float, shifts: np.ndarray):
-    """The zgttrs arguments (dl, d, du, du2, ipiv) for z - A of the classical scheme, per root z.
-
-    The classical spectrum certificate factors its roots in blocks.  The
-    tridiagonals of a block form one block-diagonal tridiagonal with zero
-    couplings, so one zgttrf factors them all and no pivot crosses from one
-    root to the next: a root's factors do not depend on the roots beside it.
-    One more decoupled unknown, a 1 on the diagonal, follows the last block:
-    scipy's ?gttrf and ?gttrs wrappers refuse systems of fewer than three
-    unknowns, as one root at N = 1 would be.
+    The applier acts on the three combs sum_{j = r mod 3} e_j, O(N).  Row i of a
+    tridiagonal A meets columns i-1, i and i+1, one in each comb, so every entry of
+    the three products is one entry of A, exactly as on the identity.
     """
-    from scipy.linalg.lapack import zgttrf
-    dl, d, du = _classical_tridiagonal(mesh, k)
-    bands = np.zeros((2, shifts.size, mesh.state_size), dtype=complex)
-    bands[:, :, :-1] = -np.stack((dl, du))[:, None]
-    sub, sup = bands.reshape(2, -1)
-    return zgttrf(sub, np.append((shifts[:, None] - d).ravel(), 1.0), sup)[:5]
-
-
-def _zero_pivots(factors, n1: int) -> np.ndarray:
-    """Whether the U factor of each shift of `_shifted_factors` has an exactly zero pivot."""
-    return np.any(factors[1][:-1].reshape(-1, n1) == 0, axis=1)
-
-
-def _solve(factors, rows: np.ndarray, trans: str) -> np.ndarray:
-    """(z - A)^{-1} (trans "N") or (z - A)^{-H} (trans "C") applied to each row, one per shift."""
-    from scipy.linalg.lapack import zgttrs
-    return zgttrs(*factors, np.append(rows, 0.0)[:, None], trans=trans)[0][:-1].reshape(rows.shape)
+    i = np.arange(mesh.state_size)
+    A = apply_generator(CLASSICAL, (i[:, None] % 3 == np.arange(3)).astype(complex), k, mesh)
+    return A[i[1:], i[:-1] % 3], A[i, i % 3], A[i[:-1], i[1:] % 3]
 
 
 def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
@@ -492,14 +463,16 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     The residual of a root lam is ||A x - lam x|| / ||x||, with A applied
     by `systems.apply_generator` and x from two steps of inverse iteration
     on the tridiagonal lam - A from one fixed seeded unit vector, O(N) per
-    root: each block of 2^15 / (N+1) roots is factored once by
-    `_shifted_factors` (LAPACK zgttrf, partial pivoting) and solved twice by
-    `_solve`.  A tridiagonal that is not the generator's therefore fails the
-    check.  A root whose factors have an exactly zero pivot, which puts lam
-    on an eigenvalue of the rounded factors, is moved off by eps times the
-    scale below and its block refactored.  (The secular-formula eigenvector
-    (lam - i M M^T)^{-1} u is not used: summed in the sine basis, it left
-    residuals of 4.1e-13 of the scale at N=1023, against at most 6.7e-16 here.)
+    root, its bands read off the same applier (`_classical_tridiagonal`), so
+    factors that are not the generator's fail the check.  Each block of
+    2^15 / (N+1) roots is one block-diagonal tridiagonal with zero couplings:
+    one zgttrf (partial pivoting, never across roots), two zgttrs solves.
+    SciPy's wrappers refuse fewer than three unknowns; the one block at N = 1
+    holds both roots.  A root whose factors have an exactly zero pivot, which
+    puts lam on an eigenvalue of the rounded factors, is moved off by eps
+    times the scale below and its block refactored.  (The secular-formula
+    eigenvector (lam - i M M^T)^{-1} u is not used: summed in the sine basis, it
+    left residuals of 4.1e-13 of the scale at N=1023, against at most 6.7e-16 here.)
 
     Raises NumericalError unless there are N+1 finite roots, none coinciding,
     each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
@@ -523,15 +496,24 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
     start = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
     start /= np.linalg.norm(start)
+    dl, d, du = _classical_tridiagonal(mesh, k)
+
+    def factor(shifts):
+        from scipy.linalg.lapack import zgttrf
+        bands = np.zeros((2, shifts.size, n1), dtype=complex)
+        bands[:, :, :-1] = -np.stack((dl, du))[:, None]
+        sub, sup = bands.reshape(2, -1)[:, :-1]
+        return zgttrf(sub, (shifts[:, None] - d).ravel(), sup)[:5]
 
     def residual(rows):
-        factors = _shifted_factors(mesh, k, lam[rows])
-        zero = _zero_pivots(factors, n1)
+        from scipy.linalg.lapack import zgttrs
+        factors = factor(lam[rows])
+        zero = np.any(factors[1].reshape(-1, n1) == 0, axis=1)
         if np.any(zero):
-            factors = _shifted_factors(mesh, k, lam[rows] + zero * (_EPS * scale))
+            factors = factor(lam[rows] + zero * (_EPS * scale))
         X = np.broadcast_to(start, (rows.size, n1))
         for _ in range(2):
-            Y = _solve(factors, X, "N")
+            Y = zgttrs(*factors, X.reshape(-1, 1))[0].reshape(X.shape)
             X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
         R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
         return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
@@ -583,7 +565,9 @@ def _or_count(d, ad, c2, rho, x, newton=False):
     determinant -g/rho^2 for g = 1 + rho^2 P Q, and its diagonal has the
     sign of Q - P; so it has one negative eigenvalue if g > 0, else two or
     none as P > Q or not.  Each row's sums depend on that row alone, so a
-    count does not change with the rows evaluated beside it.
+    count does not change with the rows evaluated beside it.  At x = |d_m|,
+    d_m - x or -x - d_m is +0, so P and Q take their limits from below the
+    pole, where the count is left-continuous (d_m + x = +0 would count -1).
 
     The Newton step is taken on (p - x) g with p the pole |d_m| nearest x,
     which removes the pole that would otherwise stall Newton's method.
@@ -593,15 +577,15 @@ def _or_count(d, ad, c2, rho, x, newton=False):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         minus = d - xs
         np.reciprocal(minus, out=minus)
-        plus = d + xs
-        np.reciprocal(plus, out=plus)
+        plus = -xs - d
+        np.reciprocal(plus, out=plus)  # -1 / (d + x)
         terms = c2 * minus
         P = terms.sum(axis=1)
         if newton:
             terms *= minus
             dP = terms.sum(axis=1)
         np.multiply(c2, plus, out=terms)
-        Q = terms.sum(axis=1)
+        Q = -terms.sum(axis=1)
         g = 1.0 + rho2 * P * Q
         negative = np.where(g > 0, 1, np.where(P > Q, 2, 0))
         count = np.count_nonzero(ad < xs, axis=1) + negative - 1
@@ -786,14 +770,15 @@ def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
     of the bound on ||i beta - B||_2, which grows like (N+1)^4: the count
     works on the differences d_m, each rounded relative to itself, so a far
     pole theta_m moves sigma_min by a relative eps of its small term
-    c_m^2/(d_m -+ x), not by eps theta_m.
+    c_m^2/(d_m -+ x), not by eps theta_m; d_m is offset by theta_m's rounding
+    (`_or_tangents`), most of sigma_min at a pole's peak at weak damping.
     """
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
     c2 = c * c
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    return _resolvent_smin(_or_count, _smin_start, theta, 0.0, c2, rho, betas,
-                           np.abs(betas) + rho * np.sum(c2),
+    return _resolvent_smin(_or_count, _smin_start, theta, _or_tangents(mesh, theta)[1], c2,
+                           rho, betas, np.abs(betas) + rho * np.sum(c2),
                            f"(scheme=order_reduction, n={mesh.n}, k={k})")
 
 

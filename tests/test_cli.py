@@ -86,6 +86,13 @@ class TestSpectrum:
         )
         assert result.exit_code == 2
 
+    def test_nonpositive_n_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["spectrum", "--n-list", "0,3", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "positive integers" in result.output
+        assert not any(tmp_path.iterdir())
+
     def test_dimension_cap_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(
             main, ["spectrum", "--n-list", str(MAX_N_LIST + 1), "--out", str(tmp_path / "x.csv")]

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
+from schrostab import continuous
 from schrostab.continuous import (
     SampledFunction,
     apply_continuous_inverse,
     characteristic_residual,
     characteristic_roots,
 )
+from schrostab.errors import NumericalError
 
 
 def interior_residual(g: SampledFunction, f: SampledFunction) -> float:
@@ -139,3 +141,15 @@ class TestCharacteristicRoots:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             characteristic_roots(1.0, 0)
+
+    def test_root_off_the_characteristic_equation_is_refused(self, monkeypatch):
+        solve = continuous._branch_roots
+
+        def moved(coefficients, zeta0):
+            mu = solve(coefficients, zeta0)
+            mu[3] += 1e-6
+            return mu
+
+        monkeypatch.setattr("schrostab.continuous._branch_roots", moved)
+        with pytest.raises(NumericalError, match="characteristic root"):
+            characteristic_roots(1.0, 20)

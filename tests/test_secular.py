@@ -20,7 +20,7 @@ from schrostab.secular import (
     or_spectrum,
 )
 from schrostab.spectral import default_beta_max, sweep_grid
-from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
+from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, apply_generator
 
 from conftest import (
     aberth_roots,
@@ -345,6 +345,14 @@ def test_nan_in_a_later_residual_block_is_refused():
         secular._certify(lam, blocks, 1.0, (-2.0, 3.0), "(test)")
 
 
+@pytest.mark.parametrize("part, traces", [("real", (-2.1, 3.0)), ("imaginary", (-2.0, 3.1))])
+def test_roots_that_miss_a_trace_are_refused(part, traces):
+    lam = np.array([-1.0 + 1.0j, -1.0 + 2.0j])
+    blocks = iter([np.array([0.0]), np.array([0.0])])
+    with pytest.raises(NumericalError, match=f"miss the {part}-part trace"):
+        secular._certify(lam, blocks, 1.0, traces, "(test)")
+
+
 def test_nonfinite_root_is_refused(monkeypatch):
     # one lost branch root is the trace less the others; two are refused
     solve = secular._branch_roots
@@ -430,18 +438,19 @@ def test_classical_certificate_holds_with_margin(n, k):
 
 def test_classical_zero_pivot_is_moved_off(monkeypatch):
     # at N=3, k=1 the lowest root is an exact eigenvalue of the rounded
-    # factors: they have a zero pivot, and the nudged refactor certifies it
-    zero_pivots = secular._zero_pivots
-    found = []
+    # factors: the first zgttrf has a zero pivot, and the nudged refactor certifies it
+    zgttrf = sla.lapack.zgttrf
+    pivots = []
 
     def recorded(*args):
-        out = zero_pivots(*args)
-        found.append(out)
+        out = zgttrf(*args)
+        pivots.append(out[1].copy())
         return out
 
-    monkeypatch.setattr("schrostab.secular._zero_pivots", recorded)
+    monkeypatch.setattr("scipy.linalg.lapack.zgttrf", recorded)
     lam, worst = classical_spectrum(Mesh(3), 1.0)
-    assert any(np.any(zero) for zero in found)
+    assert len(pivots) == 2
+    assert np.any(pivots[0] == 0) and not np.any(pivots[1] == 0)
     assert worst <= 1e-15 * classical_poles_weights(Mesh(3))[0].max()
 
 
@@ -473,6 +482,30 @@ def test_wrong_classical_tridiagonal_is_refused(monkeypatch):
         classical_spectrum(Mesh(15), 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 100])
+@pytest.mark.parametrize("k", [0.1, 100.0])
+def test_classical_tridiagonal_is_the_applier_bands(n, k):
+    # the comb products read every entry of the dense generator bit for bit
+    A = dense_generator(SemiDiscreteSystem(CLASSICAL, Mesh(n), k))
+    dl, d, du = secular._classical_tridiagonal(Mesh(n), k)
+    for got, offset in ((dl, -1), (d, 0), (du, 1)):
+        np.testing.assert_array_equal(got, np.diagonal(A, offset))
+    assert np.count_nonzero(np.triu(A, 2)) == np.count_nonzero(np.tril(A, -2)) == 0
+
+
+def test_wrong_classical_applier_is_refused(monkeypatch):
+    # an applier without the boundary term k/(2h) of row N-1 gives both the
+    # factors and the residual, and its matrix does not have the secular roots
+    def unbordered(scheme, Y, k, mesh):
+        out = apply_generator(scheme, Y, k, mesh)
+        out[-2] -= 0.5 * k / mesh.h * np.asarray(Y)[-1]
+        return out
+
+    monkeypatch.setattr("schrostab.secular.apply_generator", unbordered)
+    with pytest.raises(NumericalError, match="secular residual"):
+        classical_spectrum(Mesh(15), 1.0)
+
+
 
 def _resolvent_betas(system):
     """The full sweep grid, +-3000, and three betas exactly at a pole theta_m."""
@@ -498,15 +531,25 @@ def test_resolvent_smin_matches_dense_oracle(n, k):
     assert np.all(np.abs(got - smin) <= 1e-9 * smin + 2 * EPS * smax)
 
 
-def _mpmath_smin(theta, c, rho, beta):
-    """sigma_min(i (beta - Theta) + rho c c^T) by a 40-digit SVD."""
+def _mpmath_smin(n, k, beta):
+    """sigma_min(i (beta - Theta) + (k/h) c c^T) by a 40-digit SVD on the closed-form poles.
+
+    theta_m = (2 (N+1) tan phi_m)^2 and c_m = (-1)^m sqrt(2h) / cos phi_m with
+    phi_m = (m + 1/2) pi h / 2, all at 40 digits, so the oracle carries none of
+    the rounding of `or_poles_weights`.
+    """
     with mpmath.workdps(40):
-        n1 = theta.size
+        n1 = n + 1
+        h = mpmath.mpf(1) / n1
+        phi = [(m + mpmath.mpf(1) / 2) * mpmath.pi * h / 2 for m in range(n1)]
+        theta = [(2 * n1 * mpmath.tan(p)) ** 2 for p in phi]
+        c = [(-1) ** m * mpmath.sqrt(2 * h) / mpmath.cos(p) for m, p in enumerate(phi)]
+        rho = mpmath.mpf(k) / h
         X = mpmath.matrix(n1, n1)
         for i in range(n1):
             for j in range(n1):
-                X[i, j] = mpmath.mpf(rho) * mpmath.mpf(c[i]) * mpmath.mpf(c[j])
-            X[i, i] += mpmath.mpc(0, mpmath.mpf(beta) - mpmath.mpf(theta[i]))
+                X[i, j] = rho * c[i] * c[j]
+            X[i, i] += mpmath.mpc(0, mpmath.mpf(beta) - theta[i])
         return float(min(mpmath.svd_c(X, compute_uv=False)))
 
 
@@ -514,14 +557,44 @@ def _mpmath_smin(theta, c, rho, beta):
 @pytest.mark.parametrize("k", [0.1, 1.0, 10.0])
 def test_resolvent_smin_matches_mpmath_oracle(n, k):
     mesh = Mesh(n)
-    theta, c = or_poles_weights(mesh)
-    rho = k / mesh.h
+    theta = or_poles_weights(mesh)[0]
     lam = or_spectrum(mesh, k)[0]
     peak = lam[np.argmax(lam.real)].imag
     betas = np.array([0.0, peak, -17.5, 3000.0, theta[1]])
     got = or_resolvent_smin(mesh, k, betas)
-    expect = np.array([_mpmath_smin(theta, c, rho, b) for b in betas])
+    expect = np.array([_mpmath_smin(n, k, b) for b in betas])
     assert np.all(np.abs(got - expect) <= 1e-13 * expect)
+
+
+@pytest.mark.parametrize("n, k, betas, rtol", [
+    (15, 1.0, [2817.7376073421683, 1243.8377324915473], 5e-15),
+    (31, 1.0, [16007.398754545427, 610.9359572771576], 5e-15),
+    (15, 1e-9, None, 1e-10),
+    (31, 1e-9, None, 1e-10),
+])
+def test_resolvent_smin_leaves_out_the_poles_rounding(n, k, betas, rtol):
+    # beta - theta_m alone carries theta_m's rounding: 2.2e-14 to 3.1e-14 of sigma_min
+    # at these k = 1 betas, and most of it at the four top roots' peaks at k = 1e-9
+    if betas is None:
+        betas = np.sort(or_spectrum(Mesh(n), k)[0].imag)[-4:]
+    got = or_resolvent_smin(Mesh(n), k, betas)
+    expect = np.array([_mpmath_smin(n, k, b) for b in betas])
+    assert np.all(np.abs(got - expect) <= rtol * expect)
+
+
+def test_resolvent_count_on_a_pole_is_taken_from_below():
+    # at N=63, k=1e-6 the bracket start is |d_0| itself at beta=-71960.6: the
+    # count there, where d_0 + x is an exact zero, is the count just below
+    mesh, k, beta = Mesh(63), 1e-6, -71960.62885869741
+    theta, c = or_poles_weights(mesh)
+    d = (beta - theta - secular._or_tangents(mesh, theta)[1])[None, :]
+    ad, rho = np.abs(d), k / mesh.h
+    x = np.array([ad[0, 0], np.nextafter(ad[0, 0], 0)])
+    assert secular._smin_start(d, ad, c * c, rho)[0] == x[0]
+    assert list(secular._or_count(np.repeat(d, 2, axis=0), np.repeat(ad, 2, axis=0),
+                                  c * c, rho, x)) == [0, 0]
+    got = or_resolvent_smin(mesh, k, [beta])
+    assert abs(got[0] - ad[0, 0]) <= 1e-14 * ad[0, 0]
 
 
 @pytest.mark.parametrize("scale", [1 + 1e-10, 1 - 1e-10], ids=["lo-above", "hi-below"])
@@ -745,8 +818,7 @@ def test_classical_resolvent_needs_no_lapack(monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("the classical resolvent called LAPACK")
 
-    for name in ("schrostab.secular._shifted_factors", "scipy.linalg.lapack.zgttrf",
-                 "scipy.linalg.lapack.zgttrs"):
+    for name in ("scipy.linalg.lapack.zgttrf", "scipy.linalg.lapack.zgttrs"):
         monkeypatch.setattr(name, refused)
     assert np.all(np.isfinite(classical_resolvent_norm(system.mesh, 1.0, betas)))
 
