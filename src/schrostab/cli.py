@@ -53,7 +53,7 @@ class _FiniteFloat(click.types.FloatParamType):
 
 FINITE_FLOAT = _FiniteFloat()
 # Largest grid size of the classical `spectrum` and of `resolvent`, which cost O(N^2): at
-# this cap (k = 1, one BLAS thread, 2-vCPU Intel Xeon VM) the classical spectrum takes 11 s
+# this cap (k = 1, one BLAS thread, 2-vCPU Intel Xeon VM) the classical spectrum takes 14 s
 # and the order-reduction resolvent sweep 9 s.  The order-reduction spectrum is O(N) and
 # runs to `dynamics.MAX_N`: 0.02 s at N = 8191, 0.18 s at 65535 and 3.5 s at 2^20 - 1
 # (the whole command 5 s and 320 MiB peak RSS).

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .secular import (classical_modal_coordinates, classical_poles_weights,
-                      or_modal_coordinates, or_poles_weights)
+from .secular import (_classical_boundary_row, classical_modal_coordinates,
+                      classical_poles_weights, or_modal_coordinates, or_poles_weights)
 from .systems import ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 __all__ = [
@@ -90,7 +90,7 @@ class MidpointStepper:
             p, self._cos2, self._coordinates = r, None, or_modal_coordinates
         else:
             theta, c = classical_poles_weights(mesh)
-            r = (-1.0) ** np.arange(mesh.state_size) * c / np.sqrt(1.0 + 0.5 * theta * mesh.h**2)
+            r = _classical_boundary_row(mesh, theta, c)
             p, self._cos2 = c * c / r, 0.25 * (2 * mesh.n + 3) * r**2
             self._coordinates = classical_modal_coordinates
         rho = k / mesh.h

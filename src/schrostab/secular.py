@@ -26,7 +26,7 @@ so its roots are refined (`_or_refine`) and their backward residuals bounded
 (`_or_residual`) relative to their poles in O(1) each, O(N) in all (Gu &
 Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Li, LAPACK Working Note 89,
 1994), with the poles' rounding taken from np.longdouble; the classical roots
-are refined on the direct sum by `_polish`, O(N^2).
+are refined as pole offsets on the direct sum by `_polish`, O(N^2).
 
 The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
@@ -39,9 +39,9 @@ with L^2 = I - kappa s s^T, so `classical_resolvent_norm` counts the
 eigenvalues of X^H X below x^2 the same way in O(N), with a 3x3 Hermitian
 matrix in place of the 2x2 (Haynsworth inertia additivity, Linear Algebra
 Appl. 1, 1968).  One bracket loop, `_smin_brackets`, serves both counts.
-The classical roots are certified by inverse iteration on one pivoted LU of
-the tridiagonal lam - A per root, its bands read off the generator applier, in
-`classical_spectrum`, the only code here importing SciPy (zgttrf, zgttrs).
+The classical roots are certified in `classical_spectrum` through the generator
+applier, with their closed-form eigenvectors (lam - i mu)^{-1} p in the sine basis of
+M M^T taken to the state by one inverse FFT each; no code here imports SciPy.
 `classical_peak_resolvable` decides in O(N), from the top root's closed form,
 whether the peak where the classical sup sits is wide enough to sample.
 
@@ -77,8 +77,8 @@ __all__ = [
 _EPS = np.finfo(float).eps
 # Entries per (rows x N+1) block of root-to-pole terms: 4 MiB of complex128.
 _BLOCK_ELEMENTS = 1 << 18
-# Entries per block of classical inverse-iteration vectors, 512 KiB of complex128 (blocks
-# of 2^18 were slower at N = 1023 and 4095, and took 24 MiB more peak RSS).
+# Entries per block of classical eigenvectors, 512 KiB of complex128: their FFTs of length
+# 2N+3 took 90 us each in blocks of 32 roots at N = 1023, and 120 us in one of 1024.
 _CERTIFY_ELEMENTS = _BLOCK_ELEMENTS // 8
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
@@ -91,8 +91,6 @@ _DISTINCT_RTOL = 1e-10
 _CROSS_CHECK_RIGHTMOST = 8
 _CROSS_CHECK_SEEDED = 64
 _CROSS_CHECK_SEED = 20232
-# The fixed start of every classical inverse iteration.
-_INVERSE_ITERATION_SEED = 20231
 # sigma_min brackets: relative width on return, step budget, and the relative
 # Newton step below which the far side of the root is probed.
 _SMIN_RTOL = 1e-14
@@ -155,6 +153,15 @@ def classical_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     return mu, c
 
 
+def _classical_boundary_row(mesh: Mesh, mu: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """r_m = v_m(N) / ||v_m|| = (-1)^m c_m / sqrt(1 + mu_m h^2 / 2), O(N).
+
+    The last row of the orthonormal sine eigenbasis V of M M^T
+    (`classical_poles_weights`): with p = -c^2 / r, A = V (i diag(mu) + (k/h) p r^T) V^T.
+    """
+    return (-1.0) ** np.arange(mesh.state_size) * c / np.sqrt(1.0 + 0.5 * mu * mesh.h**2)
+
+
 def classical_peak_resolvable(mesh: Mesh, k: float) -> bool:
     """Whether the top classical root's |Re lam| / |Im lam| exceeds _PEAK_RTOL, O(N).
 
@@ -196,7 +203,7 @@ def classical_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
 
     V is the orthonormal eigenbasis of M M^T (`classical_poles_weights`), so u is
     2 sqrt(h / (2N+3)) times `_sine_sums` of period 2N+3.  The last state component
-    is r^T u / sqrt(h), r_m = v_m(N) / ||v_m|| = (-1)^m c_m / sqrt(1 + mu_m h^2 / 2).
+    is r^T u / sqrt(h), with r of `_classical_boundary_row`.
     """
     period = 2 * mesh.n + 3
     return 2 * np.sqrt(mesh.h / period) * _sine_sums(_as_state(W, mesh), period)
@@ -219,16 +226,18 @@ def _coincident(lam) -> np.ndarray:
 
 
 def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
-    """Classical branch roots made whole, then refined by Newton on the secular sum, O(N^2).
+    """Classical branch roots made whole, then refined; returns eps_j = lam_j - i poles_j, O(N^2).
 
     A nan, or a root `_coincident` marks, is missing; one missing root is the trace less
-    the others.  Newton on f = 1 + sum weights / (lam - i poles) runs on
-    eps_j = lam_j - i poles_j (Gu & Eisenstat, 1995), so that small real parts (the
-    classical abscissa) keep their digits, for up to 8 steps, until the error left is at
+    the others.  Newton on f = 1 + sum weights / (lam - i poles) runs on eps_j
+    (Gu & Eisenstat, 1995), so that small real parts (the classical abscissa) keep their
+    digits, for up to 8 steps, until the error left (at most |step|^2 / |Re eps_j|) is at
     most 4 eps |eps_j|.  It steps on eps_j f, which removes pole j: from a branch root
     more than |eps_j| off (the top roots at weak damping), Newton on f runs off along it.
-    Each step sums over all poles; the order-reduction roots are refined in O(N) by
-    `_or_refine` instead.
+    The derivative's terms are summed as (eps_j / (lam_j - i poles_m)) / (lam_j - i poles_m)
+    and the error test is taken relative to eps_j, so that nothing overflows or
+    underflows down to k = 1e-300.  Each step sums over all poles; the order-reduction
+    roots are refined in O(N) by `_or_refine` instead.
     """
     lam[_coincident(lam)] = np.nan
     if np.count_nonzero(np.isnan(lam)) == 1:
@@ -237,14 +246,15 @@ def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
     active = np.ones(lam.size, dtype=bool)
     for _ in range(8):
         for rows in _row_blocks(np.flatnonzero(active), lam.size, _BLOCK_ELEMENTS):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 to_poles = 1.0 / (eps[rows, None] + 1j * (poles[rows, None] - poles))
                 f = 1.0 + to_poles @ weights
-                step = eps[rows] * f / (eps[rows] * ((to_poles * to_poles) @ weights) - f)
-            eps[rows] += step
-            left = np.abs(step) ** 2 * np.abs(to_poles).max(axis=1)  # error after this step
-            active[rows] = left > 4 * _EPS * np.abs(eps[rows])
-    return 1j * poles + eps
+                step = eps[rows] * f / (((eps[rows, None] * to_poles) * to_poles) @ weights - f)
+                left = np.abs(step / eps[rows].real)  # |lam_j - i poles_m| >= |Re eps_j|
+                eps[rows] += step
+                left *= np.abs(step / eps[rows])
+            active[rows] = left > 4 * _EPS
+    return eps
 
 
 def _certify(lam, residuals, scale, traces, where: str) -> float:
@@ -443,36 +453,22 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     return lam, worst
 
 
-def _classical_tridiagonal(mesh: Mesh, k: float):
-    """Sub-, main and super-diagonal of the classical generator, read off `apply_generator`.
-
-    The applier acts on the three combs sum_{j = r mod 3} e_j, O(N).  Row i of a
-    tridiagonal A meets columns i-1, i and i+1, one in each comb, so every entry of
-    the three products is one entry of A, exactly as on the identity.
-    """
-    i = np.arange(mesh.state_size)
-    A = apply_generator(CLASSICAL, (i[:, None] % 3 == np.arange(3)).astype(complex), k, mesh)
-    return A[i[1:], i[:-1] % 3], A[i, i % 3], A[i[:-1], i[1:] % 3]
-
-
 def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
-    """Certified eigenvalues of the classical generator, and their worst residual.
+    """Certified eigenvalues of the classical generator, and their worst residual, O(N^2).
 
     The roots solve the last two rows of A with y_j = sinh(mu x_j) and
-    y_{N+1} = sinh(mu) / (1 + i k h/2), less the fold mu h = i pi, where y = 0.
-    The residual of a root lam is ||A x - lam x|| / ||x||, with A applied
-    by `systems.apply_generator` and x from two steps of inverse iteration
-    on the tridiagonal lam - A from one fixed seeded unit vector, O(N) per
-    root, its bands read off the same applier (`_classical_tridiagonal`), so
-    factors that are not the generator's fail the check.  Each block of
-    2^15 / (N+1) roots is one block-diagonal tridiagonal with zero couplings:
-    one zgttrf (partial pivoting, never across roots), two zgttrs solves.
-    SciPy's wrappers refuse fewer than three unknowns; the one block at N = 1
-    holds both roots.  A root whose factors have an exactly zero pivot, which
-    puts lam on an eigenvalue of the rounded factors, is moved off by eps
-    times the scale below and its block refactored.  (The secular-formula
-    eigenvector (lam - i M M^T)^{-1} u is not used: summed in the sine basis, it
-    left residuals of 4.1e-13 of the scale at N=1023, against at most 6.7e-16 here.)
+    y_{N+1} = sinh(mu) / (1 + i k h/2), less the fold mu h = i pi, where y = 0,
+    and `_polish` refines them as pole offsets eps_j = lam_j - i mu_j.  The residual
+    of a root is ||A x - lam x|| / ||x||, A applied by `systems.apply_generator`, for
+    the closed-form eigenvector x = V y (Golub, 1973): in the sine basis V of M M^T,
+    A = i diag(mu) + (k/h) p r^T with r of `_classical_boundary_row` and p = -c^2 / r,
+    so y = (lam - i mu)^{-1} p, scaled to y_m = p_m / (1 + i (mu_j - mu_m) / eps_j).
+    V y is one inverse FFT of length 2N+3, O(N log N) per root, in blocks of about
+    2^15 entries.  Only the carried eps_j certify (Gu & Eisenstat, 1995): recomputed
+    as lam_j - i mu_j they leave 1.26e-8 against a bound of 2.6e-9 at N=255, k=1, and
+    with pole offsets from np.longdouble 5.1e-13 of the scale at N=1023; the carried
+    ones left at most 4.6e-16 of it for N <= 4095 and k = 1e-300 to 1e3.  A subnormal
+    eps_j (k = 1e-307 at N = 63) is refused.
 
     Raises NumericalError unless there are N+1 finite roots, none coinciding,
     each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
@@ -491,37 +487,28 @@ def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     z = _branch_roots(coefficients, -1j * (np.arange(n + 1) + 0.5) * np.pi / (2 * n + 3))
     lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
     lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
-    lam = _polish(lam, mu, rho * c * c, -1.5 * rho + 1j * (2 * n + 1) / h**2)
-    scale = np.max(mu) + np.sqrt(2.5) * rho
-    rng = np.random.default_rng(_INVERSE_ITERATION_SEED)
-    start = rng.standard_normal(n1) + 1j * rng.standard_normal(n1)
-    start /= np.linalg.norm(start)
-    dl, d, du = _classical_tridiagonal(mesh, k)
-
-    def factor(shifts):
-        from scipy.linalg.lapack import zgttrf
-        bands = np.zeros((2, shifts.size, n1), dtype=complex)
-        bands[:, :, :-1] = -np.stack((dl, du))[:, None]
-        sub, sup = bands.reshape(2, -1)[:, :-1]
-        return zgttrf(sub, (shifts[:, None] - d).ravel(), sup)[:5]
+    eps = _polish(lam, mu, rho * c * c, -1.5 * rho + 1j * (2 * n + 1) / h**2)
+    lam = 1j * mu + eps
+    p = -c * c / _classical_boundary_row(mesh, mu, c)
 
     def residual(rows):
-        from scipy.linalg.lapack import zgttrs
-        factors = factor(lam[rows])
-        zero = np.any(factors[1].reshape(-1, n1) == 0, axis=1)
-        if np.any(zero):
-            factors = factor(lam[rows] + zero * (_EPS * scale))
-        X = np.broadcast_to(start, (rows.size, n1))
-        for _ in range(2):
-            Y = zgttrs(*factors, X.reshape(-1, 1))[0].reshape(X.shape)
-            X = Y / np.linalg.norm(Y, axis=1, keepdims=True)
+        # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
+        # x_j = (-1)^(j+1) (G_{j+1} - G_{-(j+1)}), so that x = (i / sqrt(2N+3)) V y
+        spectra = np.zeros((rows.size, 2 * n + 3), dtype=complex)
+        y = spectra[:, n + 2:]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.multiply(mu[rows, None] - mu, 1j / eps[rows, None], out=y)
+            y += 1
+            np.divide(p, y, out=y)
+        G = np.fft.ifft(spectra, axis=1)
+        X = G[:, 1:n + 2] - G[:, :n + 1:-1]
+        X[:, ::2] *= -1
         R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
         return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
 
     blocks = _row_blocks(np.arange(n1), n1, _CERTIFY_ELEMENTS)
-    worst = _certify(lam, (residual(rows) for rows in blocks), scale,
-                     (-1.5 * rho, (2 * mesh.n + 1) / mesh.h**2),
-                     f"(scheme=classical, n={mesh.n}, k={k})")
+    worst = _certify(lam, (residual(rows) for rows in blocks), np.max(mu) + np.sqrt(2.5) * rho,
+                     (-1.5 * rho, (2 * n + 1) / h**2), f"(scheme=classical, n={n}, k={k})")
     return lam, worst
 
 

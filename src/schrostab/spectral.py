@@ -121,8 +121,8 @@ def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
     Both spectra are certified secular roots, which raise NumericalError
     themselves: `secular.or_spectrum`, whose max_eigen_residual is the
     worst backward residual, and `secular.classical_spectrum`, whose
-    max_eigen_residual is the worst ||A x - lam x|| / ||x|| of an
-    inverse-iteration vector x.
+    max_eigen_residual is the worst ||A x - lam x|| / ||x|| of a
+    closed-form eigenvector x.
     """
     solve = or_spectrum if system.scheme == ORDER_REDUCTION else classical_spectrum
     ev, res = solve(system.mesh, system.k)

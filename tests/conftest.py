@@ -171,4 +171,5 @@ def or_polished_roots(mesh, k):
         return 2 / h * t, 1j * k, 1 - t * t, 0.0
 
     nu = coefficients(_branch_roots(coefficients, np.zeros(mesh.state_size)))[0]
-    return _polish(-1j * nu**2, theta, rho * c * c, -rho * c @ c + 1j * np.sum(theta))
+    eps = _polish(-1j * nu**2, theta, rho * c * c, -rho * c @ c + 1j * np.sum(theta))
+    return 1j * theta + eps

@@ -508,9 +508,8 @@ def test_version(runner):
     assert result.exit_code == 0
 
 
-def test_scipy_loads_only_for_the_classical_scheme(tmp_path):
-    # fresh interpreters: simulate (both schemes) and the identity commands run
-    # on numpy alone, and the classical spectrum's LAPACK calls need no scipy.sparse
+def test_no_command_loads_scipy(tmp_path):
+    # one fresh interpreter runs every command, both schemes where there are two
     code = (
         "import sys; from schrostab.cli import main\n"
         "def scipy_modules():\n"
@@ -521,27 +520,17 @@ def test_scipy_loads_only_for_the_classical_scheme(tmp_path):
         "    except SystemExit as exc: assert not exc.code, exc.code\n"
         "    scipy_modules()\n"
     )
-
-    def loaded(stdout):
-        return [line.split()[1:] for line in stdout.splitlines() if line.startswith("loaded")]
-
     out = str(tmp_path / "x.csv")
-    result = subprocess.run(
-        [sys.executable, "-c", code, f"simulate --n 63 --t-final 0.01 --out {out}",
-         f"simulate --scheme classical --n 63 --t-final 0.01 --out {out}", "verify --samples 2"],
-        capture_output=True, text=True,
-    )
+    commands = [f"spectrum --scheme both --n-list 3,63 --out {out}",
+                f"resolvent --scheme both --n-list 3,15 --out {out}",
+                f"simulate --n 63 --t-final 0.01 --out {out}",
+                f"simulate --scheme classical --n 63 --t-final 0.01 --out {out}",
+                "verify --samples 2"]
+    result = subprocess.run([sys.executable, "-c", code, *commands],
+                            capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert loaded(result.stdout) == [[]] * 4  # after the import, both simulates and verify
-
-    result = subprocess.run(
-        [sys.executable, "-c", code, f"spectrum --scheme classical --n-list 3 --out {out}"],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0, result.stderr
-    modules = loaded(result.stdout)[-1]
-    assert "scipy.linalg.lapack" in modules
-    assert not [m for m in modules if m.startswith("scipy.sparse")]
+    loaded = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("loaded")]
+    assert loaded == [[]] * (1 + len(commands))  # after the import and after each command
 
 
 def test_import_loads_submodules_but_not_scipy_integrate():

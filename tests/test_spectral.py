@@ -79,17 +79,17 @@ class TestSpectralAbscissa:
         assert rep.max_eigen_residual <= 1e-12 * norm
 
     def test_residual_check_binds(self, monkeypatch):
-        # one classical root off by 1e-12 of the scale leaves an inverse-iteration
-        # residual of about that size, 100 times the bound
+        # one classical root off by 1e-12 of the scale leaves its closed-form
+        # eigenvector a residual of about that size, 100 times the bound
         mesh = Mesh(15)
         mu = secular.classical_poles_weights(mesh)[0]
         shift = 1e-12 * (mu.max() + np.sqrt(2.5) / mesh.h)
         polish = secular._polish
         for root in (0, 7, 15):
             def shifted(*args, root=root):
-                lam = polish(*args)
-                lam[root] += shift
-                return lam
+                eps = polish(*args)
+                eps[root] += shift
+                return eps
 
             monkeypatch.setattr("schrostab.secular._polish", shifted)
             with pytest.raises(NumericalError, match="secular residual"):
