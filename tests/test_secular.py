@@ -466,11 +466,16 @@ def test_recomputed_pole_offsets_are_refused(monkeypatch):
         classical_spectrum(Mesh(255), 1.0)
 
 
-def test_classical_solvers_need_no_scipy(monkeypatch):
-    # with scipy unimportable, the certificate and the resolvent norms still run; the
-    # submodules this process has loaded are blocked too, or importing one would succeed
+def _block_scipy(monkeypatch):
+    # the submodules this process has loaded are blocked too, or importing one would succeed
     for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
         monkeypatch.setitem(sys.modules, name, None)
+
+
+def test_classical_solvers_need_no_zgtsv(monkeypatch):
+    # with scipy unimportable, so with no zgtsv or any other LAPACK routine,
+    # the certificate and the resolvent norms still run
+    _block_scipy(monkeypatch)
     for n in (1, 3, 63):
         assert classical_spectrum(Mesh(n), 1.0)[0].size == n + 1
     system = SemiDiscreteSystem(CLASSICAL, Mesh(15), 1.0)
@@ -795,6 +800,14 @@ def test_classical_smin_budget_binds(monkeypatch):
     monkeypatch.setattr("schrostab.secular._SMIN_MAX_STEPS", 2)
     with pytest.raises(NumericalError, match="sigma_min bracket did not converge"):
         classical_resolvent_norm(Mesh(15), 1.0, [0.0])
+
+
+def test_classical_resolvent_needs_no_lapack(monkeypatch):
+    # the resolvent sweep at N=1023 runs with every scipy module unimportable
+    system = SemiDiscreteSystem(CLASSICAL, Mesh(1023), 1.0)
+    betas = _default_grid(system)
+    _block_scipy(monkeypatch)
+    assert np.all(np.isfinite(classical_resolvent_norm(system.mesh, 1.0, betas)))
 
 
 @pytest.mark.parametrize("k, resolvable", [(0.01, False), (0.02, True)])
