@@ -262,12 +262,13 @@ def simulate_cmd(config, scheme, n, k, dt, t_final, preset, seed, out):
     trace = simulate(system, W0, dt, t_final)  # refuses t_final < dt: at least one step
     steps = trace.step_gaps.size
     out = _out_path(out)
-    _write_csv(out, config, ("t,energy,boundary_abs,step_gap", (
-        f"{trace.times[i + 1]:.17g},{trace.energies[i + 1]:.17g},"
-        f"{abs(trace.boundary_values[i]):.17g},{trace.step_gaps[i]:.6g}"
-        for i in range(steps))))
+    rows = zip(trace.times[1:].tolist(), trace.energies[1:].tolist(),
+               map(abs, trace.boundary_values.tolist()),  # np.abs rounds some differently
+               trace.step_gaps.tolist())
+    _write_csv(out, config, ("t,energy,boundary_abs,step_gap",
+                             map("%.17g,%.17g,%.17g,%.6g".__mod__, rows)))
     try:
-        omega_fit = fit_decay_rate(trace, t_final / 2, t_final)
+        omega_fit = fit_decay_rate(trace, t_final / 2, trace.times[-1])  # may exceed t_final
     except ValueError:
         # short runs or runs that hit exact zero energy have no usable fit
         omega_fit = None

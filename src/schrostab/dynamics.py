@@ -7,12 +7,12 @@ size.  That turns the continuous energy balance into a machine-checkable
 assertion on each step of a simulation.
 
 Neither scheme forms its generator: both step in a closed-form modal basis
-(`schrostab.secular`) where it is i Theta - (k/h) p r^T, so one Cayley step
-is a diagonal scaling and a Sherman-Morrison correction, O(N) with no matrix
-and no LAPACK.  The order-reduction energy defect stays at roundoff of E(0)
-at every N.  The classical scheme does not dissipate this energy exactly: its
-step gap was 5.3e-3 E(0) at N=63 and 3.6e-4 E(0) at N=1023 (k=1, dt=1e-3,
-smooth preset, t = 3).
+(`schrostab.secular`) where it is i Theta - (k/h) p r^T, so one Cayley step is a diagonal
+scaling and a Sherman-Morrison correction: one product, one dot and one update.  `simulate`
+reads the boundary value and energy off one more dot, O(N) per step in two reused buffers,
+with no matrix and no LAPACK.  The order-reduction energy defect stays at roundoff of E(0)
+at every N.  The classical scheme does not dissipate this energy exactly: its step gap was
+5.3e-3 E(0) at N=63 and 3.6e-4 E(0) at N=1023 (k=1, dt=1e-3, smooth preset, t = 3).
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ __all__ = [
 ]
 
 
-# The stepper keeps a few complex arrays of N+1 entries (16 MiB each at
-# the cap) and the entry transform two FFTs of about twice that; a classical
-# run at the cap peaked at 470 MiB RSS, its FFT length 2N+3 being odd.
+# The stepper keeps four complex arrays of N+1 entries (16 MiB each at the cap), the march
+# two more.  Five steps at the cap took 2.3 s and 510 MiB peak RSS (order reduction), 2.6 s
+# and 502 MiB (classical), one BLAS thread; the entry transform took 1.9 s and 1.5 s of
+# that, as 2(N+1) is no power of two either.
 MAX_N = 2**20
 # A trace keeps 40 bytes per step, so the cap holds its arrays to 40 MB.
 MAX_STEPS = 10**6
@@ -66,11 +67,12 @@ class EnergyTrace:
 class MidpointStepper:
     """Implicit midpoint stepper u+ = 2v - u with (I - (dt/2) B) v = u, set up once per dt.
 
-    It steps modal coordinates u (`enter` maps a state into them), in which the
-    generator is B = i Theta - rho p r^T with rho = k/h and V_{N+1} = r^T v / sqrt(h)
-    (`boundary`).  With tau = dt/2, g = 1/(1 - i tau theta) and
-    w = tau rho (g p) / (1 + tau rho r^T(g p)), v = g u - (r^T(g u)) w; Re g > 0
-    and p r = c^2 > 0, so the denominator is at least 1 in modulus.
+    It steps modal coordinates u (`enter` maps a state into them), in which the generator
+    is B = i Theta - rho p r^T with rho = k/h and V_{N+1} = r^T v / sqrt(h).  With tau = dt/2,
+    g = 1/(1 - i tau theta) and w = tau rho (g p) / (1 + tau rho r^T(g p)), v = g u - (r^T(g u)) w;
+    Re g > 0 and p r = c^2 > 0, so the denominator is at least 1 in modulus.  So
+    u+ = a u - ((r g)^T u) 2w with a = 2g - 1; `simulate` reads the midpoint V_{N+1} as
+    (r^T u + r^T u+) / (2 sqrt(h)) and hands r^T u on to `energy`, one more dot per step.
 
     Order reduction: u = Q^T sqrt(h) D W, p = r = c and the energy is ||u||^2 / 2.
     Classical: u = sqrt(h) V^T W in the sine eigenbasis V of M M^T, theta = mu,
@@ -101,31 +103,30 @@ class MidpointStepper:
         # w is nan if rho or tau theta overflows
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"modal midpoint step not finite at dt={dt}, k={k}")
-        self._g, self._r, self._w = g, r.astype(complex), w  # r complex: no cast per dot
+        self._a, self._rg, self._w2 = 2.0 * g - 1.0, r * g, 2.0 * w
+        self._r = r.astype(complex)  # complex: no cast per dot
 
     def enter(self, W) -> np.ndarray:
         """The modal coordinates of W; NumericalError if they miss its energy by over 1e-12 of it."""
         W = np.asarray(W, dtype=complex)
         u = self._coordinates(self.system.mesh, W)
-        got, expect = self.energy(u), discrete_energy(W, self.system.mesh)
+        got, expect = self.energy(u, self._r @ u), discrete_energy(W, self.system.mesh)
         if not abs(got - expect) <= _ENTRY_RTOL * expect:
             raise NumericalError(
                 f"modal coordinates carry energy {got!r} against {expect!r} (n={self.system.n})"
             )
         return u
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        gu = self._g * u
-        return 2.0 * (gu - (self._r @ gu) * self._w) - u
+    def step(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The next modal state, written into `out` (a new array if None; never `u` itself)."""
+        out = np.multiply(self._a, u, out=out)
+        out -= (self._rg @ u) * self._w2
+        return out
 
-    def energy(self, u: np.ndarray) -> float:
+    def energy(self, u: np.ndarray, ru: complex) -> float:
         if self._cos2 is None:
             return 0.5 * float(np.vdot(u, u).real)
-        return 0.5 * float(self._cos2 @ np.abs(u) ** 2 - 0.5 * abs(self._r @ u) ** 2)
-
-    def boundary(self, u: np.ndarray, u_next: np.ndarray) -> complex:
-        """V_{N+1} for the midpoint V of the step from u to u_next."""
-        return (self._r @ (u + u_next)) * (0.5 / np.sqrt(self.system.mesh.h))
+        return 0.5 * float(self._cos2 @ np.abs(u) ** 2 - 0.5 * abs(ru) ** 2)
 
 
 def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> EnergyTrace:
@@ -140,21 +141,19 @@ def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> Energ
         raise ValueError("t_final must be at least one step")
     u = stepper.enter(W0)
     num_steps = int(round(t_final / dt))
-    times = np.empty(num_steps + 1)
-    energies = np.empty(num_steps + 1)
+    energies, gaps = np.empty(num_steps + 1), np.empty(num_steps)
     boundary = np.empty(num_steps, dtype=complex)
-    gaps = np.empty(num_steps)
-    times[0] = 0.0
-    energies[0] = stepper.energy(u)
+    r, scale, kdt = stepper._r, 0.5 / np.sqrt(system.mesh.h), system.k * dt
+    ru, u_next = r @ u, np.empty_like(u)
+    energies[0] = e = stepper.energy(u, ru)
     for s in range(num_steps):
-        u_next = stepper.step(u)
-        mid_boundary = stepper.boundary(u, u_next)
-        e_next = stepper.energy(u_next)
-        gaps[s] = e_next - energies[s] + system.k * dt * abs(mid_boundary) ** 2
-        times[s + 1] = (s + 1) * dt
-        energies[s + 1] = e_next
-        boundary[s] = mid_boundary
-        u = u_next
+        stepper.step(u, out=u_next)
+        ru_next = r @ u_next
+        energies[s + 1] = e_next = stepper.energy(u_next, ru_next)
+        boundary[s] = mid = (ru + ru_next) * scale
+        gaps[s] = e_next - e + kdt * abs(mid) ** 2
+        u, u_next, ru, e = u_next, u, ru_next, e_next
+    times = np.arange(num_steps + 1) * dt
     return EnergyTrace(times=times, energies=energies, boundary_values=boundary, step_gaps=gaps)
 
 

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from schrostab.cli import MAX_N_LIST, main
-from schrostab.dynamics import MAX_N
+from schrostab.dynamics import MAX_N, EnergyTrace
 from schrostab.errors import NumericalError
 from schrostab.identities import MAX_SAMPLES
 from schrostab.spectral import MAX_LINEAR_STEPS
@@ -277,6 +278,22 @@ class TestSimulate:
         assert not any(tmp_path.iterdir())
 
 
+    def test_fit_window_keeps_the_last_sample(self, runner, tmp_path):
+        # 70 * 0.01 rounds to 0.7000000000000001, above --t-final
+        out = tmp_path / "sim.csv"
+        result = runner.invoke(
+            main,
+            ["simulate", "--n", "15", "--dt", "1e-2", "--t-final", "0.7", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        rows = np.array([[float(x) for x in line.split(",")[:2]] for line in read_lines(out)[1:]])
+        times, energies = rows.T
+        assert times[-1] > 0.7
+        window = times >= 0.35
+        expect = -0.5 * np.polyfit(times[window], np.log(energies[window]), 1)[0]
+        summary = json.loads(Path(str(out) + ".summary.json").read_text())
+        assert summary["omega_fit"] == expect
+
     def test_order_reduction_at_large_n(self, runner, tmp_path):
         out = tmp_path / "sim.csv"
         result = runner.invoke(
@@ -302,6 +319,29 @@ class TestSimulate:
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.split()[-1] == "False"
+
+
+def test_simulate_rows_match_f_strings(runner, tmp_path, monkeypatch):
+    # the rows as they were formatted one f-string at a time, over numpy scalars
+    rng = np.random.default_rng(7)
+    boundary = rng.standard_normal(3000) + 1j * rng.standard_normal(3000)
+    # magnitudes at a rounding tie, where np.abs and scalar abs part ways
+    ties = boundary[np.abs(boundary) != [abs(b) for b in boundary.tolist()]]
+    assert ties.size > 0
+    boundary = np.concatenate([boundary, ties, [0j, -0.0 - 0.0j, 3 + 4j, 5e-324j, 1e300 + 1e300j]])
+    gaps = rng.standard_normal(boundary.size) * 1e-16
+    gaps[:6] = [0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1.7976931348623157e308]
+    times = np.arange(boundary.size + 1) * 1e-3
+    trace = EnergyTrace(times=times, energies=np.exp(-times) * rng.uniform(0.5, 2.0),
+                        boundary_values=boundary, step_gaps=gaps)
+    monkeypatch.setattr("schrostab.cli.simulate", lambda *args: trace)
+    out = tmp_path / "sim.csv"
+    result = runner.invoke(main, ["simulate", "--n", "7", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert read_lines(out)[1:] == [
+        f"{trace.times[i + 1]:.17g},{trace.energies[i + 1]:.17g},"
+        f"{abs(trace.boundary_values[i]):.17g},{trace.step_gaps[i]:.6g}"
+        for i in range(boundary.size)]
 
 
 class TestVerify:

@@ -11,7 +11,8 @@ from schrostab.dynamics import (
 )
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
-from schrostab.secular import or_poles_weights
+from schrostab.secular import (_classical_boundary_row, classical_poles_weights,
+                               or_poles_weights)
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 from conftest import dense_generator, random_complex
@@ -113,6 +114,49 @@ class TestModalStepper:
         boundary = np.array(boundary)
         assert np.max(np.abs(trace.boundary_values - boundary)) <= 1e-12 * np.max(np.abs(boundary))
         assert np.max(np.abs(trace.energies - energies)) <= 1e-12 * energies[0]
+
+    @pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+    @pytest.mark.parametrize("n", [1, 2, 63, 1023])
+    @pytest.mark.parametrize("k", [1e-12, 1.0, 1e3])
+    def test_simulate_is_a_loop_of_steps(self, scheme, n, k, rng):
+        # bit for bit against a loop of `step` calls, and within 1e-14 E(0) of the
+        # step as 2(g u - (r^T(g u)) w) - u, which rounds differently (5.2e-15
+        # and 6.2e-15 measured)
+        system = SemiDiscreteSystem(scheme, Mesh(n), k)
+        dt, steps = 1e-3, 20
+        W = random_complex(rng, n + 1)
+        trace = simulate(system, W, dt, steps * dt)
+        stepper = MidpointStepper(system, dt)
+        mesh, tau, rho = system.mesh, 0.5 * dt, k / system.mesh.h
+        if scheme == ORDER_REDUCTION:
+            theta, r = or_poles_weights(mesh)
+            p = r
+        else:
+            theta, c = classical_poles_weights(mesh)
+            r = _classical_boundary_row(mesh, theta, c)
+            p = c * c / r
+        g = 1.0 / (1.0 - 1j * tau * theta)
+        w = (tau * rho / (1.0 + tau * rho * (r @ (g * p)))) * (g * p)
+        scale = 0.5 / np.sqrt(mesh.h)
+        u = ref = stepper.enter(W)
+        energies, boundary = [stepper.energy(u, stepper._r @ u)], []
+        ref_energies, ref_boundary = [energies[0]], []
+        for _ in range(steps):
+            u_next = stepper.step(u)
+            boundary.append((stepper._r @ u + stepper._r @ u_next) * scale)
+            energies.append(stepper.energy(u_next, stepper._r @ u_next))
+            u = u_next
+            gu = g * ref
+            ref_next = 2.0 * (gu - (r @ gu) * w) - ref
+            ref_boundary.append((r @ (ref + ref_next)) * scale)
+            ref_energies.append(stepper.energy(ref_next, r @ ref_next))
+            ref = ref_next
+        np.testing.assert_array_equal(trace.energies, energies)
+        np.testing.assert_array_equal(trace.boundary_values, boundary)
+        e0 = energies[0]
+        assert np.max(np.abs(trace.energies - ref_energies)) <= 1e-14 * e0
+        # |V_{N+1}| is at most of the order of sqrt(E / h)
+        assert np.max(np.abs(trace.boundary_values - ref_boundary)) <= 1e-14 * np.sqrt(e0 / mesh.h)
 
     @pytest.mark.parametrize("scheme,coordinates", [(ORDER_REDUCTION, "or_modal_coordinates"),
                                                     (CLASSICAL, "classical_modal_coordinates")],
