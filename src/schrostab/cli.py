@@ -52,11 +52,12 @@ class _FiniteFloat(click.types.FloatParamType):
 
 
 FINITE_FLOAT = _FiniteFloat()
-# Largest grid size of the classical `spectrum` and of `resolvent`, which cost O(N^2): at
-# this cap (k = 1, one BLAS thread, 2-vCPU Intel Xeon VM) the classical spectrum takes 14 s
-# and the order-reduction resolvent sweep 9 s.  The order-reduction spectrum is O(N) and
-# runs to `dynamics.MAX_N`: 0.02 s at N = 8191, 0.18 s at 65535 and 3.5 s at 2^20 - 1
-# (the whole command 5 s and 320 MiB peak RSS).
+# Largest grid size of `resolvent`, whose sweeps cost O(N^2) (the order-reduction one 9 s at
+# this cap, k = 1, one BLAS thread, 2-vCPU Intel Xeon VM), and of the classical `spectrum`.
+# Both spectra are O(N): order reduction runs to `dynamics.MAX_N` (0.02 s at N = 8191, 0.18 s
+# at 65535, 3.5 s at 2^20 - 1); the classical one takes 0.016, 0.06 and 0.12 s at N = 1023,
+# 4095 and 8191 but keeps this cap, as its 72 cross-check FFTs have odd length 2N+3: 26 ms
+# each at N = 65535, 0.60 s at 2^20 - 1.
 MAX_N_LIST = 8191
 
 

@@ -15,18 +15,20 @@ and q_m = D s_m / ||D s_m|| for s_m = sin((m + 1/2) pi x_j).  Its eigenvalues
 A = i M M^T + (k/h) u e_N^T with u = e_{N-1}/2 - 3 e_N/2 (0-indexed), and
 M M^T has closed-form eigenpairs, so its eigenvalues are the roots of the
 same kind of equation, with the poles and weights of `classical_poles_weights`.
-Both spectra, like the continuous one, are the roots lam = -i nu(mu)^2 of a
-relation a(mu) cosh mu + b(mu) sinh mu = 0, one per branch of
-`continuous._branch_roots` in O(N), and are certified by `or_spectrum` and
-`classical_spectrum` (or NumericalError).  The order-reduction sum has the closed form
+The two sums have the closed forms (`_secular_terms`)
 
-    f(lam) = 1 + (i k h/2) tan(2(N+1) psi) / tan psi,  tan^2 psi = -i lam h^2 / 4,
+    f = 1 + (i k h/2) tan(L psi) / tan psi,  tan^2 psi = -i lam h^2 / 4,  L = 2(N+1),
+    f = 1 - i k h s + (i k h/2)(1 + 2 s) tan(L psi) / tan psi,  s = sin^2 psi,  L = 2N+3,
 
-so its roots are refined (`_or_refine`) and their backward residuals bounded
-(`_or_residual`) relative to their poles in O(1) each, O(N) in all (Gu &
-Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Li, LAPACK Working Note 89,
-1994), with the poles' rounding taken from np.longdouble; the classical roots
-are refined as pole offsets on the direct sum by `_polish`, O(N^2).
+with s = -i lam h^2 / 4, the second as c_m^2 = 4 (1 - s_m)(1 + 2 s_m) / L,
+sum_m 1 / (s - s_m) = (tan psi - L tan L psi) / sin 2 psi and sum_m (2 s_m - 1) = -1/2
+for the pole angles a_m = (2m+1) pi / (2L), s_m = sin^2 a_m.  Both spectra, like the
+continuous one, are the roots lam = -i nu(mu)^2 of a(mu) cosh mu + b(mu) sinh mu = 0, one
+per branch of `continuous._branch_roots`, refined by one Newton (`_refine`) and with
+backward residuals bounded (`_residual`) relative to their poles in O(1) each, O(N) in
+all (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Li, LAPACK Working Note 89,
+1994), the poles' rounding taken from np.longdouble (`_exact_poles`), and certified by
+`or_spectrum` and `classical_spectrum` (or NumericalError).
 
 The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
@@ -38,12 +40,9 @@ the sine basis of M M^T, scaled, it is X = L (i diag(d) + b s^T) L^{-1}
 with L^2 = I - kappa s s^T, so `classical_resolvent_norm` counts the
 eigenvalues of X^H X below x^2 the same way in O(N), with a 3x3 Hermitian
 matrix in place of the 2x2 (Haynsworth inertia additivity, Linear Algebra
-Appl. 1, 1968).  One bracket loop, `_smin_brackets`, serves both counts.
-The classical roots are certified in `classical_spectrum` through the generator
-applier, with their closed-form eigenvectors (lam - i mu)^{-1} p in the sine basis of
-M M^T taken to the state by one inverse FFT each; no code here imports SciPy.
-`classical_peak_resolvable` decides in O(N), from the top root's closed form,
-whether the peak where the classical sup sits is wide enough to sample.
+Appl. 1, 1968).  One bracket loop, `_smin_brackets`, serves both counts; no code here
+imports SciPy.  `classical_peak_resolvable` decides in O(N), from the top root's closed
+form, whether the peak where the classical sup sits is wide enough to sample.
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
@@ -75,19 +74,18 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-# Entries per (rows x N+1) block of root-to-pole terms: 4 MiB of complex128.
+# Entries per block of cross-checked roots, (rows x N+1) root-to-pole terms or
+# (rows x 2N+3) eigenvector spectra: 4 MiB of complex128.
 _BLOCK_ELEMENTS = 1 << 18
-# Entries per block of classical eigenvectors, 512 KiB of complex128: their FFTs of length
-# 2N+3 took 90 us each in blocks of 32 roots at N = 1023, and 120 us in one of 1024.
-_CERTIFY_ELEMENTS = _BLOCK_ELEMENTS // 8
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
+_SUBNORMAL = np.finfo(float).smallest_subnormal
 # Neighbours in imaginary-part order differ in imaginary part by >= 5.5e-3 (order
 # reduction) and 7.05e-6 (classical) of the larger modulus at N = 1023, kh in [1e-3, 50],
 # falling like 6/(N+1) and 7.4/(N+1)^2; two approximations of one root fall below this.
 _DISTINCT_RTOL = 1e-10
-# Order-reduction roots whose residual is also summed directly over all poles: the
-# rightmost ones, and seeded draws (with repeats) from all of them.
+# Roots whose residual is also taken directly, over all poles (order reduction) or through
+# the generator applier (classical): the rightmost ones, and seeded draws (with repeats).
 _CROSS_CHECK_RIGHTMOST = 8
 _CROSS_CHECK_SEEDED = 64
 _CROSS_CHECK_SEED = 20232
@@ -225,38 +223,6 @@ def _coincident(lam) -> np.ndarray:
     return marked
 
 
-def _polish(lam, poles, weights, trace: complex) -> np.ndarray:
-    """Classical branch roots made whole, then refined; returns eps_j = lam_j - i poles_j, O(N^2).
-
-    A nan, or a root `_coincident` marks, is missing; one missing root is the trace less
-    the others.  Newton on f = 1 + sum weights / (lam - i poles) runs on eps_j
-    (Gu & Eisenstat, 1995), so that small real parts (the classical abscissa) keep their
-    digits, for up to 8 steps, until the error left (at most |step|^2 / |Re eps_j|) is at
-    most 4 eps |eps_j|.  It steps on eps_j f, which removes pole j: from a branch root
-    more than |eps_j| off (the top roots at weak damping), Newton on f runs off along it.
-    The derivative's terms are summed as (eps_j / (lam_j - i poles_m)) / (lam_j - i poles_m)
-    and the error test is taken relative to eps_j, so that nothing overflows or
-    underflows down to k = 1e-300.  Each step sums over all poles; the order-reduction
-    roots are refined in O(N) by `_or_refine` instead.
-    """
-    lam[_coincident(lam)] = np.nan
-    if np.count_nonzero(np.isnan(lam)) == 1:
-        lam[np.isnan(lam)] = trace - np.nansum(lam)
-    eps = lam - 1j * poles
-    active = np.ones(lam.size, dtype=bool)
-    for _ in range(8):
-        for rows in _row_blocks(np.flatnonzero(active), lam.size, _BLOCK_ELEMENTS):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                to_poles = 1.0 / (eps[rows, None] + 1j * (poles[rows, None] - poles))
-                f = 1.0 + to_poles @ weights
-                step = eps[rows] * f / (((eps[rows, None] * to_poles) * to_poles) @ weights - f)
-                left = np.abs(step / eps[rows].real)  # |lam_j - i poles_m| >= |Re eps_j|
-                eps[rows] += step
-                left *= np.abs(step / eps[rows])
-            active[rows] = left > 4 * _EPS
-    return eps
-
-
 def _certify(lam, residuals, scale, traces, where: str) -> float:
     """Check all roots of one secular equation; returns their worst residual.
 
@@ -264,7 +230,8 @@ def _certify(lam, residuals, scale, traces, where: str) -> float:
     entry of every array of root residuals that the iterable `residuals` yields (drawn
     only after those two checks, so that a generator can evaluate them block by block)
     lies in [0, 1e-14 scale], which a nan or a negative value does not, and the sums of
-    the real and imaginary parts of the roots match traces, each to 1e-12 relative.
+    the real and imaginary parts of the roots match traces, each to 1e-12 relative (plus
+    one unit per root below 2^-1022, where doubles are spaced 2^-1074 apart).
     """
     n1 = lam.size
     finite = np.count_nonzero(np.isfinite(lam))
@@ -280,54 +247,48 @@ def _certify(lam, residuals, scale, traces, where: str) -> float:
             f"secular residual {outside[0]:.3e} is outside [0, {bound:.3e}] {where}")
     for part, got, expect in zip(("real", "imaginary"),
                                  (np.sum(lam.real), np.sum(lam.imag)), traces):
-        if not abs(got - expect) <= _TRACE_RTOL * abs(expect):
+        if not abs(got - expect) <= _TRACE_RTOL * abs(expect) + n1 * _SUBNORMAL:
             raise NumericalError(
                 f"secular roots miss the {part}-part trace: {got!r} against {expect!r} {where}"
             )
     return float(np.max(extremes))
 
 
-def _or_tangents(mesh: Mesh, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """tan phi_m, and the offset theta_m^exact - theta_m of each rounded pole, O(N).
+def _exact_poles(mesh: Mesh, poles: np.ndarray, sine: bool):
+    """The period L, tan a_m, and the offset poles_m^exact - poles_m of each rounded pole, O(N).
 
-    Both come from np.longdouble, extended precision on x86-64 Linux: tan phi_m as
-    sin phi_m over the sine of the complementary angle, which keeps its relative accuracy
-    at the top pole, and theta_m^exact = (2 (N+1) tan phi_m)^2.  An offset eps_j from the
-    rounded theta_j alone would carry its rounding, up to eps theta_j, which is most of
-    eps_j at weak damping and at the top poles; np.longdouble leaves about 6e-19 theta_j.
-    Where np.longdouble is plain double, the offsets carry no extra digits, and the
-    same 1e-14 bound of `_certify` refuses any spectrum that this leaves short.
+    The poles are (2 (N+1))^2 chi(a_m), a_m = (2m+1) pi / (2L), chi = tan^2 and L = 2(N+1)
+    (order reduction) or chi = sin^2 and L = 2N+3 (classical, `sine`; its upper half as
+    4 (N+1)^2 - (2 (N+1) cos a_m)^2), from np.longdouble sin a_m and cos a_m, the sine of the
+    complementary angle: eps_j from the rounded poles would carry their rounding, most of it at
+    weak damping and at the top poles.  Where np.longdouble is double, `_certify` refuses.
     """
-    m = np.arange(mesh.state_size, dtype=np.longdouble)
-    quarter = np.arctan(np.longdouble(1)) / mesh.state_size  # pi / (4 (N+1))
-    tan = np.sin((2 * m + 1) * quarter) / np.sin((2 * (mesh.n - m) + 1) * quarter)
-    return tan.astype(float), ((2 * mesh.state_size * tan) ** 2 - theta).astype(float)
+    n1 = mesh.state_size
+    length = 2 * mesh.n + 3 if sine else 2 * n1
+    m = np.arange(n1, dtype=np.longdouble)
+    quarter = 2 * np.arctan(np.longdouble(1)) / length  # pi / (2L)
+    sin, cos = np.sin(np.array((2 * m + 1, length - 2 * m - 1)) * quarter)
+    tan = sin / cos
+    if sine:
+        exact = np.where(m > mesh.n / 2, (4 * n1**2 - poles) - (2 * n1 * cos) ** 2,
+                         (2 * n1 * sin) ** 2 - poles)
+    else:
+        exact = (2 * n1 * tan) ** 2 - poles
+    return length, tan.astype(float), exact.astype(float)
 
 
-def _or_pole_relative(lam, theta, tan, offset, mesh: Mesh):
-    """tan delta_j, tan psi_j and eps_j = lam_j - i theta_j^exact of each lam_j, O(1) each.
+def _or_characteristic(lam, theta, tan, offset, mesh: Mesh, k: float):
+    """f(lam_j) of the order-reduction closed form, and eps_j = lam_j - i theta_j^exact, O(1) each.
 
-    Row j is taken relative to pole j: psi_j = phi_j + delta_j with tan^2 psi = -i lam h^2/4.
-    eps_j is (lam_j - i theta_j) - i (theta_j^exact - theta_j), so that with
-    q = -i eps_j h^2 / 4 = tan^2 psi_j - tan^2 phi_j both tan psi_j - tan phi_j =
-    q / (tan phi_j + sqrt(tan^2 phi_j + q)) and tan delta_j keep their relative accuracy.
+    psi_j = phi_j + delta_j: with q = -i eps_j h^2 / 4 = tan^2 psi_j - tan^2 phi_j, both
+    tan psi_j - tan phi_j = q / (tan phi_j + sqrt(tan^2 phi_j + q)) and tan delta_j keep
+    their relative accuracy, and f = 1 - (i k h/2) / (tan(2(N+1) delta_j) tan psi_j).
     """
     eps = (lam - 1j * theta) - 1j * offset
     q = -1j * eps / (2 * mesh.state_size) ** 2  # -i eps h^2 / 4
     shift = q / (tan + np.sqrt(tan * tan + q))
     tan_psi = tan + shift
-    return shift / (1 + tan * tan_psi), tan_psi, eps
-
-
-def _or_characteristic(lam, theta, tan, offset, mesh: Mesh, k: float):
-    """f(lam_j) of the order-reduction secular equation in closed form, and eps_j, O(1) each.
-
-    f(lam) = 1 + (i k h/2) tan(2(N+1) psi) / tan psi with tan^2 psi = -i lam h^2/4.  On
-    pole j, 2(N+1) psi = (j + 1/2) pi + 2(N+1) delta_j, so tan(2(N+1) psi) is
-    -1 / tan(2(N+1) delta_j), evaluated from tan delta_j of `_or_pole_relative`.
-    """
-    tan_delta, tan_psi, eps = _or_pole_relative(lam, theta, tan, offset, mesh)
-    big = np.tan(2 * mesh.state_size * np.arctan(tan_delta))
+    big = np.tan(2 * mesh.state_size * np.arctan(shift / (1 + tan * tan_psi)))
     return 1 - 0.5j * k * mesh.h / (big * tan_psi), eps
 
 
@@ -337,109 +298,141 @@ def _tan_ratio(z):
         return np.where(np.abs(z) < 1e-5, 1 + z * z / 3, np.tan(z) / z)
 
 
-def _or_refine(mu, theta, tan, offset, mesh: Mesh, k: float, trace: complex) -> np.ndarray:
-    """Order-reduction roots from branch roots mu_j = i (j + 1/2) pi + zeta_j, O(N).
+def _secular_terms(v, tan, length: int, kh: float, sine: bool):
+    """tan(L delta) / (k h), tan psi, W, V / (k h) and d(V / (k h W))/dv at psi = a_j + k h v.
 
-    A nan, or a root whose lam(mu) `_coincident` marks, is missing; one missing root is
-    the trace less the others, taken relative to its pole by `_or_pole_relative`.  With
-    L = 2(N+1), each root is delta_j = -i zeta_j / L, refined by Newton on
-
-        g(delta) = tan(L delta) tan(phi_j + delta) - i k h/2,
-
-    whose root is f's, since f = g / (tan(L delta) tan psi), and which has no pole at
-    delta = 0: the Gu & Eisenstat (1995) idea in closed form, so small real parts keep
-    their digits and a far start at weak damping still converges.  tan(phi_j + delta) is
-    (t + tan delta) / (1 - t tan delta) with t = tan phi_j, so delta stays relative to
-    the exact pole.  Newton runs on v = delta / (k h) and g / (k h), with tan(L delta) / (k h)
-    taken as L v `_tan_ratio`(L k h v), so that no subnormal delta (k = 1e-300, N = 65535)
-    costs digits, for up to 8 steps, until a step is at most 4 eps |v_j|.
-    lam_j = i theta_j + (eps_j + i (theta_j^exact - theta_j)) is formed only at the end,
-    with eps_j = i L^2 s (2 t + s), s = tan psi_j - t and s / (k h) formed first.
+    L psi = (j + 1/2) pi + L delta, so the closed forms of the module docstring read
+    f = W - V / (tan(L delta) tan psi), W = 1 and V = i k h/2 (order reduction) or
+    W = 1 - i k h sigma and V = (i k h/2)(1 + 2 sigma), sigma = sin^2 psi (classical, `sine`).
+    tan(L delta) / (k h) is L v `_tan_ratio`(L k h v), so a subnormal delta costs no digits,
+    and tan psi is (t + tan delta) / (1 - t tan delta), t = tan a_j; O(1) each.
     """
-    n1 = mesh.state_size
-    length, kh = 2 * n1, k * mesh.h
-    lam = -1j * (2 / mesh.h * np.tanh(mu * mesh.h / 2)) ** 2
-    missing = np.isnan(lam) | _coincident(lam)
-    zeta = mu - 1j * (np.arange(n1) + 0.5) * np.pi
-    v = np.where(missing, np.nan, -1j * zeta / (length * kh))
-    if np.count_nonzero(missing) == 1:
-        lam[missing] = np.nan
-        fill = np.array([trace - np.nansum(lam)])
-        tan_delta = _or_pole_relative(fill, theta[missing], tan[missing], offset[missing], mesh)[0]
-        v[missing] = np.arctan(tan_delta) / kh
+    big = length * v * _tan_ratio(length * kh * v)
+    small = kh * v * _tan_ratio(kh * v)  # tan delta
+    near = (tan + small) / (1 - tan * small)  # tan(a_j + delta)
+    if not sine:
+        return big, near, 1, 0.5j, 0
+    sec2 = 1 + near * near
+    w = 1 - 1j * kh * near * near / sec2  # 1 - i k h sin^2 psi
+    return big, near, w, 0.5j + 1j * near * near / sec2, kh * near * (2j - kh) / (sec2 * w * w)
+
+
+def _refine(v, poles, tan, offset, length: int, mesh: Mesh, k: float, sine: bool):
+    """Roots lam_j, offsets eps_j = lam_j - i poles_j^exact and v_j = delta_j / (k h), O(N).
+
+    Newton from v_j (a nan stays one) on tan(L delta) tan psi / (k h) - V / (k h W), whose root
+    is f's and which has no pole at delta = 0 (Gu & Eisenstat, 1995), up to 8 times until a
+    step is at most 4 eps |v_j|; then eps_j = i (2 (N+1))^2 (chi(psi_j) - chi(a_j)), with
+    s = tan psi - t formed as s / (k h): s (2 t + s) [times cos^2 psi cos^2 a for sin^2].
+    Classical k h is taken as (2^600 k) h / 2^600 where it is subnormal, short of digits.
+    """
+    n1, kh = mesh.state_size, k * mesh.h
+    scale = 2.0**600 if sine and kh < np.finfo(float).tiny else 1.0
     active = np.flatnonzero(np.isfinite(v))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         for _ in range(8):
             u, t = v[active], tan[active]
-            big = length * u * _tan_ratio(length * kh * u)  # tan(L delta) / (k h)
-            small = kh * u * _tan_ratio(kh * u)  # tan delta
-            near = (t + small) / (1 - t * small)  # tan(phi_j + delta)
-            step = (big * near - 0.5j) / (
-                length * (1 + (big * kh) ** 2) * near + big * (1 + near * near) * kh)
+            big, near, w, vk, slope = _secular_terms(u, t, length, kh, sine)
+            step = (big * near - vk / w) / (
+                length * (1 + (big * kh) ** 2) * near + big * (1 + near * near) * kh - slope)
             v[active] = u - step
             active = active[np.abs(step) > 4 * _EPS * np.abs(u - step)]
             if active.size == 0:
                 break
         ratio = _tan_ratio(kh * v)
         s = v * ratio * (1 + tan * tan) / (1 - tan * (kh * v * ratio))  # s / (k h)
-        return 1j * theta + (1j * length**2 * s * kh * (2 * tan + s * kh) + 1j * offset)
+        eps = 1j * (2 * n1) ** 2 * s * ((k * scale) * mesh.h) * (2 * tan + s * kh)
+        if sine:
+            near = tan + s * kh
+            eps /= (1 + tan * tan) * (1 + near * near) * scale
+    return 1j * poles + (eps + 1j * offset), eps, v
 
 
-def _or_residual(lam, theta, c, tan, offset, mesh: Mesh, k: float) -> np.ndarray:
-    """An upper bound on the backward residual ||c|| |f(lam_j)| / ||v_j|| of each root, O(1) each.
+def _residual(eps, f, poles, offset, weights) -> np.ndarray:
+    """An upper bound on the backward residual ||p|| |f| / ||y|| at each (j, eps_j), O(1) each.
 
-    f comes from `_or_characteristic`.  ||v_j||^2 = sum_m c_m^2 / |lam_j - i theta_m|^2
-    is bounded below by its 9 terms |m - j| <= 4 (at least 0.858 of the sum, measured for
-    N <= 4095 and k = 1e-12 to 1e3), so the residual only grows; each term is taken as
-    c_m^2 |eps_j / (lam_j - i theta_m)|^2 and the residual as ||c|| |f| |eps_j| / sqrt(sum),
-    which neither overflows nor underflows at weak damping.
+    y = (lam_j - i poles)^{-1} p is the eigenvector of i diag(poles) + (k/h) p r^T, weights
+    = p^2; ||y||^2 |eps_j|^2 = sum_m p_m^2 |eps_j / (eps_j + i gap_m)|^2 is bounded below by
+    its 9 terms |m - j| <= 4 (0.858 of it or more for order reduction, N <= 4095).
     """
-    c2 = c * c
-    n1 = lam.size
-    near = c2.copy()
+    n1 = eps.size
+    near = weights.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f, eps = _or_characteristic(lam, theta, tan, offset, mesh, k)
         for o in (-4, -3, -2, -1, 1, 2, 3, 4):
             if abs(o) >= n1:
                 continue
-            rows, poles = slice(max(0, -o), n1 - max(0, o)), slice(max(0, o), n1 - max(0, -o))
-            gap = (theta[rows] - theta[poles]) + (offset[rows] - offset[poles])
-            near[rows] += c2[poles] * np.abs(eps[rows] / (eps[rows] + 1j * gap)) ** 2
-        return np.sqrt(np.sum(c2)) * np.abs(f) * np.abs(eps) / np.sqrt(near)
+            rows, cols = slice(max(0, -o), n1 - max(0, o)), slice(max(0, o), n1 - max(0, -o))
+            gap = (poles[rows] - poles[cols]) + (offset[rows] - offset[cols])
+            near[rows] += weights[cols] * np.abs(eps[rows] / (eps[rows] + 1j * gap)) ** 2
+        return np.sqrt(np.sum(weights)) * np.abs(f) * np.abs(eps) / np.sqrt(near)
+
+
+def _lost_root(j, lam, eps, poles, offset, weights, p2, trace) -> float:
+    """Root j, which no branch resolves, from the trace less the others, in place, O(N) a step.
+
+    Newton on eps_j f on the direct sum over exact poles (Gu & Eisenstat, 1995), up to 8 times
+    until a step is at most 4 eps |eps_j|; returns `_residual` over all poles.  At strong
+    damping the classical root that leaves the poles' range, where W and V cancel, is lost.
+    """
+    lam[j] = np.nan
+    e = (trace - np.nansum(lam) - 1j * poles[j]) - 1j * offset[j]
+    gaps = (poles[j] - poles) + (offset[j] - offset)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(8):
+            to_poles = 1.0 / (e + 1j * gaps)
+            f = 1.0 + to_poles @ weights
+            step = e * f / (((e * to_poles) * to_poles) @ weights - f)
+            e += step
+            if not abs(step) > 4 * _EPS * abs(e):
+                break
+        to_poles = e / (e + 1j * gaps)
+        f = 1.0 + (to_poles @ weights) / e
+    eps[j], lam[j] = e, 1j * poles[j] + (e + 1j * offset[j])
+    return np.sqrt(np.sum(p2)) * abs(f) * abs(e) / np.sqrt(np.abs(to_poles) ** 2 @ p2)
+
+
+def _cross_checked(lam) -> np.ndarray:
+    """The roots whose residual is also taken directly: the rightmost and the seeded ones."""
+    seeded = np.random.default_rng(_CROSS_CHECK_SEED).integers(0, lam.size, _CROSS_CHECK_SEEDED)
+    return np.union1d(seeded, np.argsort(lam.real)[-_CROSS_CHECK_RIGHTMOST:])
 
 
 def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the order-reduction generator, and their worst residual, O(N).
 
-    The roots are the branch roots of `continuous._branch_roots` refined by `_or_refine`.
-    The residual of a root lam is the backward error of the eigenpair
-    (lam, v) of i Theta - (k/h) c c^T with v = (lam - i Theta)^{-1} c,
-    namely ||c|| |f(lam)| / ||v||, bounded above for every root in closed form by
-    `_or_residual` and, as a cross-check, summed directly over all N+1 poles at the 8
-    rightmost roots and at 64 seeded ones, O(N) each, in blocks of 2^18 / (N+1).  Raises
-    NumericalError unless there are N+1 finite roots, none coinciding, each residual is at
-    most 1e-14 (max theta + (k/h) ||c||^2), and the roots keep the trace:
-    sum Re lam = -(k/h) ||c||^2 = -2k sum sec^2 phi_m and
-    sum Im lam = sum theta_m, each to 1e-12 relative (`_certify`).
+    The branch roots mu_j = i (j + 1/2) pi + zeta_j of `continuous._branch_roots` are refined
+    by `_refine` from delta_j = -i zeta_j / (2(N+1)); one missing root (a nan, or marked by
+    `_coincident`) is found by `_lost_root`.  The backward error ||c|| |f(lam)| / ||v|| of
+    (lam, (lam - i Theta)^{-1} c) for i Theta - (k/h) c c^T is bounded by `_residual` at the
+    returned lam, and summed over all poles at the 8 rightmost and 64 seeded roots.
+    NumericalError unless `_certify` passes with the scale max theta + (k/h) ||c||^2 and the
+    traces sum Re lam = -(k/h) ||c||^2 and sum Im lam = sum theta_m.
     """
     theta, c = or_poles_weights(mesh)
     n1, h, rho = mesh.state_size, mesh.h, k / mesh.h
     c2 = c * c
     c2_sum = np.sum(c2)
-    tan, offset = _or_tangents(mesh, theta)
+    length, tan, offset = _exact_poles(mesh, theta, False)
+    traces = (-rho * c2_sum, np.sum(theta))
 
     def coefficients(mu):
         t = np.tanh(mu * h / 2)
         return 2 / h * t, 1j * k, 1 - t * t, 0.0
 
     mu = _branch_roots(coefficients, np.zeros(n1))
-    lam = _or_refine(mu, theta, tan, offset, mesh, k, -rho * c2_sum + 1j * np.sum(theta))
+    lam = -1j * (2 / h * np.tanh(mu * h / 2)) ** 2
+    missing = np.isnan(lam) | _coincident(lam)
+    zeta = mu - 1j * (np.arange(n1) + 0.5) * np.pi
+    v = np.where(missing, np.nan, -1j * zeta / (length * (k * h)))
+    lam, eps = _refine(v, theta, tan, offset, length, mesh, k, False)[:2]
+    if np.count_nonzero(missing) == 1:
+        _lost_root(np.flatnonzero(missing)[0], lam, eps, theta, offset, rho * c2, c2,
+                   complex(*traces))
 
     def residuals():
-        yield _or_residual(lam, theta, c, tan, offset, mesh, k)
-        seeded = np.random.default_rng(_CROSS_CHECK_SEED).integers(0, n1, _CROSS_CHECK_SEEDED)
-        rightmost = np.argsort(lam.real)[-_CROSS_CHECK_RIGHTMOST:]
-        for rows in _row_blocks(np.union1d(seeded, rightmost), n1, _BLOCK_ELEMENTS):
+        f, eps = _or_characteristic(lam, theta, tan, offset, mesh, k)
+        yield _residual(eps, f, theta, offset, c2)
+        for rows in _row_blocks(_cross_checked(lam), n1, _BLOCK_ELEMENTS):
             with np.errstate(divide="ignore", invalid="ignore"):
                 to_poles = lam[rows, None] - 1j * theta
                 near = np.min(np.abs(to_poles), axis=1)
@@ -447,68 +440,81 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
                 f = 1.0 + rho * (to_poles @ c2) / near
                 yield np.sqrt(c2_sum) * np.abs(f) * near / np.sqrt(np.abs(to_poles) ** 2 @ c2)
 
-    worst = _certify(lam, residuals(), np.max(theta) + rho * c2_sum,
-                     (-rho * c2_sum, np.sum(theta)),
+    worst = _certify(lam, residuals(), np.max(theta) + rho * c2_sum, traces,
                      f"(scheme=order_reduction, n={mesh.n}, k={k})")
     return lam, worst
 
 
 def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
-    """Certified eigenvalues of the classical generator, and their worst residual, O(N^2).
+    """Certified eigenvalues of the classical generator, and their worst residual, O(N).
 
-    The roots solve the last two rows of A with y_j = sinh(mu x_j) and
-    y_{N+1} = sinh(mu) / (1 + i k h/2), less the fold mu h = i pi, where y = 0,
-    and `_polish` refines them as pole offsets eps_j = lam_j - i mu_j.  The residual
-    of a root is ||A x - lam x|| / ||x||, A applied by `systems.apply_generator`, for
-    the closed-form eigenvector x = V y (Golub, 1973): in the sine basis V of M M^T,
-    A = i diag(mu) + (k/h) p r^T with r of `_classical_boundary_row` and p = -c^2 / r,
-    so y = (lam - i mu)^{-1} p, scaled to y_m = p_m / (1 + i (mu_j - mu_m) / eps_j).
-    V y is one inverse FFT of length 2N+3, O(N log N) per root, in blocks of about
-    2^15 entries.  Only the carried eps_j certify (Gu & Eisenstat, 1995): recomputed
-    as lam_j - i mu_j they leave 1.26e-8 against a bound of 2.6e-9 at N=255, k=1, and
-    with pole offsets from np.longdouble 5.1e-13 of the scale at N=1023; the carried
-    ones left at most 4.6e-16 of it for N <= 4095 and k = 1e-300 to 1e3.  A subnormal
-    eps_j (k = 1e-307 at N = 63) is refused.
-
-    Raises NumericalError unless there are N+1 finite roots, none coinciding,
-    each residual is at most 1e-14 (max mu + sqrt(5/2) k/h), a bound
-    on ||A||_2, and the roots keep the trace: sum Re lam = -(3/2) k/h and
-    sum Im lam = trace(M M^T) = (2N+1)/h^2, each to 1e-12 relative
-    (`_certify`).
+    The roots solve the last two rows of A with y_j = sinh(z x_j), y_{N+1} = sinh(z) /
+    (1 + i k h/2), one z_j = i (j + 1/2) pi (1 - 1/L) + zeta_j (L = 2N+3) per branch, less the
+    fold z h = i pi, where y = 0; `_refine` refines them from delta_j = -i zeta_j / (2(N+1)),
+    or from delta_j = 0 below k h = eps, where delta_j = O(k h) is under the branch roots'
+    rounding; one root no branch resolves is found by `_lost_root`.  In the sine basis V of
+    M M^T, A = i diag(mu) + (k/h) p r^T with r of `_classical_boundary_row`, p = -c^2 / r, and
+    a root's eigenvector is V y, y = (lam - i mu)^{-1} p (Golub, 1973): its residual
+    ||p|| |f| / ||y|| is bounded by `_residual` at the carried (j, eps_j), plus the distance
+    of the returned lam_j from i mu_j^exact + eps_j (np.longdouble; at the returned lam the
+    rounding of Im lam, amplified by ||p|| / |p_N|, leaves 1.6e-12 of the scale at N=4095),
+    and taken through `systems.apply_generator` at the 8 rightmost and 64 seeded roots, each
+    x = V y one inverse FFT of length 2N+3.  NumericalError unless `_certify` passes with the
+    scale max mu + sqrt(5/2) k/h, a bound on ||A||_2, and the traces -(3/2) k/h and (2N+1)/h^2.
     """
     mu, c = classical_poles_weights(mesh)
     n, n1, h, rho = mesh.n, mesh.state_size, mesh.h, k / mesh.h
     s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
+    length, tan, offset = _exact_poles(mesh, mu, True)
+    traces = (-1.5 * rho, (2 * n + 1) / h**2)
 
     def coefficients(z):
         sinh, cosh = np.sinh(z * h), np.cosh(z * h)
         return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
 
-    z = _branch_roots(coefficients, -1j * (np.arange(n + 1) + 0.5) * np.pi / (2 * n + 3))
-    lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
-    lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
-    eps = _polish(lam, mu, rho * c * c, -1.5 * rho + 1j * (2 * n + 1) / h**2)
-    lam = 1j * mu + eps
+    lost, v = np.zeros(n1, dtype=bool), np.zeros(n1, dtype=complex)
+    if k * h >= _EPS:
+        zeta0 = -1j * (np.arange(n1) + 0.5) * np.pi / length
+        z = _branch_roots(coefficients, zeta0)
+        lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
+        lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
+        lost = np.isnan(lam) | _coincident(lam)
+        zeta = (z - 1j * (np.arange(n1) + 0.5) * np.pi) - zeta0
+        v = np.where(lost, np.nan, -1j * zeta / (2 * n1 * (k * h)))
+    lam, eps, v = _refine(v, mu, tan, offset, length, mesh, k, True)
     p = -c * c / _classical_boundary_row(mesh, mu, c)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        big, near, w, vk = _secular_terms(v, tan, length, k * h, True)[:4]
+        residual = _residual(eps, w - vk / (big * near), mu, offset, p * p)
+    if np.count_nonzero(lost) == 1:
+        j = np.flatnonzero(lost)[0]
+        residual[j] = _lost_root(j, lam, eps, mu, offset, rho * c * c, p * p, complex(*traces))
 
-    def residual(rows):
+    def cross_check(rows):
         # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
         # x_j = (-1)^(j+1) (G_{j+1} - G_{-(j+1)}), so that x = (i / sqrt(2N+3)) V y
-        spectra = np.zeros((rows.size, 2 * n + 3), dtype=complex)
+        spectra = np.zeros((rows.size, length), dtype=complex)
         y = spectra[:, n + 2:]
+        gap, e = (mu[rows, None] - mu) + (offset[rows, None] - offset), eps[rows, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.multiply(mu[rows, None] - mu, 1j / eps[rows, None], out=y)
-            y += 1
-            np.divide(p, y, out=y)
+            # p eps_j / (eps_j + i gap) over a real |eps_j + i gap|^2: complex division by a
+            # subnormal eps_j overflows
+            y[:] = p * (np.abs(e) ** 2 - 1j * gap * e) / ((gap + e.imag) ** 2 + e.real**2)
+        y[np.arange(rows.size), rows] = p[rows]
         G = np.fft.ifft(spectra, axis=1)
         X = G[:, 1:n + 2] - G[:, :n + 1:-1]
         X[:, ::2] *= -1
         R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
         return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
 
-    blocks = _row_blocks(np.arange(n1), n1, _CERTIFY_ELEMENTS)
-    worst = _certify(lam, (residual(rows) for rows in blocks), np.max(mu) + np.sqrt(2.5) * rho,
-                     (-1.5 * rho, (2 * n + 1) / h**2), f"(scheme=classical, n={n}, k={k})")
+    def residuals():
+        exact = 1j * (mu.astype(np.longdouble) + offset) + eps
+        yield residual + np.abs(lam - exact).astype(float)
+        for rows in _row_blocks(_cross_checked(lam), length, _BLOCK_ELEMENTS):
+            yield cross_check(rows)
+
+    worst = _certify(lam, residuals(), np.max(mu) + np.sqrt(2.5) * rho, traces,
+                     f"(scheme=classical, n={n}, k={k})")
     return lam, worst
 
 
@@ -758,14 +764,13 @@ def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
     works on the differences d_m, each rounded relative to itself, so a far
     pole theta_m moves sigma_min by a relative eps of its small term
     c_m^2/(d_m -+ x), not by eps theta_m; d_m is offset by theta_m's rounding
-    (`_or_tangents`), most of sigma_min at a pole's peak at weak damping.
+    (`_exact_poles`), most of sigma_min at a pole's peak at weak damping.
     """
     theta, c = or_poles_weights(mesh)
-    rho = k / mesh.h
-    c2 = c * c
+    rho, c2 = k / mesh.h, c * c
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    return _resolvent_smin(_or_count, _smin_start, theta, _or_tangents(mesh, theta)[1], c2,
-                           rho, betas, np.abs(betas) + rho * np.sum(c2),
+    return _resolvent_smin(_or_count, _smin_start, theta, _exact_poles(mesh, theta, False)[2],
+                           c2, rho, betas, np.abs(betas) + rho * np.sum(c2),
                            f"(scheme=order_reduction, n={mesh.n}, k={k})")
 
 
@@ -775,22 +780,15 @@ def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
     The norm is 1/sigma_min(X) with X = D (i beta - A) D^{-1}, bracketed by
     `_resolvent_smin` with the exact inertia count `_classical_count` from half
     the nearest pole |d_m|, and no matrix.  d_m = (beta - mu_m) - (mu_m^exact - mu_m)
-    with mu_m^exact = (2 (N+1) sin a_m)^2 from np.longdouble, as in `_or_tangents`, and
-    in the upper half as 4 (N+1)^2 - (2 (N+1) cos a_m)^2, offset from 4 (N+1)^2 - mu_m:
-    beta - mu_m alone would carry the pole's rounding, up to eps mu_m, which is most
-    of sigma_min near a pole.  Raises NumericalError when i beta is numerically in the
+    (`_exact_poles`): beta - mu_m alone would carry the pole's rounding, up to eps mu_m,
+    most of sigma_min near a pole.  Raises NumericalError when i beta is numerically in the
     spectrum, the bracket top at most 1e-14 (|beta| + max mu + sqrt(5/2) k/h), with
     the last two terms a bound on ||A||_2; and when a bracket fails to converge or its count.
     """
     mu, c = classical_poles_weights(mesh)
     rho = k / mesh.h
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    m, top = np.arange(mesh.state_size, dtype=np.longdouble), 4 * mesh.state_size**2
-    quarter = 2 * np.arctan(np.longdouble(1)) / (2 * mesh.n + 3)  # pi / (2 (2N+3))
-    sin2, cos2 = (2 * mesh.state_size * np.sin(np.array((2 * m + 1, 2 * (mesh.n - m) + 2))
-                                                * quarter)) ** 2
-    offset = np.where(m > mesh.n / 2, (top - mu) - cos2, sin2 - mu).astype(float)
     return 1.0 / _resolvent_smin(_classical_count, lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1),
-                                 mu, offset, c * c, rho, betas,
+                                 mu, _exact_poles(mesh, mu, True)[2], c * c, rho, betas,
                                  np.abs(betas) + np.max(mu) + np.sqrt(2.5) * rho,
                                  f"(scheme=classical, n={mesh.n}, k={k})")

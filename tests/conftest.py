@@ -153,15 +153,50 @@ def or_backward_residual(lam, theta, c, rho):
     return np.concatenate(out)
 
 
+def _polish(lam, poles, weights, trace, offset=0.0):
+    """Secular roots made whole, then refined on the direct sum; returns eps_j = lam_j - i poles_j.
+
+    The O(N^2) reference oracle for both spectra.  A nan, or a root `secular._coincident`
+    marks, is missing; one missing root is the trace less the others.  Newton on
+    f = 1 + sum weights / (lam - i poles) runs on eps_j (Gu & Eisenstat, 1995), with the
+    poles at poles + offset (eps_j taken from that pole too), so that small real parts keep
+    their digits, for up to 8 steps, until a step is at most 4 eps |eps_j|.  It steps on
+    eps_j f, which removes pole j: from a branch root more than |eps_j| off (the top roots
+    at weak damping), Newton on f runs off along it.
+    The derivative's terms are summed as (eps_j / (lam_j - i poles_m)) / (lam_j - i poles_m),
+    so that nothing overflows or underflows down to k = 1e-300.  Each sweep runs over all
+    poles in blocks of 2^18 root-to-pole terms.
+    """
+    from schrostab.grid import _row_blocks
+    from schrostab.secular import _coincident
+
+    eps_max = np.finfo(float).eps
+    lam[_coincident(lam)] = np.nan
+    if np.count_nonzero(np.isnan(lam)) == 1:
+        lam[np.isnan(lam)] = trace - np.nansum(lam)
+    offset = np.broadcast_to(offset, poles.shape)
+    eps = (lam - 1j * poles) - 1j * offset
+    active = np.ones(lam.size, dtype=bool)
+    for _ in range(8):
+        for rows in _row_blocks(np.flatnonzero(active), lam.size, 1 << 18):
+            gaps = (poles[rows, None] - poles) + (offset[rows, None] - offset)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                to_poles = 1.0 / (eps[rows, None] + 1j * gaps)
+                f = 1.0 + to_poles @ weights
+                step = eps[rows] * f / (((eps[rows, None] * to_poles) * to_poles) @ weights - f)
+                eps[rows] += step
+                active[rows] = np.abs(step) > 4 * eps_max * np.abs(eps[rows])
+    return eps
+
+
 def or_polished_roots(mesh, k):
     """Order-reduction roots by Newton on the direct secular sum, O(N^2) in all.
 
     The branch roots of the order-reduction dispersion relation, refined by
-    the classical scheme's `secular._polish` on the order-reduction poles
-    and weights, as rounded to double precision.
+    `_polish` on the order-reduction poles and weights, as rounded to double precision.
     """
     from schrostab.continuous import _branch_roots
-    from schrostab.secular import _polish, or_poles_weights
+    from schrostab.secular import or_poles_weights
 
     theta, c = or_poles_weights(mesh)
     rho, h = k / mesh.h, mesh.h
@@ -173,3 +208,31 @@ def or_polished_roots(mesh, k):
     nu = coefficients(_branch_roots(coefficients, np.zeros(mesh.state_size)))[0]
     eps = _polish(-1j * nu**2, theta, rho * c * c, -rho * c @ c + 1j * np.sum(theta))
     return 1j * theta + eps
+
+
+def classical_polished_roots(mesh, k):
+    """Classical roots by Newton on the direct secular sum, O(N^2) in all.
+
+    The branch roots of the classical dispersion relation, less the fold lam = 4i/h^2,
+    refined by `_polish` on the classical weights, as rounded to double precision, and
+    the poles with their offsets from np.longdouble (`secular._exact_poles`): a root that
+    wanders off its branch at k = 1e3, N = 4095 moves by 1.6e-14 relative with the
+    poles' rounding.
+    """
+    from schrostab.continuous import _branch_roots
+    from schrostab.secular import _exact_poles, classical_poles_weights
+
+    mu, c = classical_poles_weights(mesh)
+    offset = _exact_poles(mesh, mu, True)[2]
+    n, h = mesh.n, mesh.h
+    s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
+
+    def coefficients(z):
+        sinh, cosh = np.sinh(z * h), np.cosh(z * h)
+        return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
+
+    z = _branch_roots(coefficients, -1j * (np.arange(n + 1) + 0.5) * np.pi / (2 * n + 3))
+    lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
+    lam[np.abs(lam - 4j / h**2) <= 1e-10 * 4 / h**2] = np.nan
+    eps = _polish(lam, mu, k / h * c * c, -1.5 * k / h + 1j * (2 * n + 1) / h**2, offset)
+    return 1j * mu + (eps + 1j * offset)

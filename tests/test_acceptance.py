@@ -259,13 +259,13 @@ def test_criterion_11_order_reduction_abscissa_beyond_dense_cap(capsys):
 
 
 def test_criterion_12_classical_blowup_beyond_dense_cap(capsys):
-    # alpha ~ (N+1)^p by least squares in log-log over N = 255, 1023, 4095;
+    # alpha ~ (N+1)^p by least squares in log-log over N = 255 to 65535;
     # the classical scheme loses uniform decay at p = -2
-    n_values = (255, 1023, 4095)
+    n_values = (255, 1023, 4095, 16383, 65535)
     reports = [spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(n), 1.0)) for n in n_values]
     abscissae = np.array([rep.abscissa for rep in reports])
     p = np.polyfit(np.log(np.array(n_values) + 1.0), np.log(-abscissae), 1)[0]
-    passed = (reports[-1].eigenvalues.size == 4096 and np.all(abscissae < 0)
+    passed = (reports[-1].eigenvalues.size == 65536 and np.all(abscissae < 0)
               and -2.1 <= p <= -1.9)
     _report(
         capsys, 12, passed,

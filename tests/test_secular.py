@@ -26,6 +26,7 @@ from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, ap
 
 from conftest import (
     aberth_roots,
+    classical_polished_roots,
     classical_resolvent_within,
     dense_generator,
     modal_oracle,
@@ -212,10 +213,16 @@ def test_closed_form_matches_direct_oracle(n, k):
     assert np.all(np.abs(lam - expect) <= 1e-14 * np.abs(expect))
     assert np.all(or_backward_residual(lam, theta, c, rho) <= 1e-14 * scale)
     moved = lam + 1e-9 * np.abs(lam)
-    tan, offset = secular._or_tangents(mesh, theta)
-    ratio = (secular._or_residual(moved, theta, c, tan, offset, mesh, k)
-             / or_backward_residual(moved, theta, c, rho))
+    ratio = or_closed_form_residual(moved, mesh, k) / or_backward_residual(moved, theta, c, rho)
     assert np.all((ratio >= 1 - 1e-5) & (ratio <= 1.1))
+
+
+def or_closed_form_residual(lam, mesh, k):
+    """`secular._residual` at the order-reduction roots lam, as `or_spectrum` bounds them."""
+    theta, c = or_poles_weights(mesh)
+    tan, offset = secular._exact_poles(mesh, theta, False)[1:]
+    f, eps = secular._or_characteristic(lam, theta, tan, offset, mesh, k)
+    return secular._residual(eps, f, theta, offset, c * c)
 
 
 def _mpmath_characteristic(lam, n, k):
@@ -241,7 +248,7 @@ def test_closed_form_matches_mpmath(n, k, rng):
     # that); taken from the rounded poles alone, the pole error reached 44 times it
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
-    tan, offset = secular._or_tangents(mesh, theta)
+    tan, offset = secular._exact_poles(mesh, theta, False)[1:]
     points = [or_spectrum(mesh, k)[0]]
     for r in (1e-2, 1e-8, 1e-14):
         eps = r * theta * np.exp(2j * np.pi * rng.random(n + 1))
@@ -271,14 +278,14 @@ def test_extreme_weak_damping_certifies(n, k, rtol):
 
 
 def test_duplicate_root_is_refused(monkeypatch):
-    refine = secular._or_refine
+    refine = secular._refine
 
     def duplicated(*args):
-        lam = refine(*args)
+        lam, eps, v = refine(*args)
         lam[1] = lam[0]
-        return lam
+        return lam, eps, v
 
-    monkeypatch.setattr("schrostab.secular._or_refine", duplicated)
+    monkeypatch.setattr("schrostab.secular._refine", duplicated)
     with pytest.raises(NumericalError, match="coincide"):
         or_spectrum(Mesh(15), 1.0)
 
@@ -286,55 +293,66 @@ def test_duplicate_root_is_refused(monkeypatch):
 def test_roots_apart_only_in_real_part_are_refused(monkeypatch):
     # one imaginary part and real parts 1e-3 apart: 2.9e-4 apart relative to
     # |lam|, which the pairwise rule passes, but coincident in imaginary-part order
-    refine = secular._or_refine
+    refine = secular._refine
 
     def flattened(*args):
-        lam = refine(*args)
+        lam, eps, v = refine(*args)
         lam[1] = lam[0] + 1e-3
-        return lam
+        return lam, eps, v
 
-    monkeypatch.setattr("schrostab.secular._or_refine", flattened)
+    monkeypatch.setattr("schrostab.secular._refine", flattened)
     with pytest.raises(NumericalError, match="coincide"):
         or_spectrum(Mesh(15), 1.0)
 
 
-@pytest.mark.parametrize("n", [15, 255, 4095])
-@pytest.mark.parametrize("where", ["bottom", "middle", "top"])
-def test_closed_form_residual_binds(monkeypatch, n, where):
+@pytest.mark.parametrize("scheme, where, n", [
+    pytest.param(scheme, where, n, id=f"{'classical-' if scheme == CLASSICAL else ''}{where}-{n}")
+    for scheme in (ORDER_REDUCTION, CLASSICAL)
+    for where in ("bottom", "middle", "top") for n in (15, 255, 4095)
+])
+def test_closed_form_residual_binds(monkeypatch, scheme, where, n):
     # one root moved by 1e-13 of the scale, 10 times the bound: the closed form
     # alone refuses it, and so does the certificate, whose direct cross-check
-    # covers every root at N = 15 but only 72 of them otherwise
+    # covers every root at N = 15 but only 72 of them otherwise.  The classical
+    # closed form is taken at the carried eps_j, so the returned root's distance
+    # from i mu_j^exact + eps_j is what refuses it
     mesh = Mesh(n)
-    theta, c = or_poles_weights(mesh)
-    scale = theta.max() + c @ c / mesh.h
+    if scheme == ORDER_REDUCTION:
+        poles, c = or_poles_weights(mesh)
+        scale, spectrum = poles.max() + c @ c / mesh.h, or_spectrum
+    else:
+        poles = classical_poles_weights(mesh)[0]
+        scale, spectrum = poles.max() + np.sqrt(2.5) / mesh.h, classical_spectrum
     root = {"bottom": 0, "middle": n // 2, "top": n}[where]
-    refine = secular._or_refine
-    refined = []
+    refine, certify = secular._refine, secular._certify
+    closed_form = []
 
     def shifted(*args):
-        lam = refine(*args)
+        lam, eps, v = refine(*args)
         lam[root] += 1e-13 * scale
-        refined.append(lam)
-        return lam
+        return lam, eps, v
 
-    monkeypatch.setattr("schrostab.secular._or_refine", shifted)
+    def recorded(lam, residuals, *args):
+        closed_form.append(next(residuals))
+        return certify(lam, iter([closed_form[0], *residuals]), *args)
+
+    monkeypatch.setattr("schrostab.secular._refine", shifted)
+    monkeypatch.setattr("schrostab.secular._certify", recorded)
     with pytest.raises(NumericalError, match="secular residual"):
-        or_spectrum(mesh, 1.0)
-    tan, offset = secular._or_tangents(mesh, theta)
-    residual = secular._or_residual(refined[0], theta, c, tan, offset, mesh, 1.0)
-    assert residual[root] > 1e-14 * scale
+        spectrum(mesh, 1.0)
+    assert closed_form[0][root] > 1e-14 * scale
 
 
 @pytest.mark.parametrize("bad", [-np.inf, np.nan])
 def test_residual_that_is_not_a_nonnegative_number_is_refused(monkeypatch, bad):
-    residual = secular._or_residual
+    residual = secular._residual
 
     def broken(*args):
         out = residual(*args)
         out[3] = bad
         return out
 
-    monkeypatch.setattr("schrostab.secular._or_residual", broken)
+    monkeypatch.setattr("schrostab.secular._residual", broken)
     with pytest.raises(NumericalError, match="secular residual"):
         or_spectrum(Mesh(15), 1.0)
 
@@ -441,27 +459,83 @@ def test_classical_certificate_holds_with_margin(k, n):
 
 
 @pytest.mark.parametrize("n", [1, 63, 1023])
-@pytest.mark.parametrize("k", [1e-200, 1e-300])
+@pytest.mark.parametrize("k", [1e-200, 1e-300, 1e-305, 1e-320])
 def test_classical_extreme_weak_damping_certifies(n, k):
     # the Newton terms and the eigenvectors are taken relative to eps_j, which is
-    # about -(k/h) c_j^2: no 1/eps_j^2 overflows, and Re lam_j keeps its digits
+    # about -(k/h) c_j^2: no 1/eps_j^2 overflows, and Re lam_j keeps its digits, down to
+    # its own rounding where it is subnormal (k = 1e-305 and 1e-320; Newton runs on
+    # delta / (k h), the eigenvectors are taken over a real |eps_j + i gap|^2, and eps_j
+    # is formed from (2^600 k) h)
     mesh = Mesh(n)
     mu, c = classical_poles_weights(mesh)
     rho = k / mesh.h
     lam, worst = classical_spectrum(mesh, k)
     assert 0 <= worst <= 1e-15 * (mu.max() + np.sqrt(2.5) * rho)
-    assert np.all(np.abs(lam.real + rho * c * c) <= 8 * EPS * rho * c * c)
+    tiny = np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(lam.real + rho * c * c) <= 8 * EPS * rho * c * c + 2 * tiny)
+
+
+@pytest.mark.parametrize("k, n", [
+    *((k, n) for n in (1, 2, 3, 15, 255, 1023) for k in (1e-12, 1e-6, 1.0, 1e3)),
+    (1e-12, 4095), (1e3, 4095),
+])
+def test_classical_closed_form_matches_direct_oracle(k, n):
+    # the pole-relative closed-form roots against Newton on the direct O(N^2) sum;
+    # at k = 1e3 one root leaves the poles' range (N <= 255) or wanders off its branch
+    # and is the trace less the others, refined on the direct sum
+    mesh = Mesh(n)
+    lam = by_imaginary_part(classical_spectrum(mesh, k)[0])
+    expect = by_imaginary_part(classical_polished_roots(mesh, k))
+    assert np.all(np.abs(lam - expect) <= 1e-14 * np.abs(expect))
+
+
+def _mpmath_classical_root(re, n, k, j):
+    """The root on pole j of the classical closed form, by 50-digit Newton with exact poles.
+
+    f = 1 - i k h s + (i k h/2)(1 + 2 s) tan((2N+3) psi) / tan psi, s = sin^2 psi = -i lam h^2/4,
+    from i mu_j^exact + re: at weak damping the rounding of Im lam exceeds |Re lam|.
+    """
+    with mpmath.workdps(50):
+        h, length = mpmath.mpf(1) / (n + 1), 2 * n + 3
+        kh = k * h
+        z = 1j * (2 * (n + 1) * mpmath.sin((2 * j + 1) * mpmath.pi / (2 * length))) ** 2 + re
+        for _ in range(40):
+            s = -1j * z * h * h / 4
+            psi = mpmath.asin(mpmath.sqrt(s))
+            ratio = mpmath.tan(length * psi) / mpmath.tan(psi)
+            f = 1 - 1j * kh * s + 0.5j * kh * (1 + 2 * s) * ratio
+            slope = (length / mpmath.cos(length * psi) ** 2 / mpmath.tan(psi)
+                     - mpmath.tan(length * psi) / mpmath.sin(psi) ** 2) / mpmath.sin(2 * psi)
+            step = f / ((-1j * kh + 1j * kh * ratio + 0.5j * kh * (1 + 2 * s) * slope)
+                        * (-1j * h * h / 4))
+            z -= step
+            if abs(step) < mpmath.mpf(10) ** -40 * abs(z):
+                return complex(z)
+        raise AssertionError("mpmath Newton did not converge")
+
+
+@pytest.mark.parametrize("n", [255, 1023])
+@pytest.mark.parametrize("k", [1e-12, 1e-6, 1.0])
+def test_classical_top_real_parts_match_mpmath(n, k):
+    # Re lam of the two top roots and of the abscissa root, within 4 eps of the exact-pole
+    # closed form (measured: at most 2.2 eps): cos a_j from the complementary angle, and
+    # sin^2 psi - sin^2 a_j and tan(a_j + delta) formed without cancellation near a_N = pi/2
+    lam = classical_spectrum(Mesh(n), k)[0]
+    for j in {*np.argsort(lam.imag)[-2:], np.argmax(lam.real)}:
+        expect = _mpmath_classical_root(lam[j].real, n, k, j)
+        assert abs(lam[j].real - expect.real) <= 4 * EPS * abs(expect.real)
 
 
 def test_recomputed_pole_offsets_are_refused(monkeypatch):
     # eps_j taken back from the rounded lam_j has lost the digits of Re lam_j below
     # eps mu_j, and its eigenvectors miss the bound by about 5x at N=255
-    polish = secular._polish
+    refine = secular._refine
 
-    def recomputed(lam, poles, weights, trace):
-        return (1j * poles + polish(lam, poles, weights, trace)) - 1j * poles
+    def recomputed(v, poles, tan, offset, *args):
+        lam, eps, v = refine(v, poles, tan, offset, *args)
+        return lam, (lam - 1j * poles) - 1j * offset, v
 
-    monkeypatch.setattr("schrostab.secular._polish", recomputed)
+    monkeypatch.setattr("schrostab.secular._refine", recomputed)
     with pytest.raises(NumericalError, match="secular residual"):
         classical_spectrum(Mesh(255), 1.0)
 
@@ -579,7 +653,7 @@ def test_resolvent_count_on_a_pole_is_taken_from_below():
     # count there, where d_0 + x is an exact zero, is the count just below
     mesh, k, beta = Mesh(63), 1e-6, -71960.62885869741
     theta, c = or_poles_weights(mesh)
-    d = (beta - theta - secular._or_tangents(mesh, theta)[1])[None, :]
+    d = (beta - theta - secular._exact_poles(mesh, theta, False)[2])[None, :]
     ad, rho = np.abs(d), k / mesh.h
     x = np.array([ad[0, 0], np.nextafter(ad[0, 0], 0)])
     assert secular._smin_start(d, ad, c * c, rho)[0] == x[0]

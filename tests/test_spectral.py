@@ -79,19 +79,19 @@ class TestSpectralAbscissa:
         assert rep.max_eigen_residual <= 1e-12 * norm
 
     def test_residual_check_binds(self, monkeypatch):
-        # one classical root off by 1e-12 of the scale leaves its closed-form
-        # eigenvector a residual of about that size, 100 times the bound
+        # one classical root's carried offset eps_j off by 1e-12 of the scale leaves
+        # the root a residual of about that size, 100 times the bound
         mesh = Mesh(15)
         mu = secular.classical_poles_weights(mesh)[0]
         shift = 1e-12 * (mu.max() + np.sqrt(2.5) / mesh.h)
-        polish = secular._polish
+        refine = secular._refine
         for root in (0, 7, 15):
             def shifted(*args, root=root):
-                eps = polish(*args)
+                lam, eps, v = refine(*args)
                 eps[root] += shift
-                return eps
+                return lam, eps, v
 
-            monkeypatch.setattr("schrostab.secular._polish", shifted)
+            monkeypatch.setattr("schrostab.secular._refine", shifted)
             with pytest.raises(NumericalError, match="secular residual"):
                 spectral_abscissa(SemiDiscreteSystem(CLASSICAL, mesh, 1.0))
 
@@ -100,14 +100,14 @@ class TestSpectralAbscissa:
         # one secular root off by 1e-10 ||B|| leaves a backward residual of about that size
         system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(15), 1.0)
         shift = 1e-10 * spectral_norm_estimate(weighted_oracle(system))
-        refine = secular._or_refine
+        refine = secular._refine
 
         def shifted(*args):
-            lam = refine(*args)
+            lam, eps, v = refine(*args)
             lam[root] += shift
-            return lam
+            return lam, eps, v
 
-        monkeypatch.setattr("schrostab.secular._or_refine", shifted)
+        monkeypatch.setattr("schrostab.secular._refine", shifted)
         with pytest.raises(NumericalError, match="secular residual"):
             spectral_abscissa(system)
 
