@@ -86,7 +86,8 @@ def difference(u: np.ndarray, h: float) -> np.ndarray:
         raise ValueError("difference needs at least two entries")
     if h <= 0:
         raise ValueError(f"step size must be positive, got h={h}")
-    return (u[1:] - u[:-1]) / h
+    # numpy divides a complex array by a real scalar as this product, bit for bit
+    return (u[1:] - u[:-1]) * (1.0 / h)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,17 +13,20 @@ the relative defect the suite checks.
 
 Each identity has one private kernel.  A public gap function builds the
 pieces of its batch and calls the kernel; `run_identity_suite` calls the
-same kernels on column blocks of about 2^15 entries, which stay in cache.
-It builds the shadow element, the extended vectors and their cell values
-once per block and shares them among all identities.  One worker thread
-draws the next seeded batch while the main thread evaluates the current
-one.  A column's defect does not depend on the width of its block.
+same kernels on column blocks of about 2^14 entries, which stay in cache.
+It builds the shadow element, the extended vectors, their cell values and
+the energy sums two identities share once per block.  The main thread and
+one worker, once it has drawn the next seeded batch, take each block once
+from one list.  A column's defect depends neither on its block's width nor
+on the thread.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -55,7 +58,7 @@ __all__ = [
 
 
 class _Block(NamedTuple):
-    """A state batch Y, its shadow element Z, D Y, both vectors extended, and their cell values."""
+    """Y, its shadow element Z, D Y, both extended, their cell values and three energy sums."""
 
     Y: np.ndarray
     Z: np.ndarray
@@ -66,6 +69,13 @@ class _Block(NamedTuple):
     y_dif: np.ndarray
     z_mid: np.ndarray
     z_dif: np.ndarray
+    e_ymid: np.ndarray
+    e_ydif: np.ndarray
+    e_zmid: np.ndarray
+
+
+def _energy(a):
+    return np.sum(np.abs(a) ** 2, axis=0)
 
 
 def _block(Y, k: float, mesh: Mesh) -> _Block:
@@ -73,24 +83,22 @@ def _block(Y, k: float, mesh: Mesh) -> _Block:
     Z = shadow_element(Y, k, mesh)
     yext = extend_state(Y, mesh)
     zext = extend_shadow(Z, Y, k, mesh)
-    h = mesh.h
-    return _Block(
-        Y, Z, mesh.matrices.D @ Y, yext, zext,
-        average(yext), difference(yext, h), average(zext), difference(zext, h),
-    )
+    y_mid, y_dif, z_mid = average(yext), difference(yext, mesh.h), average(zext)
+    return _Block(Y, Z, mesh.matrices.D @ Y, yext, zext, y_mid, y_dif, z_mid,
+                  difference(zext, mesh.h), _energy(y_mid), _energy(y_dif), _energy(z_mid))
 
 
-def _boundary_gap(last, mids, difs, mesh: Mesh):
-    """The boundary multiplier defect of an extended vector from its last
-    entry, its cell averages and its scaled differences."""
+def _boundary_gap(last, mids, difs, mesh: Mesh, e_mid=None, e_dif=None):
+    """The boundary multiplier defect of an extended vector from its last entry, its
+    cell averages, its scaled differences and the column sums of their |.|^2, if known."""
     x_mid = mesh.midpoints()
     if mids.ndim > 1:
         x_mid = x_mid[:, None]
     h = mesh.h
     lhs = 2.0 * np.real(h * np.sum(x_mid * mids * np.conj(difs), axis=0))
     t_boundary = np.abs(last) ** 2
-    t_mid = h * np.sum(np.abs(mids) ** 2, axis=0)
-    t_dif = (h**3 / 4.0) * np.sum(np.abs(difs) ** 2, axis=0)
+    t_mid = h * (_energy(mids) if e_mid is None else e_mid)
+    t_dif = (h**3 / 4.0) * (_energy(difs) if e_dif is None else e_dif)
     gap = np.abs(lhs - (t_boundary - t_mid - t_dif))
     scale = np.max(np.stack([np.abs(lhs), t_boundary, t_mid, t_dif]), axis=0)
     return gap, scale
@@ -136,7 +144,7 @@ def _cross_term_gap(b: _Block, mesh: Mesh):
     # would depend on the width of the block.
     cy, cz = np.conj(b.y_mid), np.conj(b.z_dif)
     cross = h * np.sum(cy * b.z_dif + b.y_mid * cz, axis=0)
-    t_z = 2.0 * h * np.sum(np.abs(b.z_mid) ** 2, axis=0)
+    t_z = 2.0 * h * b.e_zmid
     gap = np.abs(cross + t_z)
     scale = np.maximum(np.abs(cross), t_z)
     return gap, scale
@@ -162,14 +170,12 @@ def _claim_functionals_gap(b: _Block, beta: float, mesh: Mesh, perturb: float = 
     sz = sm.Sigma @ b.zext
     # row 0 again, rounded as the product rounds it, with perturb added to Sigma[0, 0]
     sz[0] = (sm.Sigma.main + perturb) * b.zext[0] + sm.Sigma.off * b.zext[1]
-    sig_z = h * np.sum(np.abs(sz) ** 2, axis=0)
-    del_z = h * np.sum(np.abs(sm.Delta @ b.zext) ** 2, axis=0)
-    del_y = h * np.sum(np.abs(sm.Delta @ b.yext) ** 2, axis=0)
+    sig_z = h * _energy(sz)
+    del_z = h * _energy(sm.Delta @ b.zext)
+    del_y = h * _energy(sm.Delta @ b.yext)
 
-    s_y = h * np.sum(np.abs(b.y_mid) ** 2, axis=0)
-    s_z = h * np.sum(np.abs(b.z_mid) ** 2, axis=0)
-    s_dz = h * np.sum(np.abs(b.z_dif) ** 2, axis=0)
-    s_dy = h * np.sum(np.abs(b.y_dif) ** 2, axis=0)
+    s_y, s_z, s_dy = h * b.e_ymid, h * b.e_zmid, h * b.e_ydif
+    s_dz = h * _energy(b.z_dif)
 
     m2 = [y_norm2, sig_z / beta, (h**2 / (4 * beta)) * del_z, (h**2 / 4) * del_y]
     s2 = [s_y, s_z / beta, (h**2 / (4 * beta)) * s_dz, (h**2 / 4) * s_dy]
@@ -220,11 +226,12 @@ SUITE_TOLERANCES = {
 
 DEFAULT_SUITE_N = (1, 2, 7, 64, 255)
 DEFAULT_SUITE_K = (0.1, 1.0, 10.0)
-# The default suite peaks at about 35 KiB per sample above the imports (405 MiB
-# at the cap, 2.4-3.0 s on a 2-core machine with one BLAS thread).
+# The default suite peaks at about 26 KiB per sample above the imports (255 MiB
+# at the cap, 1.6-1.8 s on a 2-core machine with one BLAS thread).
 MAX_SAMPLES = 10**4
-# Entries per column block of a batch: 512 KiB of complex128.
-_BLOCK_ELEMENTS = 1 << 15
+# Entries per column block of a batch: 256 KiB of complex128.  2^15 ran as fast with up to
+# 8% more peak RSS; from 2^13 down, two threads hand the GIL over more than a core gains.
+_BLOCK_ELEMENTS = 1 << 14
 # in report order
 _GAIN_IDENTITIES = (
     "dissipation", "boundary_multiplier_y", "boundary_multiplier_z", "cross_term", "claim2", "claim3"
@@ -239,15 +246,43 @@ def _random_states(rng, size: int, batch: int) -> np.ndarray:
     return states
 
 
-def _prefetched(pool, draw, plan):
-    """draw(sizes) for each entry of plan, in order, each drawn on pool
-    while the caller evaluates the one before it."""
-    ahead = pool.submit(draw, plan[0])
-    for sizes in plan[1:]:
-        batch = ahead.result()
-        ahead = pool.submit(draw, sizes)
-        yield batch
-    yield ahead.result()
+def _shared(pool, task, evaluate, blocks):
+    """evaluate(cols) for each of blocks, once each, on this thread and on pool's one
+    worker, which runs task() first; task()'s result (or error) once both are done.
+    """
+    todo = deque([*blocks, None, None])  # one stop for each thread
+
+    def take(task=lambda: None):
+        result = task()
+        for cols in iter(todo.popleft, None):  # popleft is atomic
+            evaluate(cols)
+        return result
+
+    ahead = pool.submit(take, task)
+    try:
+        take()
+    finally:
+        result = ahead.result()  # after an error here too, so that no error goes unread
+    return result
+
+
+def _triple_block(defects, n, u, v, w, cols):
+    ub, vb, wb = (np.ascontiguousarray(a[:, cols]) for a in (u, v, w))
+    defects[0, cols] = np.abs(triple_sum_identity_gap(ub, vb, wb))
+    defects[1, cols] = np.prod([np.max(np.abs(a), axis=0) for a in (ub, vb, wb)], axis=0) * (n + 2)
+
+
+def _gain_block(defects, k, beta, perturb, mesh, Y, Zext, cols):
+    Yb, Zb = (np.ascontiguousarray(a[:, cols]) for a in (Y, Zext))
+    b = _block(Yb, k, mesh)
+    defects["dissipation"][:, cols] = _dissipation_gap(b.Y, b.Z, b.DY, k, mesh)
+    defects["boundary_multiplier_y"][:, cols] = _boundary_gap(
+        b.Y[-1], b.y_mid, b.y_dif, mesh, b.e_ymid, b.e_ydif)
+    defects["boundary_multiplier_z"][:, cols] = boundary_multiplier_gap_z(Zb, mesh)
+    defects["cross_term"][:, cols] = _cross_term_gap(b, mesh)
+    cf = _claim_functionals_gap(b, beta, mesh, perturb)
+    for claim in ("claim2", "claim3"):
+        defects[claim][:, cols] = cf["gap_" + claim], cf["scale_" + claim]
 
 
 def _column_blocks(samples: int, rows: int) -> list[slice]:
@@ -273,9 +308,9 @@ def run_identity_suite(
     """Evaluate every identity on seeded random batches; one report each.
 
     Each batch is evaluated in column blocks that stay in cache, with the
-    shadow element and the extended vectors formed once per block and
-    shared by every identity.  One worker thread draws the next batch, in
-    the seeded order, while the current one is evaluated.
+    shadow element, the extended vectors and the shared energy sums formed
+    once per block.  One worker thread draws each batch in the seeded order
+    while the main thread evaluates the one before, then joins it in that.
 
     `perturb` injects a fault into one entry of the Sigma matrix used by the
     functional equalities, as a sensitivity check that the suite actually
@@ -286,50 +321,30 @@ def run_identity_suite(
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples {samples} exceeds the cap of {MAX_SAMPLES}")
     rng = np.random.default_rng(seed)
-
-    def draw(sizes):
-        return [_random_states(rng, size, samples) for size in sizes]
-
     # per grid size: u, v, w for the triple sum, then Y and Zext per gain
-    plan = [
+    plan = iter([
         sizes
         for n in n_values
         for sizes in [(n + 2,) * 3] + [(n + 1, n + 2)] * len(DEFAULT_SUITE_K)
-    ]
+    ])
+
+    def draw():
+        return [_random_states(rng, size, samples) for size in next(plan, ())]
+
     reports = []
     with ThreadPoolExecutor(max_workers=1) as pool:
-        batches = _prefetched(pool, draw, plan)
+        batch = pool.submit(draw).result()
         for n in n_values:
             mesh = Mesh(n)
             blocks = _column_blocks(samples, n + 2)
-
-            u, v, w = next(batches)
             defects = np.empty((2, samples))
-            for cols in blocks:
-                ub, vb, wb = (np.ascontiguousarray(a[:, cols]) for a in (u, v, w))
-                defects[0, cols] = np.abs(triple_sum_identity_gap(ub, vb, wb))
-                defects[1, cols] = (
-                    np.max(np.abs(ub), axis=0) * np.max(np.abs(vb), axis=0)
-                    * np.max(np.abs(wb), axis=0)
-                ) * (n + 2)
+            batch = _shared(pool, draw, partial(_triple_block, defects, n, *batch), blocks)
             # triple_sum is gain-independent; report it under k = 0
             _append_worst(reports, "triple_sum", n, 0.0, seed, *defects)
-
             for k in DEFAULT_SUITE_K:
-                Y, Zext = next(batches)
                 defects = {name: np.empty((2, samples)) for name in _GAIN_IDENTITIES}
-                for cols in blocks:
-                    Yb, Zb = (np.ascontiguousarray(a[:, cols]) for a in (Y, Zext))
-                    b = _block(Yb, k, mesh)
-                    defects["dissipation"][:, cols] = _dissipation_gap(b.Y, b.Z, b.DY, k, mesh)
-                    defects["boundary_multiplier_y"][:, cols] = _boundary_gap(
-                        b.Y[-1], b.y_mid, b.y_dif, mesh
-                    )
-                    defects["boundary_multiplier_z"][:, cols] = boundary_multiplier_gap_z(Zb, mesh)
-                    defects["cross_term"][:, cols] = _cross_term_gap(b, mesh)
-                    cf = _claim_functionals_gap(b, beta, mesh, perturb)
-                    for claim in ("claim2", "claim3"):
-                        defects[claim][:, cols] = cf["gap_" + claim], cf["scale_" + claim]
+                evaluate = partial(_gain_block, defects, k, beta, perturb, mesh, *batch)
+                batch = _shared(pool, draw, evaluate, blocks)
                 for name, (gaps, scales) in defects.items():
                     _append_worst(reports, name, n, k, seed, gaps, scales)
     return reports

@@ -79,7 +79,7 @@ _EPS = np.finfo(float).eps
 _BLOCK_ELEMENTS = 1 << 18
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
-_SUBNORMAL = np.finfo(float).smallest_subnormal
+_SUBNORMAL, _TINY = np.finfo(float).smallest_subnormal, np.finfo(float).tiny
 # Neighbours in imaginary-part order differ in imaginary part by >= 5.5e-3 (order
 # reduction) and 7.05e-6 (classical) of the larger modulus at N = 1023, kh in [1e-3, 50],
 # falling like 6/(N+1) and 7.4/(N+1)^2; two approximations of one root fall below this.
@@ -324,10 +324,11 @@ def _refine(v, poles, tan, offset, length: int, mesh: Mesh, k: float, sine: bool
     is f's and which has no pole at delta = 0 (Gu & Eisenstat, 1995), up to 8 times until a
     step is at most 4 eps |v_j|; then eps_j = i (2 (N+1))^2 (chi(psi_j) - chi(a_j)), with
     s = tan psi - t formed as s / (k h): s (2 t + s) [times cos^2 psi cos^2 a for sin^2].
-    Classical k h is taken as (2^600 k) h / 2^600 where it is subnormal, short of digits.
+    k h is taken as (2^600 k) h / 2^600 where it is subnormal, short of digits, and
+    Re lam_j as Re eps_j, whose sign survives where it underflows.
     """
     n1, kh = mesh.state_size, k * mesh.h
-    scale = 2.0**600 if sine and kh < np.finfo(float).tiny else 1.0
+    scale = 2.0**600 if kh < _TINY else 1.0
     active = np.flatnonzero(np.isfinite(v))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         for _ in range(8):
@@ -344,8 +345,11 @@ def _refine(v, poles, tan, offset, length: int, mesh: Mesh, k: float, sine: bool
         eps = 1j * (2 * n1) ** 2 * s * ((k * scale) * mesh.h) * (2 * tan + s * kh)
         if sine:
             near = tan + s * kh
-            eps /= (1 + tan * tan) * (1 + near * near) * scale
-    return 1j * poles + (eps + 1j * offset), eps, v
+            scale *= (1 + tan * tan) * (1 + near * near)
+        eps /= scale
+    lam = eps.copy()
+    lam.imag = poles + (eps.imag + offset)
+    return lam, eps, v
 
 
 def _residual(eps, f, poles, offset, weights) -> np.ndarray:
@@ -401,10 +405,11 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the order-reduction generator, and their worst residual, O(N).
 
     The branch roots mu_j = i (j + 1/2) pi + zeta_j of `continuous._branch_roots` are refined
-    by `_refine` from delta_j = -i zeta_j / (2(N+1)); one missing root (a nan, or marked by
-    `_coincident`) is found by `_lost_root`.  The backward error ||c|| |f(lam)| / ||v|| of
-    (lam, (lam - i Theta)^{-1} c) for i Theta - (k/h) c c^T is bounded by `_residual` at the
-    returned lam, and summed over all poles at the 8 rightmost and 64 seeded roots.
+    by `_refine` from delta_j = -i zeta_j / (2(N+1)), or from delta_j = 0 where k h is
+    subnormal; one missing root (a nan, or marked by `_coincident`) is found by `_lost_root`.
+    The backward error ||c|| |f(lam)| / ||v|| of (lam, (lam - i Theta)^{-1} c) for
+    i Theta - (k/h) c c^T is bounded by `_residual` at the returned lam, and summed over all
+    poles at the 8 rightmost and 64 seeded roots, scaled by 2^600 where k h is subnormal.
     NumericalError unless `_certify` passes with the scale max theta + (k/h) ||c||^2 and the
     traces sum Re lam = -(k/h) ||c||^2 and sum Im lam = sum theta_m.
     """
@@ -423,7 +428,7 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     lam = -1j * (2 / h * np.tanh(mu * h / 2)) ** 2
     missing = np.isnan(lam) | _coincident(lam)
     zeta = mu - 1j * (np.arange(n1) + 0.5) * np.pi
-    v = np.where(missing, np.nan, -1j * zeta / (length * (k * h)))
+    v = np.where(missing, np.nan, -1j * zeta / (length * (k * h)) if k * h >= _TINY else 0j)
     lam, eps = _refine(v, theta, tan, offset, length, mesh, k, False)[:2]
     if np.count_nonzero(missing) == 1:
         _lost_root(np.flatnonzero(missing)[0], lam, eps, theta, offset, rho * c2, c2,
@@ -432,13 +437,16 @@ def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
     def residuals():
         f, eps = _or_characteristic(lam, theta, tan, offset, mesh, k)
         yield _residual(eps, f, theta, offset, c2)
+        up = 2.0**600 if k * h < _TINY else 1.0
         for rows in _row_blocks(_cross_checked(lam), n1, _BLOCK_ELEMENTS):
             with np.errstate(divide="ignore", invalid="ignore"):
                 to_poles = lam[rows, None] - 1j * theta
+                if up > 1:
+                    to_poles *= up
                 near = np.min(np.abs(to_poles), axis=1)
                 np.divide(near[:, None], to_poles, out=to_poles)  # at most 1 in modulus
-                f = 1.0 + rho * (to_poles @ c2) / near
-                yield np.sqrt(c2_sum) * np.abs(f) * near / np.sqrt(np.abs(to_poles) ** 2 @ c2)
+                f = 1.0 + (k * up / h) * (to_poles @ c2) / near
+                yield np.sqrt(c2_sum) * np.abs(f) * (near / up) / np.sqrt(np.abs(to_poles)**2 @ c2)
 
     worst = _certify(lam, residuals(), np.max(theta) + rho * c2_sum, traces,
                      f"(scheme=order_reduction, n={mesh.n}, k={k})")

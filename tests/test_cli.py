@@ -138,6 +138,19 @@ class TestSpectrum:
         assert row["abscissa"] < 0
         assert row["max_eigen_residual"] <= 1e-14 * scale
 
+    @pytest.mark.parametrize("scheme", ["classical", "order-reduction"])
+    def test_subnormal_damping_abscissa_is_negative(self, runner, tmp_path, scheme):
+        # k h is subnormal; at N = 1023 the classical abscissa underflows to -0.0
+        out = tmp_path / "x.json"
+        result = runner.invoke(
+            main, ["spectrum", "--scheme", scheme, "--n-list", "1,63,1023", "--k", "1e-320",
+                   "--format", "json", "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["n"] for row in rows] == [1, 63, 1023]
+        assert all(row["abscissa"] <= 0 and np.signbit(row["abscissa"]) for row in rows)
+
 
 class TestResolvent:
     def test_csv_with_summary_block(self, runner, tmp_path):

@@ -81,6 +81,15 @@ class TestAverageDifference:
         with pytest.raises(ValueError):
             func(np.array([1.0]))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 255, 999, 1023])
+    @pytest.mark.parametrize("magnitude", [np.exp(-30.0), 1.0, np.exp(30.0)])
+    @pytest.mark.parametrize("cols", [(), (1,), (5,), (63,)])
+    def test_difference_is_the_quotient_bit_for_bit(self, n, magnitude, cols, rng):
+        # the product with 1/h is how numpy divides a complex array by a real scalar
+        u = magnitude * random_complex(rng, n + 2, *cols)
+        h = Mesh(n).h
+        assert difference(u, h).tobytes() == ((u[1:] - u[:-1]) / h).tobytes()
+
     def test_difference_bad_step(self):
         with pytest.raises(ValueError):
             difference(np.array([0.0, 1.0]), 0.0)

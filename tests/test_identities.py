@@ -1,4 +1,6 @@
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,3 +296,69 @@ class TestPrefetch:
         assert max(count for _, count, _ in seen) == before + 1
         # per grid size: u, v, w, then Y and Zext for each of the three gains
         assert [size for _, _, size in seen] == [4, 4, 4] + [3, 4] * 3 + [9, 9, 9] + [8, 9] * 3
+
+
+def _serial(pool, task, evaluate, blocks):
+    for cols in blocks:
+        evaluate(cols)
+    return pool.submit(task).result()
+
+
+class TestSharedBlocks:
+    @pytest.mark.parametrize("perturb", [0.0, 1e-6])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_match_serial_blocks(self, seed, perturb, monkeypatch):
+        # 64 columns of 257 rows make up to 256 KiB blocks, so N = 255 has 10 of them
+        samples = 640
+        assert len(identities._column_blocks(samples, 255 + 2)) >= 10
+        shared = run_identity_suite(samples=samples, seed=seed, perturb=perturb)
+        monkeypatch.setattr("schrostab.identities._shared", _serial)
+        serial = run_identity_suite(samples=samples, seed=seed, perturb=perturb)
+        assert _as_tuples(shared) == _as_tuples(serial)
+        assert {r.n for r in shared} == set(DEFAULT_SUITE_N)
+
+    def test_every_block_once_and_the_worker_takes_some(self):
+        # each thread's first block waits until the other thread has taken one; the GIL
+        # changes hands every microsecond, so a block taken twice or lost would show
+        interval = sys.getswitchinterval()
+        blocks = [slice(i, i + 1) for i in range(2000)]
+        taken, seen, both_took = [], set(), threading.Barrier(2, timeout=30)
+
+        def evaluate(cols):
+            thread = threading.current_thread()
+            taken.append((thread, cols.start))
+            if thread not in seen:
+                seen.add(thread)
+                both_took.wait()
+
+        before = threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                worker = identities._shared(pool, threading.current_thread, evaluate, blocks)
+                assert threading.active_count() <= before + 1
+        finally:
+            sys.setswitchinterval(interval)
+        assert worker is not threading.main_thread()
+        assert sorted(start for _, start in taken) == list(range(2000))
+        assert {thread for thread, _ in taken} == {threading.main_thread(), worker}
+
+    def test_worker_block_error_propagates(self, monkeypatch):
+        # the worker's first block fails once the main thread has taken one too
+        gain_block, both_took, seen = identities._gain_block, threading.Barrier(2, timeout=30), set()
+
+        def failing(*args):
+            thread = threading.current_thread()
+            if thread not in seen:
+                seen.add(thread)
+                both_took.wait()
+            if thread is not threading.main_thread():
+                raise RuntimeError("block failed")
+            return gain_block(*args)
+
+        monkeypatch.setattr("schrostab.identities._gain_block", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="block failed"):
+            run_identity_suite(n_values=(255,), samples=200)
+        assert len(seen) == 2
+        assert threading.active_count() == before

@@ -21,7 +21,7 @@ from schrostab.secular import (
     or_resolvent_smin,
     or_spectrum,
 )
-from schrostab.spectral import default_beta_max, sweep_grid
+from schrostab.spectral import default_beta_max, spectral_abscissa, sweep_grid
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, apply_generator
 
 from conftest import (
@@ -473,6 +473,32 @@ def test_classical_extreme_weak_damping_certifies(n, k):
     assert 0 <= worst <= 1e-15 * (mu.max() + np.sqrt(2.5) * rho)
     tiny = np.finfo(float).smallest_subnormal
     assert np.all(np.abs(lam.real + rho * c * c) <= 8 * EPS * rho * c * c + 2 * tiny)
+
+
+@pytest.mark.parametrize("n", [1, 63, 1023])
+@pytest.mark.parametrize("k", [1e-200, 1e-300, 1e-305, 1e-320])
+def test_or_extreme_weak_damping_certifies(n, k):
+    # where k h is subnormal (k = 1e-320) Newton starts on the poles, eps_j is formed
+    # from (2^600 k) h, and the cross-checked root-to-pole terms are scaled by 2^600,
+    # since complex division by a subnormal overflows; Re lam_j = -(k/h) c_j^2 (1 + O(k^2)),
+    # taken from 2^600 k: a subnormal k/h is short of digits
+    mesh = Mesh(n)
+    theta, c = or_poles_weights(mesh)
+    rho = k / mesh.h
+    lam, worst = or_spectrum(mesh, k)
+    assert 0 <= worst <= 1e-15 * (theta.max() + rho * c @ c)
+    expect = -(2.0**600 * k / mesh.h) * c * c / 2.0**600
+    tiny = np.finfo(float).smallest_subnormal
+    assert np.all(np.abs(lam.real - expect) <= 8 * EPS * np.abs(expect) + 2 * tiny)
+
+
+@pytest.mark.parametrize("scheme", [CLASSICAL, ORDER_REDUCTION])
+@pytest.mark.parametrize("n", [1, 63, 1023])
+def test_subnormal_real_parts_keep_their_sign(scheme, n):
+    # at N = 1023 the top classical root's real part, about -3.4e-326, underflows to -0.0
+    rep = spectral_abscissa(SemiDiscreteSystem(scheme, Mesh(n), 1e-320))
+    assert np.all(np.signbit(rep.eigenvalues.real))
+    assert rep.abscissa <= 0 and np.signbit(rep.abscissa)
 
 
 @pytest.mark.parametrize("k, n", [
