@@ -27,22 +27,22 @@ continuous one, are the roots lam = -i nu(mu)^2 of a(mu) cosh mu + b(mu) sinh mu
 per branch of `continuous._branch_roots`, refined by one Newton (`_refine`) and with
 backward residuals bounded (`_residual`) relative to their poles in O(1) each, O(N) in
 all (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Li, LAPACK Working Note 89,
-1994), the poles' rounding taken from np.longdouble (`_exact_poles`), and certified by
-`or_spectrum` and `classical_spectrum` (or NumericalError).
+1994), at the pole offsets Newton carries, the poles' rounding taken from np.longdouble
+(`_exact_poles`), and certified by `spectrum` (or NumericalError), one driver for both
+schemes.
 
 The same factorisation gives the resolvent: i beta - B is orthogonally
 similar to X = i diag(d) + (k/h) c c^T with d_m = beta - theta_m, so
-sigma_min(i beta - B) = sigma_min(X), and `or_resolvent_smin` brackets it
-for every beta by an exact O(N) eigenvalue count of X^H X (Bunch, Nielsen &
-Sorensen, Numer. Math. 31, 1978), again with no matrix.  The weighted
-classical generator has no orthogonal diagonal-plus-rank-one form, but in
-the sine basis of M M^T, scaled, it is X = L (i diag(d) + b s^T) L^{-1}
-with L^2 = I - kappa s s^T, so `classical_resolvent_norm` counts the
-eigenvalues of X^H X below x^2 the same way in O(N), with a 3x3 Hermitian
-matrix in place of the 2x2 (Haynsworth inertia additivity, Linear Algebra
-Appl. 1, 1968).  One bracket loop, `_smin_brackets`, serves both counts; no code here
-imports SciPy.  `classical_peak_resolvable` decides in O(N), from the top root's closed
-form, whether the peak where the classical sup sits is wide enough to sample.
+sigma_min(i beta - B) = sigma_min(X), bracketed for every beta by an exact O(N)
+eigenvalue count of X^H X (Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978),
+again with no matrix.  The weighted classical generator has no orthogonal
+diagonal-plus-rank-one form, but in the sine basis of M M^T, scaled, it is
+X = L (i diag(d) + b s^T) L^{-1} with L^2 = I - kappa s s^T, and its count takes
+a 3x3 Hermitian matrix in place of the 2x2 (Haynsworth inertia additivity, Linear
+Algebra Appl. 1, 1968).  One entry, `resolvent_smin`, and one bracket loop,
+`_smin_brackets`, serve both counts; no code here imports SciPy.
+`classical_peak_resolvable` decides in O(N), from the top root's closed form,
+whether the peak where the classical sup sits is wide enough to sample.
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
@@ -59,7 +59,7 @@ import numpy as np
 from .continuous import _branch_roots
 from .errors import NumericalError
 from .grid import Mesh, _as_state, _row_blocks
-from .systems import CLASSICAL, apply_generator
+from .systems import CLASSICAL, SCHEMES, apply_generator
 
 __all__ = [
     "or_poles_weights",
@@ -67,15 +67,13 @@ __all__ = [
     "classical_peak_resolvable",
     "or_modal_coordinates",
     "classical_modal_coordinates",
-    "or_spectrum",
-    "classical_spectrum",
-    "or_resolvent_smin",
-    "classical_resolvent_norm",
+    "spectrum",
+    "resolvent_smin",
 ]
 
 _EPS = np.finfo(float).eps
-# Entries per block of cross-checked roots, (rows x N+1) root-to-pole terms or
-# (rows x 2N+3) eigenvector spectra: 4 MiB of complex128.
+# Entries per block of cross-checked roots, rows x the period L (2(N+1) or 2N+3), which
+# bounds their root-to-pole terms or eigenvector spectra: 4 MiB of complex128.
 _BLOCK_ELEMENTS = 1 << 18
 _RESIDUAL_TOL = 1e-14
 _TRACE_RTOL = 1e-12
@@ -101,7 +99,7 @@ _SMIN_BLOCK_ELEMENTS = 1 << 14
 # A bracket top at or below this times a bound on ||i beta - A|| puts i beta in the spectrum.
 _SPECTRUM_RTOL = 1e-14
 # Smallest |Re lam| / |Im lam| of the top classical root whose peak, where the
-# classical sup sits, `classical_resolvent_norm` can sample.  It refuses once
+# classical sup sits, `resolvent_smin` can sample.  It refuses once
 # 1/||R|| <= _SPECTRUM_RTOL (|beta| + max mu + sqrt(5/2) k/h).  At the peak
 # |beta| = max mu, 1/||R|| = |Re lam| / 1.732 (the measured peak height), and
 # k/h < 1.2e-3 max mu near this bound for N <= 8191, so the check fires below
@@ -277,21 +275,6 @@ def _exact_poles(mesh: Mesh, poles: np.ndarray, sine: bool):
     return length, tan.astype(float), exact.astype(float)
 
 
-def _or_characteristic(lam, theta, tan, offset, mesh: Mesh, k: float):
-    """f(lam_j) of the order-reduction closed form, and eps_j = lam_j - i theta_j^exact, O(1) each.
-
-    psi_j = phi_j + delta_j: with q = -i eps_j h^2 / 4 = tan^2 psi_j - tan^2 phi_j, both
-    tan psi_j - tan phi_j = q / (tan phi_j + sqrt(tan^2 phi_j + q)) and tan delta_j keep
-    their relative accuracy, and f = 1 - (i k h/2) / (tan(2(N+1) delta_j) tan psi_j).
-    """
-    eps = (lam - 1j * theta) - 1j * offset
-    q = -1j * eps / (2 * mesh.state_size) ** 2  # -i eps h^2 / 4
-    shift = q / (tan + np.sqrt(tan * tan + q))
-    tan_psi = tan + shift
-    big = np.tan(2 * mesh.state_size * np.arctan(shift / (1 + tan * tan_psi)))
-    return 1 - 0.5j * k * mesh.h / (big * tan_psi), eps
-
-
 def _tan_ratio(z):
     """tan(z) / z, as 1 + z^2/3 below |z| = 1e-5, where a subnormal z has lost its digits."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
@@ -401,128 +384,124 @@ def _cross_checked(lam) -> np.ndarray:
     return np.union1d(seeded, np.argsort(lam.real)[-_CROSS_CHECK_RIGHTMOST:])
 
 
-def or_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
-    """Certified eigenvalues of the order-reduction generator, and their worst residual, O(N).
+def _scheme(mesh: Mesh, scheme: str):
+    """Whether `scheme` is the classical one, and its poles and weights, O(N)."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    sine = scheme == CLASSICAL
+    return (sine, *(classical_poles_weights if sine else or_poles_weights)(mesh))
 
-    The branch roots mu_j = i (j + 1/2) pi + zeta_j of `continuous._branch_roots` are refined
-    by `_refine` from delta_j = -i zeta_j / (2(N+1)), or from delta_j = 0 where k h is
-    subnormal; one missing root (a nan, or marked by `_coincident`) is found by `_lost_root`.
-    The backward error ||c|| |f(lam)| / ||v|| of (lam, (lam - i Theta)^{-1} c) for
-    i Theta - (k/h) c c^T is bounded by `_residual` at the returned lam, and summed over all
-    poles at the 8 rightmost and 64 seeded roots, scaled by 2^600 where k h is subnormal.
-    NumericalError unless `_certify` passes with the scale max theta + (k/h) ||c||^2 and the
-    traces sum Re lam = -(k/h) ||c||^2 and sum Im lam = sum theta_m.
+
+def _direct_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> np.ndarray:
+    """||p|| |f| / ||y|| at the order-reduction roots `rows`, summed over all poles.
+
+    Each root-to-pole term is divided into the nearest one, so it is at most 1 in modulus, and
+    scaled by 2^600 first where k h is subnormal: complex division by a subnormal overflows.
     """
-    theta, c = or_poles_weights(mesh)
-    n1, h, rho = mesh.state_size, mesh.h, k / mesh.h
-    c2 = c * c
-    c2_sum = np.sum(c2)
-    length, tan, offset = _exact_poles(mesh, theta, False)
-    traces = (-rho * c2_sum, np.sum(theta))
-
-    def coefficients(mu):
-        t = np.tanh(mu * h / 2)
-        return 2 / h * t, 1j * k, 1 - t * t, 0.0
-
-    mu = _branch_roots(coefficients, np.zeros(n1))
-    lam = -1j * (2 / h * np.tanh(mu * h / 2)) ** 2
-    missing = np.isnan(lam) | _coincident(lam)
-    zeta = mu - 1j * (np.arange(n1) + 0.5) * np.pi
-    v = np.where(missing, np.nan, -1j * zeta / (length * (k * h)) if k * h >= _TINY else 0j)
-    lam, eps = _refine(v, theta, tan, offset, length, mesh, k, False)[:2]
-    if np.count_nonzero(missing) == 1:
-        _lost_root(np.flatnonzero(missing)[0], lam, eps, theta, offset, rho * c2, c2,
-                   complex(*traces))
-
-    def residuals():
-        f, eps = _or_characteristic(lam, theta, tan, offset, mesh, k)
-        yield _residual(eps, f, theta, offset, c2)
-        up = 2.0**600 if k * h < _TINY else 1.0
-        for rows in _row_blocks(_cross_checked(lam), n1, _BLOCK_ELEMENTS):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                to_poles = lam[rows, None] - 1j * theta
-                if up > 1:
-                    to_poles *= up
-                near = np.min(np.abs(to_poles), axis=1)
-                np.divide(near[:, None], to_poles, out=to_poles)  # at most 1 in modulus
-                f = 1.0 + (k * up / h) * (to_poles @ c2) / near
-                yield np.sqrt(c2_sum) * np.abs(f) * (near / up) / np.sqrt(np.abs(to_poles)**2 @ c2)
-
-    worst = _certify(lam, residuals(), np.max(theta) + rho * c2_sum, traces,
-                     f"(scheme=order_reduction, n={mesh.n}, k={k})")
-    return lam, worst
+    up = 2.0**600 if k * mesh.h < _TINY else 1.0
+    p2 = p * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        to_poles = lam[rows, None] - 1j * poles
+        if up > 1:
+            to_poles *= up
+        near = np.min(np.abs(to_poles), axis=1)
+        np.divide(near[:, None], to_poles, out=to_poles)
+        f = 1.0 + (k * up / mesh.h) * (to_poles @ p2) / near
+        return np.sqrt(np.sum(p2)) * np.abs(f) * (near / up) / np.sqrt(np.abs(to_poles)**2 @ p2)
 
 
-def classical_spectrum(mesh: Mesh, k: float) -> tuple[np.ndarray, float]:
-    """Certified eigenvalues of the classical generator, and their worst residual, O(N).
+def _applier_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> np.ndarray:
+    """||A x - lam x|| / ||x|| at the classical roots `rows` through `systems.apply_generator`.
 
-    The roots solve the last two rows of A with y_j = sinh(z x_j), y_{N+1} = sinh(z) /
-    (1 + i k h/2), one z_j = i (j + 1/2) pi (1 - 1/L) + zeta_j (L = 2N+3) per branch, less the
-    fold z h = i pi, where y = 0; `_refine` refines them from delta_j = -i zeta_j / (2(N+1)),
-    or from delta_j = 0 below k h = eps, where delta_j = O(k h) is under the branch roots'
-    rounding; one root no branch resolves is found by `_lost_root`.  In the sine basis V of
-    M M^T, A = i diag(mu) + (k/h) p r^T with r of `_classical_boundary_row`, p = -c^2 / r, and
-    a root's eigenvector is V y, y = (lam - i mu)^{-1} p (Golub, 1973): its residual
-    ||p|| |f| / ||y|| is bounded by `_residual` at the carried (j, eps_j), plus the distance
-    of the returned lam_j from i mu_j^exact + eps_j (np.longdouble; at the returned lam the
-    rounding of Im lam, amplified by ||p|| / |p_N|, leaves 1.6e-12 of the scale at N=4095),
-    and taken through `systems.apply_generator` at the 8 rightmost and 64 seeded roots, each
-    x = V y one inverse FFT of length 2N+3.  NumericalError unless `_certify` passes with the
-    scale max mu + sqrt(5/2) k/h, a bound on ||A||_2, and the traces -(3/2) k/h and (2N+1)/h^2.
+    x = V y with y = (lam - i mu)^{-1} p taken as p eps_j / (eps_j + i gap) over exact pole
+    gaps, one inverse FFT of length 2N+3 per root.
     """
-    mu, c = classical_poles_weights(mesh)
-    n, n1, h, rho = mesh.n, mesh.state_size, mesh.h, k / mesh.h
-    s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
-    length, tan, offset = _exact_poles(mesh, mu, True)
-    traces = (-1.5 * rho, (2 * n + 1) / h**2)
+    n, length = mesh.n, 2 * mesh.n + 3
+    # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
+    # x_j = (-1)^(j+1) (G_{j+1} - G_{-(j+1)}), so that x = (i / sqrt(2N+3)) V y
+    spectra = np.zeros((rows.size, length), dtype=complex)
+    y = spectra[:, n + 2:]
+    gap, e = (poles[rows, None] - poles) + (offset[rows, None] - offset), eps[rows, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # over a real |eps_j + i gap|^2: complex division by a subnormal eps_j overflows
+        y[:] = p * (np.abs(e) ** 2 - 1j * gap * e) / ((gap + e.imag) ** 2 + e.real**2)
+    y[np.arange(rows.size), rows] = p[rows]
+    G = np.fft.ifft(spectra, axis=1)
+    X = G[:, 1:n + 2] - G[:, :n + 1:-1]
+    X[:, ::2] *= -1
+    R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
+    return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
 
-    def coefficients(z):
-        sinh, cosh = np.sinh(z * h), np.cosh(z * h)
-        return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
+
+def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
+    """Certified eigenvalues of the generator of `scheme`, and their worst residual, O(N).
+
+    In the basis of its poles the generator is i diag(poles) + (k/h) p r^T with p = r = c (order
+    reduction) or r of `_classical_boundary_row` and p = -c^2 / r (classical), and a root's
+    eigenvector is y = (lam - i poles)^{-1} p (Golub, 1973).  One root per branch of the
+    scheme's dispersion relation (module docstring; the classical one from the last two rows of
+    A with y_j = sinh(z x_j), y_{N+1} = sinh(z) / (1 + i k h/2), less the fold z h = i pi, where
+    y = 0) is refined by `_refine` from delta_j = -i zeta_j / (2(N+1)), or from delta_j = 0 where
+    k h is below 2^-1022 (order reduction) or eps (classical), under the branch roots' rounding;
+    one root no branch resolves (a nan, or marked by `_coincident`) is found by `_lost_root`.
+    The residual ||p|| |f| / ||y|| is bounded by `_residual` at the carried (j, eps_j), plus the
+    distance of the returned lam_j from i poles_j^exact + eps_j (np.longdouble: at the returned
+    lam the rounding of Im lam, amplified by ||p|| / |p_j|, leaves 1.6e-12 of the classical
+    scale at N=4095, and the order-reduction closed form overflows where k h is subnormal), and
+    taken directly at the 8 rightmost and 64 seeded roots: summed over all poles (order
+    reduction, `_direct_residual`) or through `systems.apply_generator` (classical,
+    `_applier_residual`).  NumericalError unless `_certify` passes with the scale
+    max theta + (k/h) ||c||^2 or max mu + sqrt(5/2) k/h, each a bound on ||A||_2, and the
+    traces sum Re lam = -(k/h) ||c||^2 or -(3/2) k/h and sum Im lam = sum theta_m or (2N+1)/h^2.
+    """
+    sine, poles, c = _scheme(mesh, scheme)
+    n, n1, h, rho, kh = mesh.n, mesh.state_size, mesh.h, k / mesh.h, k * mesh.h
+    length, tan, offset = _exact_poles(mesh, poles, sine)
+    branch = np.arange(n1) + 0.5
+    if sine:
+        p = -c * c / _classical_boundary_row(mesh, poles, c)
+        traces, scale = (-1.5 * rho, (2 * n + 1) / h**2), np.max(poles) + np.sqrt(2.5) * rho
+        s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
+
+        def coefficients(z):
+            sinh, cosh = np.sinh(z * h), np.cosh(z * h)
+            return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
+
+        nu, zeta0, floor = np.sinh, -1j * branch * np.pi / length, _EPS
+        cross_check = _applier_residual
+    else:
+        p, damping = c, rho * np.sum(c * c)
+        traces, scale = (-damping, np.sum(poles)), np.max(poles) + damping
+
+        def coefficients(mu):
+            t = np.tanh(mu * h / 2)
+            return 2 / h * t, 1j * k, 1 - t * t, 0.0
+
+        nu, zeta0, floor, cross_check = np.tanh, np.zeros(n1), _TINY, _direct_residual
 
     lost, v = np.zeros(n1, dtype=bool), np.zeros(n1, dtype=complex)
-    if k * h >= _EPS:
-        zeta0 = -1j * (np.arange(n1) + 0.5) * np.pi / length
+    if kh >= floor:
         z = _branch_roots(coefficients, zeta0)
-        lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
-        lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
+        lam = -1j * (2 / h * nu(z * h / 2)) ** 2
+        if sine:
+            lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
         lost = np.isnan(lam) | _coincident(lam)
-        zeta = (z - 1j * (np.arange(n1) + 0.5) * np.pi) - zeta0
-        v = np.where(lost, np.nan, -1j * zeta / (2 * n1 * (k * h)))
-    lam, eps, v = _refine(v, mu, tan, offset, length, mesh, k, True)
-    p = -c * c / _classical_boundary_row(mesh, mu, c)
+        v = np.where(lost, np.nan, -1j * ((z - 1j * branch * np.pi) - zeta0) / (2 * n1 * kh))
+    lam, eps, v = _refine(v, poles, tan, offset, length, mesh, k, sine)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        big, near, w, vk = _secular_terms(v, tan, length, k * h, True)[:4]
-        residual = _residual(eps, w - vk / (big * near), mu, offset, p * p)
+        big, near, w, vk = _secular_terms(v, tan, length, kh, sine)[:4]
+        residual = _residual(eps, w - vk / (big * near), poles, offset, p * p)
     if np.count_nonzero(lost) == 1:
         j = np.flatnonzero(lost)[0]
-        residual[j] = _lost_root(j, lam, eps, mu, offset, rho * c * c, p * p, complex(*traces))
-
-    def cross_check(rows):
-        # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
-        # x_j = (-1)^(j+1) (G_{j+1} - G_{-(j+1)}), so that x = (i / sqrt(2N+3)) V y
-        spectra = np.zeros((rows.size, length), dtype=complex)
-        y = spectra[:, n + 2:]
-        gap, e = (mu[rows, None] - mu) + (offset[rows, None] - offset), eps[rows, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # p eps_j / (eps_j + i gap) over a real |eps_j + i gap|^2: complex division by a
-            # subnormal eps_j overflows
-            y[:] = p * (np.abs(e) ** 2 - 1j * gap * e) / ((gap + e.imag) ** 2 + e.real**2)
-        y[np.arange(rows.size), rows] = p[rows]
-        G = np.fft.ifft(spectra, axis=1)
-        X = G[:, 1:n + 2] - G[:, :n + 1:-1]
-        X[:, ::2] *= -1
-        R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
-        return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
+        residual[j] = _lost_root(j, lam, eps, poles, offset, rho * c * c, p * p, complex(*traces))
 
     def residuals():
-        exact = 1j * (mu.astype(np.longdouble) + offset) + eps
+        exact = 1j * (poles.astype(np.longdouble) + offset) + eps
         yield residual + np.abs(lam - exact).astype(float)
         for rows in _row_blocks(_cross_checked(lam), length, _BLOCK_ELEMENTS):
-            yield cross_check(rows)
+            yield cross_check(rows, lam, eps, poles, offset, p, mesh, k)
 
-    worst = _certify(lam, residuals(), np.max(mu) + np.sqrt(2.5) * rho, traces,
-                     f"(scheme=classical, n={n}, k={k})")
+    worst = _certify(lam, residuals(), scale, traces, f"(scheme={scheme}, n={n}, k={k})")
     return lam, worst
 
 
@@ -732,17 +711,33 @@ def _smin_brackets(count, start, d, c2, rho):
     return low, high
 
 
-def _resolvent_smin(count, start, poles, offset, c2, rho, betas, scale, where):
-    """Certified sigma_min of X for each beta, by `_smin_brackets` on d = (beta - poles) - offset.
+def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
+    """Certified sigma_min(i beta - B) of `scheme`'s weighted generator B for each beta, O(N) each.
 
-    The value is the midpoint of a bracket [lo, hi] of relative width at most
-    1e-14 whose ends the exact inertia count puts on either side of
-    sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below hi^2.
-    Rows of betas are processed in blocks, so memory stays O(N) and no matrix
-    is formed.  Raises NumericalError if hi is at most 1e-14 scale, that is,
-    when i beta is numerically in the spectrum, if a bracket is wider than
-    1e-14 relative, or if it fails the count.
+    `_smin_brackets` on d = (beta - poles) - (poles^exact - poles) (`_exact_poles`: beta - poles
+    alone would carry the poles' rounding, up to eps poles_m, most of sigma_min at a peak at weak
+    damping), with the exact inertia count `_or_count` from `_smin_start`, or
+    `_classical_count` from half the nearest pole |d_m|.  The value is the midpoint of a bracket
+    [lo, hi] of relative width at most 1e-14 whose ends the count puts on either side of
+    sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below hi^2.  Rows of betas are
+    processed in blocks, so memory stays O(N) and no matrix is formed.  Raises NumericalError if
+    a bracket is wider than 1e-14 relative, or fails the count, or if hi is at most 1e-14 scale,
+    i beta numerically in the spectrum, with the scale |beta| + (k/h) ||c||^2 (order reduction)
+    or |beta| + max mu + sqrt(5/2) k/h (classical, a bound on ||i beta - A||_2).  The
+    order-reduction scale leaves out max_m |beta - theta_m|, which grows like (N+1)^4: its count
+    works on the differences d_m, each rounded relative to itself, so a far pole theta_m moves
+    sigma_min by a relative eps of its small term c_m^2/(d_m -+ x), not by eps theta_m.
     """
+    sine, poles, c = _scheme(mesh, scheme)
+    rho, c2 = k / mesh.h, c * c
+    betas = np.atleast_1d(np.asarray(betas, dtype=float))
+    offset = _exact_poles(mesh, poles, sine)[2]
+    if sine:
+        count, start = _classical_count, lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1)
+        scale = np.abs(betas) + np.max(poles) + np.sqrt(2.5) * rho
+    else:
+        count, start, scale = _or_count, _smin_start, np.abs(betas) + rho * np.sum(c2)
+    where = f"(scheme={scheme}, n={mesh.n}, k={k})"
     lo, hi = np.zeros(betas.size), np.empty(betas.size)
     blocks = list(_row_blocks(np.arange(betas.size), poles.size, _SMIN_BLOCK_ELEMENTS))
     for rows in blocks:
@@ -760,43 +755,3 @@ def _resolvent_smin(count, start, poles, offset, c2, rho, betas, scale, where):
             raise NumericalError(f"sigma_min bracket fails its eigenvalue count at "
                                  f"beta={betas[rows][np.argmax(failed)]} {where}")
     return 0.5 * (lo + hi)
-
-
-def or_resolvent_smin(mesh: Mesh, k: float, betas) -> np.ndarray:
-    """Certified sigma_min(i beta - B) of the order-reduction scheme for each beta, O(N) each.
-
-    `_resolvent_smin` with `_or_count` from `_smin_start`: NumericalError if a bracket fails
-    to converge or its count, or if its top is at most 1e-14 (|beta| + (k/h) ||c||^2), i beta
-    numerically in the spectrum.  The scale leaves out max_m |beta - theta_m|, the rest
-    of the bound on ||i beta - B||_2, which grows like (N+1)^4: the count
-    works on the differences d_m, each rounded relative to itself, so a far
-    pole theta_m moves sigma_min by a relative eps of its small term
-    c_m^2/(d_m -+ x), not by eps theta_m; d_m is offset by theta_m's rounding
-    (`_exact_poles`), most of sigma_min at a pole's peak at weak damping.
-    """
-    theta, c = or_poles_weights(mesh)
-    rho, c2 = k / mesh.h, c * c
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    return _resolvent_smin(_or_count, _smin_start, theta, _exact_poles(mesh, theta, False)[2],
-                           c2, rho, betas, np.abs(betas) + rho * np.sum(c2),
-                           f"(scheme=order_reduction, n={mesh.n}, k={k})")
-
-
-def classical_resolvent_norm(mesh: Mesh, k: float, betas) -> np.ndarray:
-    """Weighted norm of (i beta - A)^{-1} of the classical scheme per beta, O(N) per count.
-
-    The norm is 1/sigma_min(X) with X = D (i beta - A) D^{-1}, bracketed by
-    `_resolvent_smin` with the exact inertia count `_classical_count` from half
-    the nearest pole |d_m|, and no matrix.  d_m = (beta - mu_m) - (mu_m^exact - mu_m)
-    (`_exact_poles`): beta - mu_m alone would carry the pole's rounding, up to eps mu_m,
-    most of sigma_min near a pole.  Raises NumericalError when i beta is numerically in the
-    spectrum, the bracket top at most 1e-14 (|beta| + max mu + sqrt(5/2) k/h), with
-    the last two terms a bound on ||A||_2; and when a bracket fails to converge or its count.
-    """
-    mu, c = classical_poles_weights(mesh)
-    rho = k / mesh.h
-    betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    return 1.0 / _resolvent_smin(_classical_count, lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1),
-                                 mu, _exact_poles(mesh, mu, True)[2], c * c, rho, betas,
-                                 np.abs(betas) + np.max(mu) + np.sqrt(2.5) * rho,
-                                 f"(scheme=classical, n={mesh.n}, k={k})")

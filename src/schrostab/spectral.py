@@ -4,12 +4,13 @@ The similarity S = sqrt(h) D carries the mesh-weighted norm to the Euclidean
 one, so the weighted operator norm of (i beta I - A)^{-1} is the reciprocal
 smallest singular value of i beta I - B with B = S A S^{-1} = D A D^{-1}.
 Both spectra are the certified roots of closed-form secular equations
-(`schrostab.secular`), with no matrix: the order-reduction B is diagonal
+(`secular.spectrum`), with no matrix: the order-reduction B is diagonal
 plus rank one, and the classical A is tridiagonal, diagonal plus rank one
 in the eigenbasis of M M^T.  Neither resolvent forms a matrix either: each
-sigma_min(i beta I - B) is bracketed by an exact O(N) eigenvalue count, one
-bracket loop with a count for each scheme; `secular.classical_peak_resolvable`
-decides in closed form whether the classical peak can be sampled at all.  `eigenpairs`
+sigma_min(i beta I - B) is bracketed by an exact O(N) eigenvalue count
+(`secular.resolvent_smin`, one bracket loop with a count for each scheme);
+`secular.classical_peak_resolvable` decides in closed form whether the
+classical peak can be sampled at all.  `eigenpairs`
 and `spectral_norm_estimate` are the dense eigensolver and norm estimate,
 kept for small-N oracles; no spectrum or resolvent here uses them.
 """
@@ -22,13 +23,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .grid import Mesh
-from .secular import (
-    classical_resolvent_norm,
-    classical_spectrum,
-    or_resolvent_smin,
-    or_spectrum,
-)
-from .systems import ORDER_REDUCTION, SemiDiscreteSystem
+from .secular import resolvent_smin, spectrum
+from .systems import SemiDiscreteSystem
 
 __all__ = [
     "MAX_EIG_DIM",
@@ -120,12 +116,10 @@ def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
 
     Both spectra are certified secular roots, which raise NumericalError
     themselves: max_eigen_residual is the worst backward residual of
-    `secular.or_spectrum`, and of `secular.classical_spectrum`, whose
-    eigenvectors x at 72 roots also bound ||A x - lam x|| / ||x|| through
-    the generator applier.
+    `secular.spectrum`, whose classical eigenvectors x at 72 roots also
+    bound ||A x - lam x|| / ||x|| through the generator applier.
     """
-    solve = or_spectrum if system.scheme == ORDER_REDUCTION else classical_spectrum
-    ev, res = solve(system.mesh, system.k)
+    ev, res = spectrum(system.mesh, system.k, system.scheme)
     return SpectrumReport(
         scheme=system.scheme,
         n=system.n,
@@ -140,16 +134,12 @@ def resolvent_norm(system: SemiDiscreteSystem, beta):
     """Weighted operator norm of (i beta I - A)^{-1}, for one beta or an array of them.
 
     A float for a scalar beta, else an array of beta's shape: 1 / sigma_min(i beta I - B)
-    from the secular brackets (`secular.or_resolvent_smin`,
-    `secular.classical_resolvent_norm`), which take the whole array in one
-    call; each beta's value does not depend on the others.
+    from the secular brackets (`secular.resolvent_smin`), which take the whole
+    array in one call; each beta's value does not depend on the others.
     Raises NumericalError when i*beta is numerically an eigenvalue.
     """
     betas = np.asarray(beta, dtype=float)
-    if system.scheme == ORDER_REDUCTION:
-        norms = 1.0 / or_resolvent_smin(system.mesh, system.k, betas.ravel())
-    else:
-        norms = classical_resolvent_norm(system.mesh, system.k, betas.ravel())
+    norms = 1.0 / resolvent_smin(system.mesh, system.k, betas.ravel(), system.scheme)
     return float(norms[0]) if betas.ndim == 0 else norms.reshape(betas.shape)
 
 

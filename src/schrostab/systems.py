@@ -5,9 +5,11 @@ matrices (`grid.Bidiagonal`), `apply_generator`: the order-reduction scheme
 advances a state through the shadow element (P = D), the classical scheme
 is the plain second-difference operator with the same boundary feedback
 (P = I).  That applier is the only definition of either generator: the
-classical spectrum cross-checks its eigenpairs against it (`schrostab.secular`).  The dense generator, `assemble_generator`,
-is the applier evaluated on the identity and serves only as a small-N oracle:
-no spectrum or resolvent of either scheme forms it, or any other matrix.
+certified classical spectrum (`secular.spectrum`) cross-checks its eigenpairs
+against it.  The dense generator, `assemble_generator`, is the applier
+evaluated on the identity and serves only as a small-N oracle: no spectrum or
+resolvent of either scheme (`secular.spectrum`, `secular.resolvent_smin`)
+forms it, or any other matrix.
 """
 
 from __future__ import annotations

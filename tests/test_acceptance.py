@@ -11,7 +11,7 @@ from schrostab.continuous import SampledFunction, apply_continuous_inverse, char
 from schrostab.dynamics import fit_decay_rate, initial_state, simulate
 from schrostab.grid import Mesh, triple_sum_identity_gap, yh_inner, yh_norm
 from schrostab.identities import run_identity_suite
-from schrostab.secular import or_poles_weights, or_spectrum
+from schrostab.secular import or_poles_weights, spectrum
 from schrostab.spectral import resolvent_sweep, spectral_abscissa
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, apply_generator
 
@@ -211,7 +211,7 @@ def test_criterion_10_eigensolver_oracle(capsys):
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
     disc = np.sqrt(tr**2 - 4 * det + 0j)
     oracle = np.sort_complex(np.array([(tr + disc) / 2, (tr - disc) / 2]))
-    solved = np.sort_complex(or_spectrum(Mesh(1), 1.0)[0])
+    solved = np.sort_complex(spectrum(Mesh(1), 1.0, ORDER_REDUCTION)[0])
     err = float(np.max(np.abs(solved - oracle)))
     passed = err <= 1e-10
     _report(capsys, 10, passed, f"secular roots against the quadratic oracle: error {err:.2e}")

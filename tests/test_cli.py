@@ -143,12 +143,12 @@ class TestSpectrum:
         # k h is subnormal; at N = 1023 the classical abscissa underflows to -0.0
         out = tmp_path / "x.json"
         result = runner.invoke(
-            main, ["spectrum", "--scheme", scheme, "--n-list", "1,63,1023", "--k", "1e-320",
-                   "--format", "json", "--out", str(out)]
+            main, ["spectrum", "--scheme", scheme, "--n-list", "1,2,62,63,1000,1023",
+                   "--k", "1e-320", "--format", "json", "--out", str(out)]
         )
         assert result.exit_code == 0, result.output
         rows = json.loads(out.read_text())["rows"]
-        assert [row["n"] for row in rows] == [1, 63, 1023]
+        assert [row["n"] for row in rows] == [1, 2, 62, 63, 1000, 1023]
         assert all(row["abscissa"] <= 0 and np.signbit(row["abscissa"]) for row in rows)
 
 

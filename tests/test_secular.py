@@ -13,13 +13,11 @@ from schrostab.grid import Mesh, build_scheme_matrices
 from schrostab.secular import (
     classical_peak_resolvable,
     classical_poles_weights,
-    classical_resolvent_norm,
-    classical_spectrum,
     classical_modal_coordinates,
     or_modal_coordinates,
     or_poles_weights,
-    or_resolvent_smin,
-    or_spectrum,
+    resolvent_smin,
+    spectrum,
 )
 from schrostab.spectral import default_beta_max, spectral_abscissa, sweep_grid
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, apply_generator
@@ -101,7 +99,7 @@ def test_classical_modal_coordinates_match_dense_sine_matrix(n, rng):
 @given(n=st.integers(1, 255), k=st.floats(0.1, 100.0))
 def test_secular_roots_match_dense_eigenvalues(n, k):
     system = SemiDiscreteSystem(ORDER_REDUCTION, Mesh(n), k)
-    lam = by_imaginary_part(or_spectrum(system.mesh, k)[0])
+    lam = by_imaginary_part(spectrum(system.mesh, k, ORDER_REDUCTION)[0])
     dense = by_imaginary_part(np.linalg.eigvals(dense_generator(system)))
     assert np.all(np.abs(lam - dense) <= 1e-7 * np.abs(dense))
 
@@ -133,7 +131,7 @@ def test_roots_match_mpmath_oracle(n, k):
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
-    lam = by_imaginary_part(or_spectrum(mesh, k)[0])
+    lam = by_imaginary_part(spectrum(mesh, k, ORDER_REDUCTION)[0])
     expect = by_imaginary_part(_mpmath_roots(theta, c, rho))
     assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
 
@@ -143,10 +141,10 @@ def spectrum_and_aberth(scheme, n, k):
     mesh = Mesh(n)
     if scheme == ORDER_REDUCTION:
         poles, c = or_poles_weights(mesh)
-        lam = or_spectrum(mesh, k)[0]
+        lam = spectrum(mesh, k, ORDER_REDUCTION)[0]
     else:
         poles, c = classical_poles_weights(mesh)
-        lam = classical_spectrum(mesh, k)[0]
+        lam = spectrum(mesh, k, CLASSICAL)[0]
     return by_imaginary_part(lam), by_imaginary_part(aberth_roots(poles, c, k / mesh.h))
 
 
@@ -192,72 +190,99 @@ def test_poles_weights_match_mpmath(n):
 def test_certificate_holds_with_margin(n, k):
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
-    lam, worst = or_spectrum(mesh, k)
+    lam, worst = spectrum(mesh, k, ORDER_REDUCTION)
     assert lam.size == n + 1
     assert worst <= 1e-15 * (theta.max() + (k / mesh.h) * c @ c)
 
 
+def or_carried(monkeypatch, mesh, k):
+    """The certified order-reduction roots, and the v_j = delta_j / (k h) `_refine` carried."""
+    refine, carried = secular._refine, []
+
+    def recorded(*args):
+        carried.append(refine(*args))
+        return carried[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr("schrostab.secular._refine", recorded)
+        lam = spectrum(mesh, k, ORDER_REDUCTION)[0]
+    return lam, carried[0][2]
+
+
+def or_off_root(mesh, k, r, direction):
+    """v_j with delta_j = r sin(2 phi_j) direction_j / 4, so |lam(psi_j) - i theta_j| is about
+    r theta_j |direction_j|."""
+    phi = (np.arange(mesh.state_size) + 0.5) * np.pi * mesh.h / 2
+    return r * np.sin(2 * phi) * direction / (4 * k * mesh.h)
+
+
+def or_closed_form(v, mesh, k):
+    """f = W - V / (tan(L delta) tan psi) of `secular._secular_terms` at psi_j = phi_j + k h v_j."""
+    tan = secular._exact_poles(mesh, or_poles_weights(mesh)[0], False)[1]
+    big, near, w, vk = secular._secular_terms(v, tan, 2 * mesh.state_size, k * mesh.h, False)[:4]
+    return w - vk / (big * near)
+
+
+def _mpmath_characteristic(v, n, kh, sums=True):
+    """eps_j = lam(psi_j) - i theta_j^exact at psi_j = phi_j + k h v_j, and f(lam(psi_j)) and
+    1 + sum_m |(k/h) c_m^2 / (lam - i theta_m)| unless not `sums`, at 40 digits.
+
+    lam(psi) = 4 i tan^2 psi / h^2, with exact poles and k h the double the closed form takes.
+    """
+    with mpmath.workdps(40):
+        h, kh = mpmath.mpf(1) / (n + 1), mpmath.mpf(kh)
+        phi = [(m + mpmath.mpf(1) / 2) * mpmath.pi * h / 2 for m in range(n + 1)]
+        theta = [(2 / h * mpmath.tan(p)) ** 2 for p in phi]
+        weights = [2 * kh / h / mpmath.cos(p) ** 2 for p in phi]
+        eps, f, size = [], [], []
+        for j, vj in enumerate(v):
+            lam = 4j * mpmath.tan(phi[j] + kh * mpmath.mpc(vj.real, vj.imag)) ** 2 / h**2
+            eps.append(complex(lam - 1j * theta[j]))
+            if sums:
+                terms = [w / (lam - 1j * t) for w, t in zip(weights, theta)]
+                f.append(complex(1 + sum(terms)))
+                size.append(float(1 + sum(abs(t) for t in terms)))
+    return np.array(eps), np.array(f), np.array(size)
+
+
 @pytest.mark.parametrize("n", [1, 15, 255, 1023, 4095])
 @pytest.mark.parametrize("k", [1e-12, 0.01, 1.0, 100.0, 1e3])
-def test_closed_form_matches_direct_oracle(n, k):
+def test_closed_form_matches_direct_oracle(n, k, monkeypatch):
     # the O(N) roots and residuals against Newton and backward residuals on the
     # direct O(N^2) sums: roots measured within 3.7e-15 relative, and the
     # closed-form residual, whose ||v|| keeps 9 terms, within [1, 1.08] of the
-    # direct one away from the roots
+    # direct one away from the roots: at delta_j moved by 1e-9 sin(2 phi_j) / 4
+    # from the carried one, eps_j by about 1e-9 theta_j
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
     scale = theta.max() + rho * c @ c
-    lam = or_spectrum(mesh, k)[0]
+    lam, v = or_carried(monkeypatch, mesh, k)
     expect = or_polished_roots(mesh, k)
     assert np.all(np.abs(lam - expect) <= 1e-14 * np.abs(expect))
     assert np.all(or_backward_residual(lam, theta, c, rho) <= 1e-14 * scale)
-    moved = lam + 1e-9 * np.abs(lam)
-    ratio = or_closed_form_residual(moved, mesh, k) / or_backward_residual(moved, theta, c, rho)
+    moved = v + or_off_root(mesh, k, 1e-9, 1.0)
+    eps = _mpmath_characteristic(moved, n, k * mesh.h, sums=False)[0]
+    offset = secular._exact_poles(mesh, theta, False)[2]
+    closed_form = secular._residual(eps, or_closed_form(moved, mesh, k), theta, offset, c * c)
+    at = (1j * theta + eps) + 1j * offset
+    ratio = closed_form / or_backward_residual(at, theta, c, rho)
     assert np.all((ratio >= 1 - 1e-5) & (ratio <= 1.1))
-
-
-def or_closed_form_residual(lam, mesh, k):
-    """`secular._residual` at the order-reduction roots lam, as `or_spectrum` bounds them."""
-    theta, c = or_poles_weights(mesh)
-    tan, offset = secular._exact_poles(mesh, theta, False)[1:]
-    f, eps = secular._or_characteristic(lam, theta, tan, offset, mesh, k)
-    return secular._residual(eps, f, theta, offset, c * c)
-
-
-def _mpmath_characteristic(lam, n, k):
-    """f(lam) and 1 + sum_m |rho c_m^2 / (lam - i theta_m)| at 40 digits, with exact poles."""
-    with mpmath.workdps(40):
-        h = mpmath.mpf(1) / (n + 1)
-        z = mpmath.mpc(lam.real, lam.imag)
-        f = size = mpmath.mpf(1)
-        for m in range(n + 1):
-            phi = (m + mpmath.mpf(1) / 2) * mpmath.pi * h / 2
-            term = (2 * k / mpmath.cos(phi) ** 2) / (z - 1j * (2 / h * mpmath.tan(phi)) ** 2)
-            f += term
-            size += abs(term)
-        return complex(f), float(size)
 
 
 @pytest.mark.parametrize("n", [1, 7, 15])
 @pytest.mark.parametrize("k", [1e-12, 1.0, 1e3])
-def test_closed_form_matches_mpmath(n, k, rng):
-    # f at the roots and at eps_j = r theta_j e^{i t} from pole j, against the
-    # direct sum on the exact poles.  Its error is a relative 1e-14 of the
-    # summed terms, plus a pole error of 1e-17 theta_j (measured: at most 0.064 of
-    # that); taken from the rounded poles alone, the pole error reached 44 times it
+def test_closed_form_matches_mpmath(n, k, rng, monkeypatch):
+    # f at the carried roots and at |eps_j| = r theta_j from pole j, all given by
+    # v_j = delta_j / (k h), against the direct sum at lam(psi_j) on the exact poles
+    # at 40 digits: within a relative 1e-14 of the summed terms (measured: 5.3e-16)
     mesh = Mesh(n)
-    theta, c = or_poles_weights(mesh)
-    tan, offset = secular._exact_poles(mesh, theta, False)[1:]
-    points = [or_spectrum(mesh, k)[0]]
-    for r in (1e-2, 1e-8, 1e-14):
-        eps = r * theta * np.exp(2j * np.pi * rng.random(n + 1))
-        points.append((1j * theta + eps) + 1j * offset)
-    for lam in points:
-        f, eps = secular._or_characteristic(lam, theta, tan, offset, mesh, k)
-        for j in range(n + 1):
-            expect, size = _mpmath_characteristic(lam[j], n, k)
-            assert abs(f[j] - expect) <= size * (1e-14 + 1e-17 * theta[j] / abs(eps[j]))
+    points = [or_carried(monkeypatch, mesh, k)[1]]
+    points += [or_off_root(mesh, k, r, np.exp(2j * np.pi * rng.random(n + 1)))
+               for r in (1e-2, 1e-8, 1e-14)]
+    for v in points:
+        expect, size = _mpmath_characteristic(v, n, k * mesh.h)[1:]
+        assert np.all(np.abs(or_closed_form(v, mesh, k) - expect) <= 1e-14 * size)
 
 
 @pytest.mark.parametrize("n, k, rtol", [
@@ -272,7 +297,7 @@ def test_extreme_weak_damping_certifies(n, k, rtol):
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
-    lam, worst = or_spectrum(mesh, k)
+    lam, worst = spectrum(mesh, k, ORDER_REDUCTION)
     assert 0 <= worst <= 1e-15 * (theta.max() + rho * c @ c)
     assert np.all(np.abs(lam.real + rho * c * c) <= rtol * rho * c * c)
 
@@ -287,7 +312,7 @@ def test_duplicate_root_is_refused(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular._refine", duplicated)
     with pytest.raises(NumericalError, match="coincide"):
-        or_spectrum(Mesh(15), 1.0)
+        spectrum(Mesh(15), 1.0, ORDER_REDUCTION)
 
 
 def test_roots_apart_only_in_real_part_are_refused(monkeypatch):
@@ -302,7 +327,7 @@ def test_roots_apart_only_in_real_part_are_refused(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular._refine", flattened)
     with pytest.raises(NumericalError, match="coincide"):
-        or_spectrum(Mesh(15), 1.0)
+        spectrum(Mesh(15), 1.0, ORDER_REDUCTION)
 
 
 @pytest.mark.parametrize("scheme, where, n", [
@@ -313,16 +338,16 @@ def test_roots_apart_only_in_real_part_are_refused(monkeypatch):
 def test_closed_form_residual_binds(monkeypatch, scheme, where, n):
     # one root moved by 1e-13 of the scale, 10 times the bound: the closed form
     # alone refuses it, and so does the certificate, whose direct cross-check
-    # covers every root at N = 15 but only 72 of them otherwise.  The classical
-    # closed form is taken at the carried eps_j, so the returned root's distance
-    # from i mu_j^exact + eps_j is what refuses it
+    # covers every root at N = 15 but only 72 of them otherwise.  Both schemes'
+    # closed forms are taken at the carried eps_j, so the returned root's distance
+    # from i poles_j^exact + eps_j is what refuses it
     mesh = Mesh(n)
     if scheme == ORDER_REDUCTION:
         poles, c = or_poles_weights(mesh)
-        scale, spectrum = poles.max() + c @ c / mesh.h, or_spectrum
+        scale = poles.max() + c @ c / mesh.h
     else:
         poles = classical_poles_weights(mesh)[0]
-        scale, spectrum = poles.max() + np.sqrt(2.5) / mesh.h, classical_spectrum
+        scale = poles.max() + np.sqrt(2.5) / mesh.h
     root = {"bottom": 0, "middle": n // 2, "top": n}[where]
     refine, certify = secular._refine, secular._certify
     closed_form = []
@@ -339,7 +364,7 @@ def test_closed_form_residual_binds(monkeypatch, scheme, where, n):
     monkeypatch.setattr("schrostab.secular._refine", shifted)
     monkeypatch.setattr("schrostab.secular._certify", recorded)
     with pytest.raises(NumericalError, match="secular residual"):
-        spectrum(mesh, 1.0)
+        spectrum(mesh, 1.0, scheme)
     assert closed_form[0][root] > 1e-14 * scale
 
 
@@ -354,7 +379,7 @@ def test_residual_that_is_not_a_nonnegative_number_is_refused(monkeypatch, bad):
 
     monkeypatch.setattr("schrostab.secular._residual", broken)
     with pytest.raises(NumericalError, match="secular residual"):
-        or_spectrum(Mesh(15), 1.0)
+        spectrum(Mesh(15), 1.0, ORDER_REDUCTION)
 
 
 def test_nan_in_a_later_residual_block_is_refused():
@@ -384,14 +409,14 @@ def test_nonfinite_root_is_refused(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular._branch_roots", lost)
     with pytest.raises(NumericalError, match="14 finite roots of 16"):
-        or_spectrum(Mesh(15), 1.0)
+        spectrum(Mesh(15), 1.0, ORDER_REDUCTION)
 
 
-@pytest.mark.parametrize("spectrum", [or_spectrum, classical_spectrum])
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
 @pytest.mark.parametrize("fault", ["nan", "twin"])
-def test_one_missing_branch_root_comes_from_the_trace(monkeypatch, spectrum, fault):
+def test_one_missing_branch_root_comes_from_the_trace(monkeypatch, scheme, fault):
     mesh = Mesh(15)
-    expect = by_imaginary_part(spectrum(mesh, 1.0)[0])
+    expect = by_imaginary_part(spectrum(mesh, 1.0, scheme)[0])
     solve = secular._branch_roots
 
     def lost(coefficients, zeta0):
@@ -400,7 +425,7 @@ def test_one_missing_branch_root_comes_from_the_trace(monkeypatch, spectrum, fau
         return mu
 
     monkeypatch.setattr("schrostab.secular._branch_roots", lost)
-    lam = by_imaginary_part(spectrum(mesh, 1.0)[0])
+    lam = by_imaginary_part(spectrum(mesh, 1.0, scheme)[0])
     assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
 
 
@@ -430,7 +455,7 @@ def test_classical_roots_match_dense_eigenvalues(n, k):
     # the dense eigenvalues carry errors of about eps ||A||, which the
     # secular roots do not: up to 3.8e-11 relative (N=255, k=0.1)
     system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
-    lam = by_imaginary_part(classical_spectrum(system.mesh, k)[0])
+    lam = by_imaginary_part(spectrum(system.mesh, k, CLASSICAL)[0])
     dense = by_imaginary_part(np.linalg.eigvals(dense_generator(system)))
     assert np.all(np.abs(lam - dense) <= 1e-9 * np.abs(dense))
 
@@ -441,7 +466,7 @@ def test_classical_roots_match_mpmath_oracle(n, k):
     mesh = Mesh(n)
     mu, c = classical_poles_weights(mesh)
     rho = k / mesh.h
-    lam = by_imaginary_part(classical_spectrum(mesh, k)[0])
+    lam = by_imaginary_part(spectrum(mesh, k, CLASSICAL)[0])
     expect = by_imaginary_part(_mpmath_roots(mu, c, rho))
     assert np.all(np.abs(lam - expect) <= 1e-13 * np.abs(expect))
 
@@ -453,7 +478,7 @@ def test_classical_roots_match_mpmath_oracle(n, k):
 def test_classical_certificate_holds_with_margin(k, n):
     mesh = Mesh(n)
     mu = classical_poles_weights(mesh)[0]
-    lam, worst = classical_spectrum(mesh, k)
+    lam, worst = spectrum(mesh, k, CLASSICAL)
     assert lam.size == n + 1
     assert worst <= 1e-15 * (mu.max() + np.sqrt(2.5) * k / mesh.h)
 
@@ -469,23 +494,27 @@ def test_classical_extreme_weak_damping_certifies(n, k):
     mesh = Mesh(n)
     mu, c = classical_poles_weights(mesh)
     rho = k / mesh.h
-    lam, worst = classical_spectrum(mesh, k)
+    lam, worst = spectrum(mesh, k, CLASSICAL)
     assert 0 <= worst <= 1e-15 * (mu.max() + np.sqrt(2.5) * rho)
     tiny = np.finfo(float).smallest_subnormal
     assert np.all(np.abs(lam.real + rho * c * c) <= 8 * EPS * rho * c * c + 2 * tiny)
 
 
-@pytest.mark.parametrize("n", [1, 63, 1023])
-@pytest.mark.parametrize("k", [1e-200, 1e-300, 1e-305, 1e-320])
-def test_or_extreme_weak_damping_certifies(n, k):
+@pytest.mark.parametrize("k, n", [
+    *((k, n) for n in (1, 2, 62, 63, 1000, 1023) for k in (1e-200, 1e-300, 1e-305, 1e-320)),
+    (1e-305, 4094),
+])
+def test_or_extreme_weak_damping_certifies(k, n):
     # where k h is subnormal (k = 1e-320) Newton starts on the poles, eps_j is formed
     # from (2^600 k) h, and the cross-checked root-to-pole terms are scaled by 2^600,
     # since complex division by a subnormal overflows; Re lam_j = -(k/h) c_j^2 (1 + O(k^2)),
-    # taken from 2^600 k: a subnormal k/h is short of digits
+    # taken from 2^600 k: a subnormal k/h is short of digits.  The closed form is taken at
+    # the carried v_j: at the rounded lam it overflowed at N = 2, 62 and 1000 (k = 1e-320)
+    # and at N = 1000 and 4094 (k = 1e-305)
     mesh = Mesh(n)
     theta, c = or_poles_weights(mesh)
     rho = k / mesh.h
-    lam, worst = or_spectrum(mesh, k)
+    lam, worst = spectrum(mesh, k, ORDER_REDUCTION)
     assert 0 <= worst <= 1e-15 * (theta.max() + rho * c @ c)
     expect = -(2.0**600 * k / mesh.h) * c * c / 2.0**600
     tiny = np.finfo(float).smallest_subnormal
@@ -493,7 +522,7 @@ def test_or_extreme_weak_damping_certifies(n, k):
 
 
 @pytest.mark.parametrize("scheme", [CLASSICAL, ORDER_REDUCTION])
-@pytest.mark.parametrize("n", [1, 63, 1023])
+@pytest.mark.parametrize("n", [1, 2, 62, 63, 1000, 1023])
 def test_subnormal_real_parts_keep_their_sign(scheme, n):
     # at N = 1023 the top classical root's real part, about -3.4e-326, underflows to -0.0
     rep = spectral_abscissa(SemiDiscreteSystem(scheme, Mesh(n), 1e-320))
@@ -510,7 +539,7 @@ def test_classical_closed_form_matches_direct_oracle(k, n):
     # at k = 1e3 one root leaves the poles' range (N <= 255) or wanders off its branch
     # and is the trace less the others, refined on the direct sum
     mesh = Mesh(n)
-    lam = by_imaginary_part(classical_spectrum(mesh, k)[0])
+    lam = by_imaginary_part(spectrum(mesh, k, CLASSICAL)[0])
     expect = by_imaginary_part(classical_polished_roots(mesh, k))
     assert np.all(np.abs(lam - expect) <= 1e-14 * np.abs(expect))
 
@@ -546,7 +575,7 @@ def test_classical_top_real_parts_match_mpmath(n, k):
     # Re lam of the two top roots and of the abscissa root, within 4 eps of the exact-pole
     # closed form (measured: at most 2.2 eps): cos a_j from the complementary angle, and
     # sin^2 psi - sin^2 a_j and tan(a_j + delta) formed without cancellation near a_N = pi/2
-    lam = classical_spectrum(Mesh(n), k)[0]
+    lam = spectrum(Mesh(n), k, CLASSICAL)[0]
     for j in {*np.argsort(lam.imag)[-2:], np.argmax(lam.real)}:
         expect = _mpmath_classical_root(lam[j].real, n, k, j)
         assert abs(lam[j].real - expect.real) <= 4 * EPS * abs(expect.real)
@@ -563,7 +592,7 @@ def test_recomputed_pole_offsets_are_refused(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular._refine", recomputed)
     with pytest.raises(NumericalError, match="secular residual"):
-        classical_spectrum(Mesh(255), 1.0)
+        spectrum(Mesh(255), 1.0, CLASSICAL)
 
 
 def _block_scipy(monkeypatch):
@@ -577,10 +606,10 @@ def test_classical_solvers_need_no_zgtsv(monkeypatch):
     # the certificate and the resolvent norms still run
     _block_scipy(monkeypatch)
     for n in (1, 3, 63):
-        assert classical_spectrum(Mesh(n), 1.0)[0].size == n + 1
+        assert spectrum(Mesh(n), 1.0, CLASSICAL)[0].size == n + 1
     system = SemiDiscreteSystem(CLASSICAL, Mesh(15), 1.0)
     betas = _default_grid(system)
-    assert np.all(np.isfinite(classical_resolvent_norm(system.mesh, 1.0, betas)))
+    assert np.all(resolvent_smin(system.mesh, 1.0, betas, CLASSICAL) > 0)
     with pytest.raises(ImportError):
         from scipy.linalg.lapack import zgttrf  # noqa: F401
 
@@ -595,7 +624,7 @@ def test_wrong_classical_applier_is_refused(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular.apply_generator", unbordered)
     with pytest.raises(NumericalError, match="secular residual"):
-        classical_spectrum(Mesh(15), 1.0)
+        spectrum(Mesh(15), 1.0, CLASSICAL)
 
 
 
@@ -619,7 +648,7 @@ def test_resolvent_smin_matches_dense_oracle(n, k):
     B = weighted_oracle(system)
     eye = np.eye(n + 1)
     smax, smin = np.array([sla.svdvals(1j * b * eye - B)[[0, -1]] for b in betas]).T
-    got = or_resolvent_smin(system.mesh, k, betas)
+    got = resolvent_smin(system.mesh, k, betas, ORDER_REDUCTION)
     assert np.all(np.abs(got - smin) <= 1e-9 * smin + 2 * EPS * smax)
 
 
@@ -650,10 +679,10 @@ def _mpmath_smin(n, k, beta):
 def test_resolvent_smin_matches_mpmath_oracle(n, k):
     mesh = Mesh(n)
     theta = or_poles_weights(mesh)[0]
-    lam = or_spectrum(mesh, k)[0]
+    lam = spectrum(mesh, k, ORDER_REDUCTION)[0]
     peak = lam[np.argmax(lam.real)].imag
     betas = np.array([0.0, peak, -17.5, 3000.0, theta[1]])
-    got = or_resolvent_smin(mesh, k, betas)
+    got = resolvent_smin(mesh, k, betas, ORDER_REDUCTION)
     expect = np.array([_mpmath_smin(n, k, b) for b in betas])
     assert np.all(np.abs(got - expect) <= 1e-13 * expect)
 
@@ -668,8 +697,8 @@ def test_resolvent_smin_leaves_out_the_poles_rounding(n, k, betas, rtol):
     # beta - theta_m alone carries theta_m's rounding: 2.2e-14 to 3.1e-14 of sigma_min
     # at these k = 1 betas, and most of it at the four top roots' peaks at k = 1e-9
     if betas is None:
-        betas = np.sort(or_spectrum(Mesh(n), k)[0].imag)[-4:]
-    got = or_resolvent_smin(Mesh(n), k, betas)
+        betas = np.sort(spectrum(Mesh(n), k, ORDER_REDUCTION)[0].imag)[-4:]
+    got = resolvent_smin(Mesh(n), k, betas, ORDER_REDUCTION)
     expect = np.array([_mpmath_smin(n, k, b) for b in betas])
     assert np.all(np.abs(got - expect) <= rtol * expect)
 
@@ -685,7 +714,7 @@ def test_resolvent_count_on_a_pole_is_taken_from_below():
     assert secular._smin_start(d, ad, c * c, rho)[0] == x[0]
     assert list(secular._or_count(np.repeat(d, 2, axis=0), np.repeat(ad, 2, axis=0),
                                   c * c, rho, x)) == [0, 0]
-    got = or_resolvent_smin(mesh, k, [beta])
+    got = resolvent_smin(mesh, k, [beta], ORDER_REDUCTION)
     assert abs(got[0] - ad[0, 0]) <= 1e-14 * ad[0, 0]
 
 
@@ -700,7 +729,7 @@ def test_resolvent_bracket_count_binds(monkeypatch, scale):
 
     monkeypatch.setattr("schrostab.secular._smin_brackets", moved)
     with pytest.raises(NumericalError, match="fails its eigenvalue count"):
-        or_resolvent_smin(Mesh(15), 1.0, [0.0, 2.868, 3000.0])
+        resolvent_smin(Mesh(15), 1.0, [0.0, 2.868, 3000.0], ORDER_REDUCTION)
 
 
 def test_resolvent_bracket_width_binds(monkeypatch):
@@ -712,7 +741,7 @@ def test_resolvent_bracket_width_binds(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular._smin_brackets", widened)
     with pytest.raises(NumericalError, match="did not converge"):
-        or_resolvent_smin(Mesh(15), 1.0, [0.0])
+        resolvent_smin(Mesh(15), 1.0, [0.0], ORDER_REDUCTION)
 
 
 def test_beta_in_the_spectrum_is_refused(monkeypatch):
@@ -727,7 +756,7 @@ def test_beta_in_the_spectrum_is_refused(monkeypatch):
     monkeypatch.setattr("schrostab.secular.or_poles_weights", decoupled)
     theta = poles_weights(Mesh(15))[0]
     with pytest.raises(NumericalError, match="numerically in the spectrum at beta="):
-        or_resolvent_smin(Mesh(15), 1.0, [0.0, theta[3]])
+        resolvent_smin(Mesh(15), 1.0, [0.0, theta[3]], ORDER_REDUCTION)
 
 
 def _default_grid(system):
@@ -741,7 +770,7 @@ def test_classical_resolvent_matches_inverse_oracle(n, k):
     # Lanczos on double solves, which this count replaced, was 5.0e-12 off at N=255
     system = SemiDiscreteSystem(CLASSICAL, Mesh(n), k)
     betas = _default_grid(system)
-    got = classical_resolvent_norm(system.mesh, k, betas)
+    got = 1.0 / resolvent_smin(system.mesh, k, betas, CLASSICAL)
     assert np.all(classical_resolvent_within(system, betas, got, 1e-13))
 
 
@@ -772,14 +801,14 @@ def test_classical_resolvent_matches_mpmath_oracle(n, k):
     # and four seeded betas.  On the flank, the pole offsets move the value by up
     # to 1.3e-10 relative at N=31 (k=0.1), 4.1e-12 at N=15
     mesh = Mesh(n)
-    lam = classical_spectrum(mesh, k)[0]
+    lam = spectrum(mesh, k, CLASSICAL)[0]
     top = lam[np.argmax(lam.real)]
     grid = _default_grid(SemiDiscreteSystem(CLASSICAL, mesh, k))
     mu_max = classical_poles_weights(mesh)[0].max()
     seeded = np.random.default_rng(n).uniform(-1.0, 1.2, 4) * mu_max
     betas = np.concatenate([[top.imag, top.imag - 0.5 * top.real],
                             grid[np.argsort(np.abs(grid))[:3]], seeded])
-    got = 1.0 / classical_resolvent_norm(mesh, k, betas)
+    got = resolvent_smin(mesh, k, betas, CLASSICAL)
     expect = np.array([_mpmath_classical_smin(n, k, b) for b in betas])
     assert np.all(np.abs(got - expect) <= 1e-13 * expect)
 
@@ -804,7 +833,7 @@ def test_classical_resolvent_needs_pivoting():
     assert relative.min() < 1e-7
     betas = np.array([2.0 / system.mesh.h**2, betas[np.argmin(relative)]])
     assert 1j * betas[0] == A[0, 0]
-    got = classical_resolvent_norm(system.mesh, 1.0, betas)
+    got = 1.0 / resolvent_smin(system.mesh, 1.0, betas, CLASSICAL)
     assert np.all(classical_resolvent_within(system, betas, got, 1e-12))
 
 
@@ -813,8 +842,8 @@ def test_classical_resolvent_rows_are_independent(n):
     # a beta alone gives its value inside a sweep, bit for bit
     mesh = Mesh(n)
     betas = _default_grid(SemiDiscreteSystem(CLASSICAL, mesh, 1.0))
-    swept = classical_resolvent_norm(mesh, 1.0, betas)
-    alone = np.array([classical_resolvent_norm(mesh, 1.0, beta)[0] for beta in betas])
+    swept = resolvent_smin(mesh, 1.0, betas, CLASSICAL)
+    alone = np.array([resolvent_smin(mesh, 1.0, beta, CLASSICAL)[0] for beta in betas])
     assert np.array_equal(alone, swept)
 
 
@@ -869,9 +898,9 @@ def test_classical_resolvent_top_peak_matches_mpmath(k):
     # peak, where the sup sits, 3.5e-11 off (k=0.1); measured with it: 1.3e-16.
     # Half a width up the flank the offset's own 5e-19 leaves 1.5e-13
     mesh = Mesh(1023)
-    lam = classical_spectrum(mesh, k)[0]
+    lam = spectrum(mesh, k, CLASSICAL)[0]
     peak = lam[np.argmax(lam.real)].imag
-    got = 1.0 / classical_resolvent_norm(mesh, k, [peak])[0]
+    got = resolvent_smin(mesh, k, [peak], CLASSICAL)[0]
     expect = _mpmath_peak_smin(1023, k, peak)
     assert abs(got - expect) <= 1e-13 * expect
 
@@ -881,7 +910,7 @@ def test_classical_beta_in_the_spectrum_is_refused(monkeypatch):
     mesh = Mesh(15)
     mu = classical_poles_weights(mesh)[0]
     with pytest.raises(NumericalError, match=f"numerically in the spectrum at beta={mu[5]}"):
-        classical_resolvent_norm(mesh, 1e-20, [0.0, mu[5]])
+        resolvent_smin(mesh, 1e-20, [0.0, mu[5]], CLASSICAL)
 
     # with c_3 = 0, i mu_3 is an eigenvalue of the classical generator
     poles_weights = classical_poles_weights
@@ -893,13 +922,13 @@ def test_classical_beta_in_the_spectrum_is_refused(monkeypatch):
 
     monkeypatch.setattr("schrostab.secular.classical_poles_weights", decoupled)
     with pytest.raises(NumericalError, match=f"numerically in the spectrum at beta={mu[3]}"):
-        classical_resolvent_norm(mesh, 1.0, [0.0, mu[3]])
+        resolvent_smin(mesh, 1.0, [0.0, mu[3]], CLASSICAL)
 
 
 def test_classical_smin_budget_binds(monkeypatch):
     monkeypatch.setattr("schrostab.secular._SMIN_MAX_STEPS", 2)
     with pytest.raises(NumericalError, match="sigma_min bracket did not converge"):
-        classical_resolvent_norm(Mesh(15), 1.0, [0.0])
+        resolvent_smin(Mesh(15), 1.0, [0.0], CLASSICAL)
 
 
 def test_classical_resolvent_needs_no_lapack(monkeypatch):
@@ -907,7 +936,7 @@ def test_classical_resolvent_needs_no_lapack(monkeypatch):
     system = SemiDiscreteSystem(CLASSICAL, Mesh(1023), 1.0)
     betas = _default_grid(system)
     _block_scipy(monkeypatch)
-    assert np.all(np.isfinite(classical_resolvent_norm(system.mesh, 1.0, betas)))
+    assert np.all(resolvent_smin(system.mesh, 1.0, betas, CLASSICAL) > 0)
 
 
 @pytest.mark.parametrize("k, resolvable", [(0.01, False), (0.02, True)])
@@ -915,14 +944,21 @@ def test_classical_peak_rule_matches_the_solver(k, resolvable):
     # the closed-form ratio of the top root against the certified root, and the
     # rule's verdict against the solver's own at that root's peak
     mesh = Mesh(1023)
-    lam = classical_spectrum(mesh, k)[0]
+    lam = spectrum(mesh, k, CLASSICAL)[0]
     top = lam[np.argmax(lam.real)]
     mu, c = classical_poles_weights(mesh)
     ratio = k / mesh.h * c[-1] ** 2 / mu[-1]
     assert abs(ratio - abs(top.real) / top.imag) <= 1e-3 * ratio
     assert classical_peak_resolvable(mesh, k) is resolvable
     if resolvable:
-        assert classical_resolvent_norm(mesh, k, [top.imag])[0] * abs(top.real) > 1.7
+        assert abs(top.real) / resolvent_smin(mesh, k, [top.imag], CLASSICAL)[0] > 1.7
     else:
         with pytest.raises(NumericalError, match="numerically in the spectrum"):
-            classical_resolvent_norm(mesh, k, [top.imag])
+            resolvent_smin(mesh, k, [top.imag], CLASSICAL)
+
+
+def test_unknown_scheme_is_refused():
+    with pytest.raises(ValueError, match="unknown scheme 'dense'"):
+        spectrum(Mesh(3), 1.0, "dense")
+    with pytest.raises(ValueError, match="unknown scheme 'dense'"):
+        resolvent_smin(Mesh(3), 1.0, [0.0], "dense")
