@@ -23,7 +23,7 @@ from .dynamics import MAX_N, MAX_STEPS, fit_decay_rate, initial_state, simulate
 from .errors import NumericalError
 from .grid import Mesh
 from .identities import MAX_SAMPLES, run_identity_suite
-from .secular import classical_peak_resolvable
+from .secular import in_spectrum
 from .spectral import MAX_LINEAR_STEPS, MAX_LOG_DECADES, resolvent_sweep, spectral_abscissa
 from .svgplot import line_chart
 from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
@@ -211,10 +211,12 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
     systems = [SemiDiscreteSystem(sch, mesh, k)
                for sch in SCHEME_CHOICES[scheme] for mesh in meshes]
     for system in systems:
-        if system.scheme == CLASSICAL and not classical_peak_resolvable(system.mesh, k):
-            raise click.UsageError(
-                f"--n-list grid size {system.n} at --k {k:g}: the classical resolvent peak "
-                "is narrower than the solver's spectrum tolerance")
+        if system.scheme == CLASSICAL:  # the classical sup sits at the top root's peak
+            lam = spectral_abscissa(system).eigenvalues
+            if in_spectrum(system.mesh, k, lam[np.argmax(lam.real)].imag, CLASSICAL):
+                raise click.UsageError(
+                    f"--n-list grid size {system.n} at --k {k:g}: the classical resolvent peak "
+                    "is narrower than the solver's spectrum tolerance")
     sweeps = [resolvent_sweep(system, beta_min, beta_max, linear_steps, log_decades)
               for system in systems]
     out = _out_path(out)
@@ -295,7 +297,12 @@ def simulate_cmd(config, scheme, n, k, dt, t_final, preset, seed, out):
 @_exit_code_guard
 def verify(config, samples, seed, beta, perturb, as_json):
     """Run the exact-identity suite; exit 0 iff every gap passes."""
-    reports = run_identity_suite(samples=samples, seed=seed, beta=beta, perturb=perturb)
+    try:
+        reports = run_identity_suite(samples=samples, seed=seed, beta=beta, perturb=perturb)
+    except ValueError as exc:
+        if not str(exc).startswith("beta"):  # the suite's refusals of beta name the option
+            raise
+        raise click.BadParameter(str(exc), param_hint="'--beta'") from exc
     if as_json:
         click.echo(_envelope(config, reports=[{
             "identity": r.identity, "n": r.n, "k": r.k, "seed": r.seed,

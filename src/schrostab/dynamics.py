@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .secular import (_classical_boundary_row, classical_modal_coordinates,
-                      classical_poles_weights, or_modal_coordinates, or_poles_weights)
-from .systems import ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
+from .secular import _scheme, classical_modal_coordinates, or_modal_coordinates
+from .systems import SemiDiscreteSystem, discrete_energy
 
 __all__ = [
     "MAX_N",
@@ -68,17 +67,17 @@ class MidpointStepper:
     """Implicit midpoint stepper u+ = 2v - u with (I - (dt/2) B) v = u, set up once per dt.
 
     It steps modal coordinates u (`enter` maps a state into them), in which the generator
-    is B = i Theta - rho p r^T with rho = k/h and V_{N+1} = r^T v / sqrt(h).  With tau = dt/2,
-    g = 1/(1 - i tau theta) and w = tau rho (g p) / (1 + tau rho r^T(g p)), v = g u - (r^T(g u)) w;
-    Re g > 0 and p r = c^2 > 0, so the denominator is at least 1 in modulus.  So
-    u+ = a u - ((r g)^T u) 2w with a = 2g - 1; `simulate` reads the midpoint V_{N+1} as
-    (r^T u + r^T u+) / (2 sqrt(h)) and hands r^T u on to `energy`, one more dot per step.
+    is B = i Theta - rho p r^T (`secular._scheme`) with rho = k/h and V_{N+1} = r^T v / sqrt(h).
+    With tau = dt/2, g = 1/(1 - i tau theta) and w = tau rho (g p) / (1 + tau rho r^T(g p)),
+    v = g u - (r^T(g u)) w; Re g > 0 and p r = c^2 > 0, so the denominator is at least 1 in
+    modulus.  So u+ = a u - ((r g)^T u) 2w with a = 2g - 1; `simulate` reads the midpoint
+    V_{N+1} as (r^T u + r^T u+) / (2 sqrt(h)) and hands r^T u on to `energy`, one more dot
+    per step.
 
-    Order reduction: u = Q^T sqrt(h) D W, p = r = c and the energy is ||u||^2 / 2.
-    Classical: u = sqrt(h) V^T W in the sine eigenbasis V of M M^T, theta = mu,
-    r = V^T e_N and p = c^2 / r; by 4 D^T D = 4I - h^2 M M^T - 2 e_N e_N^T the energy is
-    (sum_m cos^2 a_m |u_m|^2 - |r^T u|^2 / 2) / 2, with cos^2 a_m taken as
-    (2N+3) r_m^2 / 4, since 1 - mu_m h^2 / 4 cancels at the top modes.
+    Order reduction: u = Q^T sqrt(h) D W and the energy is ||u||^2 / 2.  Classical:
+    u = sqrt(h) V^T W in the sine eigenbasis V of M M^T, r = V^T e_N; by 4 D^T D = 4I -
+    h^2 M M^T - 2 e_N e_N^T the energy is (sum_m cos^2 a_m |u_m|^2 - |r^T u|^2 / 2) / 2,
+    with cos^2 a_m taken as (2N+3) r_m^2 / 4, since 1 - mu_m h^2 / 4 cancels at the top modes.
     """
 
     def __init__(self, system: SemiDiscreteSystem, dt: float):
@@ -87,14 +86,9 @@ class MidpointStepper:
         self.system = system
         self.dt = dt
         mesh, k, tau = system.mesh, system.k, 0.5 * dt
-        if system.scheme == ORDER_REDUCTION:
-            theta, r = or_poles_weights(mesh)
-            p, self._cos2, self._coordinates = r, None, or_modal_coordinates
-        else:
-            theta, c = classical_poles_weights(mesh)
-            r = _classical_boundary_row(mesh, theta, c)
-            p, self._cos2 = c * c / r, 0.25 * (2 * mesh.n + 3) * r**2
-            self._coordinates = classical_modal_coordinates
+        sine, theta, _, p, r = _scheme(mesh, system.scheme)
+        self._cos2 = 0.25 * (2 * mesh.n + 3) * r**2 if sine else None
+        self._coordinates = classical_modal_coordinates if sine else or_modal_coordinates
         rho = k / mesh.h
         with np.errstate(over="ignore", invalid="ignore"):
             g = 1.0 / (1.0 - 1j * tau * theta)

@@ -155,15 +155,16 @@ def claim_functionals_gap(Y, k: float, beta: float, mesh: Mesh):
 
     Both functionals mix the weighted state norm with Sigma/Delta norms of
     the extended vectors; with the (N+1)x(N+2) operator orientation the
-    matrix and sum forms agree exactly for any beta != 0.
+    matrix and sum forms agree exactly for any beta != 0.  ValueError where beta = 0, or
+    where beta^2 or a term of either functional is not finite.
     Returns {"gap_claim2", "gap_claim3", "scale_claim2", "scale_claim3"}.
     """
     return _claim_functionals_gap(_block(Y, k, mesh), beta, mesh)
 
 
 def _claim_functionals_gap(b: _Block, beta: float, mesh: Mesh, perturb: float = 0.0):
-    if beta == 0:
-        raise ValueError("beta must be nonzero")
+    if beta == 0 or not np.isfinite(beta * beta):
+        raise ValueError(f"beta must be nonzero, with a finite square, got beta={beta!r}")
     h = mesh.h
     sm = mesh.matrices
     y_norm2 = np.real(_d_inner(b.DY, b.DY, h))
@@ -177,20 +178,18 @@ def _claim_functionals_gap(b: _Block, beta: float, mesh: Mesh, perturb: float = 
     s_y, s_z, s_dy = h * b.e_ymid, h * b.e_zmid, h * b.e_ydif
     s_dz = h * _energy(b.z_dif)
 
-    m2 = [y_norm2, sig_z / beta, (h**2 / (4 * beta)) * del_z, (h**2 / 4) * del_y]
-    s2 = [s_y, s_z / beta, (h**2 / (4 * beta)) * s_dz, (h**2 / 4) * s_dy]
-    gap2 = np.abs(sum(m2) - sum(s2))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        m2 = [y_norm2, sig_z / beta, (h**2 / (4 * beta)) * del_z, (h**2 / 4) * del_y]
+        s2 = [s_y, s_z / beta, (h**2 / (4 * beta)) * s_dz, (h**2 / 4) * s_dy]
+        gap2 = np.abs(sum(m2) - sum(s2))
 
-    m3 = [y_norm2, del_z / beta**2, -2.0 * sig_z / beta]
-    s3 = [s_y, s_dz / beta**2, -2.0 * s_z / beta]
-    gap3 = np.abs(sum(m3) - sum(s3))
-
-    return {
-        "gap_claim2": gap2,
-        "gap_claim3": gap3,
-        "scale_claim2": np.max(np.abs(np.stack(m2 + s2)), axis=0),
-        "scale_claim3": np.max(np.abs(np.stack(m3 + s3)), axis=0),
-    }
+        m3 = [y_norm2, del_z / beta**2, -2.0 * sig_z / beta]
+        s3 = [s_y, s_dz / beta**2, -2.0 * s_z / beta]
+        gap3 = np.abs(sum(m3) - sum(s3))
+    scale2, scale3 = (np.max(np.abs(np.stack(terms)), axis=0) for terms in (m2 + s2, m3 + s3))
+    if not (np.all(np.isfinite(scale2)) and np.all(np.isfinite(scale3))):
+        raise ValueError(f"beta={beta!r} puts the claim-2 or claim-3 terms out of range")
+    return {"gap_claim2": gap2, "gap_claim3": gap3, "scale_claim2": scale2, "scale_claim3": scale3}
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,8 @@ def run_identity_suite(
     while the main thread evaluates the one before, then joins it in that.
 
     `perturb` injects a fault into one entry of the Sigma matrix used by the
-    functional equalities, as a sensitivity check that the suite actually
-    detects broken algebra.
+    functional equalities, as a sensitivity check that the suite actually detects
+    broken algebra.  A beta that `claim_functionals_gap` refuses raises ValueError.
     """
     if samples <= 0:
         raise ValueError(f"samples must be positive, got samples={samples}")

@@ -15,6 +15,9 @@ and q_m = D s_m / ||D s_m|| for s_m = sin((m + 1/2) pi x_j).  Its eigenvalues
 A = i M M^T + (k/h) u e_N^T with u = e_{N-1}/2 - 3 e_N/2 (0-indexed), and
 M M^T has closed-form eigenpairs, so its eigenvalues are the roots of the
 same kind of equation, with the poles and weights of `classical_poles_weights`.
+In the basis of its poles each generator is i diag(poles) - (k/h) p r^T with
+p r = c^2 (`_scheme`): p = r = c (order reduction), or r_m = v_m(N) / ||v_m||, the
+last row of the sine eigenbasis of M M^T, and p = c^2 / r (classical).
 The two sums have the closed forms (`_secular_terms`)
 
     f = 1 + (i k h/2) tan(L psi) / tan psi,  tan^2 psi = -i lam h^2 / 4,  L = 2(N+1),
@@ -40,9 +43,7 @@ diagonal-plus-rank-one form, but in the sine basis of M M^T, scaled, it is
 X = L (i diag(d) + b s^T) L^{-1} with L^2 = I - kappa s s^T, and its count takes
 a 3x3 Hermitian matrix in place of the 2x2 (Haynsworth inertia additivity, Linear
 Algebra Appl. 1, 1968).  One entry, `resolvent_smin`, and one bracket loop,
-`_smin_brackets`, serve both counts; no code here imports SciPy.
-`classical_peak_resolvable` decides in O(N), from the top root's closed form,
-whether the peak where the classical sup sits is wide enough to sample.
+`_smin_brackets`, serve both counts; `in_spectrum` takes its refusal from one count.
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
@@ -64,11 +65,11 @@ from .systems import CLASSICAL, SCHEMES, apply_generator
 __all__ = [
     "or_poles_weights",
     "classical_poles_weights",
-    "classical_peak_resolvable",
     "or_modal_coordinates",
     "classical_modal_coordinates",
     "spectrum",
     "resolvent_smin",
+    "in_spectrum",
 ]
 
 _EPS = np.finfo(float).eps
@@ -98,13 +99,6 @@ _SMIN_PROBE = 1e-7
 _SMIN_BLOCK_ELEMENTS = 1 << 14
 # A bracket top at or below this times a bound on ||i beta - A|| puts i beta in the spectrum.
 _SPECTRUM_RTOL = 1e-14
-# Smallest |Re lam| / |Im lam| of the top classical root whose peak, where the
-# classical sup sits, `resolvent_smin` can sample.  It refuses once
-# 1/||R|| <= _SPECTRUM_RTOL (|beta| + max mu + sqrt(5/2) k/h).  At the peak
-# |beta| = max mu, 1/||R|| = |Re lam| / 1.732 (the measured peak height), and
-# k/h < 1.2e-3 max mu near this bound for N <= 8191, so the check fires below
-# 2 (1.732) _SPECTRUM_RTOL = 3.46e-14.  The bound keeps a margin of 1.15.
-_PEAK_RTOL = 1.15 * 2 * 1.732 * _SPECTRUM_RTOL
 
 
 def or_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -123,18 +117,18 @@ def classical_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     M M^T = h^{-2} tridiag(-1, 2, -1) with last diagonal entry h^{-2}, and
     its eigenvectors are v_m(j) = sin(2 (j+1) a_m), j = 0..N, with
     a_m = (2m+1) pi / (2(2N+3)), eigenvalues mu_m = (2 sin a_m / h)^2 and
-    ||v_m||^2 = (2N+3)/4.  In that basis A = i diag(mu) + (k/h) p r^T with
-    p_m = v_m^T u / ||v_m|| and r_m = v_m(N) / ||v_m||, so the eigenvalues
-    of A are the roots of 1 - (k/h) sum_m p_m r_m / (lam - i mu_m).
+    ||v_m||^2 = (2N+3)/4.  In that basis A = i diag(mu) - (k/h) p r^T with
+    p_m = -v_m^T u / ||v_m|| and r_m = v_m(N) / ||v_m||, so the eigenvalues
+    of A are the roots of 1 + (k/h) sum_m p_m r_m / (lam - i mu_m).
 
-    Every weight p_m r_m is negative.  Since (2N+3) a_m = (2m+1) pi/2,
+    Every weight p_m r_m is positive.  Since (2N+3) a_m = (2m+1) pi/2,
     v_m(N) = (-1)^m cos a_m and v_m(N-1) = (-1)^m cos 3a_m, so
 
-        ||v_m||^2 p_m r_m = cos a_m (cos 3a_m / 2 - 3 cos a_m / 2)
-                          = cos^2 a_m (2 cos^2 a_m - 3)
+        ||v_m||^2 p_m r_m = cos a_m (3 cos a_m / 2 - cos 3a_m / 2)
+                          = cos^2 a_m (3 - 2 cos^2 a_m)
 
-    by cos 3a = 4 cos^3 a - 3 cos a, and 0 < a_m < pi/2 makes it negative.
-    Hence p_m r_m = -c_m^2 with c_m = 2 cos a_m sqrt((1 + 2 sin^2 a_m) / (2N+3)),
+    by cos 3a = 4 cos^3 a - 3 cos a, and 0 < a_m < pi/2 makes it positive.
+    Hence p_m r_m = c_m^2 with c_m = 2 cos a_m sqrt((1 + 2 sin^2 a_m) / (2N+3)),
     and the equation is 1 + (k/h) sum_m c_m^2 / (lam - i mu_m) = 0, the
     order-reduction form.  cos a_m is evaluated as
     sin((N+1-m) pi / (2N+3)), which keeps its relative accuracy at the top
@@ -147,27 +141,6 @@ def classical_poles_weights(mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     mu = (2.0 * sin_a / mesh.h) ** 2
     c = 2.0 * cos_a * np.sqrt((1.0 + 2.0 * sin_a**2) / (2 * n + 3))
     return mu, c
-
-
-def _classical_boundary_row(mesh: Mesh, mu: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """r_m = v_m(N) / ||v_m|| = (-1)^m c_m / sqrt(1 + mu_m h^2 / 2), O(N).
-
-    The last row of the orthonormal sine eigenbasis V of M M^T
-    (`classical_poles_weights`): with p = -c^2 / r, A = V (i diag(mu) + (k/h) p r^T) V^T.
-    """
-    return (-1.0) ** np.arange(mesh.state_size) * c / np.sqrt(1.0 + 0.5 * mu * mesh.h**2)
-
-
-def classical_peak_resolvable(mesh: Mesh, k: float) -> bool:
-    """Whether the top classical root's |Re lam| / |Im lam| exceeds _PEAK_RTOL, O(N).
-
-    To first order that root is i mu_N - (k/h) c_N^2, so the ratio is
-    (k/h) c_N^2 / mu_N (within 2.4e-3 of the certified roots at N = 1023 to
-    4095, k = 0.01 to 100): proportional to k, falling like (N+1)^-4.  At
-    k = 1 the largest N accepted is 3103.
-    """
-    mu, c = classical_poles_weights(mesh)
-    return bool(k / mesh.h * c[-1] ** 2 / mu[-1] > _PEAK_RTOL)
 
 
 def _sine_sums(x: np.ndarray, period: int) -> np.ndarray:
@@ -199,7 +172,7 @@ def classical_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
 
     V is the orthonormal eigenbasis of M M^T (`classical_poles_weights`), so u is
     2 sqrt(h / (2N+3)) times `_sine_sums` of period 2N+3.  The last state component
-    is r^T u / sqrt(h), with r of `_classical_boundary_row`.
+    is r^T u / sqrt(h), with r of `_scheme`.
     """
     period = 2 * mesh.n + 3
     return 2 * np.sqrt(mesh.h / period) * _sine_sums(_as_state(W, mesh), period)
@@ -384,12 +357,21 @@ def _cross_checked(lam) -> np.ndarray:
     return np.union1d(seeded, np.argsort(lam.real)[-_CROSS_CHECK_RIGHTMOST:])
 
 
-def _scheme(mesh: Mesh, scheme: str):
-    """Whether `scheme` is the classical one, and its poles and weights, O(N)."""
+def _poles_weights(mesh: Mesh, scheme: str):
+    """Whether `scheme` is the classical one, and its poles and weights c, O(N)."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     sine = scheme == CLASSICAL
     return (sine, *(classical_poles_weights if sine else or_poles_weights)(mesh))
+
+
+def _scheme(mesh: Mesh, scheme: str):
+    """`_poles_weights`, then p and r of the modal form (module docstring), O(N)."""
+    sine, poles, c = _poles_weights(mesh, scheme)
+    if not sine:
+        return sine, poles, c, c, c
+    r = (-1.0) ** np.arange(mesh.state_size) * c / np.sqrt(1.0 + 0.5 * poles * mesh.h**2)
+    return sine, poles, c, c * c / r, r
 
 
 def _direct_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> np.ndarray:
@@ -413,8 +395,8 @@ def _direct_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> 
 def _applier_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> np.ndarray:
     """||A x - lam x|| / ||x|| at the classical roots `rows` through `systems.apply_generator`.
 
-    x = V y with y = (lam - i mu)^{-1} p taken as p eps_j / (eps_j + i gap) over exact pole
-    gaps, one inverse FFT of length 2N+3 per root.
+    A = V (i diag(mu) - (k/h) p r^T) V^T, so x = V y with y = (lam - i mu)^{-1} p, taken as
+    p eps_j / (eps_j + i gap) over exact pole gaps, one inverse FFT of length 2N+3 per root.
     """
     n, length = mesh.n, 2 * mesh.n + 3
     # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
@@ -436,9 +418,8 @@ def _applier_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) ->
 def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the generator of `scheme`, and their worst residual, O(N).
 
-    In the basis of its poles the generator is i diag(poles) + (k/h) p r^T with p = r = c (order
-    reduction) or r of `_classical_boundary_row` and p = -c^2 / r (classical), and a root's
-    eigenvector is y = (lam - i poles)^{-1} p (Golub, 1973).  One root per branch of the
+    In the basis of its poles the generator is i diag(poles) - (k/h) p r^T (`_scheme`), and a
+    root's eigenvector is y = (lam - i poles)^{-1} p (Golub, 1973).  One root per branch of the
     scheme's dispersion relation (module docstring; the classical one from the last two rows of
     A with y_j = sinh(z x_j), y_{N+1} = sinh(z) / (1 + i k h/2), less the fold z h = i pi, where
     y = 0) is refined by `_refine` from delta_j = -i zeta_j / (2(N+1)), or from delta_j = 0 where
@@ -454,12 +435,11 @@ def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
     max theta + (k/h) ||c||^2 or max mu + sqrt(5/2) k/h, each a bound on ||A||_2, and the
     traces sum Re lam = -(k/h) ||c||^2 or -(3/2) k/h and sum Im lam = sum theta_m or (2N+1)/h^2.
     """
-    sine, poles, c = _scheme(mesh, scheme)
+    sine, poles, c, p, _ = _scheme(mesh, scheme)
     n, n1, h, rho, kh = mesh.n, mesh.state_size, mesh.h, k / mesh.h, k * mesh.h
     length, tan, offset = _exact_poles(mesh, poles, sine)
     branch = np.arange(n1) + 0.5
     if sine:
-        p = -c * c / _classical_boundary_row(mesh, poles, c)
         traces, scale = (-1.5 * rho, (2 * n + 1) / h**2), np.max(poles) + np.sqrt(2.5) * rho
         s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
 
@@ -470,7 +450,7 @@ def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
         nu, zeta0, floor = np.sinh, -1j * branch * np.pi / length, _EPS
         cross_check = _applier_residual
     else:
-        p, damping = c, rho * np.sum(c * c)
+        damping = rho * np.sum(c * c)
         traces, scale = (-damping, np.sum(poles)), np.max(poles) + damping
 
         def coefficients(mu):
@@ -607,11 +587,12 @@ def _classical_count(d, ad, c2, rho, x, newton=False):
     change with the rows evaluated beside it.
     """
     m, n1 = d.shape
-    rows, xs, x2 = np.arange(m), x[:, None], x * x
+    rows, xs = np.arange(m), x[:, None]
     kappa = 2 * n1 / (2 * n1 + 1)
     bs = rho * c2  # b_m s_m
     bb = n1 * bs * bs
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x2 = x * x
         p = np.argmin(np.abs(ad - xs), axis=1)
         R = (d - xs) * (d + xs)
         np.reciprocal(R, out=R)
@@ -711,6 +692,26 @@ def _smin_brackets(count, start, d, c2, rho):
     return low, high
 
 
+def _smin_terms(mesh: Mesh, k: float, scheme: str):
+    """`resolvent_smin`'s count, start, poles, pole offsets, c^2, k/h and scale less |beta|."""
+    sine, poles, c = _poles_weights(mesh, scheme)
+    rho, c2, offset = k / mesh.h, c * c, _exact_poles(mesh, poles, sine)[2]
+    if sine:
+        start = lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1)  # noqa: E731
+        return _classical_count, start, poles, offset, c2, rho, np.max(poles) + np.sqrt(2.5) * rho
+    return _or_count, _smin_start, poles, offset, c2, rho, rho * np.sum(c2)
+
+
+def in_spectrum(mesh: Mesh, k: float, beta: float, scheme: str) -> bool:
+    """Whether sigma_min(i beta - B) is below `resolvent_smin`'s tolerance, by one count, O(N).
+
+    `resolvent_smin` refuses i beta where its bracket top is at most that tolerance, so the two
+    differ only where the tolerance falls inside a bracket, of relative width 1e-14."""
+    count, _, poles, offset, c2, rho, scale = _smin_terms(mesh, k, scheme)
+    d = (np.array([[beta]]) - poles) - offset
+    return bool(count(d, np.abs(d), c2, rho, np.array([_SPECTRUM_RTOL * (abs(beta) + scale)]))[0])
+
+
 def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
     """Certified sigma_min(i beta - B) of `scheme`'s weighted generator B for each beta, O(N) each.
 
@@ -721,29 +722,26 @@ def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
     [lo, hi] of relative width at most 1e-14 whose ends the count puts on either side of
     sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below hi^2.  Rows of betas are
     processed in blocks, so memory stays O(N) and no matrix is formed.  Raises NumericalError if
-    a bracket is wider than 1e-14 relative, or fails the count, or if hi is at most 1e-14 scale,
-    i beta numerically in the spectrum, with the scale |beta| + (k/h) ||c||^2 (order reduction)
-    or |beta| + max mu + sqrt(5/2) k/h (classical, a bound on ||i beta - A||_2).  The
-    order-reduction scale leaves out max_m |beta - theta_m|, which grows like (N+1)^4: its count
-    works on the differences d_m, each rounded relative to itself, so a far pole theta_m moves
-    sigma_min by a relative eps of its small term c_m^2/(d_m -+ x), not by eps theta_m.
+    a bracket end is not finite, or a bracket is wider than 1e-14 relative, or fails the count,
+    or if hi is at most 1e-14 scale, i beta numerically in the spectrum (`in_spectrum`), with
+    the scale |beta| + (k/h) ||c||^2 (order reduction) or |beta| + max mu + sqrt(5/2) k/h
+    (classical, a bound on ||i beta - A||_2).  The order-reduction scale leaves out
+    max_m |beta - theta_m|, which grows like (N+1)^4: its count works on the differences d_m,
+    each rounded relative to itself, so a far pole theta_m moves sigma_min by a relative eps of
+    its small term c_m^2/(d_m -+ x), not by eps theta_m.
     """
-    sine, poles, c = _scheme(mesh, scheme)
-    rho, c2 = k / mesh.h, c * c
+    count, start, poles, offset, c2, rho, scale = _smin_terms(mesh, k, scheme)
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
-    offset = _exact_poles(mesh, poles, sine)[2]
-    if sine:
-        count, start = _classical_count, lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1)
-        scale = np.abs(betas) + np.max(poles) + np.sqrt(2.5) * rho
-    else:
-        count, start, scale = _or_count, _smin_start, np.abs(betas) + rho * np.sum(c2)
+    scale = np.abs(betas) + scale
     where = f"(scheme={scheme}, n={mesh.n}, k={k})"
     lo, hi = np.zeros(betas.size), np.empty(betas.size)
     blocks = list(_row_blocks(np.arange(betas.size), poles.size, _SMIN_BLOCK_ELEMENTS))
     for rows in blocks:
         d = (betas[rows, None] - poles) - offset
-        lo[rows], hi[rows] = _smin_brackets(count, start, d, c2, rho)
-    for failed, what in ((hi <= _SPECTRUM_RTOL * scale, "i*beta is numerically in the spectrum"),
+        with np.errstate(over="ignore", invalid="ignore"):  # an end that overflows is refused
+            lo[rows], hi[rows] = _smin_brackets(count, start, d, c2, rho)
+    for failed, what in ((~np.isfinite(hi), "sigma_min bracket end is not finite"),
+                         (hi <= _SPECTRUM_RTOL * scale, "i*beta is numerically in the spectrum"),
                          (~(hi - lo <= _SMIN_RTOL * hi), "sigma_min bracket did not converge")):
         if np.any(failed):
             raise NumericalError(f"{what} at beta={betas[np.argmax(failed)]} {where}")

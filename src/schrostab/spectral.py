@@ -8,11 +8,9 @@ Both spectra are the certified roots of closed-form secular equations
 plus rank one, and the classical A is tridiagonal, diagonal plus rank one
 in the eigenbasis of M M^T.  Neither resolvent forms a matrix either: each
 sigma_min(i beta I - B) is bracketed by an exact O(N) eigenvalue count
-(`secular.resolvent_smin`, one bracket loop with a count for each scheme);
-`secular.classical_peak_resolvable` decides in closed form whether the
-classical peak can be sampled at all.  `eigenpairs`
-and `spectral_norm_estimate` are the dense eigensolver and norm estimate,
-kept for small-N oracles; no spectrum or resolvent here uses them.
+(`secular.resolvent_smin`, one bracket loop with a count for each scheme).
+`eigenpairs` and `spectral_norm_estimate` are the dense eigensolver and norm
+estimate, kept for small-N oracles; no spectrum or resolvent here uses them.
 """
 
 from __future__ import annotations
@@ -101,14 +99,12 @@ def spectral_norm_estimate(A: np.ndarray) -> float:
 
 
 def eigenpairs(A: np.ndarray):
-    """All eigenvalues with right eigenvectors (unit 2-norm columns), by SciPy's dense eig."""
-    import scipy.linalg as sla
+    """All eigenvalues with right eigenvectors (unit 2-norm columns), by numpy's dense eig."""
     A = _check_square(A)
     try:
-        ev, V = sla.eig(A)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+        return np.linalg.eig(A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise NumericalError(f"dense eigensolver did not converge: {exc}") from exc
-    return ev, V
 
 
 def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
@@ -171,7 +167,10 @@ def sweep_grid(
         raise ValueError(f"linear_steps {linear_steps} exceeds the cap of {MAX_LINEAR_STEPS}")
     if log_decades > MAX_LOG_DECADES:
         raise ValueError(f"log_decades {log_decades:g} exceeds the cap of {MAX_LOG_DECADES:g}")
-    lin = np.linspace(beta_min, beta_max, linear_steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is refused
+        lin = np.linspace(beta_min, beta_max, linear_steps)
+    if not np.all(np.isfinite(lin)):
+        raise ValueError(f"the linear grid from {beta_min!r} to {beta_max!r} is not finite")
     pieces = [lin, -lin]
     if log_decades > 0:
         logs = 10.0 ** np.linspace(0.0, log_decades, max(2, int(20 * log_decades)))

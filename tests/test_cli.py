@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import schrostab
 from schrostab.cli import MAX_N_LIST, main
 from schrostab.dynamics import MAX_N, EnergyTrace
 from schrostab.errors import NumericalError
+from schrostab.grid import Mesh
 from schrostab.identities import MAX_SAMPLES
-from schrostab.spectral import MAX_LINEAR_STEPS
+from schrostab.spectral import MAX_LINEAR_STEPS, spectral_abscissa
+from schrostab.systems import CLASSICAL, SemiDiscreteSystem
 
 
 @pytest.fixture
@@ -381,6 +384,16 @@ class TestVerify:
         assert result.exit_code == 2
         assert "samples must be positive" in result.output
 
+    @pytest.mark.parametrize("beta, message", [
+        ("1e200", "beta must be nonzero, with a finite square, got beta=1e+200"),
+        ("1e-150", "beta=1e-150 puts the claim-2 or claim-3 terms out of range"),
+    ])
+    def test_beta_out_of_range_is_usage_error(self, runner, beta, message):
+        # beta^2 overflows at 1e200; at 1e-150, ||Delta z||^2 / beta^2 does at N = 64 and 255
+        result = runner.invoke(main, ["verify", "--samples", "5", "--beta", beta])
+        assert result.exit_code == 2, result.output
+        assert f"Invalid value for '--beta': {message}" in result.output
+
     def test_json_report(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "5", "--json"])
         assert result.exit_code == 0, result.output
@@ -462,15 +475,44 @@ def test_non_finite_float_is_usage_error(runner, tmp_path, argv, option, value):
 def test_classical_peak_rule_names_its_options(runner, tmp_path, monkeypatch, scheme, n, k):
     # the top root's |Re lam| / |Im lam| is below the solver's spectrum tolerance
     def refuse(*args, **kwargs):
-        raise AssertionError("computed before the classical peak check")
+        raise AssertionError("swept before the classical peak check")
 
-    for solver in ("spectral_abscissa", "resolvent_sweep"):
-        monkeypatch.setattr(f"schrostab.cli.{solver}", refuse)
+    monkeypatch.setattr("schrostab.cli.resolvent_sweep", refuse)
     result = runner.invoke(main, ["resolvent", "--scheme", scheme, "--n-list", f"5,{n}",
                                   "--k", str(k), "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
     assert (f"--n-list grid size {n} at --k {k:g}: the classical resolvent peak is narrower "
             "than the solver's spectrum tolerance") in result.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("n, k", [(3214, 1.0), (1807, 0.1)])
+def test_classical_peak_refusal_is_the_solvers(runner, tmp_path, n, k):
+    # one grid size past the largest whose top peak the solver samples
+    result = runner.invoke(main, ["resolvent", "--scheme", "classical", "--n-list", str(n),
+                                  "--k", str(k), "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert f"--n-list grid size {n} at --k {k:g}: the classical resolvent peak" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+def test_classical_sweep_certifies_up_to_the_solvers_limit(runner, tmp_path):
+    # N = 1806 at k = 0.1, refused by the earlier closed-form peak rule (N <= 1744)
+    out = tmp_path / "x.csv"
+    result = runner.invoke(main, ["resolvent", "--scheme", "classical", "--n-list", "1806",
+                                  "--k", "0.1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    sup = float(read_lines(out)[-1].split(",")[0])
+    lam = spectral_abscissa(SemiDiscreteSystem(CLASSICAL, Mesh(1806), 0.1)).abscissa
+    assert 1.70 <= sup * abs(lam) <= 1.76
+
+
+def test_non_finite_linear_grid_is_usage_error(runner, tmp_path):
+    # the step of np.linspace overflows
+    result = runner.invoke(main, ["resolvent", "--n-list", "3", "--beta-min", "-1.7e308",
+                                  "--beta-max", "1.7e308", "--out", str(tmp_path / "x.csv")])
+    assert result.exit_code == 2, result.output
+    assert "the linear grid from -1.7e+308 to 1.7e+308 is not finite" in result.output
     assert not any(tmp_path.iterdir())
 
 
@@ -584,6 +626,35 @@ def test_no_command_loads_scipy(tmp_path):
     assert result.returncode == 0, result.stderr
     loaded = [line.split()[1:] for line in result.stdout.splitlines() if line.startswith("loaded")]
     assert loaded == [[]] * (1 + len(commands))  # after the import and after each command
+
+
+def test_every_module_and_command_runs_without_scipy(tmp_path):
+    # a fresh interpreter in which scipy cannot be imported (as `_block_scipy` leaves a test
+    # process) imports every submodule, runs the dense eigensolver and runs each command
+    code = (
+        "import importlib, pkgutil, sys; sys.modules['scipy'] = None\n"
+        "import numpy as np, schrostab\n"
+        "names = [info.name for info in pkgutil.iter_modules(schrostab.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('schrostab.' + name)\n"
+        "from schrostab.cli import main; from schrostab.spectral import eigenpairs\n"
+        "assert np.allclose(np.sort(eigenpairs(np.diag([3.0, 1.0]))[0]), [1.0, 3.0])\n"
+        "for argv in sys.argv[1:]:\n"
+        "    try: main(argv.split(), standalone_mode=False)\n"
+        "    except SystemExit as exc: assert not exc.code, exc.code\n"
+        "print('modules', *names)\n"
+    )
+    out = str(tmp_path / "x.csv")
+    commands = [f"spectrum --scheme both --n-list 3 --out {out}",
+                f"resolvent --scheme both --n-list 3 --out {out}",
+                f"simulate --n 7 --t-final 0.01 --out {out}",
+                "verify --samples 2"]
+    result = subprocess.run([sys.executable, "-c", code, *commands],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    modules = result.stdout.splitlines()[-1].split()
+    package = Path(schrostab.__file__).parent
+    assert modules[1:] == sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
 
 
 def test_import_loads_submodules_but_not_scipy_integrate():

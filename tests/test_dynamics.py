@@ -11,8 +11,7 @@ from schrostab.dynamics import (
 )
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
-from schrostab.secular import (_classical_boundary_row, classical_poles_weights,
-                               or_poles_weights)
+from schrostab.secular import _scheme, classical_poles_weights, or_poles_weights
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, discrete_energy
 
 from conftest import dense_generator, random_complex
@@ -133,7 +132,7 @@ class TestModalStepper:
             p = r
         else:
             theta, c = classical_poles_weights(mesh)
-            r = _classical_boundary_row(mesh, theta, c)
+            r = _scheme(mesh, CLASSICAL)[4]
             p = c * c / r
         g = 1.0 / (1.0 - 1j * tau * theta)
         w = (tau * rho / (1.0 + tau * rho * (r @ (g * p)))) * (g * p)

@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -185,6 +187,19 @@ class TestSuite:
         report = run_identity_suite(n_values=(n,), samples=samples, seed=seed)[0]
         assert (report.identity, report.k) == ("triple_sum", 0.0)
         assert (report.gap, report.scale) == (gap[worst], scale[worst])
+
+    def test_beta_range_boundary(self):
+        # the largest double whose square is finite runs; the next one is refused before
+        # beta**2 can raise OverflowError, and 1e-150 once its terms overflow at N = 64
+        edge = math.sqrt(sys.float_info.max)
+        above = math.nextafter(edge, math.inf)
+        assert math.isfinite(edge * edge) and math.isinf(above * above)
+        reports = run_identity_suite(n_values=(2, 64), samples=5, beta=edge)
+        assert all(r.passed for r in reports)
+        with pytest.raises(ValueError, match=re.escape(f"with a finite square, got beta={above!r}")):
+            run_identity_suite(n_values=(2, 64), samples=5, beta=above)
+        with pytest.raises(ValueError, match="beta=1e-150 puts the claim-2 or claim-3 terms"):
+            run_identity_suite(n_values=(2, 64), samples=5, beta=1e-150)
 
 
 def _as_tuples(reports):
