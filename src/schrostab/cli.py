@@ -5,11 +5,18 @@ output path that cannot be written), 3 numerical failure.  Outputs are
 deterministic for identical configurations and seeds.  Every JSON report, CSV
 `.meta.json` sidecar and `simulate` summary carries the tool version and the
 run configuration: the command name plus its parsed options.
+
+On glibc, every run first pins two of the allocator's thresholds
+(`_pin_malloc_thresholds`): numpy's recurring temporaries below 32 MiB are then
+recycled from the heap instead of being mapped, faulted in and zeroed again on
+each call.  Outputs do not change, and importing this module pins nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import itertools
 import json
 import math
 import os
@@ -24,7 +31,7 @@ from .errors import NumericalError
 from .grid import Mesh
 from .identities import MAX_SAMPLES, run_identity_suite
 from .secular import in_spectrum
-from .spectral import MAX_LINEAR_STEPS, MAX_LOG_DECADES, resolvent_sweep, spectral_abscissa
+from .spectral import MAX_LINEAR_STEPS, MAX_LOG_DECADES, spectral_abscissa, sweep_with_spectrum
 from .svgplot import line_chart
 from .systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem
 
@@ -52,12 +59,13 @@ class _FiniteFloat(click.types.FloatParamType):
 
 
 FINITE_FLOAT = _FiniteFloat()
-# Largest grid size of `resolvent`, whose sweeps cost O(N^2) (the order-reduction one 9 s at
+# Largest grid size of `resolvent`, whose sweeps cost O(N^2) (the order-reduction one 6.7 s at
 # this cap, k = 1, one BLAS thread, 2-vCPU Intel Xeon VM), and of the classical `spectrum`.
-# Both spectra are O(N): order reduction runs to `dynamics.MAX_N` (0.02 s at N = 8191, 0.18 s
-# at 65535, 3.5 s at 2^20 - 1); the classical one takes 0.016, 0.06 and 0.12 s at N = 1023,
-# 4095 and 8191 but keeps this cap, as its 72 cross-check FFTs have odd length 2N+3: 26 ms
-# each at N = 65535, 0.60 s at 2^20 - 1.
+# Both spectra are O(N): order reduction runs to `dynamics.MAX_N` (0.023 s at N = 8191, 0.20 s
+# at 65535, 3.9 s at 2^20 - 1, each a repeated call in one run); the classical one takes 0.011,
+# 0.045 and 0.078 s at N = 1023, 4095 and 8191 but keeps this cap, as its 72 cross-check
+# eigenvectors are inverse FFTs of odd length 2N+3: 24 ms each at N = 65535 (1.7 of its
+# 2.0 s), the FFT alone 0.47 s at 2^20 - 1.
 MAX_N_LIST = 8191
 
 
@@ -140,10 +148,41 @@ def _exit_code_guard(func):
     return wrapper
 
 
+# glibc's mallopt parameter numbers (malloc.h) and the values a CLI run pins.  32 MiB is
+# glibc's own 64-bit ceiling for its dynamic mmap threshold; up to 128 MiB freed at the top
+# of the heap stays there for reuse instead of going back to the system.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 128 << 20
+
+
+def _pin_malloc_thresholds():
+    """Serve numpy's recurring temporaries from glibc's heap instead of fresh mmaps.
+
+    Below 32 MiB a freed block (sigma_min and cross-check blocks, stepper
+    arrays at the --n cap) stays in the heap for the next call rather than
+    being unmapped and faulted back in, zeroed, page by page.  Pinning either
+    value also turns off glibc's threshold rule that depends on what the
+    process freed before.  Only on glibc; where it refuses the mmap threshold,
+    both thresholds keep glibc's defaults.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr (Windows), or no such name
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
     """Stability certification toolkit for boundary-damped semi-discrete schemes."""
+    _pin_malloc_thresholds()
 
 
 @main.command()
@@ -210,22 +249,25 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
     meshes = [Mesh(n) for n in n_list]
     systems = [SemiDiscreteSystem(sch, mesh, k)
                for sch in SCHEME_CHOICES[scheme] for mesh in meshes]
-    for system in systems:
+    spectra = [spectral_abscissa(system) for system in systems]  # one per system
+    for system, spec in zip(systems, spectra):
         if system.scheme == CLASSICAL:  # the classical sup sits at the top root's peak
-            lam = spectral_abscissa(system).eigenvalues
+            lam = spec.eigenvalues
             if in_spectrum(system.mesh, k, lam[np.argmax(lam.real)].imag, CLASSICAL):
                 raise click.UsageError(
                     f"--n-list grid size {system.n} at --k {k:g}: the classical resolvent peak "
                     "is narrower than the solver's spectrum tolerance")
-    sweeps = [resolvent_sweep(system, beta_min, beta_max, linear_steps, log_decades)
-              for system in systems]
+    sweeps = [sweep_with_spectrum(system, spec, beta_min, beta_max, linear_steps, log_decades)
+              for system, spec in zip(systems, spectra)]
     out = _out_path(out)
     if format == "csv":
         _write_csv(
             out, config,
-            ("scheme,N,k,beta,norm", (
-                f"{sw.scheme},{sw.n},{sw.k:.17g},{beta:.17g},{norm:.17g}"
-                for sw in sweeps for beta, norm in zip(sw.beta_grid, sw.norms))),
+            ("scheme,N,k,beta,norm", itertools.chain.from_iterable(
+                # the prefix holds no "%": a scheme name, an int and a formatted float
+                map(f"{sw.scheme},{sw.n},{sw.k:.17g},%.17g,%.17g".__mod__,
+                    zip(sw.beta_grid.tolist(), sw.norms.tolist()))
+                for sw in sweeps)),
             ("sup_norm,argmax_beta", (
                 f"{sw.sup_norm:.17g},{sw.argmax_beta:.17g}" for sw in sweeps)),
         )

@@ -37,9 +37,9 @@ __all__ = [
 
 
 # The stepper keeps four complex arrays of N+1 entries (16 MiB each at the cap), the march
-# two more.  Five steps at the cap took 2.3 s and 510 MiB peak RSS (order reduction), 2.6 s
-# and 502 MiB (classical), one BLAS thread; the entry transform took 1.9 s and 1.5 s of
-# that, as 2(N+1) is no power of two either.
+# two more.  Five steps at the cap took 1.8 s and 510 MiB peak RSS (order reduction), 1.8 s
+# and 518 MiB (classical), one BLAS thread, under the CLI's pinned allocator thresholds; the
+# entry transform took 1.5 s of each, as 2(N+1) is no power of two either.
 MAX_N = 2**20
 # A trace keeps 40 bytes per step, so the cap holds its arrays to 40 MB.
 MAX_STEPS = 10**6

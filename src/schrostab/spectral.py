@@ -35,6 +35,7 @@ __all__ = [
     "spectral_abscissa",
     "resolvent_norm",
     "default_beta_max",
+    "sweep_with_spectrum",
     "resolvent_sweep",
 ]
 
@@ -144,8 +145,21 @@ def default_beta_max(mesh: Mesh) -> float:
     return 2.0 * (np.pi * (mesh.n + 1)) ** 2
 
 
+def _check_grid(beta_min: float, beta_max: float, linear_steps: int,
+                log_decades: float | None):
+    """Refuse grid parameters the sweep cannot take; None log_decades is the default reach."""
+    if beta_min >= beta_max:
+        raise ValueError("beta_min must be below beta_max")
+    if linear_steps < 2:
+        raise ValueError("linear grid needs at least 2 steps")
+    if linear_steps > MAX_LINEAR_STEPS:
+        raise ValueError(f"linear_steps {linear_steps} exceeds the cap of {MAX_LINEAR_STEPS}")
+    if log_decades is not None and log_decades > MAX_LOG_DECADES:
+        raise ValueError(f"log_decades {log_decades:g} exceeds the cap of {MAX_LOG_DECADES:g}")
+
+
 def sweep_grid(
-    system: SemiDiscreteSystem,
+    spectrum: SpectrumReport,
     beta_min: float,
     beta_max: float,
     linear_steps: int,
@@ -156,17 +170,10 @@ def sweep_grid(
     Resolvent peaks sit within O(|Re lambda|) of eigenvalue imaginary
     parts; for the classical scheme those windows shrink like h^2, so no
     fixed grid can witness the blowup.  The sweep therefore also evaluates
-    at the imaginary parts of the generator's eigenvalues (the secular
-    roots for the order-reduction scheme).
+    at the imaginary parts of the eigenvalues of the caller's certified
+    `spectrum` (`spectral_abscissa`).
     """
-    if beta_min >= beta_max:
-        raise ValueError("beta_min must be below beta_max")
-    if linear_steps < 2:
-        raise ValueError("linear grid needs at least 2 steps")
-    if linear_steps > MAX_LINEAR_STEPS:
-        raise ValueError(f"linear_steps {linear_steps} exceeds the cap of {MAX_LINEAR_STEPS}")
-    if log_decades > MAX_LOG_DECADES:
-        raise ValueError(f"log_decades {log_decades:g} exceeds the cap of {MAX_LOG_DECADES:g}")
+    _check_grid(beta_min, beta_max, linear_steps, log_decades)
     with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows is refused
         lin = np.linspace(beta_min, beta_max, linear_steps)
     if not np.all(np.isfinite(lin)):
@@ -175,12 +182,13 @@ def sweep_grid(
     if log_decades > 0:
         logs = 10.0 ** np.linspace(0.0, log_decades, max(2, int(20 * log_decades)))
         pieces += [logs, -logs]
-    pieces.append(spectral_abscissa(system).eigenvalues.imag)
+    pieces.append(spectrum.eigenvalues.imag)
     return np.unique(np.concatenate(pieces))
 
 
-def resolvent_sweep(
+def sweep_with_spectrum(
     system: SemiDiscreteSystem,
+    spectrum: SpectrumReport,
     beta_min: float,
     beta_max: float,
     linear_steps: int = 81,
@@ -188,12 +196,18 @@ def resolvent_sweep(
 ) -> ResolventSweepReport:
     """Evaluate the weighted resolvent norm over the sweep grid.
 
-    Both schemes take one `resolvent_norm` call over the whole grid.  Ties
-    in the argmax are broken toward the smallest |beta|.
+    `spectrum` is the system's certified spectrum (`spectral_abscissa`),
+    whose eigenvalues place the grid's peak points.  Both schemes take one
+    `resolvent_norm` call over the whole grid.  Ties in the argmax are
+    broken toward the smallest |beta|.
     """
+    if (spectrum.scheme, spectrum.n, spectrum.k) != (system.scheme, system.n, system.k):
+        raise ValueError(
+            f"spectrum of ({spectrum.scheme}, N={spectrum.n}, k={spectrum.k!r}) does not "
+            f"belong to the system ({system.scheme}, N={system.n}, k={system.k!r})")
     if log_decades is None:
         log_decades = float(np.log10(default_beta_max(system.mesh)))
-    grid = sweep_grid(system, beta_min, beta_max, linear_steps, log_decades)
+    grid = sweep_grid(spectrum, beta_min, beta_max, linear_steps, log_decades)
     norms = resolvent_norm(system, grid)
     sup = float(np.max(norms))
     at_max = grid[norms == sup]
@@ -207,3 +221,20 @@ def resolvent_sweep(
         sup_norm=sup,
         argmax_beta=argmax,
     )
+
+
+def resolvent_sweep(
+    system: SemiDiscreteSystem,
+    beta_min: float,
+    beta_max: float,
+    linear_steps: int = 81,
+    log_decades: float | None = None,
+) -> ResolventSweepReport:
+    """`sweep_with_spectrum` over the system's spectrum, certified here.
+
+    A caller that already holds the certified spectrum passes it to
+    `sweep_with_spectrum` instead of solving it again.
+    """
+    _check_grid(beta_min, beta_max, linear_steps, log_decades)  # before the solve
+    return sweep_with_spectrum(system, spectral_abscissa(system), beta_min, beta_max,
+                               linear_steps, log_decades)

@@ -14,7 +14,7 @@ from schrostab.dynamics import MAX_N, EnergyTrace
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh
 from schrostab.identities import MAX_SAMPLES
-from schrostab.spectral import MAX_LINEAR_STEPS, spectral_abscissa
+from schrostab.spectral import MAX_LINEAR_STEPS, ResolventSweepReport, spectral_abscissa
 from schrostab.systems import CLASSICAL, SemiDiscreteSystem
 
 
@@ -360,6 +360,147 @@ def test_simulate_rows_match_f_strings(runner, tmp_path, monkeypatch):
         for i in range(boundary.size)]
 
 
+def test_resolvent_certifies_each_spectrum_once(runner, tmp_path, monkeypatch):
+    # the classical peak probe and the sweep grid share one certified spectrum
+    from collections import Counter
+
+    from schrostab import spectral
+
+    calls = Counter()
+    solve = spectral.spectrum
+
+    def counted(mesh, k, scheme):
+        calls[scheme, mesh.n] += 1
+        return solve(mesh, k, scheme)
+
+    monkeypatch.setattr("schrostab.spectral.spectrum", counted)
+    result = runner.invoke(main, ["resolvent", "--scheme", "both", "--n-list", "15,63",
+                                  "--out", str(tmp_path / "res.csv")])
+    assert result.exit_code == 0, result.output
+    assert calls == {(scheme, n): 1 for scheme in ("order_reduction", "classical")
+                     for n in (15, 63)}
+
+
+def test_resolvent_rows_match_f_strings(runner, tmp_path, monkeypatch):
+    # the rows as they were formatted one f-string at a time, over numpy scalars
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]
+    sweeps = []
+
+    def sweep(system, spectrum, *args):
+        beta = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500),
+                               special])
+        norms = np.concatenate([rng.uniform(0.0, 2.0, 500) * 10.0 ** rng.integers(-5, 9, 500),
+                                special[::-1]])
+        sweeps.append(ResolventSweepReport(system.scheme, system.n, system.k, beta, norms,
+                                           float(norms.max()), float(beta[norms.argmax()])))
+        return sweeps[-1]
+
+    monkeypatch.setattr("schrostab.cli.sweep_with_spectrum", sweep)
+    out = tmp_path / "res.csv"
+    result = runner.invoke(main, ["resolvent", "--scheme", "both", "--n-list", "3,7",
+                                  "--k", "0.1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert len(sweeps) == 4
+    lines = read_lines(out)
+    assert lines[1:lines.index("sup_norm,argmax_beta")] == [
+        f"{sw.scheme},{sw.n},{sw.k:.17g},{beta:.17g},{norm:.17g}"
+        for sw in sweeps for beta, norm in zip(sw.beta_grid, sw.norms)]
+
+
+def _glibc() -> bool:
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the allocator policy applies to glibc only")
+def test_second_run_reuses_the_heap(tmp_path):
+    # a fresh interpreter: the second classical spectrum at the cap recycles the first's
+    # freed blocks instead of faulting them back in (the default thresholds: 82% as many)
+    code = (
+        "import resource, sys; from schrostab.cli import main\n"
+        "for _ in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    main(sys.argv[1:], standalone_mode=False)\n"
+        "    print('faults', resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    argv = ["spectrum", "--scheme", "classical", "--n-list", str(MAX_N_LIST),
+            "--format", "json", "--out", str(tmp_path / "s.json")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    first, second = (int(line.split()[1]) for line in result.stdout.splitlines()
+                     if line.startswith("faults"))
+    assert second < 0.1 * first, (first, second)
+
+
+class _Libc:
+    """Stands in for `ctypes.CDLL(None)`, recording each mallopt call."""
+
+    def __init__(self, returns=1):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return returns
+
+        self.mallopt = mallopt
+
+    def __call__(self, name):
+        assert name is None
+        return self
+
+
+def _raise(exc):
+    def confstr(name):
+        raise exc
+
+    return confstr
+
+
+@pytest.mark.parametrize("confstr", [_raise(ValueError("unrecognized configuration name")),
+                                     _raise(OSError(22, "Invalid argument")),
+                                     _raise(AttributeError("no os.confstr")),
+                                     lambda name: None, lambda name: "musl 1.2.4"])
+def test_allocator_is_left_alone_without_glibc(runner, tmp_path, monkeypatch, confstr):
+    libc = _Libc()
+    monkeypatch.setattr("schrostab.cli.ctypes.CDLL", libc)
+    monkeypatch.setattr("schrostab.cli.os.confstr", confstr)
+    result = runner.invoke(main, ["spectrum", "--n-list", "3", "--out", str(tmp_path / "s.csv")])
+    assert result.exit_code == 0, result.output
+    assert libc.calls == []
+
+
+@pytest.mark.parametrize("returns, calls", [
+    (1, [(-3, 32 << 20), (-1, 128 << 20)]),
+    (0, [(-3, 32 << 20)]),  # a refused mmap threshold keeps the trim default too
+])
+def test_allocator_thresholds_pinned_on_glibc(runner, tmp_path, monkeypatch, returns, calls):
+    libc = _Libc(returns)
+    monkeypatch.setattr("schrostab.cli.ctypes.CDLL", libc)
+    monkeypatch.setattr("schrostab.cli.os.confstr", lambda name: "glibc 2.36")
+    result = runner.invoke(main, ["spectrum", "--n-list", "3", "--out", str(tmp_path / "s.csv")])
+    assert result.exit_code == 0, result.output
+    assert libc.calls == calls
+
+
+def test_import_leaves_the_allocator_alone():
+    # a fresh interpreter: importing every module opens no libc handle; only a CLI run does
+    code = (
+        "import ctypes\n"
+        "real, opened = ctypes.CDLL, []\n"
+        "ctypes.CDLL = lambda name, *args: opened.append(name) or real(name, *args)\n"
+        "import importlib, pkgutil, schrostab\n"
+        "for info in pkgutil.iter_modules(schrostab.__path__):\n"
+        "    importlib.import_module('schrostab.' + info.name)\n"
+        "print(None in opened)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
+
+
 class TestVerify:
     def test_pass_exit_zero(self, runner):
         result = runner.invoke(main, ["verify", "--samples", "5"])
@@ -477,7 +618,7 @@ def test_classical_peak_rule_names_its_options(runner, tmp_path, monkeypatch, sc
     def refuse(*args, **kwargs):
         raise AssertionError("swept before the classical peak check")
 
-    monkeypatch.setattr("schrostab.cli.resolvent_sweep", refuse)
+    monkeypatch.setattr("schrostab.cli.sweep_with_spectrum", refuse)
     result = runner.invoke(main, ["resolvent", "--scheme", scheme, "--n-list", f"5,{n}",
                                   "--k", str(k), "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 2, result.output
@@ -522,7 +663,7 @@ def test_classical_peak_rule_reaches_the_solver(runner, tmp_path, monkeypatch, n
     def reached(*args, **kwargs):
         raise NumericalError("reached the sweep")
 
-    monkeypatch.setattr("schrostab.cli.resolvent_sweep", reached)
+    monkeypatch.setattr("schrostab.cli.sweep_with_spectrum", reached)
     result = runner.invoke(main, ["resolvent", "--scheme", "classical", "--n-list", str(n),
                                   "--k", str(k), "--out", str(tmp_path / "x.csv")])
     assert result.exit_code == 3, result.output
@@ -537,7 +678,7 @@ def test_n_list_cap_names_its_option(runner, tmp_path, monkeypatch, command, sch
     def refuse(*args, **kwargs):
         raise AssertionError("built a mesh before the --n-list cap check")
 
-    for name in ("Mesh", "spectral_abscissa", "resolvent_sweep"):
+    for name in ("Mesh", "spectral_abscissa", "sweep_with_spectrum"):
         monkeypatch.setattr(f"schrostab.cli.{name}", refuse)
     if command == "resolvent":
         cap, what = MAX_N_LIST, "resolvent"
@@ -568,7 +709,7 @@ def test_unwritable_output_is_usage_error(runner, tmp_path, monkeypatch, argv, b
     def refuse(*args, **kwargs):
         raise AssertionError("computed before checking the output paths")
 
-    for solver in ("spectral_abscissa", "resolvent_sweep", "simulate"):
+    for solver in ("spectral_abscissa", "sweep_with_spectrum", "simulate"):
         monkeypatch.setattr(f"schrostab.cli.{solver}", refuse)
     monkeypatch.setenv("SCHROSTAB_OUTDIR", str(tmp_path))
     path = str(tmp_path / "missing" / bad)
@@ -580,7 +721,7 @@ def test_unwritable_output_is_usage_error(runner, tmp_path, monkeypatch, argv, b
 
 @pytest.mark.parametrize(
     "command, solver",
-    [("spectrum", "spectral_abscissa"), ("resolvent", "resolvent_sweep")],
+    [("spectrum", "spectral_abscissa"), ("resolvent", "sweep_with_spectrum")],
     ids=["spectrum", "resolvent"],
 )
 def test_numerical_failure_exits_3(runner, tmp_path, monkeypatch, command, solver):

@@ -631,8 +631,8 @@ def test_wrong_classical_applier_is_refused(monkeypatch):
 def _resolvent_betas(system):
     """The full sweep grid, +-3000, and three betas exactly at a pole theta_m."""
     theta = or_poles_weights(system.mesh)[0]
-    grid = sweep_grid(system, -20.0, 20.0, 81, float(np.log10(default_beta_max(system.mesh))))
-    return np.concatenate([grid, [3000.0, -3000.0, theta[0], theta[system.n // 2], theta[-1]]])
+    extra = [3000.0, -3000.0, theta[0], theta[system.n // 2], theta[-1]]
+    return np.concatenate([_default_grid(system), extra])
 
 
 @pytest.mark.parametrize("n", [1, 15, 63, 127])
@@ -760,7 +760,8 @@ def test_beta_in_the_spectrum_is_refused(monkeypatch):
 
 
 def _default_grid(system):
-    return sweep_grid(system, -20.0, 20.0, 81, float(np.log10(default_beta_max(system.mesh))))
+    decades = float(np.log10(default_beta_max(system.mesh)))
+    return sweep_grid(spectral_abscissa(system), -20.0, 20.0, 81, decades)
 
 
 @pytest.mark.parametrize("n", [1, 15, 63, 127, 255])
