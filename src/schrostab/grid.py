@@ -30,8 +30,6 @@ __all__ = [
     "average",
     "difference",
     "build_scheme_matrices",
-    "yh_inner",
-    "yh_norm",
     "shadow_element",
     "extend_state",
     "extend_shadow",
@@ -118,9 +116,6 @@ class Bidiagonal:
     def T(self) -> Bidiagonal:
         return Bidiagonal(self.main, self.off, -self.step, self.cols, self.rows)
 
-    def toarray(self) -> np.ndarray:
-        return self @ np.eye(self.cols)
-
 
 @dataclass(frozen=True)
 class SchemeMatrices:
@@ -193,28 +188,18 @@ def solve_dt(b: np.ndarray) -> np.ndarray:
     return 2 * s * np.cumsum((s * b)[::-1], axis=0)[::-1]
 
 
-def yh_inner(Y, Ytilde, mesh: Mesh) -> complex:
-    """The weighted inner product h * <D Y, D Ytilde>.
+def _d_inner(a: np.ndarray, b: np.ndarray, h: float):
+    """The weighted inner product h <D Y, D Ytilde> from the products a = D Y and b = D Ytilde.
 
     Hermitian and positive definite since D is invertible.
     """
-    D = mesh.matrices.D
-    return _d_inner(D @ _as_state(Y, mesh), D @ _as_state(Ytilde, mesh), mesh.h)
-
-
-def yh_norm(Y, mesh: Mesh) -> float:
-    return _d_norm(mesh.matrices.D @ _as_state(Y, mesh), mesh.h)
-
-
-def _d_inner(a: np.ndarray, b: np.ndarray, h: float):
-    """yh_inner from the products a = D Y and b = D Ytilde."""
     # named: in a temporary of 256 KiB or more numpy swaps the factors, so rounding tracks width
     cb = np.conj(b)
     return h * np.sum(a * cb, axis=0)
 
 
 def _d_norm(a: np.ndarray, h: float):
-    """yh_norm from the product a = D Y."""
+    """The weighted norm sqrt(h) ||D Y|| from the product a = D Y."""
     return np.sqrt(h * np.sum(np.abs(a) ** 2, axis=0))
 
 

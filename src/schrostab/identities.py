@@ -13,12 +13,14 @@ the relative defect the suite checks.
 
 Each identity has one private kernel.  A public gap function builds the
 pieces of its batch and calls the kernel; `run_identity_suite` calls the
-same kernels on column blocks of about 2^14 entries, which stay in cache.
-It builds the shadow element, the extended vectors, their cell values and
-the energy sums two identities share once per block.  The main thread and
-one worker, once it has drawn the next seeded batch, take each block once
-from one list.  A column's defect depends neither on its block's width nor
-on the thread.
+kernels themselves, so of the public gap functions only
+`boundary_multiplier_gap_z` runs in a command, and the other three stay
+because the benchmark binds them.  The suite takes the kernels on column
+blocks of about 2^14 entries, which stay in cache.  It builds the shadow
+element, the extended vectors, their cell values and the energy sums two
+identities share once per block.  The main thread and one worker, once it
+has drawn the next seeded batch, take each block once from one list.  A
+column's defect depends neither on its block's width nor on the thread.
 """
 
 from __future__ import annotations

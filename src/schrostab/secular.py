@@ -232,7 +232,10 @@ def _exact_poles(mesh: Mesh, poles: np.ndarray, sine: bool):
     (order reduction) or chi = sin^2 and L = 2N+3 (classical, `sine`; its upper half as
     4 (N+1)^2 - (2 (N+1) cos a_m)^2), from np.longdouble sin a_m and cos a_m, the sine of the
     complementary angle: eps_j from the rounded poles would carry their rounding, most of it at
-    weak damping and at the top poles.  Where np.longdouble is double, `_certify` refuses.
+    weak damping and at the top poles.  Where np.longdouble is double, the offsets, and the
+    pole-rounding term of `spectrum`'s residual, are formed in the precision they are meant
+    to bound: both spectra still certify, with the same abscissae, but the certificate no
+    longer covers the poles' rounding.
     """
     n1 = mesh.state_size
     length = 2 * mesh.n + 3 if sine else 2 * n1

@@ -10,7 +10,9 @@ in the eigenbasis of M M^T.  Neither resolvent forms a matrix either: each
 sigma_min(i beta I - B) is bracketed by an exact O(N) eigenvalue count
 (`secular.resolvent_smin`, one bracket loop with a count for each scheme).
 `eigenpairs` and `spectral_norm_estimate` are the dense eigensolver and norm
-estimate, kept for small-N oracles; no spectrum or resolvent here uses them.
+estimate, and `resolvent_sweep` certifies a spectrum before it sweeps: no
+command calls any of them, and they stay in the package only because the
+benchmark binds them.
 """
 
 from __future__ import annotations

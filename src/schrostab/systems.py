@@ -9,7 +9,8 @@ certified classical spectrum (`secular.spectrum`) cross-checks its eigenpairs
 against it.  The dense generator, `assemble_generator`, is the applier
 evaluated on the identity and serves only as a small-N oracle: no spectrum or
 resolvent of either scheme (`secular.spectrum`, `secular.resolvent_smin`)
-forms it, or any other matrix.
+forms it, or any other matrix, and it stays in the package only because the
+benchmark binds it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "SemiDiscreteSystem",
     "apply_generator",
     "assemble_generator",
-    "dissipation_gap",
     "discrete_energy",
 ]
 
@@ -80,9 +80,6 @@ class SemiDiscreteSystem:
     def n(self) -> int:
         return self.mesh.n
 
-    def apply(self, Y) -> np.ndarray:
-        return apply_generator(self.scheme, Y, self.k, self.mesh)
-
 
 def discrete_energy(W, mesh: Mesh) -> float:
     """(h/2) * sum of squared cell-midpoint magnitudes of (0, W).
@@ -94,19 +91,14 @@ def discrete_energy(W, mesh: Mesh) -> float:
     return 0.5 * mesh.h * np.sum(np.abs(mid) ** 2, axis=0)
 
 
-def dissipation_gap(Y, k: float, mesh: Mesh):
-    """Defect of the order-reduction boundary dissipation identity.
-
-    Re<A Y, Y> in the weighted inner product equals -k |y_{N+1}|^2 exactly,
-    so the gap vanishes to roundoff.  Returns (gap, scale) with scale
-    ||Y|| ||A Y|| + k |y_{N+1}|^2 in the weighted norm.
-    """
-    Y = np.asarray(Y, dtype=complex)
-    return _dissipation_gap(Y, shadow_element(Y, k, mesh), mesh.matrices.D @ Y, k, mesh)
-
-
 def _dissipation_gap(Y: np.ndarray, Z: np.ndarray, DY: np.ndarray, k: float, mesh: Mesh):
-    """`dissipation_gap` of Y given its shadow element Z and the product D Y."""
+    """Defect of the order-reduction boundary dissipation identity for Y, given its
+    shadow element Z and the product D Y.
+
+    Re<A Y, Y> in the weighted inner product (`grid._d_inner`) equals
+    -k |y_{N+1}|^2 exactly, so the gap vanishes to roundoff.  Returns
+    (gap, scale) with scale ||Y|| ||A Y|| + k |y_{N+1}|^2 in the weighted norm.
+    """
     AY = _apply_shadowed(ORDER_REDUCTION, Y, Z, k, mesh)
     DAY = mesh.matrices.D @ AY
     boundary = k * np.abs(Y[-1]) ** 2

@@ -30,7 +30,8 @@ def weighted_oracle(system):
     """Dense S A S^{-1} with S = sqrt(h) D formed from the sparse scheme matrix."""
     from schrostab.grid import build_scheme_matrices
 
-    S = np.sqrt(system.mesh.h) * build_scheme_matrices(system.mesh).D.toarray()
+    D = build_scheme_matrices(system.mesh).D
+    S = np.sqrt(system.mesh.h) * (D @ np.eye(D.cols))
     return S @ dense_generator(system) @ np.linalg.inv(S)
 
 
@@ -40,7 +41,8 @@ def modal_oracle(mesh):
 
     x = mesh.nodes[1:]
     S = np.sin(np.outer(x, np.arange(mesh.state_size) + 0.5) * np.pi)
-    Q = build_scheme_matrices(mesh).D.toarray() @ S
+    D = build_scheme_matrices(mesh).D
+    Q = (D @ np.eye(D.cols)) @ S
     return Q / np.linalg.norm(Q, axis=0)
 
 
@@ -107,7 +109,7 @@ def classical_resolvent_within(system, betas, norms, rtol):
     A = dense_generator(system)
     assert not np.any(np.triu(A, 2)) and not np.any(np.tril(A, -2))
     D = build_scheme_matrices(system.mesh).D
-    D_inv = np.linalg.inv(D.toarray())
+    D_inv = np.linalg.inv(D @ np.eye(D.cols))
     diag = np.diag_indices(A.shape[0])
     bands = np.zeros((3, A.shape[0]), dtype=complex)
     bands[0, 1:] = -np.diag(A, 1)

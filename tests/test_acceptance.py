@@ -7,15 +7,16 @@ prints a single pass/fail line so the whole gate reads as a checklist.
 import numpy as np
 import pytest
 
-from schrostab.continuous import SampledFunction, apply_continuous_inverse, characteristic_roots
+from schrostab.continuous import characteristic_roots
 from schrostab.dynamics import fit_decay_rate, initial_state, simulate
-from schrostab.grid import Mesh, triple_sum_identity_gap, yh_inner, yh_norm
+from schrostab.grid import Mesh, triple_sum_identity_gap
 from schrostab.identities import run_identity_suite
 from schrostab.secular import or_poles_weights, spectrum
 from schrostab.spectral import resolvent_sweep, spectral_abscissa, sweep_with_spectrum
 from schrostab.systems import CLASSICAL, ORDER_REDUCTION, SemiDiscreteSystem, apply_generator
 
 from conftest import dense_generator
+from oracles import SampledFunction, apply_continuous_inverse, yh_inner, yh_norm
 
 
 def _report(capsys, number, passed, detail):
