@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .secular import _scheme, classical_modal_coordinates, or_modal_coordinates
+from .secular import _scheme
 from .systems import SemiDiscreteSystem, discrete_energy
 
 __all__ = [
@@ -66,18 +66,15 @@ class EnergyTrace:
 class MidpointStepper:
     """Implicit midpoint stepper u+ = 2v - u with (I - (dt/2) B) v = u, set up once per dt.
 
-    It steps modal coordinates u (`enter` maps a state into them), in which the generator
-    is B = i Theta - rho p r^T (`secular._scheme`) with rho = k/h and V_{N+1} = r^T v / sqrt(h).
+    It steps the modal coordinates u of the scheme's record (`secular._scheme`; `enter` maps a
+    state into them), in which the generator is B = i Theta - rho p r^T with rho = k/h and
+    V_{N+1} = r^T v / sqrt(h): u = Q^T sqrt(h) D W (order reduction) or sqrt(h) V^T W in the
+    sine eigenbasis V of M M^T (classical), and the record gives their weighted energy.
     With tau = dt/2, g = 1/(1 - i tau theta) and w = tau rho (g p) / (1 + tau rho r^T(g p)),
     v = g u - (r^T(g u)) w; Re g > 0 and p r = c^2 > 0, so the denominator is at least 1 in
     modulus.  So u+ = a u - ((r g)^T u) 2w with a = 2g - 1; `simulate` reads the midpoint
     V_{N+1} as (r^T u + r^T u+) / (2 sqrt(h)) and hands r^T u on to `energy`, one more dot
-    per step.
-
-    Order reduction: u = Q^T sqrt(h) D W and the energy is ||u||^2 / 2.  Classical:
-    u = sqrt(h) V^T W in the sine eigenbasis V of M M^T, r = V^T e_N; by 4 D^T D = 4I -
-    h^2 M M^T - 2 e_N e_N^T the energy is (sum_m cos^2 a_m |u_m|^2 - |r^T u|^2 / 2) / 2,
-    with cos^2 a_m taken as (2N+3) r_m^2 / 4, since 1 - mu_m h^2 / 4 cancels at the top modes.
+    per step.  The record's pole offsets are never formed.
     """
 
     def __init__(self, system: SemiDiscreteSystem, dt: float):
@@ -86,9 +83,8 @@ class MidpointStepper:
         self.system = system
         self.dt = dt
         mesh, k, tau = system.mesh, system.k, 0.5 * dt
-        sine, theta, _, p, r = _scheme(mesh, system.scheme)
-        self._cos2 = 0.25 * (2 * mesh.n + 3) * r**2 if sine else None
-        self._coordinates = classical_modal_coordinates if sine else or_modal_coordinates
+        self._record = record = _scheme(mesh, k, system.scheme)
+        theta, p, r = record.poles, record.p, record.r
         rho = k / mesh.h
         with np.errstate(over="ignore", invalid="ignore"):
             g = 1.0 / (1.0 - 1j * tau * theta)
@@ -103,7 +99,7 @@ class MidpointStepper:
     def enter(self, W) -> np.ndarray:
         """The modal coordinates of W; NumericalError if they miss its energy by over 1e-12 of it."""
         W = np.asarray(W, dtype=complex)
-        u = self._coordinates(self.system.mesh, W)
+        u = self._record.coordinates(W)
         got, expect = self.energy(u, self._r @ u), discrete_energy(W, self.system.mesh)
         if not abs(got - expect) <= _ENTRY_RTOL * expect:
             raise NumericalError(
@@ -118,9 +114,7 @@ class MidpointStepper:
         return out
 
     def energy(self, u: np.ndarray, ru: complex) -> float:
-        if self._cos2 is None:
-            return 0.5 * float(np.vdot(u, u).real)
-        return 0.5 * float(self._cos2 @ np.abs(u) ** 2 - 0.5 * abs(ru) ** 2)
+        return self._record.energy(u, ru)
 
 
 def simulate(system: SemiDiscreteSystem, W0, dt: float, t_final: float) -> EnergyTrace:

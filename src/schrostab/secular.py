@@ -16,9 +16,9 @@ A = i M M^T + (k/h) u e_N^T with u = e_{N-1}/2 - 3 e_N/2 (0-indexed), and
 M M^T has closed-form eigenpairs, so its eigenvalues are the roots of the
 same kind of equation, with the poles and weights of `classical_poles_weights`.
 In the basis of its poles each generator is i diag(poles) - (k/h) p r^T with
-p r = c^2 (`_scheme`): p = r = c (order reduction), or r_m = v_m(N) / ||v_m||, the
-last row of the sine eigenbasis of M M^T, and p = c^2 / r (classical).
-The two sums have the closed forms (`_secular_terms`)
+p r = c^2: p = r = c (order reduction), or r_m = v_m(N) / ||v_m||, the last row
+of the sine eigenbasis of M M^T, and p = c^2 / r (classical).
+The two sums have the closed forms (`_tan2_terms`, `_sin2_terms`)
 
     f = 1 + (i k h/2) tan(L psi) / tan psi,  tan^2 psi = -i lam h^2 / 4,  L = 2(N+1),
     f = 1 - i k h s + (i k h/2)(1 + 2 s) tan(L psi) / tan psi,  s = sin^2 psi,  L = 2N+3,
@@ -51,9 +51,16 @@ last state component is c^T a / sqrt(h).  `or_modal_coordinates` computes
 them, and `classical_modal_coordinates` the coordinates sqrt(h) V^T W in the
 sine eigenbasis V of M M^T, each by one odd-frequency sine sum in
 O(N log N), so `schrostab.dynamics` steps both schemes in these bases.
+
+`_scheme` is the one place that tells the schemes apart: its record, an `_OrderReduction`
+or a `_Classical`, holds the modal form and writes once per scheme each closed form in
+which they differ, and `spectrum`, `resolvent_smin`, `in_spectrum` and the stepper read it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -225,30 +232,22 @@ def _certify(lam, residuals, scale, traces, where: str) -> float:
     return float(np.max(extremes))
 
 
-def _exact_poles(mesh: Mesh, poles: np.ndarray, sine: bool):
-    """The period L, tan a_m, and the offset poles_m^exact - poles_m of each rounded pole, O(N).
+def _exact_poles(scheme: _Scheme):
+    """tan a_m, and the offset poles_m^exact - poles_m of each rounded pole of `scheme`, O(N).
 
     The poles are (2 (N+1))^2 chi(a_m), a_m = (2m+1) pi / (2L), chi = tan^2 and L = 2(N+1)
-    (order reduction) or chi = sin^2 and L = 2N+3 (classical, `sine`; its upper half as
+    (order reduction) or chi = sin^2 and L = 2N+3 (classical; its upper half as
     4 (N+1)^2 - (2 (N+1) cos a_m)^2), from np.longdouble sin a_m and cos a_m, the sine of the
-    complementary angle: eps_j from the rounded poles would carry their rounding, most of it at
-    weak damping and at the top poles.  Where np.longdouble is double, the offsets, and the
-    pole-rounding term of `spectrum`'s residual, are formed in the precision they are meant
-    to bound: both spectra still certify, with the same abscissae, but the certificate no
-    longer covers the poles' rounding.
+    complementary angle (`_Scheme.pole_offsets`): eps_j from the rounded poles would carry
+    their rounding, most of it at weak damping and at the top poles.  Where np.longdouble is
+    double, the offsets, and the pole-rounding term of `spectrum`'s residual, are formed in
+    the precision they are meant to bound: both spectra still certify, with the same
+    abscissae, but the certificate no longer covers the poles' rounding.
     """
-    n1 = mesh.state_size
-    length = 2 * mesh.n + 3 if sine else 2 * n1
-    m = np.arange(n1, dtype=np.longdouble)
-    quarter = 2 * np.arctan(np.longdouble(1)) / length  # pi / (2L)
-    sin, cos = np.sin(np.array((2 * m + 1, length - 2 * m - 1)) * quarter)
-    tan = sin / cos
-    if sine:
-        exact = np.where(m > mesh.n / 2, (4 * n1**2 - poles) - (2 * n1 * cos) ** 2,
-                         (2 * n1 * sin) ** 2 - poles)
-    else:
-        exact = (2 * n1 * tan) ** 2 - poles
-    return length, tan.astype(float), exact.astype(float)
+    m = np.arange(scheme.poles.size, dtype=np.longdouble)
+    quarter = 2 * np.arctan(np.longdouble(1)) / scheme.length  # pi / (2L)
+    sin, cos = np.sin(np.array((2 * m + 1, scheme.length - 2 * m - 1)) * quarter)
+    return (sin / cos).astype(float), scheme.pole_offsets(m, sin, cos).astype(float)
 
 
 def _tan_ratio(z):
@@ -257,42 +256,49 @@ def _tan_ratio(z):
         return np.where(np.abs(z) < 1e-5, 1 + z * z / 3, np.tan(z) / z)
 
 
-def _secular_terms(v, tan, length: int, kh: float, sine: bool):
+def _tan2_terms(v, tan, length: int, kh: float):
     """tan(L delta) / (k h), tan psi, W, V / (k h) and d(V / (k h W))/dv at psi = a_j + k h v.
 
-    L psi = (j + 1/2) pi + L delta, so the closed forms of the module docstring read
-    f = W - V / (tan(L delta) tan psi), W = 1 and V = i k h/2 (order reduction) or
-    W = 1 - i k h sigma and V = (i k h/2)(1 + 2 sigma), sigma = sin^2 psi (classical, `sine`).
+    L psi = (j + 1/2) pi + L delta, so the order-reduction closed form of the module docstring
+    reads f = W - V / (tan(L delta) tan psi), W = 1 and V = i k h/2.
     tan(L delta) / (k h) is L v `_tan_ratio`(L k h v), so a subnormal delta costs no digits,
     and tan psi is (t + tan delta) / (1 - t tan delta), t = tan a_j; O(1) each.
     """
     big = length * v * _tan_ratio(length * kh * v)
     small = kh * v * _tan_ratio(kh * v)  # tan delta
     near = (tan + small) / (1 - tan * small)  # tan(a_j + delta)
-    if not sine:
-        return big, near, 1, 0.5j, 0
+    return big, near, 1, 0.5j, 0
+
+
+def _sin2_terms(v, tan, length: int, kh: float):
+    """`_tan2_terms` of the classical closed form: W = 1 - i k h sigma and
+    V = (i k h/2)(1 + 2 sigma), sigma = sin^2 psi = tan^2 psi / (1 + tan^2 psi)."""
+    big, near = _tan2_terms(v, tan, length, kh)[:2]
     sec2 = 1 + near * near
     w = 1 - 1j * kh * near * near / sec2  # 1 - i k h sin^2 psi
     return big, near, w, 0.5j + 1j * near * near / sec2, kh * near * (2j - kh) / (sec2 * w * w)
 
 
-def _refine(v, poles, tan, offset, length: int, mesh: Mesh, k: float, sine: bool):
+def _refine(v, scheme: _Scheme):
     """Roots lam_j, offsets eps_j = lam_j - i poles_j^exact and v_j = delta_j / (k h), O(N).
 
-    Newton from v_j (a nan stays one) on tan(L delta) tan psi / (k h) - V / (k h W), whose root
-    is f's and which has no pole at delta = 0 (Gu & Eisenstat, 1995), up to 8 times until a
-    step is at most 4 eps |v_j|; then eps_j = i (2 (N+1))^2 (chi(psi_j) - chi(a_j)), with
-    s = tan psi - t formed as s / (k h): s (2 t + s) [times cos^2 psi cos^2 a for sin^2].
+    Newton from v_j (a nan stays one) on tan(L delta) tan psi / (k h) - V / (k h W)
+    (`scheme.terms`), whose root is f's and which has no pole at delta = 0 (Gu & Eisenstat,
+    1995), up to 8 times until a step is at most 4 eps |v_j|; then eps_j =
+    i (2 (N+1))^2 (chi(psi_j) - chi(a_j)), with s = tan psi - t formed as s / (k h):
+    s (2 t + s) over `scheme.chi_ratio`.
     k h is taken as (2^600 k) h / 2^600 where it is subnormal, short of digits, and
     Re lam_j as Re eps_j, whose sign survives where it underflows.
     """
+    mesh, k, length, poles, (tan, offset) = (scheme.mesh, scheme.k, scheme.length,
+                                             scheme.poles, scheme.exact)
     n1, kh = mesh.state_size, k * mesh.h
     scale = 2.0**600 if kh < _TINY else 1.0
     active = np.flatnonzero(np.isfinite(v))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         for _ in range(8):
             u, t = v[active], tan[active]
-            big, near, w, vk, slope = _secular_terms(u, t, length, kh, sine)
+            big, near, w, vk, slope = scheme.terms(u, t, length, kh)
             step = (big * near - vk / w) / (
                 length * (1 + (big * kh) ** 2) * near + big * (1 + near * near) * kh - slope)
             v[active] = u - step
@@ -302,10 +308,7 @@ def _refine(v, poles, tan, offset, length: int, mesh: Mesh, k: float, sine: bool
         ratio = _tan_ratio(kh * v)
         s = v * ratio * (1 + tan * tan) / (1 - tan * (kh * v * ratio))  # s / (k h)
         eps = 1j * (2 * n1) ** 2 * s * ((k * scale) * mesh.h) * (2 * tan + s * kh)
-        if sine:
-            near = tan + s * kh
-            scale *= (1 + tan * tan) * (1 + near * near)
-        eps /= scale
+        eps /= scale * scheme.chi_ratio(s, tan, kh)
     lam = eps.copy()
     lam.imag = poles + (eps.imag + offset)
     return lam, eps, v
@@ -360,119 +363,35 @@ def _cross_checked(lam) -> np.ndarray:
     return np.union1d(seeded, np.argsort(lam.real)[-_CROSS_CHECK_RIGHTMOST:])
 
 
-def _poles_weights(mesh: Mesh, scheme: str):
-    """Whether `scheme` is the classical one, and its poles and weights c, O(N)."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    sine = scheme == CLASSICAL
-    return (sine, *(classical_poles_weights if sine else or_poles_weights)(mesh))
-
-
-def _scheme(mesh: Mesh, scheme: str):
-    """`_poles_weights`, then p and r of the modal form (module docstring), O(N)."""
-    sine, poles, c = _poles_weights(mesh, scheme)
-    if not sine:
-        return sine, poles, c, c, c
-    r = (-1.0) ** np.arange(mesh.state_size) * c / np.sqrt(1.0 + 0.5 * poles * mesh.h**2)
-    return sine, poles, c, c * c / r, r
-
-
-def _direct_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> np.ndarray:
-    """||p|| |f| / ||y|| at the order-reduction roots `rows`, summed over all poles.
-
-    Each root-to-pole term is divided into the nearest one, so it is at most 1 in modulus, and
-    scaled by 2^600 first where k h is subnormal: complex division by a subnormal overflows.
-    """
-    up = 2.0**600 if k * mesh.h < _TINY else 1.0
-    p2 = p * p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        to_poles = lam[rows, None] - 1j * poles
-        if up > 1:
-            to_poles *= up
-        near = np.min(np.abs(to_poles), axis=1)
-        np.divide(near[:, None], to_poles, out=to_poles)
-        f = 1.0 + (k * up / mesh.h) * (to_poles @ p2) / near
-        return np.sqrt(np.sum(p2)) * np.abs(f) * (near / up) / np.sqrt(np.abs(to_poles)**2 @ p2)
-
-
-def _applier_residual(rows, lam, eps, poles, offset, p, mesh: Mesh, k: float) -> np.ndarray:
-    """||A x - lam x|| / ||x|| at the classical roots `rows` through `systems.apply_generator`.
-
-    A = V (i diag(mu) - (k/h) p r^T) V^T, so x = V y with y = (lam - i mu)^{-1} p, taken as
-    p eps_j / (eps_j + i gap) over exact pole gaps, one inverse FFT of length 2N+3 per root.
-    """
-    n, length = mesh.n, 2 * mesh.n + 3
-    # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
-    # x_j = (-1)^(j+1) (G_{j+1} - G_{-(j+1)}), so that x = (i / sqrt(2N+3)) V y
-    spectra = np.zeros((rows.size, length), dtype=complex)
-    y = spectra[:, n + 2:]
-    gap, e = (poles[rows, None] - poles) + (offset[rows, None] - offset), eps[rows, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # over a real |eps_j + i gap|^2: complex division by a subnormal eps_j overflows
-        y[:] = p * (np.abs(e) ** 2 - 1j * gap * e) / ((gap + e.imag) ** 2 + e.real**2)
-    y[np.arange(rows.size), rows] = p[rows]
-    G = np.fft.ifft(spectra, axis=1)
-    X = G[:, 1:n + 2] - G[:, :n + 1:-1]
-    X[:, ::2] *= -1
-    R = apply_generator(CLASSICAL, X.T, k, mesh) - X.T * lam[rows]
-    return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
-
-
 def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
     """Certified eigenvalues of the generator of `scheme`, and their worst residual, O(N).
 
     In the basis of its poles the generator is i diag(poles) - (k/h) p r^T (`_scheme`), and a
     root's eigenvector is y = (lam - i poles)^{-1} p (Golub, 1973).  One root per branch of the
-    scheme's dispersion relation (module docstring; the classical one from the last two rows of
-    A with y_j = sinh(z x_j), y_{N+1} = sinh(z) / (1 + i k h/2), less the fold z h = i pi, where
-    y = 0) is refined by `_refine` from delta_j = -i zeta_j / (2(N+1)), or from delta_j = 0 where
-    k h is below 2^-1022 (order reduction) or eps (classical), under the branch roots' rounding;
-    one root no branch resolves (a nan, or marked by `_coincident`) is found by `_lost_root`.
+    scheme's dispersion relation (`_Scheme.branch_roots`) is refined by `_refine` from
+    delta_j = -i zeta_j / (2(N+1)), or from delta_j = 0 where k h is below the scheme's
+    `floor`, under the branch roots' rounding; one root no branch resolves (a nan, or marked
+    by `_coincident`) is found by `_lost_root`.
     The residual ||p|| |f| / ||y|| is bounded by `_residual` at the carried (j, eps_j), plus the
     distance of the returned lam_j from i poles_j^exact + eps_j (np.longdouble: at the returned
     lam the rounding of Im lam, amplified by ||p|| / |p_j|, leaves 1.6e-12 of the classical
     scale at N=4095, and the order-reduction closed form overflows where k h is subnormal), and
-    taken directly at the 8 rightmost and 64 seeded roots: summed over all poles (order
-    reduction, `_direct_residual`) or through `systems.apply_generator` (classical,
-    `_applier_residual`).  NumericalError unless `_certify` passes with the scale
-    max theta + (k/h) ||c||^2 or max mu + sqrt(5/2) k/h, each a bound on ||A||_2, and the
-    traces sum Re lam = -(k/h) ||c||^2 or -(3/2) k/h and sum Im lam = sum theta_m or (2N+1)/h^2.
+    taken directly at the 8 rightmost and 64 seeded roots (`_Scheme.cross_check`).
+    NumericalError unless `_certify` passes with the scheme's traces and scale (`bounds`).
     """
-    sine, poles, c, p, _ = _scheme(mesh, scheme)
-    n, n1, h, rho, kh = mesh.n, mesh.state_size, mesh.h, k / mesh.h, k * mesh.h
-    length, tan, offset = _exact_poles(mesh, poles, sine)
-    branch = np.arange(n1) + 0.5
-    if sine:
-        traces, scale = (-1.5 * rho, (2 * n + 1) / h**2), np.max(poles) + np.sqrt(2.5) * rho
-        s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
-
-        def coefficients(z):
-            sinh, cosh = np.sinh(z * h), np.cosh(z * h)
-            return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
-
-        nu, zeta0, floor = np.sinh, -1j * branch * np.pi / length, _EPS
-        cross_check = _applier_residual
-    else:
-        damping = rho * np.sum(c * c)
-        traces, scale = (-damping, np.sum(poles)), np.max(poles) + damping
-
-        def coefficients(mu):
-            t = np.tanh(mu * h / 2)
-            return 2 / h * t, 1j * k, 1 - t * t, 0.0
-
-        nu, zeta0, floor, cross_check = np.tanh, np.zeros(n1), _TINY, _direct_residual
-
+    record = _scheme(mesh, k, scheme)
+    n1, rho, kh = mesh.state_size, k / mesh.h, k * mesh.h
+    poles, c, p, (tan, offset) = record.poles, record.c, record.p, record.exact
+    traces, scale, _ = record.bounds()
     lost, v = np.zeros(n1, dtype=bool), np.zeros(n1, dtype=complex)
-    if kh >= floor:
-        z = _branch_roots(coefficients, zeta0)
-        lam = -1j * (2 / h * nu(z * h / 2)) ** 2
-        if sine:
-            lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan
+    if kh >= record.floor:
+        z, zeta0, lam = record.branch_roots()
         lost = np.isnan(lam) | _coincident(lam)
+        branch = np.arange(n1) + 0.5
         v = np.where(lost, np.nan, -1j * ((z - 1j * branch * np.pi) - zeta0) / (2 * n1 * kh))
-    lam, eps, v = _refine(v, poles, tan, offset, length, mesh, k, sine)
+    lam, eps, v = _refine(v, record)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        big, near, w, vk = _secular_terms(v, tan, length, kh, sine)[:4]
+        big, near, w, vk = record.terms(v, tan, record.length, kh)[:4]
         residual = _residual(eps, w - vk / (big * near), poles, offset, p * p)
     if np.count_nonzero(lost) == 1:
         j = np.flatnonzero(lost)[0]
@@ -481,10 +400,10 @@ def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
     def residuals():
         exact = 1j * (poles.astype(np.longdouble) + offset) + eps
         yield residual + np.abs(lam - exact).astype(float)
-        for rows in _row_blocks(_cross_checked(lam), length, _BLOCK_ELEMENTS):
-            yield cross_check(rows, lam, eps, poles, offset, p, mesh, k)
+        for rows in _row_blocks(_cross_checked(lam), record.length, _BLOCK_ELEMENTS):
+            yield record.cross_check(rows, lam, eps)
 
-    worst = _certify(lam, residuals(), scale, traces, f"(scheme={scheme}, n={n}, k={k})")
+    worst = _certify(lam, residuals(), scale, traces, f"(scheme={scheme}, n={mesh.n}, k={k})")
     return lam, worst
 
 
@@ -695,14 +614,180 @@ def _smin_brackets(count, start, d, c2, rho):
     return low, high
 
 
-def _smin_terms(mesh: Mesh, k: float, scheme: str):
-    """`resolvent_smin`'s count, start, poles, pole offsets, c^2, k/h and scale less |beta|."""
-    sine, poles, c = _poles_weights(mesh, scheme)
-    rho, c2, offset = k / mesh.h, c * c, _exact_poles(mesh, poles, sine)[2]
-    if sine:
-        start = lambda d, ad, c2, rho: 0.5 * np.min(ad, axis=1)  # noqa: E731
-        return _classical_count, start, poles, offset, c2, rho, np.max(poles) + np.sqrt(2.5) * rho
-    return _or_count, _smin_start, poles, offset, c2, rho, rho * np.sum(c2)
+@dataclass(frozen=True)
+class _Scheme:
+    """One scheme at gain k: its modal form i diag(poles) - (k/h) p r^T, p r = c^2, the period L
+    of its pole angles a_m = (2m+1) pi / (2L), and each closed form in which the schemes differ,
+    written once in `_OrderReduction` and once in `_Classical`.  `chi_ratio` is
+    (tan^2 psi - tan^2 a) / (chi(psi) - chi(a)), `floor` the k h below which every branch starts
+    at delta = 0, and `bounds` the traces, the scale of ||A||_2 and the sigma_min scale.  p and
+    the pole offsets (`exact`) are formed where first read: the stepper never forms the offsets.
+    """
+
+    mesh: Mesh
+    k: float
+    length: int
+    poles: np.ndarray
+    c: np.ndarray
+
+    @cached_property
+    def exact(self):
+        return _exact_poles(self)
+
+
+class _OrderReduction(_Scheme):
+    """theta_m = (2 (N+1) tan a_m)^2, L = 2(N+1) and p = r = c.
+
+    The branches, lam = -i (2/h tanh(mu h/2))^2, start at zeta_j = 0.  The traces are
+    sum Re lam = -(k/h) ||c||^2 and sum Im lam = sum theta_m, and max theta + (k/h) ||c||^2
+    bounds ||A||_2.  The sigma_min scale, (k/h) ||c||^2, leaves out max_m |beta - theta_m|,
+    which grows like (N+1)^4: `_or_count` works on the differences d_m, each rounded relative
+    to itself, so a far pole moves sigma_min by a relative eps of its small term
+    c_m^2/(d_m -+ x), not by eps theta_m.
+    """
+
+    floor, terms = _TINY, staticmethod(_tan2_terms)
+    count, start = staticmethod(_or_count), staticmethod(_smin_start)
+    p = r = property(lambda self: self.c)
+
+    def pole_offsets(self, m, sin, cos):
+        return (2 * self.mesh.state_size * (sin / cos)) ** 2 - self.poles
+
+    def chi_ratio(self, s, tan, kh):
+        return 1
+
+    def branch_roots(self):
+        h, k = self.mesh.h, self.k
+
+        def coefficients(mu):
+            t = np.tanh(mu * h / 2)
+            return 2 / h * t, 1j * k, 1 - t * t, 0.0
+
+        zeta0 = np.zeros(self.mesh.state_size)
+        z = _branch_roots(coefficients, zeta0)
+        return z, zeta0, -1j * (2 / h * np.tanh(z * h / 2)) ** 2
+
+    def bounds(self):
+        damping = self.k / self.mesh.h * np.sum(self.c * self.c)
+        return (-damping, np.sum(self.poles)), np.max(self.poles) + damping, damping
+
+    def cross_check(self, rows, lam, eps) -> np.ndarray:
+        """||p|| |f| / ||y|| at the roots `rows`, summed over all poles; each root-to-pole term is
+        divided into the nearest one, so it is at most 1 in modulus, and scaled by 2^600 first
+        where k h is subnormal: complex division by a subnormal overflows."""
+        mesh, k, p = self.mesh, self.k, self.c
+        up = 2.0**600 if k * mesh.h < _TINY else 1.0
+        p2 = p * p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            to_poles = lam[rows, None] - 1j * self.poles
+            if up > 1:
+                to_poles *= up
+            near = np.min(np.abs(to_poles), axis=1)
+            np.divide(near[:, None], to_poles, out=to_poles)
+            f = 1.0 + (k * up / mesh.h) * (to_poles @ p2) / near
+            return np.sqrt(np.sum(p2)) * np.abs(f) * (near / up) / np.sqrt(np.abs(to_poles)**2 @ p2)
+
+    def coordinates(self, W):
+        return or_modal_coordinates(self.mesh, W)
+
+    def energy(self, u, ru):
+        return 0.5 * float(np.vdot(u, u).real)  # u = Q^T sqrt(h) D W
+
+
+class _Classical(_Scheme):
+    """mu_m = (2 (N+1) sin a_m)^2, L = 2N+3, r = V^T e_N (`classical_poles_weights`) and p = c^2/r.
+
+    The dispersion relation is that of the last two rows of A with y_j = sinh(z x_j),
+    y_{N+1} = sinh(z) / (1 + i k h/2), less the fold z h = i pi, where y = 0; its branches start
+    at zeta_j = -i (j + 1/2) pi / L.  The traces are sum Re lam = -(3/2) k/h and
+    sum Im lam = (2N+1)/h^2, and max mu + sqrt(5/2) k/h bounds ||A||_2 and, as the sigma_min
+    scale, ||i beta - A||_2 less |beta|.  `_classical_count` starts at half the nearest |d_m|.
+    """
+
+    floor, terms = _EPS, staticmethod(_sin2_terms)
+    count, start = staticmethod(_classical_count), staticmethod(lambda d, ad, c2, rho:
+                                                                 0.5 * np.min(ad, axis=1))
+
+    @cached_property
+    def r(self):
+        n1, h = self.mesh.state_size, self.mesh.h
+        return (-1.0) ** np.arange(n1) * self.c / np.sqrt(1.0 + 0.5 * self.poles * h**2)
+
+    @cached_property
+    def p(self):
+        return self.c * self.c / self.r
+
+    @cached_property
+    def cos2(self):  # cos^2 a_m, as 1 - mu_m h^2 / 4 cancels at the top modes
+        return 0.25 * self.length * self.r**2
+
+    def pole_offsets(self, m, sin, cos):
+        n1, poles = self.mesh.state_size, self.poles
+        return np.where(m > self.mesh.n / 2, (4 * n1**2 - poles) - (2 * n1 * cos) ** 2,
+                        (2 * n1 * sin) ** 2 - poles)
+
+    def chi_ratio(self, s, tan, kh):
+        near = tan + s * kh
+        return (1 + tan * tan) * (1 + near * near)
+
+    def branch_roots(self):
+        h, k = self.mesh.h, self.k
+        s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
+
+        def coefficients(z):
+            sinh, cosh = np.sinh(z * h), np.cosh(z * h)
+            return s * sinh / h, (t * cosh - 1 + 1.5j * k * h) / h, s * cosh, t * sinh
+
+        zeta0 = -1j * (np.arange(self.mesh.state_size) + 0.5) * np.pi / self.length
+        z = _branch_roots(coefficients, zeta0)
+        lam = -1j * (2 / h * np.sinh(z * h / 2)) ** 2
+        lam[np.abs(lam - 4j / h**2) <= _DISTINCT_RTOL * 4 / h**2] = np.nan  # the fold
+        return z, zeta0, lam
+
+    def bounds(self):
+        h, rho = self.mesh.h, self.k / self.mesh.h
+        scale = np.max(self.poles) + np.sqrt(2.5) * rho
+        return (-1.5 * rho, (2 * self.mesh.n + 1) / h**2), scale, scale
+
+    def cross_check(self, rows, lam, eps) -> np.ndarray:
+        """||A x - lam x|| / ||x|| at the roots `rows` through `systems.apply_generator`.
+
+        A = V (i diag(mu) - (k/h) p r^T) V^T, so x = V y with y = (lam - i mu)^{-1} p, taken as
+        p eps_j / (eps_j + i gap) over exact pole gaps, one inverse FFT of length 2N+3 per root.
+        """
+        n, poles, offset, p = self.mesh.n, self.poles, self.exact[1], self.p
+        # y_m in slot m + N + 2 of a period-(2N+3) inverse FFT G gives
+        # x_j = (-1)^(j+1) (G_{j+1} - G_{-(j+1)}), so that x = (i / sqrt(2N+3)) V y
+        spectra = np.zeros((rows.size, self.length), dtype=complex)
+        y = spectra[:, n + 2:]
+        gap, e = (poles[rows, None] - poles) + (offset[rows, None] - offset), eps[rows, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # over a real |eps_j + i gap|^2: complex division by a subnormal eps_j overflows
+            y[:] = p * (np.abs(e) ** 2 - 1j * gap * e) / ((gap + e.imag) ** 2 + e.real**2)
+        y[np.arange(rows.size), rows] = p[rows]
+        G = np.fft.ifft(spectra, axis=1)
+        X = G[:, 1:n + 2] - G[:, :n + 1:-1]
+        X[:, ::2] *= -1
+        R = apply_generator(CLASSICAL, X.T, self.k, self.mesh) - X.T * lam[rows]
+        return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
+
+    def coordinates(self, W):
+        return classical_modal_coordinates(self.mesh, W)
+
+    def energy(self, u, ru):
+        # u = sqrt(h) V^T W, r^T u = sqrt(h) W_N and 4 D^T D = 4I - h^2 M M^T - 2 e_N e_N^T
+        return 0.5 * float(self.cos2 @ np.abs(u) ** 2 - 0.5 * abs(ru) ** 2)
+
+
+def _scheme(mesh: Mesh, k: float, scheme: str) -> _Scheme:
+    """The record of `scheme` at gain k, O(N); ValueError if it is unknown or not 0 < k < inf."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not 0 < k < np.inf:
+        raise ValueError(f"feedback gain must be positive and finite, got k={k}")
+    if scheme == CLASSICAL:
+        return _Classical(mesh, k, 2 * mesh.n + 3, *classical_poles_weights(mesh))
+    return _OrderReduction(mesh, k, 2 * mesh.state_size, *or_poles_weights(mesh))
 
 
 def in_spectrum(mesh: Mesh, k: float, beta: float, scheme: str) -> bool:
@@ -710,9 +795,11 @@ def in_spectrum(mesh: Mesh, k: float, beta: float, scheme: str) -> bool:
 
     `resolvent_smin` refuses i beta where its bracket top is at most that tolerance, so the two
     differ only where the tolerance falls inside a bracket, of relative width 1e-14."""
-    count, _, poles, offset, c2, rho, scale = _smin_terms(mesh, k, scheme)
-    d = (np.array([[beta]]) - poles) - offset
-    return bool(count(d, np.abs(d), c2, rho, np.array([_SPECTRUM_RTOL * (abs(beta) + scale)]))[0])
+    record = _scheme(mesh, k, scheme)
+    count, scale = record.count, record.bounds()[2]
+    d = (np.array([[beta]]) - record.poles) - record.exact[1]
+    x = np.array([_SPECTRUM_RTOL * (abs(beta) + scale)])
+    return bool(count(d, np.abs(d), record.c * record.c, k / mesh.h, x)[0])
 
 
 def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
@@ -720,20 +807,17 @@ def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
 
     `_smin_brackets` on d = (beta - poles) - (poles^exact - poles) (`_exact_poles`: beta - poles
     alone would carry the poles' rounding, up to eps poles_m, most of sigma_min at a peak at weak
-    damping), with the exact inertia count `_or_count` from `_smin_start`, or
-    `_classical_count` from half the nearest pole |d_m|.  The value is the midpoint of a bracket
-    [lo, hi] of relative width at most 1e-14 whose ends the count puts on either side of
-    sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below hi^2.  Rows of betas are
-    processed in blocks, so memory stays O(N) and no matrix is formed.  Raises NumericalError if
-    a bracket end is not finite, or a bracket is wider than 1e-14 relative, or fails the count,
-    or if hi is at most 1e-14 scale, i beta numerically in the spectrum (`in_spectrum`), with
-    the scale |beta| + (k/h) ||c||^2 (order reduction) or |beta| + max mu + sqrt(5/2) k/h
-    (classical, a bound on ||i beta - A||_2).  The order-reduction scale leaves out
-    max_m |beta - theta_m|, which grows like (N+1)^4: its count works on the differences d_m,
-    each rounded relative to itself, so a far pole theta_m moves sigma_min by a relative eps of
-    its small term c_m^2/(d_m -+ x), not by eps theta_m.
+    damping), with the scheme's exact inertia count and its start.  The value is
+    the midpoint of a bracket [lo, hi] of relative width at most 1e-14 whose ends the count puts
+    on either side of sigma_min^2: no eigenvalue of X^H X below lo^2, at least one below hi^2,
+    taken as lo/2 + hi/2, which does not overflow.  Rows of betas are processed in blocks, so
+    memory stays O(N) and no matrix is formed.  Raises NumericalError if a bracket end is not
+    finite, or a bracket is wider than 1e-14 relative, or fails the count, or if hi is at most
+    1e-14 of |beta| plus the scheme's scale, i beta numerically in the spectrum (`in_spectrum`).
     """
-    count, start, poles, offset, c2, rho, scale = _smin_terms(mesh, k, scheme)
+    record = _scheme(mesh, k, scheme)
+    count, start, scale = record.count, record.start, record.bounds()[2]
+    poles, offset, c2, rho = record.poles, record.exact[1], record.c * record.c, k / mesh.h
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     scale = np.abs(betas) + scale
     where = f"(scheme={scheme}, n={mesh.n}, k={k})"
@@ -755,4 +839,4 @@ def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
         if np.any(failed):
             raise NumericalError(f"sigma_min bracket fails its eigenvalue count at "
                                  f"beta={betas[rows][np.argmax(failed)]} {where}")
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi

@@ -73,8 +73,8 @@ class SemiDiscreteSystem:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.k <= 0:
-            raise ValueError(f"feedback gain must be positive, got k={self.k}")
+        if not 0 < self.k < np.inf:
+            raise ValueError(f"feedback gain must be positive and finite, got k={self.k}")
 
     @property
     def n(self) -> int:

@@ -222,10 +222,10 @@ def classical_polished_roots(mesh, k):
     poles' rounding.
     """
     from schrostab.continuous import _branch_roots
-    from schrostab.secular import _exact_poles, classical_poles_weights
+    from schrostab.secular import _exact_poles, _scheme, classical_poles_weights
 
     mu, c = classical_poles_weights(mesh)
-    offset = _exact_poles(mesh, mu, True)[2]
+    offset = _exact_poles(_scheme(mesh, k, "classical"))[1]
     n, h = mesh.n, mesh.h
     s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
 

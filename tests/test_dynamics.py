@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schrostab import dynamics
+from schrostab import secular
 from schrostab.dynamics import (
     EnergyTrace,
     MidpointStepper,
@@ -132,7 +132,7 @@ class TestModalStepper:
             p = r
         else:
             theta, c = classical_poles_weights(mesh)
-            r = _scheme(mesh, CLASSICAL)[4]
+            r = _scheme(mesh, k, CLASSICAL).r
             p = c * c / r
         g = 1.0 / (1.0 - 1j * tau * theta)
         w = (tau * rho / (1.0 + tau * rho * (r @ (g * p)))) * (g * p)
@@ -161,8 +161,8 @@ class TestModalStepper:
                                                     (CLASSICAL, "classical_modal_coordinates")],
                              ids=[ORDER_REDUCTION, CLASSICAL])
     def test_entry_check_binds(self, scheme, coordinates, monkeypatch, rng):
-        exact = getattr(dynamics, coordinates)
-        monkeypatch.setattr(dynamics, coordinates, lambda mesh, W: exact(mesh, W) * (1 + 1e-10))
+        exact = getattr(secular, coordinates)
+        monkeypatch.setattr(secular, coordinates, lambda mesh, W: exact(mesh, W) * (1 + 1e-10))
         system = SemiDiscreteSystem(scheme, Mesh(15), 1.0)
         with pytest.raises(NumericalError, match="modal coordinates carry energy"):
             simulate(system, random_complex(rng, 16), 1e-3, 0.01)

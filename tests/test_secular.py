@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schrostab import secular
+from schrostab.dynamics import MidpointStepper, simulate
 from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
 from schrostab.secular import (
@@ -217,9 +218,9 @@ def or_off_root(mesh, k, r, direction):
 
 
 def or_closed_form(v, mesh, k):
-    """f = W - V / (tan(L delta) tan psi) of `secular._secular_terms` at psi_j = phi_j + k h v_j."""
-    tan = secular._exact_poles(mesh, or_poles_weights(mesh)[0], False)[1]
-    big, near, w, vk = secular._secular_terms(v, tan, 2 * mesh.state_size, k * mesh.h, False)[:4]
+    """f = W - V / (tan(L delta) tan psi) of `secular._tan2_terms` at psi_j = phi_j + k h v_j."""
+    tan = secular._scheme(mesh, k, ORDER_REDUCTION).exact[0]
+    big, near, w, vk = secular._tan2_terms(v, tan, 2 * mesh.state_size, k * mesh.h)[:4]
     return w - vk / (big * near)
 
 
@@ -263,7 +264,7 @@ def test_closed_form_matches_direct_oracle(n, k, monkeypatch):
     assert np.all(or_backward_residual(lam, theta, c, rho) <= 1e-14 * scale)
     moved = v + or_off_root(mesh, k, 1e-9, 1.0)
     eps = _mpmath_characteristic(moved, n, k * mesh.h, sums=False)[0]
-    offset = secular._exact_poles(mesh, theta, False)[2]
+    offset = secular._scheme(mesh, k, ORDER_REDUCTION).exact[1]
     closed_form = secular._residual(eps, or_closed_form(moved, mesh, k), theta, offset, c * c)
     at = (1j * theta + eps) + 1j * offset
     ratio = closed_form / or_backward_residual(at, theta, c, rho)
@@ -621,9 +622,9 @@ def test_recomputed_pole_offsets_are_refused(monkeypatch):
     # eps mu_j, and its eigenvectors miss the bound by about 5x at N=255
     refine = secular._refine
 
-    def recomputed(v, poles, tan, offset, *args):
-        lam, eps, v = refine(v, poles, tan, offset, *args)
-        return lam, (lam - 1j * poles) - 1j * offset, v
+    def recomputed(v, record):
+        lam, eps, v = refine(v, record)
+        return lam, (lam - 1j * record.poles) - 1j * record.exact[1], v
 
     monkeypatch.setattr("schrostab.secular._refine", recomputed)
     with pytest.raises(NumericalError, match="secular residual"):
@@ -743,7 +744,7 @@ def test_resolvent_count_on_a_pole_is_taken_from_below():
     # count there, where d_0 + x is an exact zero, is the count just below
     mesh, k, beta = Mesh(63), 1e-6, -71960.62885869741
     theta, c = or_poles_weights(mesh)
-    d = (beta - theta - secular._exact_poles(mesh, theta, False)[2])[None, :]
+    d = (beta - theta - secular._scheme(mesh, k, ORDER_REDUCTION).exact[1])[None, :]
     ad, rho = np.abs(d), k / mesh.h
     x = np.array([ad[0, 0], np.nextafter(ad[0, 0], 0)])
     assert secular._smin_start(d, ad, c * c, rho)[0] == x[0]
@@ -1060,3 +1061,68 @@ def test_unknown_scheme_is_refused():
         spectrum(Mesh(3), 1.0, "dense")
     with pytest.raises(ValueError, match="unknown scheme 'dense'"):
         resolvent_smin(Mesh(3), 1.0, [0.0], "dense")
+
+
+@pytest.mark.parametrize("beta", [9.5e307, 1e308])
+def test_resolvent_midpoint_does_not_overflow(monkeypatch, beta):
+    # lo + hi overflows at these beta although both bracket ends are finite
+    solve, brackets = secular._smin_brackets, []
+
+    def recorded(*args):
+        brackets.append(solve(*args))
+        return brackets[-1]
+
+    monkeypatch.setattr("schrostab.secular._smin_brackets", recorded)
+    sigma = resolvent_smin(Mesh(15), 1.0, [-beta, beta], ORDER_REDUCTION)
+    lo, hi = brackets[0]
+    assert np.all(np.isfinite(sigma)) and np.all((lo <= sigma) & (sigma <= hi))
+    with pytest.raises(NumericalError):
+        resolvent_smin(Mesh(15), 1.0, [-beta, beta], CLASSICAL)
+
+
+def _stepper(mesh, k, scheme):
+    return MidpointStepper(SemiDiscreteSystem(scheme, mesh, k), 1e-3)
+
+
+_ENTRIES = {
+    "spectrum": lambda mesh, k, scheme: spectrum(mesh, k, scheme),
+    "resolvent_smin": lambda mesh, k, scheme: resolvent_smin(mesh, k, [0.0, 3.0], scheme),
+    "in_spectrum": lambda mesh, k, scheme: in_spectrum(mesh, k, 3.0, scheme),
+    "MidpointStepper": _stepper,
+}
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+@pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+def test_bad_gain_is_refused(entry, scheme, k):
+    with pytest.raises(ValueError, match="feedback gain must be positive and finite"):
+        _ENTRIES[entry](Mesh(15), k, scheme)
+
+
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+def test_each_entry_builds_one_record(monkeypatch, entry, scheme):
+    build, built = secular._scheme, []
+
+    def counted(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr("schrostab.secular._scheme", counted)
+    monkeypatch.setattr("schrostab.dynamics._scheme", counted)
+    _ENTRIES[entry](Mesh(15), 1.0, scheme)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+def test_stepper_never_forms_the_pole_offsets(monkeypatch, rng, scheme):
+    def refuse(*args):
+        raise AssertionError("pole offsets formed")
+
+    monkeypatch.setattr("schrostab.secular._exact_poles", refuse)
+    system = SemiDiscreteSystem(scheme, Mesh(15), 1.0)
+    trace = simulate(system, rng.standard_normal(16) + 0j, 1e-3, 0.01)
+    assert trace.energies.size == 11
+    with pytest.raises(AssertionError, match="pole offsets formed"):
+        spectrum(Mesh(15), 1.0, scheme)

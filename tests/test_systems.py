@@ -94,6 +94,11 @@ class TestAssembleGenerator:
 
 
 class TestSemiDiscreteSystem:
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_gain_outside_zero_to_infinity(self, k):
+        with pytest.raises(ValueError, match="feedback gain must be positive and finite"):
+            SemiDiscreteSystem(ORDER_REDUCTION, Mesh(3), k)
+
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n", [1, 15, 63])
     def test_weighted_generator_matches_similarity_oracle(self, scheme, n):
