@@ -247,25 +247,25 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
     """Weighted resolvent-norm sweeps along the imaginary axis."""
     _check_n_cap(n_list, MAX_N_LIST, "resolvent")
     meshes = [Mesh(n) for n in n_list]
-    systems = [SemiDiscreteSystem(sch, mesh, k)
+    spectra = [spectral_abscissa(SemiDiscreteSystem(sch, mesh, k))  # one per system
                for sch in SCHEME_CHOICES[scheme] for mesh in meshes]
-    spectra = [spectral_abscissa(system) for system in systems]  # one per system
-    for system, spec in zip(systems, spectra):
+    for spec in spectra:
+        system = spec.system
         if system.scheme == CLASSICAL:  # the classical sup sits at the top root's peak
             lam = spec.eigenvalues
             if in_spectrum(system.mesh, k, lam[np.argmax(lam.real)].imag, CLASSICAL):
                 raise click.UsageError(
                     f"--n-list grid size {system.n} at --k {k:g}: the classical resolvent peak "
                     "is narrower than the solver's spectrum tolerance")
-    sweeps = [sweep_with_spectrum(system, spec, beta_min, beta_max, linear_steps, log_decades)
-              for system, spec in zip(systems, spectra)]
+    sweeps = [sweep_with_spectrum(spec, beta_min, beta_max, linear_steps, log_decades)
+              for spec in spectra]
     out = _out_path(out)
     if format == "csv":
         _write_csv(
             out, config,
             ("scheme,N,k,beta,norm", itertools.chain.from_iterable(
                 # the prefix holds no "%": a scheme name, an int and a formatted float
-                map(f"{sw.scheme},{sw.n},{sw.k:.17g},%.17g,%.17g".__mod__,
+                map(f"{sw.system.scheme},{sw.system.n},{sw.system.k:.17g},%.17g,%.17g".__mod__,
                     zip(sw.beta_grid.tolist(), sw.norms.tolist()))
                 for sw in sweeps)),
             ("sup_norm,argmax_beta", (
@@ -273,7 +273,7 @@ def resolvent(config, scheme, n_list, k, beta_min, beta_max, linear_steps, log_d
         )
     else:
         _write_json(out, config, sweeps=[{
-            "scheme": sw.scheme, "n": sw.n, "k": sw.k,
+            "scheme": sw.system.scheme, "n": sw.system.n, "k": sw.system.k,
             "beta": list(sw.beta_grid), "norm": list(sw.norms),
             "sup_norm": sw.sup_norm, "argmax_beta": sw.argmax_beta,
         } for sw in sweeps])

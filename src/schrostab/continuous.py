@@ -12,12 +12,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["characteristic_roots", "characteristic_residual"]
-
-
-def characteristic_residual(mu: complex, k: float) -> complex:
-    """mu cosh(mu) + i k sinh(mu); zero exactly at the eigenparameters."""
-    return mu * np.cosh(mu) + 1j * k * np.sinh(mu)
+__all__ = ["characteristic_roots"]
 
 
 def _branch_roots(coefficients, zeta0) -> np.ndarray:
@@ -47,15 +42,15 @@ def _branch_roots(coefficients, zeta0) -> np.ndarray:
 def characteristic_roots(k: float, count: int) -> np.ndarray:
     """The `count` lowest-frequency eigenvalues of the closed-loop operator.
 
-    Eigenvalues are lam = -i mu^2 where mu solves the characteristic
-    equation, one root per branch of `_branch_roots` (a = mu, b = i k).
+    Eigenvalues are lam = -i mu^2 where mu cosh(mu) + i k sinh(mu) = 0, one root per
+    branch of `_branch_roots` (a = mu, b = i k); k = 0 is the undamped continuum.
     """
-    if k < 0:
-        raise ValueError(f"feedback gain must be nonnegative, got k={k}")
+    if not 0 <= k < np.inf:
+        raise ValueError(f"feedback gain must be nonnegative and finite, got k={k}")
     if count < 1:
         raise ValueError(f"count must be positive, got {count}")
     mu = _branch_roots(lambda mu: (mu, 1j * k, 1.0, 0.0), np.zeros(count))
-    res = np.abs(characteristic_residual(mu, k))
+    res = np.abs(mu * np.cosh(mu) + 1j * k * np.sinh(mu))
     tol = 1e-12 * (1.0 + np.abs(mu) * np.exp(np.abs(mu.real)))
     if not np.all(res <= tol):
         n = int(np.argmax(~(res <= tol)))

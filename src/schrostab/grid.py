@@ -205,8 +205,8 @@ def _d_norm(a: np.ndarray, h: float):
 
 def _shadow_rhs(Y, k: float, mesh: Mesh) -> np.ndarray:
     """D.T Z for the shadow element Z of Y: -M.T Y + (0, ..., 0, i k y_{N+1} / 2)."""
-    if k <= 0:
-        raise ValueError(f"feedback gain must be positive, got k={k}")
+    if not 0 < k < np.inf:
+        raise ValueError(f"feedback gain must be positive and finite, got k={k}")
     Y = _as_state(Y, mesh)
     rhs = -(mesh.matrices.M.T @ Y)
     rhs[-1] += 0.5j * k * Y[-1]

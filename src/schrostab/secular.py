@@ -31,7 +31,7 @@ per branch of `continuous._branch_roots`, refined by one Newton (`_refine`) and 
 backward residuals bounded (`_residual`) relative to their poles in O(1) each, O(N) in
 all (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 1995; Li, LAPACK Working Note 89,
 1994), at the pole offsets Newton carries, the poles' rounding taken from np.longdouble
-(`_exact_poles`), and certified by `spectrum` (or NumericalError), one driver for both
+(`_Scheme.exact`), and certified by `spectrum` (or NumericalError), one driver for both
 schemes.
 
 The same factorisation gives the resolvent: i beta - B is orthogonally
@@ -47,10 +47,10 @@ Algebra Appl. 1, 1968).  One entry, `resolvent_smin`, and one bracket loop,
 
 The coordinates a = Q^T sqrt(h) D W of a state W are its modal
 coordinates: the weighted energy (h/2) ||D W||^2 is (1/2) ||a||^2, and the
-last state component is c^T a / sqrt(h).  `or_modal_coordinates` computes
-them, and `classical_modal_coordinates` the coordinates sqrt(h) V^T W in the
-sine eigenbasis V of M M^T, each by one odd-frequency sine sum in
-O(N log N), so `schrostab.dynamics` steps both schemes in these bases.
+last state component is c^T a / sqrt(h).  `_OrderReduction.coordinates` computes
+them, and `_Classical.coordinates` the coordinates sqrt(h) V^T W in the sine
+eigenbasis V of M M^T, each by one odd-frequency sine sum in O(N log N), so
+`schrostab.dynamics` steps both schemes in these bases.
 
 `_scheme` is the one place that tells the schemes apart: its record, an `_OrderReduction`
 or a `_Classical`, holds the modal form and writes once per scheme each closed form in
@@ -72,8 +72,6 @@ from .systems import CLASSICAL, SCHEMES, apply_generator
 __all__ = [
     "or_poles_weights",
     "classical_poles_weights",
-    "or_modal_coordinates",
-    "classical_modal_coordinates",
     "spectrum",
     "resolvent_smin",
     "in_spectrum",
@@ -163,28 +161,6 @@ def _sine_sums(x: np.ndarray, period: int) -> np.ndarray:
     return (up - down) / 2j
 
 
-def or_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
-    """The modal coordinates a = Q^T sqrt(h) D W of a state W, O(N log N).
-
-    a_m = s_m^T (sqrt(h) D^T D W) / ||D s_m||, with ||D s_m|| = cos phi_m
-    sqrt((N+1)/2) = 1/|c_m|; the sums s_m^T y are a DST-III, `_sine_sums` of period 2(N+1).
-    """
-    D = mesh.matrices.D
-    y = np.sqrt(mesh.h) * (D.T @ (D @ np.asarray(W, dtype=complex)))
-    return np.abs(or_poles_weights(mesh)[1]) * _sine_sums(y, 2 * mesh.state_size)
-
-
-def classical_modal_coordinates(mesh: Mesh, W) -> np.ndarray:
-    """The coordinates u = sqrt(h) V^T W of a state W, V_jm = v_m(j) / ||v_m||, O(N log N).
-
-    V is the orthonormal eigenbasis of M M^T (`classical_poles_weights`), so u is
-    2 sqrt(h / (2N+3)) times `_sine_sums` of period 2N+3.  The last state component
-    is r^T u / sqrt(h), with r of `_scheme`.
-    """
-    period = 2 * mesh.n + 3
-    return 2 * np.sqrt(mesh.h / period) * _sine_sums(_as_state(W, mesh), period)
-
-
 def _coincident(lam) -> np.ndarray:
     """Marks each root within 1e-10 relative of the next root down in imaginary part, O(N log N).
 
@@ -230,24 +206,6 @@ def _certify(lam, residuals, scale, traces, where: str) -> float:
                 f"secular roots miss the {part}-part trace: {got!r} against {expect!r} {where}"
             )
     return float(np.max(extremes))
-
-
-def _exact_poles(scheme: _Scheme):
-    """tan a_m, and the offset poles_m^exact - poles_m of each rounded pole of `scheme`, O(N).
-
-    The poles are (2 (N+1))^2 chi(a_m), a_m = (2m+1) pi / (2L), chi = tan^2 and L = 2(N+1)
-    (order reduction) or chi = sin^2 and L = 2N+3 (classical; its upper half as
-    4 (N+1)^2 - (2 (N+1) cos a_m)^2), from np.longdouble sin a_m and cos a_m, the sine of the
-    complementary angle (`_Scheme.pole_offsets`): eps_j from the rounded poles would carry
-    their rounding, most of it at weak damping and at the top poles.  Where np.longdouble is
-    double, the offsets, and the pole-rounding term of `spectrum`'s residual, are formed in
-    the precision they are meant to bound: both spectra still certify, with the same
-    abscissae, but the certificate no longer covers the poles' rounding.
-    """
-    m = np.arange(scheme.poles.size, dtype=np.longdouble)
-    quarter = 2 * np.arctan(np.longdouble(1)) / scheme.length  # pi / (2L)
-    sin, cos = np.sin(np.array((2 * m + 1, scheme.length - 2 * m - 1)) * quarter)
-    return (sin / cos).astype(float), scheme.pole_offsets(m, sin, cos).astype(float)
 
 
 def _tan_ratio(z):
@@ -314,14 +272,14 @@ def _refine(v, scheme: _Scheme):
     return lam, eps, v
 
 
-def _residual(eps, f, poles, offset, weights) -> np.ndarray:
+def _residual(eps, f, scheme: _Scheme) -> np.ndarray:
     """An upper bound on the backward residual ||p|| |f| / ||y|| at each (j, eps_j), O(1) each.
 
-    y = (lam_j - i poles)^{-1} p is the eigenvector of i diag(poles) + (k/h) p r^T, weights
-    = p^2; ||y||^2 |eps_j|^2 = sum_m p_m^2 |eps_j / (eps_j + i gap_m)|^2 is bounded below by
+    y = (lam_j - i poles)^{-1} p is the eigenvector of i diag(poles) + (k/h) p r^T of `scheme`;
+    ||y||^2 |eps_j|^2 = sum_m p_m^2 |eps_j / (eps_j + i gap_m)|^2 is bounded below by
     its 9 terms |m - j| <= 4 (0.858 of it or more for order reduction, N <= 4095).
     """
-    n1 = eps.size
+    n1, poles, offset, weights = eps.size, scheme.poles, scheme.exact[1], scheme.p * scheme.p
     near = weights.copy()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for o in (-4, -3, -2, -1, 1, 2, 3, 4):
@@ -333,13 +291,15 @@ def _residual(eps, f, poles, offset, weights) -> np.ndarray:
         return np.sqrt(np.sum(weights)) * np.abs(f) * np.abs(eps) / np.sqrt(near)
 
 
-def _lost_root(j, lam, eps, poles, offset, weights, p2, trace) -> float:
+def _lost_root(j, lam, eps, scheme: _Scheme, trace) -> float:
     """Root j, which no branch resolves, from the trace less the others, in place, O(N) a step.
 
     Newton on eps_j f on the direct sum over exact poles (Gu & Eisenstat, 1995), up to 8 times
     until a step is at most 4 eps |eps_j|; returns `_residual` over all poles.  At strong
     damping the classical root that leaves the poles' range, where W and V cancel, is lost.
     """
+    poles, offset, p2 = scheme.poles, scheme.exact[1], scheme.p * scheme.p
+    weights = scheme.k / scheme.mesh.h * scheme.c * scheme.c
     lam[j] = np.nan
     e = (trace - np.nansum(lam) - 1j * poles[j]) - 1j * offset[j]
     gaps = (poles[j] - poles) + (offset[j] - offset)
@@ -380,8 +340,8 @@ def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
     NumericalError unless `_certify` passes with the scheme's traces and scale (`bounds`).
     """
     record = _scheme(mesh, k, scheme)
-    n1, rho, kh = mesh.state_size, k / mesh.h, k * mesh.h
-    poles, c, p, (tan, offset) = record.poles, record.c, record.p, record.exact
+    n1, kh = mesh.state_size, k * mesh.h
+    poles, (tan, offset) = record.poles, record.exact
     traces, scale, _ = record.bounds()
     lost, v = np.zeros(n1, dtype=bool), np.zeros(n1, dtype=complex)
     if kh >= record.floor:
@@ -392,10 +352,10 @@ def spectrum(mesh: Mesh, k: float, scheme: str) -> tuple[np.ndarray, float]:
     lam, eps, v = _refine(v, record)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         big, near, w, vk = record.terms(v, tan, record.length, kh)[:4]
-        residual = _residual(eps, w - vk / (big * near), poles, offset, p * p)
+        residual = _residual(eps, w - vk / (big * near), record)
     if np.count_nonzero(lost) == 1:
         j = np.flatnonzero(lost)[0]
-        residual[j] = _lost_root(j, lam, eps, poles, offset, rho * c * c, p * p, complex(*traces))
+        residual[j] = _lost_root(j, lam, eps, record, complex(*traces))
 
     def residuals():
         exact = 1j * (poles.astype(np.longdouble) + offset) + eps
@@ -632,7 +592,21 @@ class _Scheme:
 
     @cached_property
     def exact(self):
-        return _exact_poles(self)
+        """tan a_m, and the offset poles_m^exact - poles_m of each rounded pole, O(N).
+
+        The poles are (2 (N+1))^2 chi(a_m), a_m = (2m+1) pi / (2L), chi = tan^2 and L = 2(N+1)
+        (order reduction) or chi = sin^2 and L = 2N+3 (classical; its upper half as
+        4 (N+1)^2 - (2 (N+1) cos a_m)^2), from np.longdouble sin a_m and cos a_m, the sine of the
+        complementary angle (`pole_offsets`): eps_j from the rounded poles would carry
+        their rounding, most of it at weak damping and at the top poles.  Where np.longdouble is
+        double, the offsets, and the pole-rounding term of `spectrum`'s residual, are formed in
+        the precision they are meant to bound: both spectra still certify, with the same
+        abscissae, but the certificate no longer covers the poles' rounding.
+        """
+        m = np.arange(self.poles.size, dtype=np.longdouble)
+        quarter = 2 * np.arctan(np.longdouble(1)) / self.length  # pi / (2L)
+        sin, cos = np.sin(np.array((2 * m + 1, self.length - 2 * m - 1)) * quarter)
+        return (sin / cos).astype(float), self.pole_offsets(m, sin, cos).astype(float)
 
 
 class _OrderReduction(_Scheme):
@@ -688,7 +662,14 @@ class _OrderReduction(_Scheme):
             return np.sqrt(np.sum(p2)) * np.abs(f) * (near / up) / np.sqrt(np.abs(to_poles)**2 @ p2)
 
     def coordinates(self, W):
-        return or_modal_coordinates(self.mesh, W)
+        """The modal coordinates a = Q^T sqrt(h) D W of a state W, O(N log N).
+
+        a_m = s_m^T (sqrt(h) D^T D W) / ||D s_m||, with ||D s_m|| = cos phi_m
+        sqrt((N+1)/2) = 1/|c_m|; the sums s_m^T y are a DST-III, `_sine_sums` of period 2(N+1).
+        """
+        D = self.mesh.matrices.D
+        y = np.sqrt(self.mesh.h) * (D.T @ (D @ np.asarray(W, dtype=complex)))
+        return np.abs(self.c) * _sine_sums(y, self.length)
 
     def energy(self, u, ru):
         return 0.5 * float(np.vdot(u, u).real)  # u = Q^T sqrt(h) D W
@@ -772,7 +753,14 @@ class _Classical(_Scheme):
         return np.linalg.norm(R, axis=0) / np.linalg.norm(X, axis=1)
 
     def coordinates(self, W):
-        return classical_modal_coordinates(self.mesh, W)
+        """The coordinates u = sqrt(h) V^T W of a state W, V_jm = v_m(j) / ||v_m||, O(N log N).
+
+        V is the orthonormal eigenbasis of M M^T (`classical_poles_weights`), so u is
+        2 sqrt(h / (2N+3)) times `_sine_sums` of period 2N+3.  The last state component
+        is r^T u / sqrt(h).
+        """
+        period = self.length
+        return 2 * np.sqrt(self.mesh.h / period) * _sine_sums(_as_state(W, self.mesh), period)
 
     def energy(self, u, ru):
         # u = sqrt(h) V^T W, r^T u = sqrt(h) W_N and 4 D^T D = 4I - h^2 M M^T - 2 e_N e_N^T
@@ -805,7 +793,7 @@ def in_spectrum(mesh: Mesh, k: float, beta: float, scheme: str) -> bool:
 def resolvent_smin(mesh: Mesh, k: float, betas, scheme: str) -> np.ndarray:
     """Certified sigma_min(i beta - B) of `scheme`'s weighted generator B for each beta, O(N) each.
 
-    `_smin_brackets` on d = (beta - poles) - (poles^exact - poles) (`_exact_poles`: beta - poles
+    `_smin_brackets` on d = (beta - poles) - (poles^exact - poles) (`_Scheme.exact`: beta - poles
     alone would carry the poles' rounding, up to eps poles_m, most of sigma_min at a peak at weak
     damping), with the scheme's exact inertia count and its start.  The value is
     the midpoint of a bracket [lo, hi] of relative width at most 1e-14 whose ends the count puts

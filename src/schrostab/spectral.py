@@ -51,9 +51,7 @@ _POWER_ITERATIONS = 60
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    scheme: str
-    n: int
-    k: float
+    system: SemiDiscreteSystem
     eigenvalues: np.ndarray
     abscissa: float
     max_eigen_residual: float
@@ -61,9 +59,7 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class ResolventSweepReport:
-    scheme: str
-    n: int
-    k: float
+    system: SemiDiscreteSystem
     beta_grid: np.ndarray
     norms: np.ndarray
     sup_norm: float
@@ -119,14 +115,8 @@ def spectral_abscissa(system: SemiDiscreteSystem) -> SpectrumReport:
     bound ||A x - lam x|| / ||x|| through the generator applier.
     """
     ev, res = spectrum(system.mesh, system.k, system.scheme)
-    return SpectrumReport(
-        scheme=system.scheme,
-        n=system.n,
-        k=system.k,
-        eigenvalues=ev,
-        abscissa=float(np.max(ev.real)),
-        max_eigen_residual=res,
-    )
+    return SpectrumReport(system=system, eigenvalues=ev, abscissa=float(np.max(ev.real)),
+                          max_eigen_residual=res)
 
 
 def resolvent_norm(system: SemiDiscreteSystem, beta):
@@ -189,7 +179,6 @@ def sweep_grid(
 
 
 def sweep_with_spectrum(
-    system: SemiDiscreteSystem,
     spectrum: SpectrumReport,
     beta_min: float,
     beta_max: float,
@@ -198,15 +187,12 @@ def sweep_with_spectrum(
 ) -> ResolventSweepReport:
     """Evaluate the weighted resolvent norm over the sweep grid.
 
-    `spectrum` is the system's certified spectrum (`spectral_abscissa`),
+    The system is that of the certified `spectrum` (`spectral_abscissa`),
     whose eigenvalues place the grid's peak points.  Both schemes take one
     `resolvent_norm` call over the whole grid.  Ties in the argmax are
     broken toward the smallest |beta|.
     """
-    if (spectrum.scheme, spectrum.n, spectrum.k) != (system.scheme, system.n, system.k):
-        raise ValueError(
-            f"spectrum of ({spectrum.scheme}, N={spectrum.n}, k={spectrum.k!r}) does not "
-            f"belong to the system ({system.scheme}, N={system.n}, k={system.k!r})")
+    system = spectrum.system
     if log_decades is None:
         log_decades = float(np.log10(default_beta_max(system.mesh)))
     grid = sweep_grid(spectrum, beta_min, beta_max, linear_steps, log_decades)
@@ -214,15 +200,8 @@ def sweep_with_spectrum(
     sup = float(np.max(norms))
     at_max = grid[norms == sup]
     argmax = float(at_max[np.argmin(np.abs(at_max))])
-    return ResolventSweepReport(
-        scheme=system.scheme,
-        n=system.n,
-        k=system.k,
-        beta_grid=grid,
-        norms=norms,
-        sup_norm=sup,
-        argmax_beta=argmax,
-    )
+    return ResolventSweepReport(system=system, beta_grid=grid, norms=norms, sup_norm=sup,
+                                argmax_beta=argmax)
 
 
 def resolvent_sweep(
@@ -238,5 +217,5 @@ def resolvent_sweep(
     `sweep_with_spectrum` instead of solving it again.
     """
     _check_grid(beta_min, beta_max, linear_steps, log_decades)  # before the solve
-    return sweep_with_spectrum(system, spectral_abscissa(system), beta_min, beta_max,
-                               linear_steps, log_decades)
+    return sweep_with_spectrum(spectral_abscissa(system), beta_min, beta_max, linear_steps,
+                               log_decades)

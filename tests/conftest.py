@@ -217,15 +217,15 @@ def classical_polished_roots(mesh, k):
 
     The branch roots of the classical dispersion relation, less the fold lam = 4i/h^2,
     refined by `_polish` on the classical weights, as rounded to double precision, and
-    the poles with their offsets from np.longdouble (`secular._exact_poles`): a root that
+    the poles with their offsets from np.longdouble (`secular._Scheme.exact`): a root that
     wanders off its branch at k = 1e3, N = 4095 moves by 1.6e-14 relative with the
     poles' rounding.
     """
     from schrostab.continuous import _branch_roots
-    from schrostab.secular import _exact_poles, _scheme, classical_poles_weights
+    from schrostab.secular import _scheme, classical_poles_weights
 
     mu, c = classical_poles_weights(mesh)
-    offset = _exact_poles(_scheme(mesh, k, "classical"))[1]
+    offset = _scheme(mesh, k, "classical").exact[1]
     n, h = mesh.n, mesh.h
     s, t = 1 + 0.5j * k * h, 1 - 0.5j * k * h
 

@@ -122,7 +122,7 @@ def test_criterion_06_resolvent_uniformity(capsys):
     for n in (15, 63, 255, 1023):
         system = SemiDiscreteSystem(CLASSICAL, Mesh(n), 1.0)
         spec = spectral_abscissa(system)  # one solve for the sweep and the peak product
-        sup_cl.append(sweep_with_spectrum(system, spec, -20.0, 20.0).sup_norm)
+        sup_cl.append(sweep_with_spectrum(spec, -20.0, 20.0).sup_norm)
         alpha_cl.append(spec.abscissa)
     peak = [sup * abs(alpha) for sup, alpha in zip(sup_cl[2:], alpha_cl[2:])]
     ratio = max(sup_or) / min(sup_or)

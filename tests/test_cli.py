@@ -387,12 +387,12 @@ def test_resolvent_rows_match_f_strings(runner, tmp_path, monkeypatch):
     special = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308]
     sweeps = []
 
-    def sweep(system, spectrum, *args):
+    def sweep(spectrum, *args):
         beta = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-20, 20, 500),
                                special])
         norms = np.concatenate([rng.uniform(0.0, 2.0, 500) * 10.0 ** rng.integers(-5, 9, 500),
                                 special[::-1]])
-        sweeps.append(ResolventSweepReport(system.scheme, system.n, system.k, beta, norms,
+        sweeps.append(ResolventSweepReport(spectrum.system, beta, norms,
                                            float(norms.max()), float(beta[norms.argmax()])))
         return sweeps[-1]
 
@@ -404,7 +404,7 @@ def test_resolvent_rows_match_f_strings(runner, tmp_path, monkeypatch):
     assert len(sweeps) == 4
     lines = read_lines(out)
     assert lines[1:lines.index("sup_norm,argmax_beta")] == [
-        f"{sw.scheme},{sw.n},{sw.k:.17g},{beta:.17g},{norm:.17g}"
+        f"{sw.system.scheme},{sw.system.n},{sw.system.k:.17g},{beta:.17g},{norm:.17g}"
         for sw in sweeps for beta, norm in zip(sw.beta_grid, sw.norms)]
 
 

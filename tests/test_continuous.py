@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schrostab import continuous
-from schrostab.continuous import characteristic_residual, characteristic_roots
+from schrostab.continuous import characteristic_roots
 from schrostab.errors import NumericalError
 
 
@@ -17,9 +17,7 @@ class TestCharacteristicRoots:
         lam = characteristic_roots(k, 20)
         for l in lam:
             m = np.sqrt(l / (-1j))
-            res = min(
-                abs(characteristic_residual(m, k)), abs(characteristic_residual(-m, k))
-            )
+            res = min(abs(mu * np.cosh(mu) + 1j * k * np.sinh(mu)) for mu in (m, -m))
             assert res <= 1e-12 * (1 + abs(m) * np.exp(abs(m.real)))
 
     def test_damped_roots_strictly_stable(self):
@@ -33,6 +31,11 @@ class TestCharacteristicRoots:
         lam = characteristic_roots(k, 50)
         diffs = np.abs(lam[:, None] - lam[None, :]) + np.eye(50)
         assert diffs.min() > 1e-6
+
+    @pytest.mark.parametrize("k", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_gain(self, k):
+        with pytest.raises(ValueError, match="feedback gain must be nonnegative and finite"):
+            characteristic_roots(k, 5)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):

@@ -157,12 +157,12 @@ class TestModalStepper:
         # |V_{N+1}| is at most of the order of sqrt(E / h)
         assert np.max(np.abs(trace.boundary_values - ref_boundary)) <= 1e-14 * np.sqrt(e0 / mesh.h)
 
-    @pytest.mark.parametrize("scheme,coordinates", [(ORDER_REDUCTION, "or_modal_coordinates"),
-                                                    (CLASSICAL, "classical_modal_coordinates")],
+    @pytest.mark.parametrize("scheme,record", [(ORDER_REDUCTION, secular._OrderReduction),
+                                               (CLASSICAL, secular._Classical)],
                              ids=[ORDER_REDUCTION, CLASSICAL])
-    def test_entry_check_binds(self, scheme, coordinates, monkeypatch, rng):
-        exact = getattr(secular, coordinates)
-        monkeypatch.setattr(secular, coordinates, lambda mesh, W: exact(mesh, W) * (1 + 1e-10))
+    def test_entry_check_binds(self, scheme, record, monkeypatch, rng):
+        exact = record.coordinates
+        monkeypatch.setattr(record, "coordinates", lambda self, W: exact(self, W) * (1 + 1e-10))
         system = SemiDiscreteSystem(scheme, Mesh(15), 1.0)
         with pytest.raises(NumericalError, match="modal coordinates carry energy"):
             simulate(system, random_complex(rng, 16), 1e-3, 0.01)

@@ -273,9 +273,10 @@ class TestShadowElement:
         Z = shadow_element(np.array([0.0, 1.0]), 1.0, m)
         np.testing.assert_allclose(Z, [-4.0 - 1.0j, 4.0 + 1.0j], atol=1e-14)
 
-    def test_rejects_bad_gain(self):
-        with pytest.raises(ValueError):
-            shadow_element(np.zeros(3), 0.0, Mesh(2))
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_gain(self, k):
+        with pytest.raises(ValueError, match="feedback gain must be positive and finite"):
+            shadow_element(np.zeros(3), k, Mesh(2))
 
     @pytest.mark.parametrize("n,k", [(1, 1.0), (7, 0.5), (64, 10.0), (255, 0.1)])
     def test_averaged_difference_relation(self, n, k, rng):

@@ -37,7 +37,6 @@ ALLOWED_UNREACHED = {
     "identities.cross_term_gap": "the benchmark tracer binds it",
     "identities.claim_functionals_gap": "the benchmark tracer binds it",
     "continuous.characteristic_roots": "the benchmark's spectrum-ladder check calls it",
-    "continuous.characteristic_residual": "characteristic_roots calls it",
 }
 
 # (argv, exit code): every command, each scheme, both formats, every preset, --svg,

@@ -13,9 +13,7 @@ from schrostab.errors import NumericalError
 from schrostab.grid import Mesh, build_scheme_matrices
 from schrostab.secular import (
     classical_poles_weights,
-    classical_modal_coordinates,
     in_spectrum,
-    or_modal_coordinates,
     or_poles_weights,
     resolvent_smin,
     spectrum,
@@ -63,7 +61,7 @@ def test_modal_coordinates_match_dense_sine_matrix(n, rng):
     mesh = Mesh(n)
     W = random_complex(rng, n + 1)
     expect = modal_oracle(mesh).T @ (np.sqrt(mesh.h) * (build_scheme_matrices(mesh).D @ W))
-    got = or_modal_coordinates(mesh, W)
+    got = secular._scheme(mesh, 1.0, ORDER_REDUCTION).coordinates(W)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     # the last state component is c^T a / sqrt(h)
     c = or_poles_weights(mesh)[1]
@@ -83,7 +81,8 @@ def test_classical_modal_coordinates_match_dense_sine_matrix(n, rng):
     np.testing.assert_allclose(V.T @ M @ M.T @ V, np.diag(mu), atol=1e-12 * np.max(mu))
     W = random_complex(rng, n + 1)
     expect = np.sqrt(mesh.h) * (V.T @ W)
-    got = classical_modal_coordinates(mesh, W)
+    record = secular._scheme(mesh, 1.0, CLASSICAL)
+    got = record.coordinates(W)
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     r = (-1.0) ** np.arange(n + 1) * c / np.sqrt(1 + 0.5 * mu * mesh.h**2)
     np.testing.assert_allclose(V[-1], r, rtol=0, atol=1e-13)
@@ -93,7 +92,7 @@ def test_classical_modal_coordinates_match_dense_sine_matrix(n, rng):
     energy = 0.5 * (np.cos(a) ** 2 @ np.abs(got) ** 2 - 0.5 * abs(r @ got) ** 2)
     assert energy == pytest.approx(0.5 * mesh.h * np.linalg.norm(D @ W) ** 2, rel=1e-13)
     with pytest.raises(ValueError, match="needs length"):
-        classical_modal_coordinates(mesh, W[:-1])
+        record.coordinates(W[:-1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -264,9 +263,9 @@ def test_closed_form_matches_direct_oracle(n, k, monkeypatch):
     assert np.all(or_backward_residual(lam, theta, c, rho) <= 1e-14 * scale)
     moved = v + or_off_root(mesh, k, 1e-9, 1.0)
     eps = _mpmath_characteristic(moved, n, k * mesh.h, sums=False)[0]
-    offset = secular._scheme(mesh, k, ORDER_REDUCTION).exact[1]
-    closed_form = secular._residual(eps, or_closed_form(moved, mesh, k), theta, offset, c * c)
-    at = (1j * theta + eps) + 1j * offset
+    record = secular._scheme(mesh, k, ORDER_REDUCTION)
+    closed_form = secular._residual(eps, or_closed_form(moved, mesh, k), record)
+    at = (1j * theta + eps) + 1j * record.exact[1]
     ratio = closed_form / or_backward_residual(at, theta, c, rho)
     assert np.all((ratio >= 1 - 1e-5) & (ratio <= 1.1))
 
@@ -615,6 +614,50 @@ def test_classical_top_real_parts_match_mpmath(n, k):
     for j in {*np.argsort(lam.imag)[-2:], np.argmax(lam.real)}:
         expect = _mpmath_classical_root(lam[j].real, n, k, j)
         assert abs(lam[j].real - expect.real) <= 4 * EPS * abs(expect.real)
+
+
+def _mpmath_root_on_pole(scheme, n, k, j, lam):
+    """The root on pole j of the direct secular sum over exact poles and weights, and its
+    offset e from the exact pole, by 60-digit Newton on g(e) = e f(i poles_j + e) from lam."""
+    with mpmath.workdps(60):
+        n1, rho = n + 1, mpmath.mpf(k) * (n + 1)
+        length = 2 * n1 if scheme == ORDER_REDUCTION else 2 * n + 3
+        a = [(2 * m + 1) * mpmath.pi / (2 * length) for m in range(n1)]
+        if scheme == ORDER_REDUCTION:
+            poles = [(2 * n1 * mpmath.tan(x)) ** 2 for x in a]
+            weights = [2 / (n1 * mpmath.cos(x) ** 2) for x in a]
+        else:
+            poles = [(2 * n1 * mpmath.sin(x)) ** 2 for x in a]
+            weights = [4 * mpmath.cos(x) ** 2 * (1 + 2 * mpmath.sin(x) ** 2) / length for x in a]
+        e = mpmath.mpc(lam.real, lam.imag) - 1j * poles[j]
+        for _ in range(40):
+            g, slope = e + rho * weights[j], mpmath.mpf(1)
+            for m in range(n1):
+                if m != j:
+                    gap = 1j * (poles[j] - poles[m])
+                    g += rho * weights[m] * e / (e + gap)
+                    slope += rho * weights[m] * gap / (e + gap) ** 2
+            step = g / slope
+            e -= step
+            if abs(step) <= mpmath.mpf(10) ** -50 * abs(e):
+                return 1j * poles[j] + e, complex(e)
+        raise AssertionError("mpmath Newton did not converge")
+
+
+@pytest.mark.parametrize("scheme", [ORDER_REDUCTION, CLASSICAL])
+@pytest.mark.parametrize("n", [7, 15])
+@pytest.mark.parametrize("k", [1e-12, 1.0])
+def test_roots_carry_the_pole_offsets(scheme, n, k):
+    # Im lam_j within 1 ulp of the exact-pole root, plus Newton's stop of 4 eps |e_j| where the
+    # root is far from its pole: measured at most 0.49 of that bound, 1.05 ulp alone for the
+    # lowest classical root at N=7, k=1 (|e_0| = 0.39, Im lam_0 = 2.57).  The largest offset
+    # poles_j^exact - poles_j that `_refine` adds back is 1.8 to 3.6 ulp of its pole in each case
+    lam = spectrum(Mesh(n), k, scheme)[0]
+    for j in range(n + 1):
+        expect, e = _mpmath_root_on_pole(scheme, n, k, j, lam[j])
+        with mpmath.workdps(60):
+            error = float(abs(mpmath.mpf(lam[j].imag) - expect.imag))
+        assert error <= np.spacing(abs(lam[j].imag)) + 4 * EPS * abs(e)
 
 
 def test_recomputed_pole_offsets_are_refused(monkeypatch):
@@ -1120,7 +1163,7 @@ def test_stepper_never_forms_the_pole_offsets(monkeypatch, rng, scheme):
     def refuse(*args):
         raise AssertionError("pole offsets formed")
 
-    monkeypatch.setattr("schrostab.secular._exact_poles", refuse)
+    monkeypatch.setattr(secular._Scheme, "exact", property(refuse))
     system = SemiDiscreteSystem(scheme, Mesh(15), 1.0)
     trace = simulate(system, rng.standard_normal(16) + 0j, 1e-3, 0.01)
     assert trace.energies.size == 11

@@ -225,15 +225,6 @@ class TestResolventSweep:
                                              f"{MAX_LINEAR_STEPS}"):
             resolvent_sweep(system, -5.0, 5.0, 10**12)
 
-    @pytest.mark.parametrize("other", [(CLASSICAL, 7, 1.0), (ORDER_REDUCTION, 9, 1.0),
-                                       (ORDER_REDUCTION, 7, 0.5)])
-    def test_refuses_another_systems_spectrum(self, other):
-        scheme, n, k = other
-        spectrum = spectral_abscissa(SemiDiscreteSystem(scheme, Mesh(n), k))
-        with pytest.raises(ValueError, match="does not belong to the system"):
-            sweep_with_spectrum(SemiDiscreteSystem(ORDER_REDUCTION, Mesh(7), 1.0), spectrum,
-                                -5.0, 5.0, 11)
-
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_given_spectrum_is_not_solved_again(self, monkeypatch, scheme):
         def refuse(*args, **kwargs):
@@ -243,7 +234,7 @@ class TestResolventSweep:
         spectrum = spectral_abscissa(system)
         expect = resolvent_sweep(system, -5.0, 5.0, 11, log_decades=1.0)
         monkeypatch.setattr("schrostab.spectral.spectrum", refuse)
-        sweep = sweep_with_spectrum(system, spectrum, -5.0, 5.0, 11, log_decades=1.0)
+        sweep = sweep_with_spectrum(spectrum, -5.0, 5.0, 11, log_decades=1.0)
         assert set(spectrum.eigenvalues.imag) <= set(sweep.beta_grid)
         assert np.array_equal(sweep.beta_grid, expect.beta_grid)
         assert np.array_equal(sweep.norms, expect.norms)

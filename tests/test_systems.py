@@ -28,10 +28,11 @@ class TestApplyOrderReduction:
         out = apply_generator(ORDER_REDUCTION, np.array([0.0, 1.0]), 1.0, m)
         np.testing.assert_allclose(out, [8.0 - 32.0j, -16.0 + 48.0j], atol=1e-12)
 
-    def test_rejects_bad_gain(self):
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_gain(self, k):
         for scheme in SCHEMES:
-            with pytest.raises(ValueError, match="feedback gain must be positive"):
-                apply_generator(scheme, np.zeros(3), -1.0, Mesh(2))
+            with pytest.raises(ValueError, match="feedback gain must be positive and finite"):
+                apply_generator(scheme, np.zeros(3), k, Mesh(2))
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("n,k", [(1, 1.0), (9, 0.3), (64, 10.0)])
